@@ -2,11 +2,11 @@
 // layer (alias-table path selection, batched guard rotation, sharded
 // per-client-AS exposure aggregation) over the paper-scale consensus.
 //
-// Where sec2_longterm_guards walks hundreds of clients through the scalar
-// adapter, this bench simulates an entire client population — a million
-// clients for a simulated month in minutes — and reports the population
-// *distribution* of compromise: the per-client-AS fraction histogram on
-// top of the scalar trajectory. The sweep is sharded through
+// Where sec2_longterm_guards sweeps guard policies over 600 clients, this
+// bench simulates an entire client population — a million clients for a
+// simulated month in minutes — and reports the population *distribution*
+// of compromise: the per-client-AS fraction histogram on top of the daily
+// trajectory. The sweep is sharded through
 // ckpt::CheckpointedMap, so it is resumable mid-population and its
 // outputs are byte-identical at every --threads value, shard split, and
 // kill+resume point (scripts/population_smoke.sh).

@@ -14,9 +14,9 @@
 
 #include "ckpt/sweep.hpp"
 #include "common.hpp"
-#include "core/longterm.hpp"
 #include "core/population_exposure.hpp"
 #include "core/report.hpp"
+#include "tor/path_selection.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 
@@ -32,29 +32,32 @@ int main(int argc, char** argv) {
       ctx.Timed("scenario", [] { return bench::MakePaperScenario(); });
   const tor::Consensus& consensus = scenario.consensus.consensus;
 
-  core::LongTermParams base;
+  // Every policy runs the same population engine: 600 clients homed in
+  // the eyeball ASes, one circuit a day for a year.
+  core::PopulationExposureParams base;
   base.clients = 600;
-  base.instances = 360;  // daily connections for a year
+  base.days = 360;
   base.malicious_bandwidth_fraction = 0.10;
   base.seed = 20140701;
   base.threads = ctx.threads();
 
-  // --- Guard-set size sweep (0 = no guard persistence, pre-2006 Tor).
+  // --- Guard-set size and lifetime sweep.
   util::PrintBanner(std::cout, "compromised clients after one year of daily use "
                                "(10% malicious bandwidth)");
   util::Table table({"guard policy", "90 days", "180 days", "360 days"});
   util::CsvWriter csv("sec2_longterm.csv",
                       {"policy", "instance", "cumulative_compromised"});
 
-  std::vector<std::vector<double>> curves;
   std::vector<std::string> names;
   struct PolicyCase {
     std::string name;
     std::size_t guards;
     std::int64_t lifetime_days;
   };
+  // "No guards" (pre-2006 Tor) is one guard with a zero lifetime: the
+  // daily rotation sweep re-draws it before every circuit.
   const PolicyCase cases[] = {
-      {"no guards (fresh entry per circuit)", 0, 0},
+      {"no guards (fresh entry per circuit)", 1, 0},
       {"1 guard, never rotated [13]", 1, 4000},
       {"3 guards, 30-day rotation (Tor 2014)", 3, 30},
       {"3 guards, 9-month rotation (proposal)", 3, 270},
@@ -62,53 +65,41 @@ int main(int argc, char** argv) {
   };
   // One checkpoint shard per guard policy: each year-long simulation is
   // independent and seeded, so a killed sweep resumes at the first
-  // unsimulated policy (inner parallelism still uses ctx.threads()).
+  // unsimulated policy.
   const ckpt::StageOptions sweep_stage =
       ctx.Stage("policy_sweep", std::size(cases), /*config_key=*/base.seed);
-  const std::vector<core::LongTermResult> sweep_results =
-      ctx.Timed("policy_sweep", [&] {
-        return ckpt::CheckpointedMap(
-            sweep_stage, /*threads=*/1, std::size(cases),
-            [&](std::size_t i) {
-              core::LongTermParams params = base;
-              params.guard_set_size = cases[i].guards;
-              params.guard_lifetime_s =
-                  cases[i].lifetime_days * netbase::duration::kDay;
-              return core::SimulateLongTermExposure(consensus, params);
-            },
-            [](const core::LongTermResult& result, ckpt::PayloadWriter& payload) {
-              payload.U64(result.cumulative_compromised.size());
-              for (const double v : result.cumulative_compromised) payload.Dbl(v);
-              payload.Dbl(result.final_fraction);
-              payload.U64(result.malicious_relays);
-              payload.U64(result.malicious_guards);
-              payload.U64(result.malicious_exits);
-            },
-            [](ckpt::PayloadReader& payload) {
-              core::LongTermResult result;
-              result.cumulative_compromised.resize(payload.U64());
-              for (double& v : result.cumulative_compromised) v = payload.Dbl();
-              result.final_fraction = payload.Dbl();
-              result.malicious_relays = payload.U64();
-              result.malicious_guards = payload.U64();
-              result.malicious_exits = payload.U64();
-              return result;
-            });
-      });
-  for (std::size_t p = 0; p < sweep_results.size(); ++p) {
+  const std::vector<std::vector<double>> curves = ctx.Timed("policy_sweep", [&] {
+    return ckpt::CheckpointedMap(
+        sweep_stage, /*threads=*/1, std::size(cases),
+        [&](std::size_t i) {
+          tor::PathSelectionConfig config;
+          config.guard_set_size = cases[i].guards;
+          const tor::PathSelector selector(consensus, config);
+          core::PopulationExposureParams params = base;
+          params.guard_lifetime_s = cases[i].lifetime_days * netbase::duration::kDay;
+          return core::SimulatePopulationExposure(selector, scenario.topology.eyeballs,
+                                                  params)
+              .cumulative_compromised;
+        },
+        [](const std::vector<double>& curve, ckpt::PayloadWriter& payload) {
+          payload.U64(curve.size());
+          for (const double v : curve) payload.Dbl(v);
+        },
+        [](ckpt::PayloadReader& payload) {
+          std::vector<double> curve(payload.U64());
+          for (double& v : curve) v = payload.Dbl();
+          return curve;
+        });
+  });
+  for (std::size_t p = 0; p < curves.size(); ++p) {
     const PolicyCase& policy = cases[p];
-    const core::LongTermResult& result = sweep_results[p];
-    table.AddRow({policy.name,
-                  util::FormatPercent(result.cumulative_compromised[89], 1),
-                  util::FormatPercent(result.cumulative_compromised[179], 1),
-                  util::FormatPercent(result.cumulative_compromised[359], 1)});
-    for (std::size_t i = 0; i < result.cumulative_compromised.size(); i += 10) {
-      csv.WriteRow({policy.name, std::to_string(i),
-                    util::FormatDouble(result.cumulative_compromised[i], 5)});
+    const std::vector<double>& curve = curves[p];
+    table.AddRow({policy.name, util::FormatPercent(curve[89], 1),
+                  util::FormatPercent(curve[179], 1), util::FormatPercent(curve[359], 1)});
+    for (std::size_t i = 0; i < curve.size(); i += 10) {
+      csv.WriteRow({policy.name, std::to_string(i), util::FormatDouble(curve[i], 5)});
     }
-    ctx.Result("compromised_360d[" + policy.name + "]",
-               result.cumulative_compromised[359]);
-    curves.push_back(result.cumulative_compromised);
+    ctx.Result("compromised_360d[" + policy.name + "]", curve[359]);
     names.push_back(policy.name);
   }
   std::cout << table.Render();
@@ -129,12 +120,10 @@ int main(int argc, char** argv) {
   std::cout << comparison.Render();
   std::cout << "\nwrote sec2_longterm.csv\n";
 
-  // --- Population distribution: the same Tor-2014 policy, but across a
-  // full client population homed in the eyeball ASes, via the vectorized
-  // tor::population engine. The point estimates above are unchanged; this
-  // stage adds the per-client-AS distribution behind them. Placed after
-  // the policy sweep so its checkpoint stage does not disturb the sweep's
-  // kill/resume abort points (scripts/resume_smoke.sh).
+  // --- Population distribution: the Tor-2014 policy across 20k clients,
+  // with the per-client-AS distribution behind the point estimate. Placed
+  // after the policy sweep so its checkpoint stage does not disturb the
+  // sweep's kill/resume abort points (scripts/resume_smoke.sh).
   core::PopulationExposureParams pop_params;
   pop_params.clients = 20000;
   pop_params.days = 360;

@@ -4,13 +4,14 @@
 // dynamics change the answer?
 
 #include <iostream>
+#include <vector>
 
 #include "bgp/topology_gen.hpp"
 #include "core/adversary.hpp"
 #include "core/anonymity.hpp"
 #include "core/exposure.hpp"
-#include "tor/client.hpp"
 #include "tor/consensus_gen.hpp"
+#include "tor/path_selection.hpp"
 #include "tor/prefix_map.hpp"
 #include "util/table.hpp"
 
@@ -41,8 +42,9 @@ int main() {
   const bgp::AsNumber client_as = topo.eyeballs.front();
   const bgp::AsNumber dest_as = topo.contents.front();
   const tor::PathSelector selector(consensus);
-  tor::TorClient client(client_as, selector, netbase::Rng(3));
-  const tor::Circuit circuit = client.Connect(netbase::SimTime{0});
+  netbase::Rng rng(3);
+  const std::vector<std::size_t> guards = selector.PickGuardSet(rng);
+  const tor::Circuit circuit = selector.BuildCircuit(guards, rng);
   std::cout << "\nCircuit: " << tor::CircuitToString(circuit, consensus) << "\n";
 
   const bgp::AsNumber guard_as = prefix_map.OriginOfRelay(circuit.guard);

@@ -200,7 +200,7 @@ def scheduling_dependent(name):
     "Experiment matrix"). "pop." covers the population engine's telemetry
     (clients simulated, rotation sweeps, alias-table builds, peak shard
     residency): a resumed population sweep skips the shards it loaded and
-    lazily rebuilds alias tables per process, so these tallies vary with
+    builds alias tables once per path selector, so these tallies vary with
     where a run was killed while the population results themselves stay
     byte-identical."""
     return (name.startswith("exec.") or name.startswith("ckpt.")

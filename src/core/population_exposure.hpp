@@ -3,8 +3,8 @@
 // Population-scale exposure aggregation over the tor::ClientPopulation
 // engine (Sections 2 and 3.3 at population scale).
 //
-// SimulateLongTermExposure (core/longterm.hpp) walks a few hundred clients
-// client-major; this module drives millions, sharded through
+// SimulatePopulationExposure drives anything from a few hundred clients (the
+// Section 2 guard-policy sweep) to millions, sharded through
 // ckpt::CheckpointedMap so a population sweep is resumable mid-run and
 // byte-identical at every thread count and shard split (client substreams
 // are re-derived per shard via ClientPopulation::ForShard). On top of the
@@ -25,9 +25,7 @@
 
 namespace quicksand::core {
 
-/// Relays marked malicious until the adversary owns a bandwidth share
-/// (extracted from SimulateLongTermExposure; the marking consumes the
-/// caller's rng exactly as the original inline code did).
+/// Relays marked malicious until the adversary owns a bandwidth share.
 struct MaliciousMarkResult {
   std::vector<bool> malicious;  ///< per relay index
   std::size_t relays = 0;
@@ -46,6 +44,8 @@ struct PopulationExposureParams {
   std::size_t clients = 100000;
   std::size_t days = 30;  ///< one circuit per client per day
   std::int64_t instance_interval_s = netbase::duration::kDay;
+  /// Guard rotation period; 0 re-draws every guard set before each
+  /// circuit (no guard persistence, pre-guard Tor).
   std::int64_t guard_lifetime_s = 30 * netbase::duration::kDay;
   /// Fraction of total relay bandwidth the adversary controls.
   double malicious_bandwidth_fraction = 0.1;

@@ -39,23 +39,10 @@ void Consensus::BuildIndex() {
   guards_.clear();
   exits_.clear();
   guard_exits_.clear();
-  guard_indices_.clear();
-  exit_indices_.clear();
-  guard_exit_indices_.clear();
-  for (std::size_t i = 0; i < relays_.size(); ++i) {
-    const Relay& r = relays_[i];
-    if (r.IsGuard()) {
-      guards_.push_back(&r);
-      guard_indices_.push_back(i);
-    }
-    if (r.IsExit()) {
-      exits_.push_back(&r);
-      exit_indices_.push_back(i);
-    }
-    if (r.IsGuard() && r.IsExit()) {
-      guard_exits_.push_back(&r);
-      guard_exit_indices_.push_back(i);
-    }
+  for (const Relay& r : relays_) {
+    if (r.IsGuard()) guards_.push_back(&r);
+    if (r.IsExit()) exits_.push_back(&r);
+    if (r.IsGuard() && r.IsExit()) guard_exits_.push_back(&r);
   }
 }
 

@@ -8,14 +8,13 @@
 //   consensus <valid-after-seconds>
 //   r <nickname> <ip> <orport> <bandwidth-kb/s> <Flag> <Flag> ...
 //
-// Flag-partitioned relay lists (Guards/Exits/GuardExits and their index
-// variants) are built once at construction and served as const references;
-// the relay list itself is immutable after construction, so the cache can
-// never go stale. Copies rebuild the pointer cache against their own relay
-// storage; moves keep it valid because the relay heap buffer moves intact.
+// Flag-partitioned relay lists (Guards/Exits/GuardExits) are built once at
+// construction and served as const references; the relay list itself is
+// immutable after construction, so the cache can never go stale. Copies
+// rebuild the pointer cache against their own relay storage; moves keep it
+// valid because the relay heap buffer moves intact.
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -67,18 +66,6 @@ class Consensus {
     return guard_exits_;
   }
 
-  /// Index (into relays()) variants of the flag partitions, for callers
-  /// that address relays positionally (SelectionCore, TorPrefixMap).
-  [[nodiscard]] std::span<const std::size_t> GuardIndices() const noexcept {
-    return guard_indices_;
-  }
-  [[nodiscard]] std::span<const std::size_t> ExitIndices() const noexcept {
-    return exit_indices_;
-  }
-  [[nodiscard]] std::span<const std::size_t> GuardExitIndices() const noexcept {
-    return guard_exit_indices_;
-  }
-
   /// Sum of bandwidth weights over all relays.
   [[nodiscard]] std::uint64_t TotalBandwidth() const noexcept;
 
@@ -97,9 +84,6 @@ class Consensus {
   std::vector<const Relay*> guards_;
   std::vector<const Relay*> exits_;
   std::vector<const Relay*> guard_exits_;
-  std::vector<std::size_t> guard_indices_;
-  std::vector<std::size_t> exit_indices_;
-  std::vector<std::size_t> guard_exit_indices_;
 };
 
 }  // namespace quicksand::tor

@@ -1,10 +1,8 @@
 #include "tor/population.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "tor/path_selection.hpp"
 
 namespace quicksand::tor {
 
@@ -12,7 +10,7 @@ namespace {
 
 // Population telemetry lives in the reserved pop.* namespace
 // (scripts/check_bench_json.py) and registers lazily on first population
-// work, so runs that never touch this layer emit byte-identical JSON.
+// work.
 struct PopMetrics {
   obs::Counter& clients_simulated =
       obs::MetricsRegistry::Global().GetCounter("pop.clients_simulated");
@@ -28,177 +26,17 @@ struct PopMetrics {
   }
 };
 
-obs::Counter& AliasBuildCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("pop.alias_tables_built");
-  return counter;
-}
-
 }  // namespace
-
-AliasTable AliasTable::Build(std::vector<std::size_t> candidates,
-                             std::span<const double> weights) {
-  if (candidates.size() != weights.size()) {
-    throw std::invalid_argument("AliasTable: candidates/weights size mismatch");
-  }
-  AliasTable table;
-  table.candidates_ = std::move(candidates);
-  const std::size_t n = table.candidates_.size();
-  if (n == 0) return table;
-
-  double total = 0;
-  for (const double w : weights) {
-    if (w < 0) throw std::invalid_argument("AliasTable: negative weight");
-    total += w;
-  }
-  if (total <= 0) throw std::invalid_argument("AliasTable: non-positive total weight");
-
-  table.mass_.resize(n);
-  table.accept_.resize(n);
-  table.alias_.resize(n);
-
-  // Vose's method, deterministic: scaled weights partitioned into under-
-  // and over-full columns (ascending slot order), pairing always pops the
-  // backs. Every column ends with an acceptance threshold and an alias.
-  std::vector<double> scaled(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    table.mass_[i] = weights[i] / total;
-    scaled[i] = table.mass_[i] * static_cast<double>(n);
-  }
-  std::vector<std::uint32_t> small, large;
-  small.reserve(n);
-  large.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(static_cast<std::uint32_t>(i));
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::uint32_t s = small.back();
-    const std::uint32_t l = large.back();
-    small.pop_back();
-    table.accept_[s] = scaled[s];
-    table.alias_[s] = l;
-    scaled[l] -= 1.0 - scaled[s];
-    if (scaled[l] < 1.0) {
-      large.pop_back();
-      small.push_back(l);
-    }
-  }
-  // Leftovers are exactly-full columns up to FP rounding.
-  for (const std::uint32_t i : large) {
-    table.accept_[i] = 1.0;
-    table.alias_[i] = i;
-  }
-  for (const std::uint32_t i : small) {
-    table.accept_[i] = 1.0;
-    table.alias_[i] = i;
-  }
-  AliasBuildCounter().Increment();
-  return table;
-}
-
-std::size_t AliasTable::SampleSlot(netbase::Rng& rng) const {
-  if (candidates_.empty()) throw std::logic_error("AliasTable: sample from empty table");
-  const std::size_t n = candidates_.size();
-  // One draw: the integer part picks the column, the fractional part is
-  // the acceptance coin.
-  const double x = rng.UniformDouble() * static_cast<double>(n);
-  std::size_t slot = static_cast<std::size_t>(x);
-  if (slot >= n) slot = n - 1;  // guard the u == 1.0-ulp edge
-  const double frac = x - static_cast<double>(slot);
-  return frac < accept_[slot] ? slot : alias_[slot];
-}
-
-SelectionCore::SelectionCore(const Consensus& consensus, PathSelectionConfig config)
-    : consensus_(&consensus), config_(config) {
-  const auto& relays = consensus.relays();
-  slash16_.reserve(relays.size());
-  bandwidth_.reserve(relays.size());
-  for (std::size_t i = 0; i < relays.size(); ++i) {
-    slash16_.push_back(relays[i].address.value() >> 16);
-    bandwidth_.push_back(relays[i].bandwidth_kbs);
-    if (!relays[i].IsRunning()) continue;
-    running_.push_back(i);
-    if (relays[i].IsGuard()) {
-      guards_.push_back(i);
-      guard_bandwidth_total_ += relays[i].bandwidth_kbs;
-    }
-    if (relays[i].IsExit()) {
-      exits_.push_back(i);
-      exit_bandwidth_total_ += relays[i].bandwidth_kbs;
-    }
-  }
-}
-
-bool SelectionCore::Excluded(std::size_t index,
-                             std::span<const std::size_t> exclude) const noexcept {
-  for (const std::size_t e : exclude) {
-    if (index == e) return true;
-    if (config_.enforce_distinct_slash16 && SharesSlash16(index, e)) return true;
-  }
-  return false;
-}
-
-std::optional<std::size_t> SelectionCore::ScanPick(
-    std::span<const std::size_t> candidates, netbase::Rng& rng,
-    std::span<const double> weight_multipliers,
-    std::span<const std::size_t> exclude) const {
-  std::vector<double> weights;
-  weights.reserve(candidates.size());
-  double total = 0;
-  for (std::size_t index : candidates) {
-    double weight = bandwidth_[index];
-    if (!weight_multipliers.empty()) weight *= weight_multipliers[index];
-    const bool excluded =
-        std::find(exclude.begin(), exclude.end(), index) != exclude.end() ||
-        (config_.enforce_distinct_slash16 &&
-         std::any_of(exclude.begin(), exclude.end(),
-                     [&](std::size_t e) { return SharesSlash16(index, e); }));
-    if (excluded) weight = 0;
-    weights.push_back(weight);
-    total += weight;
-  }
-  if (total <= 0) return std::nullopt;
-  return candidates[rng.WeightedIndex(weights)];
-}
-
-void SelectionCore::EnsureAliasTables() const {
-  std::call_once(alias_once_, [this] {
-    const auto build = [this](std::span<const std::size_t> candidates) {
-      std::vector<double> weights;
-      weights.reserve(candidates.size());
-      for (const std::size_t index : candidates) weights.push_back(bandwidth_[index]);
-      return AliasTable::Build({candidates.begin(), candidates.end()}, weights);
-    };
-    if (!guards_.empty()) guard_table_ = build(guards_);
-    if (!exits_.empty()) exit_table_ = build(exits_);
-    if (!running_.empty()) middle_table_ = build(running_);
-  });
-}
-
-const AliasTable& SelectionCore::guard_table() const {
-  EnsureAliasTables();
-  return guard_table_;
-}
-
-const AliasTable& SelectionCore::exit_table() const {
-  EnsureAliasTables();
-  return exit_table_;
-}
-
-const AliasTable& SelectionCore::middle_table() const {
-  EnsureAliasTables();
-  return middle_table_;
-}
 
 ClientPopulation::ClientPopulation(const PathSelector& selector,
                                    PopulationConfig config,
                                    std::vector<std::uint32_t> client_as_ids,
                                    std::vector<netbase::Rng> rngs,
                                    const CircuitConstraint* constraint)
-    : core_(&selector.core()),
+    : selector_(&selector),
       config_(config),
       constraint_(constraint),
-      guard_set_size_(core_->config().guard_set_size),
+      guard_set_size_(selector.config().guard_set_size),
       client_as_ids_(std::move(client_as_ids)),
       rngs_(std::move(rngs)) {
   if (client_as_ids_.size() != rngs_.size()) {
@@ -215,6 +53,7 @@ ClientPopulation::ClientPopulation(const PathSelector& selector,
     metrics.peak_shard_clients.Set(static_cast<std::int64_t>(rngs_.size()));
   }
   guard_slots_.resize(rngs_.size() * guard_set_size_);
+  drawn_.resize(guard_set_size_);
   guards_chosen_at_.assign(rngs_.size(), 0);
   for (std::size_t c = 0; c < rngs_.size(); ++c) PickGuardSetInto(c);
 }
@@ -248,21 +87,14 @@ std::vector<std::size_t> ClientPopulation::GuardSetOf(std::size_t client) const 
 }
 
 void ClientPopulation::PickGuardSetInto(std::size_t client) {
-  const AliasTable& table = core_->guard_table();
+  if (!selector_->DrawGuardSet(selector_->guard_table(), rngs_[client], constraint_,
+                               drawn_)) {
+    throw std::runtime_error(
+        "ClientPopulation: guard candidates exhausted (weights/16s/constraint)");
+  }
   std::uint32_t* slots = guard_slots_.data() + client * guard_set_size_;
-  const auto accept = [&](std::size_t index) {
-    return constraint_ == nullptr || constraint_->AllowGuard(index);
-  };
-  std::vector<std::size_t> chosen;
-  chosen.reserve(guard_set_size_);
   for (std::size_t k = 0; k < guard_set_size_; ++k) {
-    const auto pick = core_->AliasPick(table, rngs_[client], chosen, accept);
-    if (!pick) {
-      throw std::runtime_error(
-          "ClientPopulation: guard candidates exhausted (weights/16s/constraint)");
-    }
-    chosen.push_back(*pick);
-    slots[k] = static_cast<std::uint32_t>(*pick);
+    slots[k] = static_cast<std::uint32_t>(drawn_[k]);
   }
 }
 
@@ -285,40 +117,15 @@ void ClientPopulation::BuildCircuits(std::span<Circuit> out) {
   if (out.size() != rngs_.size()) {
     throw std::invalid_argument("BuildCircuits: out span must have size() entries");
   }
-  constexpr int kMaxAttempts = 64;
   for (std::size_t c = 0; c < rngs_.size(); ++c) {
-    netbase::Rng& rng = rngs_[c];
-    const std::uint32_t* slots = guard_slots_.data() + c * guard_set_size_;
-    bool built = false;
-    for (int attempt = 0; attempt < kMaxAttempts && !built; ++attempt) {
-      // Guard: uniform among the client's guards (Tor rotates across the
-      // small set for availability).
-      const std::size_t guard = slots[rng.UniformInt(0, guard_set_size_ - 1)];
-      if (constraint_ != nullptr && !constraint_->AllowGuard(guard)) continue;
-
-      // Exit: alias-drawn among exits, excluding the guard.
-      const std::size_t exclude_guard[] = {guard};
-      const auto exit = core_->AliasPick(
-          core_->exit_table(), rng, exclude_guard, [&](std::size_t index) {
-            return constraint_ == nullptr ||
-                   constraint_->AllowExitWithGuard(index, guard);
-          });
-      if (!exit) continue;
-
-      // Middle: alias-drawn among all running relays. Invariants
-      // (distinctness, flags, /16) hold by construction — no per-circuit
-      // ValidateCircuit on the population path.
-      const std::size_t exclude_both[] = {guard, *exit};
-      const auto middle = core_->AliasPick(core_->middle_table(), rng, exclude_both);
-      if (!middle) continue;
-
-      out[c] = Circuit{guard, *middle, *exit};
-      built = true;
+    const std::span<const std::uint32_t> guards(guard_slots_.data() + c * guard_set_size_,
+                                                guard_set_size_);
+    const PathSelector::CircuitDraw draw =
+        selector_->DrawCircuit(guards, rngs_[c], constraint_);
+    if (!draw.circuit) {
+      throw std::runtime_error("BuildCircuits: no valid circuit after bounded retries");
     }
-    if (!built) {
-      throw std::runtime_error(
-          "BuildCircuits: no valid circuit after bounded retries");
-    }
+    out[c] = *draw.circuit;
   }
   circuits_ += out.size();
   PopMetrics::Get().circuits_built.Increment(out.size());

@@ -1,29 +1,16 @@
 #pragma once
 
-// Population-scale client engine: the vectorized core under Tor path
-// selection.
+// Population-scale client engine: the same relay draws as the scalar
+// PathSelector calls, restated as data-parallel sweeps so one consensus
+// can drive millions of simulated clients.
 //
-// The scalar path (PathSelector / TorClient) reproduces the paper's
-// per-client behaviour; this layer restates it as data-parallel sweeps so
-// one consensus can drive millions of simulated clients:
-//
-//  * AliasTable — Walker/Vose alias sampling over a weight class, built
-//    once per consensus, O(1) per draw (the scalar path's per-draw
-//    cumulative scan is O(relays)).
-//  * SelectionCore — the flag-partitioned candidate classes of one
-//    consensus (guards / exits / running) with their bandwidth weights,
-//    /16 keys, and lazily built alias tables. Both selection disciplines
-//    live here: ScanPick is the exact legacy cumulative scan (bit-for-bit
-//    the pre-refactor PathSelector draw, preserved so every existing
-//    bench output stays byte-identical), AliasPick is the O(1) alias draw
-//    with bounded rejection against exclusion/distinctness rules.
-//  * ClientPopulation — SoA client state (guard slots, rotation
-//    deadlines, client-AS ids, per-client RNG substreams in parallel
-//    arrays) with batched guard-rotation and circuit-building sweeps.
-//
-// Adapter seam: PathSelector wraps a SelectionCore and TorClient wraps a
-// one-client ClientPopulation, so the scalar APIs *are* the vectorized
-// path for N=1 (tests/tor/population_test.cpp proves the equivalence).
+// ClientPopulation keeps SoA client state (guard slots, rotation
+// deadlines, client-AS ids, per-client RNG substreams in parallel arrays)
+// and advances it in batched guard-rotation and circuit-building sweeps.
+// Every guard set and circuit comes from PathSelector's one guard-set draw
+// and one circuit draw (tor/path_selection.hpp), so a one-client
+// population and the scalar PickGuardSet / BuildCircuit calls on the same
+// substream pick the same relays (tests/tor/population_test.cpp).
 //
 // Determinism contract (src/exec/parallel.hpp): client substreams are
 // forked serially in global client order — ClientPopulation::ForShard
@@ -32,194 +19,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "netbase/rng.hpp"
 #include "netbase/sim_time.hpp"
 #include "tor/circuit.hpp"
-#include "tor/consensus.hpp"
+#include "tor/path_selection.hpp"
 
 namespace quicksand::tor {
-
-/// Pluggable circuit-building policy hook (used by the Section 5
-/// countermeasures). Default-allows everything.
-class CircuitConstraint {
- public:
-  virtual ~CircuitConstraint() = default;
-  /// May this relay serve as the guard of a new circuit?
-  [[nodiscard]] virtual bool AllowGuard(std::size_t relay_index) const {
-    (void)relay_index;
-    return true;
-  }
-  /// May this exit be combined with this guard?
-  [[nodiscard]] virtual bool AllowExitWithGuard(std::size_t exit_index,
-                                                std::size_t guard_index) const {
-    (void)exit_index;
-    (void)guard_index;
-    return true;
-  }
-};
-
-struct PathSelectionConfig {
-  /// Enforce Tor's rule that no two circuit relays share an IPv4 /16.
-  bool enforce_distinct_slash16 = true;
-  /// Number of guards in a client's guard set (Tor used 3 in 2014).
-  std::size_t guard_set_size = 3;
-};
-
-/// Walker/Vose alias table over one candidate class: O(1) draws from the
-/// distribution proportional to the build weights. Immutable once built.
-class AliasTable {
- public:
-  AliasTable() = default;
-
-  /// Builds the table for `candidates[i]` drawn with weight `weights[i]`.
-  /// Weights must be non-negative with a positive total (unless the class
-  /// is empty). Throws std::invalid_argument on size mismatch or bad
-  /// weights.
-  [[nodiscard]] static AliasTable Build(std::vector<std::size_t> candidates,
-                                        std::span<const double> weights);
-
-  [[nodiscard]] bool empty() const noexcept { return candidates_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return candidates_.size(); }
-  [[nodiscard]] std::span<const std::size_t> candidates() const noexcept {
-    return candidates_;
-  }
-
-  /// Draws a slot in [0, size) — one UniformDouble split into column and
-  /// coin flip. Throws std::logic_error on an empty table.
-  [[nodiscard]] std::size_t SampleSlot(netbase::Rng& rng) const;
-
-  /// Draws a candidate value (relay index).
-  [[nodiscard]] std::size_t Sample(netbase::Rng& rng) const {
-    return candidates_[SampleSlot(rng)];
-  }
-
-  /// Normalized probability mass of slot i (sums to 1 over the table).
-  [[nodiscard]] double Probability(std::size_t slot) const {
-    return mass_[slot];
-  }
-
- private:
-  std::vector<std::size_t> candidates_;  ///< slot -> relay index
-  std::vector<double> accept_;           ///< slot -> acceptance threshold
-  std::vector<std::uint32_t> alias_;     ///< slot -> alias slot
-  std::vector<double> mass_;             ///< slot -> normalized weight
-};
-
-/// The flag-partitioned selection state of one consensus: candidate index
-/// lists, bandwidth weights, /16 keys, and alias tables. Shared by the
-/// scalar PathSelector adapter and the vectorized ClientPopulation; the
-/// consensus must outlive the core. Thread-safe for concurrent draws.
-class SelectionCore {
- public:
-  explicit SelectionCore(const Consensus& consensus, PathSelectionConfig config);
-
-  [[nodiscard]] const Consensus& consensus() const noexcept { return *consensus_; }
-  [[nodiscard]] const PathSelectionConfig& config() const noexcept { return config_; }
-
-  /// Running relays carrying the position's flag, ascending by index.
-  [[nodiscard]] std::span<const std::size_t> guards() const noexcept { return guards_; }
-  [[nodiscard]] std::span<const std::size_t> exits() const noexcept { return exits_; }
-  [[nodiscard]] std::span<const std::size_t> running() const noexcept {
-    return running_;
-  }
-  [[nodiscard]] double guard_bandwidth_total() const noexcept {
-    return guard_bandwidth_total_;
-  }
-  [[nodiscard]] double exit_bandwidth_total() const noexcept {
-    return exit_bandwidth_total_;
-  }
-
-  [[nodiscard]] bool SharesSlash16(std::size_t a, std::size_t b) const noexcept {
-    return slash16_[a] == slash16_[b];
-  }
-
-  /// The exact legacy draw: builds the per-candidate weight vector
-  /// (multipliers applied, excluded and /16-clashing entries zeroed) and
-  /// hands it to Rng::WeightedIndex — the same FP sequence as the
-  /// pre-refactor PathSelector::WeightedPick, preserved bit-for-bit.
-  [[nodiscard]] std::optional<std::size_t> ScanPick(
-      std::span<const std::size_t> candidates, netbase::Rng& rng,
-      std::span<const double> weight_multipliers,
-      std::span<const std::size_t> exclude) const;
-
-  /// O(1) alias draw with bounded rejection against `exclude` (identity
-  /// and, when configured, shared /16) and `accept`. Rejection against a
-  /// subset renormalizes exactly, so the conditional distribution equals
-  /// the scan's zero-weights-and-rescan distribution; a pathological
-  /// acceptance set falls back to one exact residual scan. Returns
-  /// nullopt when nothing qualifies.
-  template <typename Accept>
-  [[nodiscard]] std::optional<std::size_t> AliasPick(
-      const AliasTable& table, netbase::Rng& rng,
-      std::span<const std::size_t> exclude, Accept&& accept) const {
-    if (table.empty()) return std::nullopt;
-    constexpr int kRejectionBound = 64;
-    for (int attempt = 0; attempt < kRejectionBound; ++attempt) {
-      const std::size_t index = table.Sample(rng);
-      if (Excluded(index, exclude) || !accept(index)) continue;
-      return index;
-    }
-    return ResidualScan(table, rng, exclude, accept);
-  }
-
-  [[nodiscard]] std::optional<std::size_t> AliasPick(
-      const AliasTable& table, netbase::Rng& rng,
-      std::span<const std::size_t> exclude) const {
-    return AliasPick(table, rng, exclude, [](std::size_t) { return true; });
-  }
-
-  /// Alias tables per position class, built on first use (one shared
-  /// build for all three) so scan-only scalar workloads never register
-  /// pop.* telemetry. Safe to call concurrently.
-  [[nodiscard]] const AliasTable& guard_table() const;
-  [[nodiscard]] const AliasTable& exit_table() const;
-  [[nodiscard]] const AliasTable& middle_table() const;
-
- private:
-  [[nodiscard]] bool Excluded(std::size_t index,
-                              std::span<const std::size_t> exclude) const noexcept;
-
-  template <typename Accept>
-  [[nodiscard]] std::optional<std::size_t> ResidualScan(
-      const AliasTable& table, netbase::Rng& rng,
-      std::span<const std::size_t> exclude, Accept&& accept) const {
-    std::vector<double> weights;
-    weights.reserve(table.size());
-    double total = 0;
-    for (std::size_t slot = 0; slot < table.size(); ++slot) {
-      const std::size_t index = table.candidates()[slot];
-      double weight = table.Probability(slot);
-      if (Excluded(index, exclude) || !accept(index)) weight = 0;
-      weights.push_back(weight);
-      total += weight;
-    }
-    if (total <= 0) return std::nullopt;
-    return table.candidates()[rng.WeightedIndex(weights)];
-  }
-
-  void EnsureAliasTables() const;
-
-  const Consensus* consensus_;
-  PathSelectionConfig config_;
-  std::vector<std::size_t> guards_;
-  std::vector<std::size_t> exits_;
-  std::vector<std::size_t> running_;
-  std::vector<std::uint32_t> slash16_;  ///< per relay: address >> 16
-  std::vector<double> bandwidth_;       ///< per relay: bandwidth as double
-  double guard_bandwidth_total_ = 0;
-  double exit_bandwidth_total_ = 0;
-  mutable std::once_flag alias_once_;
-  mutable AliasTable guard_table_;
-  mutable AliasTable exit_table_;
-  mutable AliasTable middle_table_;
-};
-
-class PathSelector;
 
 struct PopulationConfig {
   /// Guard rotation period; Tor 2014 default ~30 days.
@@ -229,9 +37,8 @@ struct PopulationConfig {
 /// SoA state of a shard of simulated clients over one consensus: guard
 /// slots, rotation deadlines, client-AS ids, and per-client RNG
 /// substreams in parallel arrays. Guard sets are drawn at construction
-/// (rotation clock starts at SimTime 0, like TorClient); sweeps then
-/// advance every client in a batch. The selector must outlive the
-/// population.
+/// (the rotation clock starts at SimTime 0); sweeps then advance every
+/// client in a batch. The selector must outlive the population.
 class ClientPopulation {
  public:
   /// Builds a shard from explicit per-client substreams (parallel to
@@ -265,9 +72,9 @@ class ClientPopulation {
   [[nodiscard]] std::vector<std::size_t> GuardSetOf(std::size_t client) const;
 
   /// Batched rotation sweep: re-draws the guard set of every client whose
-  /// set has lived >= guard_lifetime_s at `now` (single rotation per
-  /// sweep, like TorClient::MaybeRotateGuards). Returns the number of
-  /// clients rotated.
+  /// set has lived >= guard_lifetime_s at `now` (at most one rotation per
+  /// client per sweep; a lifetime of 0 re-draws every sweep). Returns the
+  /// number of clients rotated.
   std::size_t RotateExpired(netbase::SimTime now);
 
   /// Builds one circuit per client into `out` (size() entries): guard
@@ -280,7 +87,7 @@ class ClientPopulation {
  private:
   void PickGuardSetInto(std::size_t client);
 
-  const SelectionCore* core_;
+  const PathSelector* selector_;
   PopulationConfig config_;
   const CircuitConstraint* constraint_;
   std::size_t guard_set_size_;
@@ -288,6 +95,7 @@ class ClientPopulation {
   std::vector<std::int64_t> guards_chosen_at_;
   std::vector<std::uint32_t> client_as_ids_;
   std::vector<netbase::Rng> rngs_;
+  std::vector<std::size_t> drawn_;  ///< guard-set draw scratch, guard_set_size_
   std::uint64_t rotations_ = 0;
   std::uint64_t circuits_ = 0;
 };

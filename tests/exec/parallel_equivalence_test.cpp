@@ -18,9 +18,7 @@
 #include "bgp/topology_gen.hpp"
 #include "core/attack_analysis.hpp"
 #include "core/exposure.hpp"
-#include "core/longterm.hpp"
 #include "netbase/rng.hpp"
-#include "tor/consensus_gen.hpp"
 
 namespace quicksand {
 namespace {
@@ -153,37 +151,6 @@ TEST_F(EntryPointEquivalenceTest, AnalyzeChurnMatchesTheSerialAnalyzer) {
     EXPECT_EQ(churn.glimpsed_extra_ases, it->second.glimpsed_extra_ases);
     ++it;
   }
-}
-
-TEST_F(EntryPointEquivalenceTest, LongTermExposureIsThreadCountInvariant) {
-  tor::ConsensusGenParams gp;
-  gp.total_relays = 400;
-  gp.guard_only = 130;
-  gp.exit_only = 40;
-  gp.guard_exit = 40;
-  gp.seed = 62;
-  const tor::Consensus consensus = tor::GenerateConsensus(topo_, gp).consensus;
-
-  core::LongTermParams params;
-  params.clients = 80;
-  params.instances = 60;
-  params.malicious_bandwidth_fraction = 0.15;
-  params.seed = 7;
-  params.threads = 1;
-  const core::LongTermResult serial =
-      core::SimulateLongTermExposure(consensus, params);
-  params.threads = 4;
-  const core::LongTermResult parallel =
-      core::SimulateLongTermExposure(consensus, params);
-
-  EXPECT_EQ(serial.malicious_relays, parallel.malicious_relays);
-  ASSERT_EQ(serial.cumulative_compromised.size(),
-            parallel.cumulative_compromised.size());
-  for (std::size_t i = 0; i < serial.cumulative_compromised.size(); ++i) {
-    EXPECT_EQ(serial.cumulative_compromised[i], parallel.cumulative_compromised[i])
-        << "instance " << i;
-  }
-  EXPECT_EQ(serial.final_fraction, parallel.final_fraction);
 }
 
 TEST_F(EntryPointEquivalenceTest,

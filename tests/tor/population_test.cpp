@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "tor/client.hpp"
 #include "tor/path_selection.hpp"
 
 namespace quicksand::tor {
@@ -36,154 +35,55 @@ Consensus TestConsensus() {
   return Consensus(netbase::SimTime{0}, std::move(relays));
 }
 
-TEST(AliasTable, ProbabilitiesMatchWeights) {
-  const std::vector<std::size_t> candidates = {3, 7, 11};
-  const std::vector<double> weights = {1.0, 3.0, 6.0};
-  const AliasTable table = AliasTable::Build(candidates, weights);
-  ASSERT_EQ(table.size(), 3u);
-  EXPECT_DOUBLE_EQ(table.Probability(0), 0.1);
-  EXPECT_DOUBLE_EQ(table.Probability(1), 0.3);
-  EXPECT_DOUBLE_EQ(table.Probability(2), 0.6);
-}
-
-TEST(AliasTable, RejectsBadInput) {
-  EXPECT_THROW((void)AliasTable::Build({1, 2}, std::vector<double>{1.0}),
-               std::invalid_argument);
-  EXPECT_THROW((void)AliasTable::Build({1}, std::vector<double>{-1.0}),
-               std::invalid_argument);
-  EXPECT_THROW((void)AliasTable::Build({1, 2}, std::vector<double>{0.0, 0.0}),
-               std::invalid_argument);
-  const AliasTable empty;
-  Rng rng(1);
-  EXPECT_THROW((void)empty.SampleSlot(rng), std::logic_error);
-}
-
-/// Chi-squared goodness of fit of the alias guard draw against the exact
-/// bandwidth-proportional distribution the legacy cumulative scan draws
-/// from: g1..g4 carry 4000/1000/1000/2000 of 8000 guard bandwidth.
-TEST(AliasTable, GuardDrawMatchesScanDistributionChiSquared) {
-  const Consensus consensus = TestConsensus();
-  const SelectionCore core(consensus, {});
-  const AliasTable& table = core.guard_table();
-  ASSERT_EQ(table.size(), 4u);
-
-  const int trials = 40000;
-  Rng rng(20140809);
-  std::vector<int> counts(consensus.size(), 0);
-  for (int i = 0; i < trials; ++i) {
-    const auto pick = core.AliasPick(table, rng, {});
-    ASSERT_TRUE(pick.has_value());
-    ++counts[*pick];
-  }
-
-  const double expected[] = {trials * 0.5, trials * 0.125, trials * 0.125,
-                             trials * 0.25};
-  double chi2 = 0;
-  for (std::size_t g = 0; g < 4; ++g) {
-    const double diff = counts[g] - expected[g];
-    chi2 += diff * diff / expected[g];
-  }
-  // 3 degrees of freedom; 16.27 is the p = 0.001 critical value.
-  EXPECT_LT(chi2, 16.27);
-}
-
-/// The same fit for the empirical scan distribution, and the two samplers
-/// against each other: both must draw from the same distribution.
-TEST(SelectionCore, ScanAndAliasAgreeChiSquared) {
-  const Consensus consensus = TestConsensus();
-  const SelectionCore core(consensus, {});
-  const int trials = 40000;
-
-  Rng scan_rng(7);
-  std::vector<int> scan_counts(consensus.size(), 0);
-  for (int i = 0; i < trials; ++i) {
-    const auto pick = core.ScanPick(core.guards(), scan_rng, {}, {});
-    ASSERT_TRUE(pick.has_value());
-    ++scan_counts[*pick];
-  }
-  Rng alias_rng(8);
-  std::vector<int> alias_counts(consensus.size(), 0);
-  for (int i = 0; i < trials; ++i) {
-    const auto pick = core.AliasPick(core.guard_table(), alias_rng, {});
-    ASSERT_TRUE(pick.has_value());
-    ++alias_counts[*pick];
-  }
-
-  // Two-sample chi-squared over the four guard categories (df = 3).
-  double chi2 = 0;
-  for (std::size_t g = 0; g < 4; ++g) {
-    const double pooled = (scan_counts[g] + alias_counts[g]) / 2.0;
-    ASSERT_GT(pooled, 0);
-    const double ds = scan_counts[g] - pooled;
-    const double da = alias_counts[g] - pooled;
-    chi2 += ds * ds / pooled + da * da / pooled;
-  }
-  EXPECT_LT(chi2, 16.27);
-}
-
-/// Rejection against an excluded candidate renormalizes exactly: the
-/// conditional distribution over the survivors matches their relative
-/// bandwidths.
-TEST(SelectionCore, AliasPickExclusionRenormalizes) {
-  const Consensus consensus = TestConsensus();
-  const SelectionCore core(consensus, {});
-  const std::vector<std::size_t> exclude = {0};  // g1, half the mass
-
-  const int trials = 30000;
-  Rng rng(9);
-  std::vector<int> counts(consensus.size(), 0);
-  for (int i = 0; i < trials; ++i) {
-    const auto pick = core.AliasPick(core.guard_table(), rng, exclude);
-    ASSERT_TRUE(pick.has_value());
-    ASSERT_NE(*pick, 0u);
-    ++counts[*pick];
-  }
-  // Survivors g2/g3/g4 carry 1000/1000/2000 of 4000.
-  const double expected[] = {trials * 0.25, trials * 0.25, trials * 0.5};
-  double chi2 = 0;
-  for (std::size_t g = 1; g < 4; ++g) {
-    const double diff = counts[g] - expected[g - 1];
-    chi2 += diff * diff / expected[g - 1];
-  }
-  EXPECT_LT(chi2, 13.82);  // df = 2, p = 0.001
-}
-
-TEST(SelectionCore, AliasPickReturnsNulloptWhenNothingQualifies) {
-  const Consensus consensus = TestConsensus();
-  const SelectionCore core(consensus, {});
-  Rng rng(10);
-  const auto pick = core.AliasPick(core.guard_table(), rng, {},
-                                   [](std::size_t) { return false; });
-  EXPECT_FALSE(pick.has_value());
-}
-
-/// The adapter seam: TorClient is a one-client ClientPopulation, so
-/// driving both from the same substream must yield identical guard sets,
-/// circuits, and rotation counts day by day.
-TEST(ClientPopulation, ScalarAdapterEquivalenceForOneClient) {
+/// The scalar calls and the population run the same two draws: a client
+/// driven through PickGuardSet / BuildCircuit and a one-client population
+/// on the same substream pick identical guard sets and circuits, day by
+/// day through rotations, with and without a constraint.
+TEST(ClientPopulation, MatchesPathSelectorForOneClient) {
+  class VetoE1 final : public CircuitConstraint {
+   public:
+    bool AllowExitWithGuard(std::size_t exit_index, std::size_t) const override {
+      return exit_index != 4;
+    }
+  };
   const Consensus consensus = TestConsensus();
   const PathSelector selector(consensus);
+  const VetoE1 veto;
   const std::int64_t lifetime = 10 * netbase::duration::kDay;
 
-  const Rng substream(20140809);
-  ClientConfig client_config;
-  client_config.guard_lifetime_s = lifetime;
-  TorClient client(42, selector, substream, client_config);
-  ClientPopulation population(selector, PopulationConfig{lifetime}, {0},
-                              {substream});
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    const CircuitConstraint* constraint = seed % 2 == 0 ? nullptr : &veto;
+    Rng rng(20140809 + seed);
+    ClientPopulation population(selector, PopulationConfig{lifetime}, {0}, {rng},
+                                constraint);
+    std::vector<std::size_t> guards = selector.PickGuardSet(rng, {}, constraint);
+    std::int64_t chosen_at = 0;
+    ASSERT_EQ(guards, population.GuardSetOf(0)) << "seed " << seed;
 
-  EXPECT_EQ(client.guard_set(), population.GuardSetOf(0));
-  std::vector<Circuit> batch(1);
-  for (int day = 0; day < 40; ++day) {
-    const netbase::SimTime now{day * netbase::duration::kDay};
-    const Circuit scalar = client.Connect(now);
-    population.RotateExpired(now);
-    population.BuildCircuits(batch);
-    ASSERT_EQ(scalar, batch[0]) << "day " << day;
-    ASSERT_EQ(client.guard_set(), population.GuardSetOf(0)) << "day " << day;
+    std::vector<Circuit> batch(1);
+    for (int day = 0; day < 40; ++day) {
+      const std::int64_t now = day * netbase::duration::kDay;
+      if (now - chosen_at >= lifetime) {
+        guards = selector.PickGuardSet(rng, {}, constraint);
+        chosen_at = now;
+      }
+      population.RotateExpired(netbase::SimTime{now});
+      population.BuildCircuits(batch);
+      ASSERT_EQ(selector.BuildCircuit(guards, rng, constraint), batch[0])
+          << "seed " << seed << " day " << day;
+      ASSERT_EQ(guards, population.GuardSetOf(0)) << "seed " << seed << " day " << day;
+    }
+    EXPECT_EQ(population.rotations(), 3u);  // days 10, 20 and 30
   }
-  EXPECT_EQ(client.rotations(), static_cast<std::size_t>(population.rotations()));
-  EXPECT_GT(population.rotations(), 0u);  // 40 days, 10-day lifetime
+}
+
+TEST(ClientPopulation, DistinctSeedsDistinctGuardSets) {
+  const Consensus consensus = TestConsensus();
+  const PathSelector selector(consensus);
+  const ClientPopulation population(selector, PopulationConfig{}, {0, 1},
+                                    {Rng(10), Rng(20)});
+  // Guards against clients accidentally sharing one RNG state.
+  EXPECT_NE(population.GuardSetOf(0), population.GuardSetOf(1));
 }
 
 /// ForShard re-derives the serial fork sequence, so any shard split of the
@@ -263,6 +163,25 @@ TEST(ClientPopulation, CircuitsSatisfyInvariantsAndConstraint) {
     }
   }
   EXPECT_EQ(population.circuits_built(), 200u);
+}
+
+TEST(ClientPopulation, CircuitsUseOwnGuardSet) {
+  const Consensus consensus = TestConsensus();
+  const PathSelector selector(consensus);
+  ClientPopulation population = ClientPopulation::ForShard(
+      selector, PopulationConfig{}, std::vector<std::uint32_t>{0, 1, 2, 3}, 4, 0);
+
+  std::vector<Circuit> out(4);
+  for (int sweep = 0; sweep < 50; ++sweep) {
+    population.BuildCircuits(out);
+    for (std::size_t c = 0; c < out.size(); ++c) {
+      // Each circuit enters through its own client's guard set.
+      const auto guards = population.GuardSetOf(c);
+      EXPECT_NE(std::find(guards.begin(), guards.end(), out[c].guard), guards.end())
+          << "client " << c << " sweep " << sweep;
+      EXPECT_NO_THROW(ValidateCircuit(out[c], consensus));
+    }
+  }
 }
 
 }  // namespace
