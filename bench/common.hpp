@@ -127,6 +127,19 @@ inline std::vector<bgp::feed::UpdateRec> ParseWireRecords(
   return bgp::feed::Drain(stream);
 }
 
+/// Interns `updates` into `table`: a generated feed on the record plane,
+/// the only input the analysis stages take. A filter or sanitizer
+/// compares path ids, so intern its RIB and its updates into one table.
+inline std::vector<bgp::feed::UpdateRec> InternRecords(
+    bgp::feed::AsPathTable& table, const std::vector<bgp::BgpUpdate>& updates) {
+  std::vector<bgp::feed::UpdateRec> records;
+  records.reserve(updates.size());
+  for (const bgp::BgpUpdate& u : updates) {
+    records.push_back(bgp::feed::ToRecord(u, table));
+  }
+  return records;
+}
+
 /// Round-trip check without materializing: true iff `records` under
 /// `table` denote exactly `updates` — every scalar field equal and every
 /// record's interned path resolving to the update's hop vector.
@@ -177,10 +190,9 @@ inline void PrintComparison(util::Table& table, const std::string& metric,
 ///                            uninterrupted run (docs/ROBUSTNESS.md)
 ///   --shard-deadline-ms <n>  fail fast (exit 3 + diagnostic dump) if any
 ///                            sweep shard runs longer than <n> ms
-///   --feed-batch <n>         route the bench's feed hand-offs through the
-///                            streaming data plane in batches of <n>
-///                            records (0, the default, keeps the classic
-///                            materialized adapters). Output is
+///   --feed-batch <n>         records per batch in the bench's feed
+///                            stream hand-offs (0, the default, selects the
+///                            default batch (4096)). Output is
 ///                            byte-identical for every value — only the
 ///                            reserved feed.* metrics reflect the batching
 ///                            (docs/ARCHITECTURE.md)
@@ -378,7 +390,7 @@ class BenchContext {
     return exec::ResolveThreads(threads_);
   }
 
-  /// --feed-batch value: 0 = classic materialized adapters, otherwise the
+  /// --feed-batch value: 0 = the default batch (4096), otherwise the
   /// batch size for the streaming data plane.
   [[nodiscard]] std::size_t feed_batch() const noexcept { return feed_batch_; }
 
@@ -584,7 +596,7 @@ class BenchContext {
   std::size_t checkpoint_every_ = 1;
   bool resume_ = false;
   std::size_t shard_deadline_ms_ = 0;  // 0 = watchdog disabled
-  std::size_t feed_batch_ = 0;         // 0 = materialized adapters
+  std::size_t feed_batch_ = 0;         // 0 = default batch (4096)
   FeedFormat format_ = FeedFormat::kText;
   bool profile_ = false;
   std::unique_ptr<ckpt::Watchdog> watchdog_;

@@ -34,6 +34,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -165,21 +166,23 @@ int CheckBatchEquivalence(daemon::Daemon& d, const World& world,
   const fault::FaultedStream base =
       injector.PerturbStream(world.dynamics.initial_rib, world.dynamics.updates);
 
+  auto table = std::make_shared<bgp::feed::AsPathTable>();
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = window_s;
-  const bgp::ChurnAnalyzer batch =
-      bgp::AnalyzeChurn(world.dynamics.initial_rib, base.updates, churn_params);
+  const bgp::ChurnAnalyzer batch = bgp::AnalyzeChurnStream(
+      bgp::feed::FromVector(table, world.dynamics.initial_rib),
+      bgp::feed::FromVector(table, base.updates), churn_params);
   d.churn().Finish();
   if (!(d.churn().entries() == batch.entries())) {
-    std::cerr << "FAIL: daemon churn entries diverge from batch AnalyzeChurn\n";
+    std::cerr << "FAIL: daemon churn entries diverge from batch AnalyzeChurnStream\n";
     return 1;
   }
 
   core::RelayMonitor batch_monitor(d.config().monitored_prefixes, d.config().monitor);
-  batch_monitor.LearnBaseline(world.dynamics.initial_rib);
-  for (const bgp::BgpUpdate& update : base.updates) {
-    static_cast<void>(batch_monitor.Consume(update));
-  }
+  bgp::feed::UpdateStream rib = bgp::feed::FromVector(table, world.dynamics.initial_rib);
+  batch_monitor.LearnBaselineStream(rib);
+  bgp::feed::UpdateStream updates = bgp::feed::FromVector(table, base.updates);
+  static_cast<void>(batch_monitor.ConsumeStream(updates));
   if (AlertKeySet(d.monitor().alerts()) != AlertKeySet(batch_monitor.alerts())) {
     std::cerr << "FAIL: daemon alert set diverges from batch RelayMonitor ("
               << d.monitor().alerts().size() << " vs "

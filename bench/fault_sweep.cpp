@@ -5,8 +5,8 @@
 // point faulted at once:
 //
 //   WriteStream → CorruptText → lenient ParseStream (chunk boundaries
-//   split lines mid-record) → PerturbStream → SanitizeFeed →
-//   AnalyzeChurn + RelayMonitor::ConsumeStream (plus one retried
+//   split lines mid-record) → PerturbStream → SanitizeRecords →
+//   AnalyzeChurnStream + RelayMonitor::ConsumeStream (plus one retried
 //   write/read cycle through the injector's I/O wrapper)
 //
 // and the sweep records what was dropped, retried, and alerted alongside
@@ -53,8 +53,8 @@ struct SweepPoint {
   double rate = 0;
   bgp::mrt::ParseStats parse;
   fault::StreamFaultStats stream;
-  std::size_t sanitized_updates = 0;  ///< |SanitizeFeed(...).updates|
-  std::uint64_t feed_hash = 0;        ///< Fingerprint64 of the feed's MRT text
+  std::size_t sanitized_updates = 0;  ///< |SanitizeRecords(...).updates|
+  std::uint64_t feed_hash = 0;        ///< FeedHash of the sanitized records
   std::size_t churn_dropped = 0;
   std::size_t io_retries = 0;
   std::size_t io_injected = 0;
@@ -99,6 +99,26 @@ SweepPoint DecodePoint(ckpt::PayloadReader& payload) {
   point.alerts_suppressed = payload.U64();
   point.fraction_ratio_above_one = payload.Dbl();
   return point;
+}
+
+/// Content hash of a record feed: every record's fields plus its path's
+/// table-independent hop hash (AsPathTable::PathHash), so one feed
+/// interned into two different tables hashes alike.
+std::uint64_t FeedHash(const std::vector<bgp::feed::UpdateRec>& records,
+                       const bgp::feed::AsPathTable& table) {
+  std::uint64_t hash = 0;
+  const auto mix = [&hash](std::uint64_t field) {
+    hash ^= field + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
+  };
+  for (const bgp::feed::UpdateRec& rec : records) {
+    mix(static_cast<std::uint64_t>(rec.time.seconds));
+    mix(rec.session);
+    mix(static_cast<std::uint64_t>(rec.type));
+    mix(rec.prefix.network().value());
+    mix(rec.prefix.length());
+    mix(table.PathHash(rec.path));
+  }
+  return hash;
 }
 
 std::string RateKey(double rate) {
@@ -154,15 +174,20 @@ SweepPoint RunSweepPoint(const bench::Scenario& scenario,
     throw std::runtime_error("fault_sweep: retried I/O lost records");
   }
 
-  // Degraded-but-standing analysis.
-  const bgp::SanitizedFeed feed =
-      bgp::SanitizeFeed(dynamics.initial_rib, std::move(stream.updates));
+  // Degraded-but-standing analysis on the record plane: the RIB and the
+  // perturbed feed share one table, as the sanitizer's id compare needs.
+  auto table = std::make_shared<bgp::feed::AsPathTable>();
+  const std::vector<bgp::feed::UpdateRec> rib =
+      bench::InternRecords(*table, dynamics.initial_rib);
+  const bgp::SanitizedRecords feed =
+      bgp::SanitizeRecords(rib, bench::InternRecords(*table, stream.updates));
   point.sanitized_updates = feed.updates.size();
-  point.feed_hash = ckpt::Fingerprint64(bgp::mrt::ToText(feed.updates));
+  point.feed_hash = FeedHash(feed.updates, *table);
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = kWindow;
-  const bgp::ChurnAnalyzer analyzer = bgp::AnalyzeChurn(
-      dynamics.initial_rib, feed.updates, churn_params, threads);
+  const bgp::ChurnAnalyzer analyzer = bgp::AnalyzeChurnStream(
+      bgp::feed::FromRecords(table, rib), bgp::feed::FromRecords(table, feed.updates),
+      churn_params, threads);
   point.churn_dropped = analyzer.DroppedOutOfOrder();
   const auto ratios = analyzer.RatioToSessionMedian(
       scenario.prefix_map.TorPrefixes(scenario.consensus.consensus));
@@ -171,9 +196,9 @@ SweepPoint RunSweepPoint(const bench::Scenario& scenario,
 
   core::RelayMonitor monitor(
       scenario.prefix_map.TorPrefixes(scenario.consensus.consensus));
-  monitor.LearnBaseline(dynamics.initial_rib);
-  bgp::feed::UpdateStream monitor_feed =
-      bgp::feed::FromVector(std::make_shared<bgp::feed::AsPathTable>(), feed.updates);
+  bgp::feed::UpdateStream baseline = bgp::feed::FromRecords(table, rib);
+  monitor.LearnBaselineStream(baseline);
+  bgp::feed::UpdateStream monitor_feed = bgp::feed::FromRecords(table, feed.updates);
   (void)monitor.ConsumeStream(monitor_feed);
   point.alerts = monitor.AlertCounts().total();
   point.alerts_suppressed = monitor.SuppressedDuplicates();
@@ -219,10 +244,14 @@ int main(int argc, char** argv) {
             << bench::ToString(ctx.format()) << "\n";
 
   // One checkpoint shard per fault rate: a killed sweep resumes at the
-  // first rate whose point isn't in the snapshot.
+  // first rate whose point isn't in the snapshot. The key names the feed
+  // hash scheme, so a snapshot holding other feed hashes is refused
+  // rather than resumed into a zero-rate mismatch.
   const std::vector<double> rates = {0.0, 0.005, 0.01, 0.02, 0.05, 0.10};
+  const std::uint64_t config_key =
+      ckpt::FingerprintBuilder().Add(kFaultSeed).Add("FeedHash").Finish();
   const ckpt::StageOptions sweep_stage =
-      ctx.Stage("fault_rates", rates.size(), /*config_key=*/kFaultSeed);
+      ctx.Stage("fault_rates", rates.size(), config_key);
   const std::vector<SweepPoint> points = ctx.Timed("fault_rates", [&] {
     return ckpt::CheckpointedMap(
         sweep_stage, /*threads=*/1, rates.size(),
@@ -235,9 +264,9 @@ int main(int argc, char** argv) {
   // Hard contract: with every rate at zero, the injector-laced pipeline is
   // exactly the injector-free pipeline (compared by sanitized-feed hash so
   // the check also holds for a resumed, checkpoint-decoded point). The
-  // injector-free reference deliberately uses the *whole-text* parser and
-  // the *materialized* sanitizer, so the check also pins the sweep's
-  // streaming serialize/parse legs to the classic path.
+  // injector-free reference deliberately uses the *whole-text* parser, so
+  // the check also pins the sweep's streaming serialize/parse legs to the
+  // classic path.
   {
     // The incremental writer must have produced exactly ToText.
     if (text != bgp::mrt::ToText(dynamics.updates)) {
@@ -261,21 +290,11 @@ int main(int argc, char** argv) {
       std::cerr << "FAIL: --format wire round trip diverged from the text archive\n";
       return 1;
     }
-    const bgp::SanitizedFeed clean = bgp::SanitizeFeed(dynamics.initial_rib, clean_parsed);
-    const std::uint64_t clean_hash =
-        ckpt::Fingerprint64(bgp::mrt::ToText(clean.updates));
-    // The sanitizer's stage form re-emits the same cleaned feed.
-    {
-      const bgp::feed::FeedStage sanitize_stage = bgp::SanitizeStage(dynamics.initial_rib);
-      std::ostringstream staged;
-      bgp::mrt::WriteStream(
-          staged, sanitize_stage(bgp::mrt::ParseStream(
-                      std::make_shared<bgp::feed::AsPathTable>(), text)));
-      if (ckpt::Fingerprint64(staged.str()) != clean_hash) {
-        std::cerr << "FAIL: SanitizeStage output differs from SanitizeFeed\n";
-        return 1;
-      }
-    }
+    bgp::feed::AsPathTable clean_table;
+    const bgp::SanitizedRecords clean =
+        bgp::SanitizeRecords(bench::InternRecords(clean_table, dynamics.initial_rib),
+                             bench::InternRecords(clean_table, clean_parsed));
+    const std::uint64_t clean_hash = FeedHash(clean.updates, clean_table);
     const SweepPoint& zero = points.front();
     if (zero.feed_hash != clean_hash ||
         zero.sanitized_updates != clean.updates.size() ||

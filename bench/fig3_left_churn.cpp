@@ -28,9 +28,8 @@ namespace {
 using namespace quicksand;
 
 /// Runs the churn analysis on the streaming data plane over records that
-/// already index `table`. Results are identical to the materialized
-/// AnalyzeChurn (the adapter IS the stream; see docs/ARCHITECTURE.md) —
-/// the --feed-batch smoke in CI holds both planes to that.
+/// already index `table`. Results are identical for every batch size —
+/// the --feed-batch smoke in CI holds the default batch and 512 to that.
 bgp::ChurnAnalyzer Analyze(const std::shared_ptr<bgp::feed::AsPathTable>& table,
                            const std::vector<bgp::BgpUpdate>& initial_rib,
                            const std::vector<bgp::feed::UpdateRec>& updates,
@@ -43,13 +42,16 @@ bgp::ChurnAnalyzer Analyze(const std::shared_ptr<bgp::feed::AsPathTable>& table,
 }
 
 /// The --profile variant of the filtered pass: the full parse -> sanitize
-/// -> churn pipeline on the streaming data plane, with each stage wrapped
-/// in the flight recorder. The month of updates is serialized in the
-/// selected wire format first so the parse stage does real work; both
-/// formats round-trip exactly, so the ratios match the materialized path.
-/// Stage counts (batches, updates, peak residency) depend only on the
-/// feed content and the batch size — never on `threads` or the format —
-/// which is what CI's t1-vs-t4 stage comparison holds them to.
+/// -> churn pipeline on the streaming data plane, with each stage in the
+/// flight recorder. The month of updates is serialized in the selected
+/// wire format first so the parse stage does real work; both formats
+/// round-trip exactly, so the ratios match the unprofiled pass. Sanitize
+/// and churn consume a stream rather than re-emit one, so each tallies
+/// its input and is recorded from the outside; a stage row counts the
+/// batches and updates it took in. Stage counts (batches, updates, peak
+/// residency) depend only on the feed content and the batch size — never
+/// on `threads` or the format — which is what CI's t1-vs-t4 stage
+/// comparison holds them to.
 std::vector<double> ProfiledFilteredRatios(const bench::Scenario& scenario,
                                            const bgp::GeneratedDynamics& dynamics,
                                            bench::FeedFormat format,
@@ -59,21 +61,29 @@ std::vector<double> ProfiledFilteredRatios(const bench::Scenario& scenario,
       feed_batch != 0 ? feed_batch : bgp::feed::kDefaultBatchSize;
   const std::string wire = bench::SerializeWire(format, dynamics.updates);
   auto table = std::make_shared<bgp::feed::AsPathTable>();
-  bgp::feed::UpdateStream parsed = bgp::feed::ProfiledStream(
-      "parse", bench::OpenWireStream(format, table, wire, batch));
-  bgp::feed::FeedStage sanitize = bgp::feed::ProfiledStage(
-      "sanitize",
-      bgp::SanitizeStage(dynamics.initial_rib, {}, nullptr, batch));
-  // Churn is a sink (it drains rather than re-emits), so its input is
-  // tallied and the stage recorded from the outside.
-  auto tally = std::make_shared<bgp::feed::StreamTally>();
-  bgp::feed::UpdateStream sanitized =
-      bgp::feed::TalliedStream(sanitize(std::move(parsed)), tally);
+
+  auto sanitize_tally = std::make_shared<bgp::feed::StreamTally>();
+  bgp::feed::UpdateStream parsed = bgp::feed::TalliedStream(
+      bgp::feed::ProfiledStream("parse",
+                                bench::OpenWireStream(format, table, wire, batch)),
+      sanitize_tally);
+  const obs::Stopwatch sanitize_watch;
+  std::vector<bgp::feed::UpdateRec> drained = bgp::feed::Drain(parsed);
+  // Intern the RIB after the drain so the wire source keeps the ids it
+  // assigned.
+  std::vector<bgp::feed::UpdateRec> rib =
+      bench::InternRecords(*table, dynamics.initial_rib);
+  bgp::SanitizedRecords sanitized = bgp::SanitizeRecords(rib, std::move(drained));
+  bgp::feed::RecordSinkStage("sanitize", *sanitize_tally, sanitize_watch.ElapsedUs());
+
+  auto churn_tally = std::make_shared<bgp::feed::StreamTally>();
+  bgp::feed::UpdateStream clean = bgp::feed::TalliedStream(
+      bgp::feed::FromRecords(table, std::move(sanitized.updates), batch), churn_tally);
   const obs::Stopwatch churn_watch;
   const bgp::ChurnAnalyzer analyzer = bgp::AnalyzeChurnStream(
-      bgp::feed::FromVector(table, dynamics.initial_rib, batch),
-      std::move(sanitized), {}, threads);
-  bgp::feed::RecordSinkStage("churn", *tally, churn_watch.ElapsedUs());
+      bgp::feed::FromRecords(table, std::move(rib), batch), std::move(clean), {},
+      threads);
+  bgp::feed::RecordSinkStage("churn", *churn_tally, churn_watch.ElapsedUs());
   return analyzer.RatioToSessionMedian(
       scenario.prefix_map.TorPrefixes(scenario.consensus.consensus));
 }
@@ -130,11 +140,8 @@ int main(int argc, char** argv) {
   // The t=0 tables, interned after the parse so the wire source keeps the
   // ids it assigned. The copy of `parsed` exists only because the
   // ablation below also analyzes the unfiltered feed.
-  std::vector<bgp::feed::UpdateRec> rib_recs;
-  rib_recs.reserve(dynamics.initial_rib.size());
-  for (const bgp::BgpUpdate& u : dynamics.initial_rib) {
-    rib_recs.push_back(bgp::feed::ToRecord(u, *table));
-  }
+  const std::vector<bgp::feed::UpdateRec> rib_recs =
+      bench::InternRecords(*table, dynamics.initial_rib);
   std::vector<bgp::feed::UpdateRec> to_sanitize = parsed;
   const auto filtered = ctx.Timed("sanitize", [&] {
     return bgp::SanitizeRecords(rib_recs, std::move(to_sanitize));

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 
 #include "bgp/churn.hpp"
 #include "bgp/session_reset.hpp"
@@ -28,14 +29,26 @@ struct ExtraSeries {
   std::vector<double> per_prefix;  ///< best vantage (max across sessions)
 };
 
-ExtraSeries ExtraAsCounts(const bench::Scenario& scenario,
-                          const bgp::GeneratedDynamics& dynamics,
-                          const std::vector<bgp::BgpUpdate>& updates,
+/// The month on the record plane: the t=0 RIB and the session-reset
+/// filtered updates, interned into one table.
+struct FilteredMonth {
+  std::shared_ptr<bgp::feed::AsPathTable> table;
+  std::vector<bgp::feed::UpdateRec> rib;
+  std::vector<bgp::feed::UpdateRec> updates;
+};
+
+bgp::ChurnAnalyzer Analyze(const FilteredMonth& month, const bgp::ChurnParams& params,
+                           std::size_t threads) {
+  return bgp::AnalyzeChurnStream(bgp::feed::FromRecords(month.table, month.rib),
+                                 bgp::feed::FromRecords(month.table, month.updates),
+                                 params, threads);
+}
+
+ExtraSeries ExtraAsCounts(const bench::Scenario& scenario, const FilteredMonth& month,
                           std::int64_t dwell_threshold_s, std::size_t threads) {
   bgp::ChurnParams params;
   params.dwell_threshold_s = dwell_threshold_s;
-  const bgp::ChurnAnalyzer analyzer =
-      bgp::AnalyzeChurn(dynamics.initial_rib, updates, params, threads);
+  const bgp::ChurnAnalyzer analyzer = Analyze(month, params, threads);
 
   const auto tor_prefixes =
       scenario.prefix_map.TorPrefixes(scenario.consensus.consensus);
@@ -68,13 +81,20 @@ int main(int argc, char** argv) {
       ctx.Timed("scenario", [] { return bench::MakePaperScenario(); });
   const bgp::GeneratedDynamics dynamics =
       ctx.Timed("dynamics", [&] { return bench::MakeMonthOfDynamics(scenario, ctx.threads()); });
-  const auto filtered = ctx.Timed("reset_filter", [&] {
-    return bgp::FilterSessionResets(dynamics.initial_rib, dynamics.updates);
+  const FilteredMonth month = ctx.Timed("reset_filter", [&] {
+    FilteredMonth filtered;
+    filtered.table = std::make_shared<bgp::feed::AsPathTable>();
+    filtered.rib = bench::InternRecords(*filtered.table, dynamics.initial_rib);
+    filtered.updates =
+        bgp::FilterSessionRecords(filtered.rib,
+                                  bench::InternRecords(*filtered.table, dynamics.updates))
+            .updates;
+    return filtered;
   });
 
   const ExtraSeries counts = ctx.Timed("churn_5min", [&] {
-    return ExtraAsCounts(scenario, dynamics, filtered.updates,
-                         netbase::duration::kAttackDwellThreshold, ctx.threads());
+    return ExtraAsCounts(scenario, month, netbase::duration::kAttackDwellThreshold,
+                         ctx.threads());
   });
 
   util::PrintBanner(std::cout,
@@ -89,8 +109,7 @@ int main(int argc, char** argv) {
   // below the 5-minute threshold — no timing analysis, but they learn the
   // prefix carries Tor traffic.
   {
-    const bgp::ChurnAnalyzer analyzer = bgp::AnalyzeChurn(
-        dynamics.initial_rib, filtered.updates, {}, ctx.threads());
+    const bgp::ChurnAnalyzer analyzer = Analyze(month, {}, ctx.threads());
     const auto tor_prefixes =
         scenario.prefix_map.TorPrefixes(scenario.consensus.consensus);
     std::vector<double> glimpses;
@@ -113,9 +132,7 @@ int main(int argc, char** argv) {
           std::pair{"5 minutes (paper)", netbase::duration::kAttackDwellThreshold},
           std::pair{"15 minutes", 15 * netbase::duration::kMinute}}) {
       const auto series =
-          ExtraAsCounts(scenario, dynamics, filtered.updates, threshold,
-                        ctx.threads())
-              .per_pair;
+          ExtraAsCounts(scenario, month, threshold, ctx.threads()).per_pair;
       ablation.AddRow({label, util::FormatPercent(util::FractionAtLeast(series, 2), 1),
                        util::FormatPercent(util::FractionAtLeast(series, 6), 1),
                        util::FormatDouble(util::Median(series), 1)});

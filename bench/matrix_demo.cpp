@@ -280,15 +280,21 @@ int main(int argc, char** argv) {
     });
   }
 
-  const bgp::SanitizedFeed feed = ctx.Timed("sanitize", [&] {
-    return bgp::SanitizeFeed(dynamics.initial_rib, std::move(feed_updates));
+  // The analysis stages take records: the RIB and the feed share one
+  // table, as the sanitizer's id compare needs.
+  auto table = std::make_shared<bgp::feed::AsPathTable>();
+  const std::vector<bgp::feed::UpdateRec> rib =
+      bench::InternRecords(*table, dynamics.initial_rib);
+  const bgp::SanitizedRecords feed = ctx.Timed("sanitize", [&] {
+    return bgp::SanitizeRecords(rib, bench::InternRecords(*table, feed_updates));
   });
 
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = window;
   const bgp::ChurnAnalyzer churn = ctx.Timed("churn", [&] {
-    return bgp::AnalyzeChurn(dynamics.initial_rib, feed.updates, churn_params,
-                             ctx.threads());
+    return bgp::AnalyzeChurnStream(bgp::feed::FromRecords(table, rib),
+                                   bgp::feed::FromRecords(table, feed.updates),
+                                   churn_params, ctx.threads());
   });
 
   // Countermeasure leg: the monitor watches every originated prefix
@@ -304,9 +310,9 @@ int main(int argc, char** argv) {
         monitored.insert(origin.prefix);
       }
       core::RelayMonitor monitor(std::move(monitored));
-      monitor.LearnBaseline(dynamics.initial_rib);
-      for (const bgp::BgpUpdate& update : feed.updates) {
-        for (const core::Alert& alert : monitor.Consume(update)) {
+      for (const bgp::feed::UpdateRec& rec : rib) monitor.LearnRecord(rec, *table);
+      for (const bgp::feed::UpdateRec& rec : feed.updates) {
+        for (const core::Alert& alert : monitor.ConsumeRecord(rec, *table)) {
           if (axes.attack != "none" && alert.announced_prefix == announced_prefix) {
             attack_detected = 1;
           }

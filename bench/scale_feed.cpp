@@ -12,8 +12,9 @@
 // which pushes ~10^7 updates through the qmrt file path (mmap-backed
 // decode). Two contracts are checked hard (exit 1): every generated
 // update comes back off the wire file (count-exact), and
-// feed.peak_resident_updates stays bounded by the batch size — the
-// archive streams, it is never resident at once.
+// feed.peak_resident_updates stays bounded by the batch size — every
+// stream hand-off is one batch of compact records, never a materialized
+// archive.
 
 #include <cstdio>
 #include <cstdlib>
@@ -114,9 +115,11 @@ int main(int argc, char** argv) {
               << bench::ToString(ctx.format()) << "\n";
   }
 
-  // Analyze straight off the file: decode -> sanitize -> churn, one batch
-  // resident at a time. The tally between decode and sanitize counts
-  // exactly what came off the wire.
+  // Analyze straight off the file: decode -> sanitize -> churn, each
+  // hand-off one batch. Sanitizing needs the whole feed, so the decoded
+  // stream is drained to compact records and the clean records are
+  // re-streamed. The tally between decode and sanitize counts exactly
+  // what came off the wire.
   auto tally = std::make_shared<bgp::feed::StreamTally>();
   const bgp::ChurnAnalyzer analyzer = ctx.Timed("analyze", [&] {
     auto table = std::make_shared<bgp::feed::AsPathTable>();
@@ -125,13 +128,18 @@ int main(int argc, char** argv) {
     decode_options.batch_size = batch;
     bgp::mrt::ParseStreamOptions parse_options;
     parse_options.batch_size = batch;
-    bgp::feed::UpdateStream decoded =
+    bgp::feed::UpdateStream decoded = bgp::feed::TalliedStream(
         ctx.format() == bench::FeedFormat::kQmrt
             ? bgp::qmrt::DecodeFileStream(table, wire_path, decode_options)
-            : bgp::mrt::ParseFileStream(table, wire_path, parse_options);
-    bgp::feed::UpdateStream sanitized = bgp::SanitizeStage(
-        dynamics.initial_rib, {}, nullptr,
-        batch)(bgp::feed::TalliedStream(std::move(decoded), tally));
+            : bgp::mrt::ParseFileStream(table, wire_path, parse_options),
+        tally);
+    std::vector<bgp::feed::UpdateRec> drained = bgp::feed::Drain(decoded);
+    // Intern the RIB after the drain so the wire source keeps the ids it
+    // assigned.
+    const std::vector<bgp::feed::UpdateRec> rib =
+        bench::InternRecords(*table, dynamics.initial_rib);
+    bgp::feed::UpdateStream sanitized = bgp::feed::FromRecords(
+        table, bgp::SanitizeRecords(rib, std::move(drained)).updates, batch);
     bgp::ChurnAnalyzer churn;
     churn.ConsumeStream(sanitized);
     churn.Finish();

@@ -74,16 +74,23 @@ int main(int argc, char** argv) {
   // weight multipliers.
   const bgp::GeneratedDynamics advisory_dynamics =
       ctx.Timed("advisory_dynamics", [&] { return bench::MakeMonthOfDynamics(scenario, ctx.threads()); });
-  const auto advisory_filtered =
-      bgp::FilterSessionResets(advisory_dynamics.initial_rib, advisory_dynamics.updates);
+  // One analyzer fed record by record (serial, like a live collector
+  // feed), on one table shared by the RIB and the filtered month.
+  bgp::feed::AsPathTable advisory_table;
+  const std::vector<bgp::feed::UpdateRec> advisory_rib =
+      bench::InternRecords(advisory_table, advisory_dynamics.initial_rib);
+  const bgp::FilteredRecords advisory_filtered = bgp::FilterSessionRecords(
+      advisory_rib, bench::InternRecords(advisory_table, advisory_dynamics.updates));
   bgp::ChurnAnalyzer advisory_churn;
-  advisory_churn.ConsumeInitialRib(advisory_dynamics.initial_rib);
   core::RelayMonitor advisory_monitor(
       scenario.prefix_map.TorPrefixes(consensus));
-  advisory_monitor.LearnBaseline(advisory_dynamics.initial_rib);
-  for (const bgp::BgpUpdate& update : advisory_filtered.updates) {
-    advisory_churn.Consume(update);
-    (void)advisory_monitor.Consume(update);
+  for (const bgp::feed::UpdateRec& rec : advisory_rib) {
+    advisory_churn.ConsumeRecord(rec, advisory_table);
+    advisory_monitor.LearnRecord(rec, advisory_table);
+  }
+  for (const bgp::feed::UpdateRec& rec : advisory_filtered.updates) {
+    advisory_churn.ConsumeRecord(rec, advisory_table);
+    (void)advisory_monitor.ConsumeRecord(rec, advisory_table);
   }
   advisory_churn.Finish();
   core::RelayAdvisor advisor;
@@ -276,12 +283,18 @@ int main(int argc, char** argv) {
   const bgp::GeneratedDynamics dynamics =
       ctx.Timed("monitor_dynamics", [&] { return bench::MakeMonthOfDynamics(scenario, ctx.threads()); });
 
+  // The monitored month on the record plane, shared by the benign run
+  // and every attack case below.
+  bgp::feed::AsPathTable table;
+  const std::vector<bgp::feed::UpdateRec> rib =
+      bench::InternRecords(table, dynamics.initial_rib);
+
   // False-alarm cost on a benign month.
   core::RelayMonitor benign_monitor(tor_prefixes);
   ctx.Timed("benign_month", [&] {
-    benign_monitor.LearnBaseline(dynamics.initial_rib);
+    for (const bgp::feed::UpdateRec& rec : rib) benign_monitor.LearnRecord(rec, table);
     for (const bgp::BgpUpdate& update : dynamics.updates) {
-      (void)benign_monitor.Consume(update);
+      (void)benign_monitor.ConsumeRecord(bgp::feed::ToRecord(update, table), table);
     }
   });
   const core::AlertCountSummary& benign_counts = benign_monitor.AlertCounts();
@@ -335,7 +348,7 @@ int main(int argc, char** argv) {
       const bgp::AttackOutcome outcome = sim.Execute(spec);
 
       core::RelayMonitor monitor(tor_prefixes);
-      monitor.LearnBaseline(dynamics.initial_rib);
+      for (const bgp::feed::UpdateRec& rec : rib) monitor.LearnRecord(rec, table);
       bool hit_full = false, hit_sparse = false;
       std::size_t seen_on = 0;
       // A sparse monitor watches only every 24th session (3 of 72).
@@ -349,7 +362,8 @@ int main(int argc, char** argv) {
         const bgp::BgpUpdate update = {netbase::SimTime{1000}, session.id,
                                        bgp::UpdateType::kAnnounce,
                                        outcome.announced_prefix, *observed};
-        for (const core::Alert& alert : monitor.Consume(update)) {
+        for (const core::Alert& alert :
+             monitor.ConsumeRecord(bgp::feed::ToRecord(update, table), table)) {
           (void)alert;
           hit_full = true;
           if (session.id % 24 == (v % 24)) hit_sparse = true;

@@ -6,6 +6,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <memory>
 
 #include "bgp/churn.hpp"
 #include "common.hpp"
@@ -44,7 +45,9 @@ int main(int argc, char** argv) {
   const bgp::GeneratedDynamics dynamics =
       ctx.Timed("dynamics", [&] { return bench::MakeMonthOfDynamics(scenario, ctx.threads()); });
   bgp::ChurnAnalyzer analyzer;
-  analyzer.ConsumeInitialRib(dynamics.initial_rib);
+  bgp::feed::UpdateStream rib = bgp::feed::FromVector(
+      std::make_shared<bgp::feed::AsPathTable>(), dynamics.initial_rib);
+  analyzer.ConsumeStream(rib);
   analyzer.Finish();
   std::vector<double> sessions_per_tor_prefix;
   for (const auto& [prefix, sessions] : analyzer.SessionsPerPrefix()) {

@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <iostream>
+#include <memory>
+#include <vector>
 
 #include "bgp/churn.hpp"
 #include "bgp/collector.hpp"
@@ -43,33 +45,43 @@ int main() {
   const bgp::GeneratedDynamics dynamics =
       bgp::GenerateDynamics(topo, collectors, dynamics_params);
 
-  // Archive to the textual MRT format and read it back (what a real
-  // deployment ingesting RIS dumps would do).
+  // Archive to the textual MRT format and read it back as compact records
+  // (what a real deployment ingesting RIS dumps would do).
   const std::string archive = "churn_monitor_updates.mrt";
   bgp::mrt::WriteFile(archive, dynamics.updates);
-  const auto replayed = bgp::mrt::ReadFile(archive);
+  auto paths = std::make_shared<bgp::feed::AsPathTable>();
+  bgp::feed::UpdateStream archived = bgp::mrt::ParseFileStream(paths, archive);
+  std::vector<bgp::feed::UpdateRec> replayed = bgp::feed::Drain(archived);
   std::remove(archive.c_str());
   std::cout << "Replayed " << replayed.size() << " updates from " << archive
             << " (one simulated week, " << collectors.SessionCount()
             << " sessions)\n";
 
-  // Clean and measure.
-  const auto filtered = bgp::FilterSessionResets(dynamics.initial_rib, replayed);
+  // Clean and measure. The t=0 tables join the archive's path table: the
+  // filter compares path ids, which only means path equality within one
+  // table.
+  std::vector<bgp::feed::UpdateRec> rib;
+  for (const bgp::BgpUpdate& update : dynamics.initial_rib) {
+    rib.push_back(bgp::feed::ToRecord(update, *paths));
+  }
+  const auto filtered = bgp::FilterSessionRecords(rib, std::move(replayed));
   std::cout << "Session-reset filter removed "
             << filtered.stats.burst_updates_removed + filtered.stats.duplicates_removed
             << " artifact updates (" << filtered.stats.bursts_detected << " bursts)\n";
 
+  // Run the churn analyzer and the attack monitor over the same stream,
+  // record by record.
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = dynamics_params.window;
   bgp::ChurnAnalyzer churn(churn_params);
-  churn.ConsumeInitialRib(dynamics.initial_rib);
-
-  // Run the churn analyzer and the attack monitor over the same stream.
   core::RelayMonitor monitor(tor_prefixes);
-  monitor.LearnBaseline(dynamics.initial_rib);
-  for (const bgp::BgpUpdate& update : filtered.updates) {
-    churn.Consume(update);
-    (void)monitor.Consume(update);
+  for (const bgp::feed::UpdateRec& rec : rib) {
+    churn.ConsumeRecord(rec, *paths);
+    monitor.LearnRecord(rec, *paths);
+  }
+  for (const bgp::feed::UpdateRec& rec : filtered.updates) {
+    churn.ConsumeRecord(rec, *paths);
+    (void)monitor.ConsumeRecord(rec, *paths);
   }
   churn.Finish();
 

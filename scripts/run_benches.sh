@@ -11,9 +11,9 @@
 # (0 = hardware concurrency; output is byte-identical for any value — see
 # docs/PERFORMANCE.md).
 # Pass QUICKSAND_BENCH_FEED_BATCH=<n> to forward --feed-batch <n> to every
-# bench: feed-driven benches run natively on the streaming data plane in
-# n-record batches instead of the materialized adapters (0 or unset =
-# materialized; output is byte-identical either way — docs/ARCHITECTURE.md).
+# bench: feed-driven benches stream their feeds in n-record batches (0 or
+# unset = default batch (4096); output is byte-identical either way —
+# docs/ARCHITECTURE.md).
 # Pass QUICKSAND_BENCH_FORMAT=<text|qmrt> to forward --format to every
 # bench: benches with a wire round trip serialize/parse their feed through
 # the textual MRT codec or the binary QMRT codec (unset = text; outputs

@@ -11,50 +11,14 @@
 
 namespace quicksand::bgp {
 
-void ChurnAnalyzer::ConsumeInitialRib(std::span<const BgpUpdate> rib) {
-  for (const BgpUpdate& update : rib) Consume(update);
-}
-
-void ChurnAnalyzer::Consume(const BgpUpdate& update) {
-  if (update.type == UpdateType::kAnnounce) {
-    // Interning hoists the distinct-AS sort/dedup: a repeated path reuses
-    // the precomputed sorted set and hashes.
-    const feed::PathId id = paths_.Intern(update.path);
-    ConsumeImpl(update.time.seconds, update.session, update.prefix, update.type,
-                &paths_.SortedSet(id), paths_.SetHash(id), paths_.PathHash(id));
-  } else {
-    ConsumeImpl(update.time.seconds, update.session, update.prefix, update.type,
-                nullptr, 0, 0);
-  }
-}
-
 void ChurnAnalyzer::ConsumeRecord(const feed::UpdateRec& rec,
                                   const feed::AsPathTable& table) {
-  if (rec.type == UpdateType::kAnnounce) {
-    ConsumeImpl(rec.time.seconds, rec.session, rec.prefix, rec.type,
-                &table.SortedSet(rec.path), table.SetHash(rec.path),
-                table.PathHash(rec.path));
-  } else {
-    ConsumeImpl(rec.time.seconds, rec.session, rec.prefix, rec.type, nullptr, 0, 0);
-  }
-}
-
-void ChurnAnalyzer::ConsumeStream(feed::UpdateStream& stream) {
-  std::vector<feed::UpdateRec> batch;
-  while (stream.Next(batch)) {
-    for (const feed::UpdateRec& rec : batch) ConsumeRecord(rec, *stream.paths());
-  }
-}
-
-void ChurnAnalyzer::ConsumeImpl(std::int64_t time_s, SessionId session,
-                                const netbase::Prefix& prefix, UpdateType type,
-                                const std::vector<AsNumber>* sorted_set,
-                                std::uint64_t set_hash, std::uint64_t path_hash) {
-  if (finished_) throw std::logic_error("ChurnAnalyzer: Consume after Finish");
+  if (finished_) throw std::logic_error("ChurnAnalyzer: ConsumeRecord after Finish");
   static obs::Counter& consumed =
       obs::MetricsRegistry::Global().GetCounter("bgp.churn.updates_consumed");
   consumed.Increment();
-  State& state = states_[SessionPrefixKey{session, prefix}];
+  State& state = states_[SessionPrefixKey{rec.session, rec.prefix}];
+  const std::int64_t time_s = rec.time.seconds;
   if (time_s < state.last_time_s) {
     // Out-of-order arrival (delay jitter the sanitizer could not repair):
     // processing it would close dwell intervals backwards in time, so it
@@ -66,8 +30,8 @@ void ChurnAnalyzer::ConsumeImpl(std::int64_t time_s, SessionId session,
     return;
   }
   state.last_time_s = time_s;
-  if (type == UpdateType::kAnnounce) {
-    if (!seen_path_hashes_.insert(path_hash).second) {
+  if (rec.type == UpdateType::kAnnounce) {
+    if (!seen_path_hashes_.insert(table.PathHash(rec.path)).second) {
       // This path's sorted set was already computed — the per-update
       // sort/dedup the pre-interning analyzer paid is skipped. Lazily
       // registered so churn-free pipelines leave no counter behind.
@@ -75,9 +39,16 @@ void ChurnAnalyzer::ConsumeImpl(std::int64_t time_s, SessionId session,
           obs::MetricsRegistry::Global().GetCounter("bgp.churn.path_set_cache_hits");
       cache_hits.Increment();
     }
-    Announce(state, time_s, *sorted_set, set_hash);
+    Announce(state, time_s, table.SortedSet(rec.path), table.SetHash(rec.path));
   } else {
     Withdraw(state, time_s);
+  }
+}
+
+void ChurnAnalyzer::ConsumeStream(feed::UpdateStream& stream) {
+  std::vector<feed::UpdateRec> batch;
+  while (stream.Next(batch)) {
+    for (const feed::UpdateRec& rec : batch) ConsumeRecord(rec, *stream.paths());
   }
 }
 
@@ -257,15 +228,6 @@ std::map<netbase::Prefix, std::size_t> ChurnAnalyzer::SessionsPerPrefix() const 
     ++out[key.prefix];
   }
   return out;
-}
-
-ChurnAnalyzer AnalyzeChurn(std::span<const BgpUpdate> initial_rib,
-                           std::span<const BgpUpdate> updates, ChurnParams params,
-                           std::size_t threads) {
-  // Thin adapter: one shared intern table, both spans streamed through it.
-  auto table = std::make_shared<feed::AsPathTable>();
-  return AnalyzeChurnStream(feed::FromVector(table, initial_rib),
-                            feed::FromVector(table, updates), params, threads);
 }
 
 ChurnAnalyzer AnalyzeChurnStream(feed::UpdateStream initial_rib,

@@ -15,22 +15,20 @@
 //     shorter appearances are "unlikely that an attack can be performed".
 //
 // The analyzer is streaming: feed it the initial RIB, then time-ordered
-// updates, then Finish(). It consumes either materialized `BgpUpdate`s or
-// compact interned records straight off a `feed::UpdateStream` — the
-// distinct-AS sort/dedup runs once per interned path, not once per update
+// updates, then Finish(). It consumes compact interned records (straight
+// off a `feed::UpdateStream` or one at a time) — the distinct-AS
+// sort/dedup runs once per interned path, not once per update
 // (docs/ARCHITECTURE.md). Results back Figure 3 (left and right) and the
 // dataset statistics of Section 4.
 
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "bgp/feed.hpp"
-#include "bgp/update.hpp"
 #include "netbase/sim_time.hpp"
 
 namespace quicksand::daemon {
@@ -72,21 +70,13 @@ class ChurnAnalyzer;
 
 /// Runs a whole dataset (initial RIB + time-ordered updates) through the
 /// analyzer on `threads` threads (0 = hardware concurrency) and returns it
-/// finished. Sessions are independent key spaces, so the stream is
-/// partitioned by session, analyzed per partition, and merged in session
-/// order — the result is identical to serial consumption for every thread
-/// count. Thin adapter over AnalyzeChurnStream.
-[[nodiscard]] ChurnAnalyzer AnalyzeChurn(std::span<const BgpUpdate> initial_rib,
-                                         std::span<const BgpUpdate> updates,
-                                         ChurnParams params = {},
-                                         std::size_t threads = 1);
-
-/// Stream-native equivalent: drains both streams (records are compact —
-/// 32-bit path ids, not owning paths), partitions by session, analyzes
-/// partitions on `threads` threads, merges in session order. The two
-/// streams may share an AsPathTable or carry their own; results are
-/// identical either way, and identical to AnalyzeChurn on the
-/// materialized equivalents, for every thread count and batch size.
+/// finished. Drains both streams (records are compact — 32-bit path ids,
+/// not owning paths); sessions are independent key spaces, so the records
+/// are partitioned by session, analyzed per partition, and merged in
+/// session order. The entries are identical to serial consumption for
+/// every thread count and batch size, and the two streams may share an
+/// AsPathTable or carry their own. Each partition keeps its own seen-path
+/// set, so `bgp.churn.path_set_cache_hits` counts per session.
 [[nodiscard]] ChurnAnalyzer AnalyzeChurnStream(feed::UpdateStream initial_rib,
                                                feed::UpdateStream updates,
                                                ChurnParams params = {},
@@ -97,25 +87,20 @@ class ChurnAnalyzer {
  public:
   explicit ChurnAnalyzer(ChurnParams params = {}) : params_(params) {}
 
-  /// Feeds the t=0 table (each entry is the baseline announcement).
-  void ConsumeInitialRib(std::span<const BgpUpdate> rib);
-
-  /// Feeds one update; calls should be time-ordered. An update whose
-  /// timestamp precedes the newest one already seen for its (session,
-  /// prefix) is dropped rather than corrupting interval bookkeeping —
-  /// the count is exposed via DroppedOutOfOrder() and the
+  /// Feeds one compact record whose path id indexes `table`. Feed the
+  /// t=0 table first (each entry is the baseline announcement), then the
+  /// updates; calls should be time-ordered. A record whose timestamp
+  /// precedes the newest one already seen for its (session, prefix) is
+  /// dropped rather than corrupting interval bookkeeping — the count is
+  /// exposed via DroppedOutOfOrder() and the
   /// `bgp.churn.dropped_out_of_order` counter (graceful degradation on
   /// lossy/reordered feeds; see docs/ROBUSTNESS.md).
   /// Throws std::logic_error if called after Finish().
   ///
-  /// Interns the path into a private AsPathTable, so repeated paths skip
-  /// the distinct-AS sort/dedup; each skip counts toward the
+  /// The table precomputes each path's distinct-AS set; an announcement
+  /// whose path this analyzer has already seen counts toward the
   /// `bgp.churn.path_set_cache_hits` counter (registered only once a hit
   /// actually occurs).
-  void Consume(const BgpUpdate& update);
-
-  /// Feeds one compact record whose path id indexes `table`. Identical
-  /// semantics (and metric behavior) to Consume on the materialized form.
   void ConsumeRecord(const feed::UpdateRec& rec, const feed::AsPathTable& table);
 
   /// Drains `stream`, feeding every record through ConsumeRecord.
@@ -196,14 +181,6 @@ class ChurnAnalyzer {
     std::size_t path_changes = 0;
   };
 
-  /// Common consume path. `sorted_set` is null for withdrawals; for
-  /// announcements it is the path's sorted distinct-AS set, with
-  /// `set_hash` its FNV key and `path_hash` the table-independent hop
-  /// content hash driving the path-set cache-hit counter.
-  void ConsumeImpl(std::int64_t time_s, SessionId session,
-                   const netbase::Prefix& prefix, UpdateType type,
-                   const std::vector<AsNumber>* sorted_set, std::uint64_t set_hash,
-                   std::uint64_t path_hash);
   void Announce(State& state, std::int64_t now, const std::vector<AsNumber>& as_set,
                 std::uint64_t set_hash);
   void Withdraw(State& state, std::int64_t now);
@@ -211,12 +188,11 @@ class ChurnAnalyzer {
                       const std::vector<AsNumber>* keep_sorted);
 
   ChurnParams params_;
-  /// Intern pool backing the materialized Consume adapter.
-  feed::AsPathTable paths_;
   /// Hop-content hashes of every announced path this analyzer has seen —
   /// an announce whose hash is already present skipped the sort/dedup
   /// (bgp.churn.path_set_cache_hits). Keyed on the table-independent
-  /// content hash so materialized and streamed consumption count alike.
+  /// content hash so the count does not depend on which table a record
+  /// indexes.
   std::unordered_set<std::uint64_t> seen_path_hashes_;
   std::map<SessionPrefixKey, State> states_;
   mutable std::map<SessionPrefixKey, SessionPrefixChurn> results_;

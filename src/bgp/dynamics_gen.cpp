@@ -403,19 +403,4 @@ GeneratedDynamics GenerateDynamics(const Topology& topology, const CollectorSet&
   return out;
 }
 
-GeneratedDynamicsStream GenerateDynamicsStream(const Topology& topology,
-                                               const CollectorSet& collectors,
-                                               const DynamicsParams& params,
-                                               std::shared_ptr<feed::AsPathTable> table,
-                                               std::size_t batch_size) {
-  GeneratedDynamics generated = GenerateDynamics(topology, collectors, params);
-  GeneratedDynamicsStream out;
-  out.initial_rib = std::move(generated.initial_rib);
-  out.truth = std::move(generated.truth);
-  if (!table) table = std::make_shared<feed::AsPathTable>();
-  out.updates =
-      feed::FromOwnedVector(std::move(table), std::move(generated.updates), batch_size);
-  return out;
-}
-
 }  // namespace quicksand::bgp

@@ -23,11 +23,9 @@
 // which is the real-world mechanism behind the paper's Figure 3.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "bgp/collector.hpp"
-#include "bgp/feed.hpp"
 #include "bgp/topology_gen.hpp"
 #include "bgp/update.hpp"
 #include "netbase/sim_time.hpp"
@@ -97,26 +95,5 @@ struct GeneratedDynamics {
 [[nodiscard]] GeneratedDynamics GenerateDynamics(const Topology& topology,
                                                  const CollectorSet& collectors,
                                                  const DynamicsParams& params);
-
-/// The dataset in streaming form: the t=0 RIB stays materialized (every
-/// consumer treats it as a table), while the month of updates is exposed
-/// as a chunked stream of interned records.
-struct GeneratedDynamicsStream {
-  std::vector<BgpUpdate> initial_rib;
-  feed::UpdateStream updates;
-  std::vector<PrefixDynamicsTruth> truth;
-};
-
-/// Streaming emitter over GenerateDynamics. Generation itself needs a
-/// global time sort, so the updates are produced materialized internally
-/// and handed off via an owning stream source — the win is downstream:
-/// consumers hold one `batch_size` chunk of compact records per hand-off
-/// instead of a second full copy. Stream content is identical to
-/// GenerateDynamics(...).updates for every batch size. Records intern
-/// into `table` (a fresh table when null).
-[[nodiscard]] GeneratedDynamicsStream GenerateDynamicsStream(
-    const Topology& topology, const CollectorSet& collectors,
-    const DynamicsParams& params, std::shared_ptr<feed::AsPathTable> table = nullptr,
-    std::size_t batch_size = feed::kDefaultBatchSize);
 
 }  // namespace quicksand::bgp

@@ -133,54 +133,21 @@ bool UpdateStream::Next(std::vector<UpdateRec>& batch) {
   return true;
 }
 
-UpdateStream Compose(UpdateStream source, std::span<const FeedStage> stages) {
-  for (const FeedStage& stage : stages) source = stage(std::move(source));
-  return source;
-}
-
-namespace {
-
-/// Shared pull state for span/owned-vector sources.
-struct VectorSourceState {
-  std::span<const BgpUpdate> updates;
-  std::vector<BgpUpdate> owned;  // backing storage for FromOwnedVector
-  std::size_t next = 0;
-};
-
-UpdateStream VectorSource(std::shared_ptr<AsPathTable> table,
-                          std::shared_ptr<VectorSourceState> state,
-                          std::size_t batch_size) {
-  if (batch_size == 0) batch_size = kDefaultBatchSize;
-  AsPathTable* raw_table = table.get();
-  return UpdateStream(
-      std::move(table),
-      [state = std::move(state), raw_table, batch_size](std::vector<UpdateRec>& out) {
-        if (state->next >= state->updates.size()) return false;
-        const std::size_t end =
-            std::min(state->next + batch_size, state->updates.size());
-        out.reserve(end - state->next);
-        for (; state->next < end; ++state->next) {
-          out.push_back(ToRecord(state->updates[state->next], *raw_table));
-        }
-        return true;
-      });
-}
-
-}  // namespace
-
 UpdateStream FromVector(std::shared_ptr<AsPathTable> table,
                         std::span<const BgpUpdate> updates, std::size_t batch_size) {
-  auto state = std::make_shared<VectorSourceState>();
-  state->updates = updates;
-  return VectorSource(std::move(table), std::move(state), batch_size);
-}
-
-UpdateStream FromOwnedVector(std::shared_ptr<AsPathTable> table,
-                             std::vector<BgpUpdate> updates, std::size_t batch_size) {
-  auto state = std::make_shared<VectorSourceState>();
-  state->owned = std::move(updates);
-  state->updates = state->owned;
-  return VectorSource(std::move(table), std::move(state), batch_size);
+  if (batch_size == 0) batch_size = kDefaultBatchSize;
+  AsPathTable* raw_table = table.get();
+  auto next = std::make_shared<std::size_t>(0);
+  return UpdateStream(
+      std::move(table),
+      [updates, next = std::move(next), raw_table,
+       batch_size](std::vector<UpdateRec>& out) {
+        if (*next >= updates.size()) return false;
+        const std::size_t end = std::min(*next + batch_size, updates.size());
+        out.reserve(end - *next);
+        for (; *next < end; ++*next) out.push_back(ToRecord(updates[*next], *raw_table));
+        return true;
+      });
 }
 
 UpdateStream FromRecords(std::shared_ptr<AsPathTable> table,

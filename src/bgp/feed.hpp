@@ -1,7 +1,7 @@
 #pragma once
 
 // Streaming feed data plane: chunked pull-based update streams with
-// interned AS-paths.
+// interned AS-paths — the read side of every collector pipeline.
 //
 // Real collector feeds are huge but repetitive — a month of updates on one
 // (session, prefix) reuses a handful of distinct AS-paths. The feed layer
@@ -17,17 +17,18 @@
 //     *update* — the churn analyzer's hot sort/dedup runs once per
 //     interned path.
 //
-// Stages compose as `FeedStage` (UpdateStream -> UpdateStream). Stages
-// that need global context (ordering repair, session-reset filtering,
-// stream-level fault injection) drain their input and re-emit batches;
-// they bound hand-off copies, not total memory, and say so in their docs.
+// `UpdateRec` + `AsPathTable` is the only input the analysis stages
+// accept (session-reset filter, sanitizer, churn analyzer, relay
+// monitor). `BgpUpdate` stays the write side's type (generator, fault
+// injector, codecs); `ToRecord` / `FromVector` cross onto the record
+// plane and `Materialize` crosses back. Operations that need the whole
+// feed (ordering repair, session-reset filtering) `Drain` their source,
+// transform the record vector, and re-stream it with `FromRecords`.
 //
 // Determinism contract: a stream's *content* (the concatenation of its
 // batches) never depends on batch size or thread count; only the
 // reserved `feed.*` metrics (batch counts, peak residency, intern
-// telemetry) may vary. Materialized `std::vector<BgpUpdate>` APIs
-// elsewhere in the codebase are thin adapters over this layer and keep
-// their output bit-for-bit (docs/ARCHITECTURE.md).
+// telemetry) may vary (docs/ARCHITECTURE.md).
 
 #include <cstdint>
 #include <deque>
@@ -146,7 +147,7 @@ void SortRecords(std::vector<UpdateRec>& records);
 /// content.
 ///
 /// Every stream carries (shares) the AsPathTable its records index into;
-/// stages composed onto a stream reuse the upstream table.
+/// a consumer resolves path ids through `paths()`.
 class UpdateStream {
  public:
   using PullFn = std::function<bool(std::vector<UpdateRec>&)>;
@@ -172,25 +173,11 @@ class UpdateStream {
   bool exhausted_ = false;
 };
 
-/// A composable stream transformer. Stages capture their configuration
-/// and return a new stream when applied to an upstream.
-using FeedStage = std::function<UpdateStream(UpdateStream)>;
-
-/// Applies `stages` left to right.
-[[nodiscard]] UpdateStream Compose(UpdateStream source,
-                                   std::span<const FeedStage> stages);
-
 /// Streams `updates` in batches, interning paths into `table` as batches
 /// are pulled. The span is NOT copied: it must outlive the stream.
 [[nodiscard]] UpdateStream FromVector(std::shared_ptr<AsPathTable> table,
                                       std::span<const BgpUpdate> updates,
                                       std::size_t batch_size = kDefaultBatchSize);
-
-/// Same, but takes ownership of the vector (for sources whose backing
-/// storage would otherwise die before the stream is drained).
-[[nodiscard]] UpdateStream FromOwnedVector(std::shared_ptr<AsPathTable> table,
-                                           std::vector<BgpUpdate> updates,
-                                           std::size_t batch_size = kDefaultBatchSize);
 
 /// Streams already-compact records (which must index into `table`).
 [[nodiscard]] UpdateStream FromRecords(std::shared_ptr<AsPathTable> table,

@@ -8,16 +8,6 @@
 
 namespace quicksand::bgp::feed {
 
-namespace {
-
-/// Hand-off bytes for a batch: the compact record footprint, the quantity
-/// the binary codec work on the ROADMAP will shrink.
-std::uint64_t BatchBytes(const std::vector<UpdateRec>& batch) {
-  return static_cast<std::uint64_t>(batch.size()) * sizeof(UpdateRec);
-}
-
-}  // namespace
-
 UpdateStream ProfiledStream(std::string name, UpdateStream stream) {
   obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
   if (!recorder.enabled()) return stream;
@@ -29,40 +19,11 @@ UpdateStream ProfiledStream(std::string name, UpdateStream stream) {
                         const obs::Stopwatch watch;
                         const bool ok = inner->Next(out);
                         cell->AddWall(watch.ElapsedUs());
-                        if (ok) cell->AddBatch(out.size(), BatchBytes(out));
+                        if (ok) {
+                          cell->AddBatch(out.size(), out.size() * sizeof(UpdateRec));
+                        }
                         return ok;
                       });
-}
-
-FeedStage ProfiledStage(std::string name, FeedStage stage) {
-  return [name = std::move(name), stage = std::move(stage)](UpdateStream upstream) {
-    obs::FlightRecorder& recorder = obs::FlightRecorder::Global();
-    if (!recorder.enabled()) return stage(std::move(upstream));
-    obs::FlightRecorder::Stage* cell = &recorder.GetStage(name);
-
-    // Time the stage's pulls on its upstream separately, so the cell can
-    // report self = inclusive - upstream.
-    auto up = std::make_shared<UpdateStream>(std::move(upstream));
-    auto up_table = up->paths();
-    UpdateStream timed_up(std::move(up_table),
-                          [up, cell](std::vector<UpdateRec>& out) {
-                            const obs::Stopwatch watch;
-                            const bool ok = up->Next(out);
-                            cell->AddUpstream(watch.ElapsedUs());
-                            return ok;
-                          });
-
-    auto out_stream = std::make_shared<UpdateStream>(stage(std::move(timed_up)));
-    auto out_table = out_stream->paths();
-    return UpdateStream(std::move(out_table),
-                        [out_stream, cell](std::vector<UpdateRec>& batch) {
-                          const obs::Stopwatch watch;
-                          const bool ok = out_stream->Next(batch);
-                          cell->AddWall(watch.ElapsedUs());
-                          if (ok) cell->AddBatch(batch.size(), BatchBytes(batch));
-                          return ok;
-                        });
-  };
 }
 
 UpdateStream TalliedStream(UpdateStream stream, std::shared_ptr<StreamTally> tally) {

@@ -2,24 +2,24 @@
 
 // Flight-recorder adapters for the streaming feed data plane.
 //
-// `ProfiledStage`/`ProfiledStream` wrap a `FeedStage` (or a source
-// stream) so that every batch moving through it is recorded into the
-// process-global `obs::FlightRecorder` under a stage name: batch count,
-// update count, hand-off bytes, peak batch residency, and wall time.
-// Because a pull pipeline nests — a stage's `Next` includes all upstream
-// work — `ProfiledStage` additionally times the pulls it makes on its
-// upstream and reports them separately, so the recorder can attribute
-// *self* time (own cost) per stage. That is the parse → sanitize → churn
-// breakdown `fig3_left_churn --profile` prints.
+// `ProfiledStream` wraps a source stream so that every batch moving
+// through it is recorded into the process-global `obs::FlightRecorder`
+// under a stage name: batch count, update count, hand-off bytes, peak
+// batch residency, and wall time. A stage that consumes a stream — a
+// whole-feed transform such as the sanitizer, or a sink such as churn
+// analysis — is recorded from the outside instead: `TalliedStream`
+// accounts its input, and `RecordSinkStage` subtracts the time spent
+// waiting on that input from the stage's wall time, so the recorder
+// attributes *self* time (own cost) per stage. That is the parse →
+// sanitize → churn breakdown `fig3_left_churn --profile` prints.
 //
-// When the recorder is disabled (everything but `--profile`) the
-// wrappers return their argument unchanged: zero overhead, zero extra
-// stream layers, and the reserved `feed.*` metrics are untouched — a
-// profile-off run is bit-identical to one built without this header.
-// When enabled, each wrapper adds one stream layer, so the reserved
-// `feed.batches` / `feed.updates_streamed` counters count the extra
-// hand-off (documented in docs/OBSERVABILITY.md); stream *content* is
-// never altered.
+// When the recorder is disabled (everything but `--profile`)
+// `ProfiledStream` returns its argument unchanged and `RecordSinkStage`
+// records nothing: zero overhead, zero extra stream layers, and the
+// reserved `feed.*` metrics are untouched. When enabled, each wrapper
+// adds one stream layer, so the reserved `feed.batches` /
+// `feed.updates_streamed` counters count the extra hand-off (documented
+// in docs/OBSERVABILITY.md); stream *content* is never altered.
 
 #include <atomic>
 #include <cstdint>
@@ -29,12 +29,6 @@
 #include "bgp/feed.hpp"
 
 namespace quicksand::bgp::feed {
-
-/// Wraps `stage`: its output pulls are recorded (inclusive wall, batches,
-/// updates, bytes, peak batch) under `name`, and time spent pulling the
-/// upstream is subtracted out as upstream time. Identity when the flight
-/// recorder is disabled.
-[[nodiscard]] FeedStage ProfiledStage(std::string name, FeedStage stage);
 
 /// Wraps a source (or any already-built) stream: its pulls are recorded
 /// under `name` with no upstream to subtract — inclusive time IS self
@@ -51,17 +45,18 @@ struct StreamTally {
   std::atomic<std::int64_t> wall_us{0};  ///< inclusive time inside Next
 };
 
-/// Wraps `stream` so every pull updates `tally`. Unlike the Profiled*
-/// wrappers this is unconditional (the caller already decided to
-/// profile); content is unchanged.
+/// Wraps `stream` so every pull updates `tally`. Unlike ProfiledStream
+/// this is unconditional (the caller already decided to profile);
+/// content is unchanged.
 [[nodiscard]] UpdateStream TalliedStream(UpdateStream stream,
                                          std::shared_ptr<StreamTally> tally);
 
-/// Records a sink stage (one that consumes a stream rather than
-/// re-emitting one, e.g. churn analysis) into the flight recorder:
-/// `tally` is the accounting of the sink's input stream and `wall_us` the
-/// sink's overall wall time; the difference is the sink's self cost.
-/// No-op when the recorder is disabled.
+/// Records a stage that consumes a stream rather than re-emitting one
+/// (the sanitizer's drain, churn analysis) into the flight recorder:
+/// `tally` is the accounting of the stage's input stream — its counts are
+/// the row's batches and updates — and `wall_us` the stage's overall wall
+/// time; the difference is the stage's self cost. No-op when the
+/// recorder is disabled.
 void RecordSinkStage(const std::string& name, const StreamTally& tally,
                      std::int64_t wall_us);
 

@@ -275,23 +275,6 @@ std::size_t WriteStream(std::ostream& out, feed::UpdateStream stream,
   return encoder.written_records();
 }
 
-void WriteFile(const std::string& path, std::span<const BgpUpdate> updates,
-               EncodeOptions options) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw std::runtime_error("qmrt: cannot open '" + path +
-                             "' for writing: " + util::ErrnoDetail());
-  }
-  BlockEncoder encoder(out, options);
-  for (const BgpUpdate& u : updates) encoder.Add(u);
-  encoder.Flush();
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("qmrt: write failed for '" + path +
-                             "': " + util::ErrnoDetail());
-  }
-}
-
 // --- decoding ------------------------------------------------------------
 
 namespace {
@@ -689,16 +672,6 @@ std::vector<feed::UpdateRec> DecodeRecords(feed::AsPathTable& table,
   }
   cursor.Finish();
   return out;
-}
-
-std::vector<BgpUpdate> Decode(std::string_view bytes) {
-  return feed::Materialize(
-      DecodeStream(std::make_shared<feed::AsPathTable>(), bytes));
-}
-
-std::vector<BgpUpdate> ReadFile(const std::string& path) {
-  return feed::Materialize(
-      DecodeFileStream(std::make_shared<feed::AsPathTable>(), path));
 }
 
 }  // namespace quicksand::bgp::qmrt

@@ -137,14 +137,10 @@ class BlockEncoder {
                                  EncodeOptions options = {});
 
 /// Drains `stream` into `out` block by block; returns the number of
-/// records written. This is the binary sink endpoint: compose it after
-/// any `feed::FeedStage` chain exactly like `mrt::WriteStream`.
+/// records written. This is the binary sink endpoint, the sibling of
+/// `mrt::WriteStream`.
 std::size_t WriteStream(std::ostream& out, feed::UpdateStream stream,
                         EncodeOptions options = {});
-
-/// Writes updates to a file. Errors carry path + errno context.
-void WriteFile(const std::string& path, std::span<const BgpUpdate> updates,
-               EncodeOptions options = {});
 
 /// What lenient decoding dropped, plus volume counters.
 struct DecodeStats {
@@ -192,22 +188,5 @@ struct DecodeOptions {
 [[nodiscard]] std::vector<feed::UpdateRec> DecodeRecords(feed::AsPathTable& table,
                                                          std::string_view bytes,
                                                          DecodeOptions options = {});
-
-/// Strictly decodes a whole QMRT byte string.
-[[nodiscard]] std::vector<BgpUpdate> Decode(std::string_view bytes);
-
-/// Reads a whole QMRT file strictly. Errors carry path + errno context.
-[[nodiscard]] std::vector<BgpUpdate> ReadFile(const std::string& path);
-
-/// Stage-endpoint aliases: a QMRT source is an UpdateStream, a QMRT sink
-/// drains one.
-inline feed::UpdateStream BinarySource(std::shared_ptr<feed::AsPathTable> table,
-                                       std::string_view bytes, DecodeOptions options = {}) {
-  return DecodeStream(std::move(table), bytes, options);
-}
-inline std::size_t BinarySink(std::ostream& out, feed::UpdateStream stream,
-                              EncodeOptions options = {}) {
-  return WriteStream(out, std::move(stream), options);
-}
 
 }  // namespace quicksand::bgp::qmrt

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -59,19 +58,17 @@ struct BurstInterval {
 };
 
 /// Detects table-transfer bursts per session with a sliding window over
-/// announcement timestamps. Works on either update plane: it only reads
-/// the (time, session, type) fields common to BgpUpdate and UpdateRec.
-/// Fills `bursts` (empty vector = no bursts for that session) and appends
-/// every session owning at least one interval to `burst_sessions`.
-template <typename UpdateT>
-void DetectBursts(const std::vector<UpdateT>& updates,
+/// announcement timestamps. Fills `bursts` (empty vector = no bursts for
+/// that session) and appends every session owning at least one interval
+/// to `burst_sessions`.
+void DetectBursts(const std::vector<feed::UpdateRec>& updates,
                   PerSession<std::size_t>& table_sizes, SessionId max_session,
                   const ResetFilterParams& params,
                   PerSession<std::vector<BurstInterval>>& bursts,
                   std::vector<SessionId>& burst_sessions) {
   PerSession<std::vector<std::int64_t>> announce_times(max_session);
   std::vector<SessionId> announce_sessions;
-  for (const UpdateT& u : updates) {
+  for (const feed::UpdateRec& u : updates) {
     if (u.type != UpdateType::kAnnounce) continue;
     std::vector<std::int64_t>& times = announce_times[u.session];
     if (times.empty()) announce_sessions.push_back(u.session);
@@ -108,22 +105,13 @@ bool InBurst(const std::vector<BurstInterval>& intervals, std::int64_t t,
   return cursor < intervals.size() && intervals[cursor].begin <= t;
 }
 
-/// Canonical (time, session, prefix) stable sort, either plane. The path
-/// is deliberately not part of the key, so both instantiations reproduce
-/// the exact permutation SortUpdates has always produced.
-void CanonicalSort(std::vector<BgpUpdate>& updates) { SortUpdates(updates); }
-void CanonicalSort(std::vector<feed::UpdateRec>& records) {
-  feed::SortRecords(records);
-}
-
-/// The (session, prefix) -> optional<path> session-state table, the
+/// The (session, prefix) -> optional<path id> session-state table, the
 /// filter's hottest structure (one probe per input update). Open
 /// addressing with linear probing over power-of-two capacity: one cache
 /// line per hit beats the node allocation and pointer chase of
 /// unordered_map by ~4x here. Entries are never erased (a withdrawn
 /// prefix stores nullopt), so no tombstones. References returned by
 /// Slot() are invalidated by the next Slot() call (growth may rehash).
-template <typename PathT>
 class StateTable {
  public:
   explicit StateTable(std::size_t expected) {
@@ -132,7 +120,7 @@ class StateTable {
     slots_.resize(capacity);
   }
 
-  std::optional<PathT>& Slot(SessionId session, const netbase::Prefix& prefix) {
+  std::optional<feed::PathId>& Slot(SessionId session, const netbase::Prefix& prefix) {
     if ((size_ + 1) * 8 > slots_.size() * 5) Grow();
     const std::uint64_t key = PackPrefix(prefix);
     std::size_t i = IndexFor(session, key, slots_.size());
@@ -153,7 +141,7 @@ class StateTable {
   struct SlotT {
     std::uint64_t prefix_key = kFreeSlot;
     SessionId session = 0;
-    std::optional<PathT> value;
+    std::optional<feed::PathId> value;
   };
   /// Packed prefixes occupy 38 bits, so all-ones can mark a free slot.
   static constexpr std::uint64_t kFreeSlot = ~std::uint64_t{0};
@@ -183,28 +171,23 @@ class StateTable {
   std::size_t size_ = 0;
 };
 
-/// The filter, generic over the update plane. `UpdateT` is `BgpUpdate`
-/// (paths inline, compared structurally) or `feed::UpdateRec` (paths as
-/// ids in one shared AsPathTable, compared as integers). Interning is
-/// canonical — equal paths get equal ids — so id equality on the record
-/// plane decides exactly the same "does this announce change state?"
-/// question the materialized plane answers by comparing hop vectors,
-/// and both instantiations emit the same filtered sequence.
+}  // namespace
+
 /// Consumes `updates` and filters in place: survivors are compacted to
 /// the front of the same buffer (two-pointer sweep, no output copy) and
 /// the handful of burst survivors is merged back in at the end.
-template <typename UpdateT, typename ResultT>
-ResultT FilterImpl(const std::vector<UpdateT>& initial_rib,
-                   std::vector<UpdateT> updates, const ResetFilterParams& params) {
-  using PathT = decltype(UpdateT{}.path);
+FilteredRecords FilterSessionRecords(const std::vector<feed::UpdateRec>& initial_rib,
+                                     std::vector<feed::UpdateRec> updates,
+                                     const ResetFilterParams& params) {
+  using feed::UpdateRec;
 
   // One pass validates time order and finds the session-id range for the
   // dense per-session tables below.
   SessionId max_session = 0;
-  for (const UpdateT& u : initial_rib) max_session = std::max(max_session, u.session);
+  for (const UpdateRec& u : initial_rib) max_session = std::max(max_session, u.session);
   for (std::size_t i = 0; i < updates.size(); ++i) {
     if (i > 0 && updates[i].time < updates[i - 1].time) {
-      throw std::invalid_argument("FilterSessionResets: updates not time-ordered");
+      throw std::invalid_argument("FilterSessionRecords: updates not time-ordered");
     }
     max_session = std::max(max_session, updates[i].session);
   }
@@ -215,9 +198,9 @@ ResultT FilterImpl(const std::vector<UpdateT>& initial_rib,
   // output depends solely on per-key lookups. Sized for the RIB plus
   // headroom: feeds mostly touch prefixes the sessions already carry, and
   // growth amortizes the RIB-less case.
-  StateTable<PathT> state(initial_rib.size() + initial_rib.size() / 2 + 64);
+  StateTable state(initial_rib.size() + initial_rib.size() / 2 + 64);
   PerSession<std::size_t> table_sizes(max_session);
-  for (const UpdateT& u : initial_rib) {
+  for (const UpdateRec& u : initial_rib) {
     state.Slot(u.session, u.prefix) = u.path;
     ++table_sizes[u.session];
   }
@@ -226,7 +209,7 @@ ResultT FilterImpl(const std::vector<UpdateT>& initial_rib,
   std::vector<SessionId> burst_sessions;
   DetectBursts(updates, table_sizes, max_session, params, bursts, burst_sessions);
 
-  ResultT result;
+  FilteredRecords result;
   result.stats.input_updates = updates.size();
   for (const SessionId session : burst_sessions) {
     result.stats.bursts_detected += bursts[session].size();
@@ -240,7 +223,7 @@ ResultT FilterImpl(const std::vector<UpdateT>& initial_rib,
   struct BurstBuffer {
     std::int64_t flush_after = 0;
     // Last update per prefix within the burst, plus how many were buffered.
-    std::unordered_map<std::uint64_t, std::pair<UpdateT, std::size_t>> final_updates;
+    std::unordered_map<std::uint64_t, std::pair<UpdateRec, std::size_t>> final_updates;
   };
   PerSession<BurstBuffer> buffers(max_session);
 
@@ -254,8 +237,8 @@ ResultT FilterImpl(const std::vector<UpdateT>& initial_rib,
   // where every pass-through of that session is buffered, and two
   // survivors of one session come from different intervals — so the merge
   // reproduces the stable sort of the interleaved sequence exactly.
-  std::vector<UpdateT> flushed;
-  std::vector<std::pair<std::uint64_t, std::pair<UpdateT, std::size_t>*>> flush_order;
+  std::vector<UpdateRec> flushed;
+  std::vector<std::pair<std::uint64_t, std::pair<UpdateRec, std::size_t>*>> flush_order;
 
   auto flush = [&](SessionId session, BurstBuffer& buffer) {
     flush_order.clear();
@@ -270,7 +253,7 @@ ResultT FilterImpl(const std::vector<UpdateT>& initial_rib,
       auto& current = state.Slot(session, update.prefix);
       const bool is_announce = update.type == UpdateType::kAnnounce;
       const bool changes_state =
-          is_announce ? (!current || !(*current == update.path)) : current.has_value();
+          is_announce ? (!current || *current != update.path) : current.has_value();
       if (changes_state) {
         result.stats.burst_updates_removed += count - 1;
         if (is_announce) {
@@ -278,7 +261,7 @@ ResultT FilterImpl(const std::vector<UpdateT>& initial_rib,
         } else {
           current.reset();
         }
-        flushed.push_back(std::move(update));
+        flushed.push_back(update);
       } else {
         // Net no-op: the whole burst group is an artifact.
         result.stats.burst_updates_removed += count;
@@ -287,18 +270,18 @@ ResultT FilterImpl(const std::vector<UpdateT>& initial_rib,
     buffer.final_updates.clear();
   };
 
-  const auto key_less = [](const UpdateT& a, const UpdateT& b) {
+  const auto key_less = [](const UpdateRec& a, const UpdateRec& b) {
     return std::tie(a.time.seconds, a.session, a.prefix) <
            std::tie(b.time.seconds, b.session, b.prefix);
   };
   bool pass_through_sorted = true;
 
   // Two-pointer in-place compaction: `write` trails `read`, dropped and
-  // buffered updates leave no hole. A buffered update is moved out before
+  // buffered updates leave no hole. A buffered update is copied out before
   // the slot can be overwritten (write <= read always).
   std::size_t write = 0;
   for (std::size_t read = 0; read < updates.size(); ++read) {
-    UpdateT& u = updates[read];
+    const UpdateRec& u = updates[read];
     const std::vector<BurstInterval>& intervals = bursts[u.session];
     if (!intervals.empty()) {
       // Only sessions with detected bursts ever buffer, so the buffer and
@@ -310,12 +293,10 @@ ResultT FilterImpl(const std::vector<UpdateT>& initial_rib,
       if (InBurst(intervals, u.time.seconds, cursors[u.session])) {
         const auto& interval = intervals[cursors[u.session]];
         buffer.flush_after = interval.end;
-        // try_emplace leaves its arguments untouched when the key exists,
-        // so the move only happens on actual insertion.
         auto [it, inserted] = buffer.final_updates.try_emplace(
-            PackPrefix(u.prefix), std::move(u), std::size_t{1});
+            PackPrefix(u.prefix), u, std::size_t{1});
         if (!inserted) {
-          it->second.first = std::move(u);
+          it->second.first = u;
           ++it->second.second;
         }
         continue;
@@ -340,7 +321,7 @@ ResultT FilterImpl(const std::vector<UpdateT>& initial_rib,
     if (pass_through_sorted && write > 0 && key_less(u, updates[write - 1])) {
       pass_through_sorted = false;
     }
-    if (write != read) updates[write] = std::move(u);
+    if (write != read) updates[write] = u;
     ++write;
   }
   for (const SessionId session : burst_sessions) {
@@ -349,21 +330,20 @@ ResultT FilterImpl(const std::vector<UpdateT>& initial_rib,
   }
   updates.resize(write);
   if (!flushed.empty() || !pass_through_sorted) {
-    CanonicalSort(flushed);
+    feed::SortRecords(flushed);
     // Every burst survivor replaces at least one buffered (dropped)
     // update, so write + flushed fits in the original capacity — no
     // reallocation here.
     const auto mid = static_cast<std::ptrdiff_t>(write);
-    updates.insert(updates.end(), std::make_move_iterator(flushed.begin()),
-                   std::make_move_iterator(flushed.end()));
+    updates.insert(updates.end(), flushed.begin(), flushed.end());
     if (pass_through_sorted) {
       std::inplace_merge(updates.begin(), updates.begin() + mid, updates.end(),
                          key_less);
     } else {
-      // Time-ordered but not canonically sorted input: fall back to the
-      // historical full stable sort. No equal keys pair across the two
-      // runs (see above), so concatenation order is unobservable.
-      CanonicalSort(updates);
+      // Time-ordered but not canonically sorted input: fall back to a
+      // full stable sort. No equal keys pair across the two runs (see
+      // above), so concatenation order is unobservable.
+      feed::SortRecords(updates);
     }
   }
   result.updates = std::move(updates);
@@ -387,21 +367,6 @@ ResultT FilterImpl(const std::vector<UpdateT>& initial_rib,
                     {"bursts", std::to_string(result.stats.bursts_detected)}});
   }
   return result;
-}
-
-}  // namespace
-
-FilteredUpdates FilterSessionResets(const std::vector<BgpUpdate>& initial_rib,
-                                    const std::vector<BgpUpdate>& updates,
-                                    const ResetFilterParams& params) {
-  return FilterImpl<BgpUpdate, FilteredUpdates>(initial_rib, updates, params);
-}
-
-FilteredRecords FilterSessionRecords(const std::vector<feed::UpdateRec>& initial_rib,
-                                     std::vector<feed::UpdateRec> updates,
-                                     const ResetFilterParams& params) {
-  return FilterImpl<feed::UpdateRec, FilteredRecords>(initial_rib, std::move(updates),
-                                                      params);
 }
 
 }  // namespace quicksand::bgp

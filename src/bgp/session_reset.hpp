@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bgp/feed.hpp"
-#include "bgp/update.hpp"
 
 namespace quicksand::bgp {
 
@@ -42,36 +41,24 @@ struct ResetFilterStats {
   std::size_t output_updates = 0;
 };
 
-/// A filtered stream plus its statistics.
-struct FilteredUpdates {
-  std::vector<BgpUpdate> updates;
-  ResetFilterStats stats;
-};
-
-/// Removes session-reset artifacts from a time-ordered update stream.
-/// `initial_rib` provides each session's table at t=0 (used both for the
-/// duplicate check and to size the burst threshold).
-/// Throws std::invalid_argument if `updates` is not time-ordered.
-[[nodiscard]] FilteredUpdates FilterSessionResets(
-    const std::vector<BgpUpdate>& initial_rib, const std::vector<BgpUpdate>& updates,
-    const ResetFilterParams& params = {});
-
 /// A filtered record stream plus its statistics.
 struct FilteredRecords {
   std::vector<feed::UpdateRec> updates;
   ResetFilterStats stats;
 };
 
-/// Record-plane FilterSessionResets: same algorithm, same statistics and
-/// metrics, but updates carry interned path ids instead of hop vectors,
-/// so the duplicate check is an integer compare and no path is ever
-/// copied. REQUIRES that `initial_rib` and `updates` were interned into
-/// the SAME AsPathTable: interning is canonical, so within one table
-/// id equality is path equality — across tables it is meaningless.
-/// Produces exactly the record sequence FilterSessionResets would produce
-/// on the materialized feed. Takes `updates` by value and filters it in
-/// place — survivors are compacted into the same buffer, so the hot path
-/// never copies the feed.
+/// Removes session-reset artifacts from a time-ordered record stream.
+/// `initial_rib` provides each session's table at t=0 (used both for the
+/// duplicate check and to size the burst threshold). Paths are compared
+/// by interned id, so the duplicate check is an integer compare and no
+/// path is ever copied. REQUIRES that `initial_rib` and `updates` were
+/// interned into the SAME AsPathTable: interning is canonical, so within
+/// one table id equality is path equality — across tables it is
+/// meaningless. Takes `updates` by value and filters it in place —
+/// survivors are compacted into the same buffer, so the hot path never
+/// copies the feed. The output is in canonical (time, session, prefix)
+/// order: the stable sort of the surviving records.
+/// Throws std::invalid_argument if `updates` is not time-ordered.
 [[nodiscard]] FilteredRecords FilterSessionRecords(
     const std::vector<feed::UpdateRec>& initial_rib,
     std::vector<feed::UpdateRec> updates, const ResetFilterParams& params = {});

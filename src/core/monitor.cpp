@@ -55,27 +55,20 @@ RelayMonitor::RelayMonitor(std::unordered_set<netbase::Prefix> monitored,
   for (const netbase::Prefix& prefix : monitored_) monitored_trie_.Insert(prefix, 0);
 }
 
-void RelayMonitor::LearnImpl(const netbase::Prefix& prefix, bgp::UpdateType type,
-                             const bgp::AsPath& path) {
-  if (type != bgp::UpdateType::kAnnounce || path.empty()) return;
-  if (!monitored_.contains(prefix)) return;
+void RelayMonitor::LearnRecord(const bgp::feed::UpdateRec& rec,
+                               const bgp::feed::AsPathTable& table) {
+  const bgp::AsPath& path = table.Path(rec.path);
+  if (rec.type != bgp::UpdateType::kAnnounce || path.empty()) return;
+  if (!monitored_.contains(rec.prefix)) return;
   const auto& hops = path.hops();
-  legit_origins_[prefix].insert(hops.back());
+  legit_origins_[rec.prefix].insert(hops.back());
   // The upstream is the AS adjacent to the origin (skipping prepends).
   for (std::size_t i = hops.size(); i-- > 0;) {
     if (hops[i] != hops.back()) {
-      known_upstreams_[prefix].insert(hops[i]);
+      known_upstreams_[rec.prefix].insert(hops[i]);
       break;
     }
   }
-}
-
-void RelayMonitor::Learn(const bgp::BgpUpdate& update) {
-  LearnImpl(update.prefix, update.type, update.path);
-}
-
-void RelayMonitor::LearnBaseline(std::span<const bgp::BgpUpdate> initial_rib) {
-  for (const bgp::BgpUpdate& update : initial_rib) Learn(update);
 }
 
 void RelayMonitor::LearnBaselineStream(bgp::feed::UpdateStream& stream) {
@@ -83,21 +76,6 @@ void RelayMonitor::LearnBaselineStream(bgp::feed::UpdateStream& stream) {
   while (stream.Next(batch)) {
     for (const bgp::feed::UpdateRec& rec : batch) LearnRecord(rec, *stream.paths());
   }
-}
-
-void RelayMonitor::LearnRecord(const bgp::feed::UpdateRec& rec,
-                               const bgp::feed::AsPathTable& table) {
-  LearnImpl(rec.prefix, rec.type, table.Path(rec.path));
-}
-
-std::vector<Alert> RelayMonitor::Consume(const bgp::BgpUpdate& update) {
-  return ConsumeImpl(update.time, update.session, update.prefix, update.type,
-                     update.path);
-}
-
-std::vector<Alert> RelayMonitor::ConsumeRecord(const bgp::feed::UpdateRec& rec,
-                                               const bgp::feed::AsPathTable& table) {
-  return ConsumeImpl(rec.time, rec.session, rec.prefix, rec.type, table.Path(rec.path));
 }
 
 std::size_t RelayMonitor::ConsumeStream(bgp::feed::UpdateStream& stream) {
@@ -111,15 +89,16 @@ std::size_t RelayMonitor::ConsumeStream(bgp::feed::UpdateStream& stream) {
   return raised;
 }
 
-std::vector<Alert> RelayMonitor::ConsumeImpl(netbase::SimTime time,
-                                             bgp::SessionId session,
-                                             const netbase::Prefix& prefix,
-                                             bgp::UpdateType type,
-                                             const bgp::AsPath& path) {
+std::vector<Alert> RelayMonitor::ConsumeRecord(const bgp::feed::UpdateRec& rec,
+                                               const bgp::feed::AsPathTable& table) {
   MonitorMetrics& metrics = MonitorMetrics::Get();
   metrics.consumed.Increment();
   std::vector<Alert> raised;
-  if (type != bgp::UpdateType::kAnnounce || path.empty()) return raised;
+  const bgp::AsPath& path = table.Path(rec.path);
+  if (rec.type != bgp::UpdateType::kAnnounce || path.empty()) return raised;
+  const netbase::SimTime time = rec.time;
+  const bgp::SessionId session = rec.session;
+  const netbase::Prefix& prefix = rec.prefix;
   const bgp::AsNumber origin = path.origin();
 
   if (monitored_.contains(prefix)) {

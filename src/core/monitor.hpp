@@ -19,14 +19,12 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "bgp/feed.hpp"
-#include "bgp/update.hpp"
 #include "netbase/prefix.hpp"
 #include "netbase/prefix_trie.hpp"
 
@@ -94,29 +92,22 @@ class RelayMonitor {
   /// learned from the initial RIB (pre-attack ground truth).
   RelayMonitor(std::unordered_set<netbase::Prefix> monitored, MonitorParams params = {});
 
-  /// Learns legitimate origins/upstreams; no alerts are raised.
-  void LearnBaseline(std::span<const bgp::BgpUpdate> initial_rib);
+  /// Learns legitimate origins/upstreams from one compact baseline record
+  /// whose path id indexes `table`; no alerts are raised.
+  void LearnRecord(const bgp::feed::UpdateRec& rec, const bgp::feed::AsPathTable& table);
 
-  /// Processes one update; returns any alerts it triggered.
-  [[nodiscard]] std::vector<Alert> Consume(const bgp::BgpUpdate& update);
+  /// Drains `stream` (the initial RIB), feeding every record through
+  /// LearnRecord.
+  void LearnBaselineStream(bgp::feed::UpdateStream& stream);
 
-  /// Same, for one compact record whose path id indexes `table` — the
-  /// streaming pipelines' entry point. Identical alert decisions and
-  /// metric behavior to Consume on the materialized form.
+  /// Processes one compact record whose path id indexes `table`; returns
+  /// any alerts it triggered.
   [[nodiscard]] std::vector<Alert> ConsumeRecord(const bgp::feed::UpdateRec& rec,
                                                  const bgp::feed::AsPathTable& table);
 
   /// Drains `stream`, feeding every record through ConsumeRecord. Alerts
   /// accumulate in alerts(); returns how many this drain raised.
   std::size_t ConsumeStream(bgp::feed::UpdateStream& stream);
-
-  /// Learns the baseline from a stream instead of a materialized RIB.
-  void LearnBaselineStream(bgp::feed::UpdateStream& stream);
-
-  /// Learns one compact baseline record — for callers (the resident
-  /// daemon) that drain one RIB stream into several consumers and so
-  /// cannot hand the stream to LearnBaselineStream.
-  void LearnRecord(const bgp::feed::UpdateRec& rec, const bgp::feed::AsPathTable& table);
 
   /// Alerts suppressed because the same (prefix, suspect, kind) anomaly
   /// had already alerted.
@@ -147,16 +138,6 @@ class RelayMonitor {
   /// The daemon's warm-restart codec serializes learned baselines and
   /// idempotence sets (src/daemon/state_codec.cpp).
   friend struct quicksand::daemon::StateCodec;
-
-  void Learn(const bgp::BgpUpdate& update);
-  void LearnImpl(const netbase::Prefix& prefix, bgp::UpdateType type,
-                 const bgp::AsPath& path);
-  /// Common alert path for materialized and record consumption.
-  [[nodiscard]] std::vector<Alert> ConsumeImpl(netbase::SimTime time,
-                                               bgp::SessionId session,
-                                               const netbase::Prefix& prefix,
-                                               bgp::UpdateType type,
-                                               const bgp::AsPath& path);
 
   MonitorParams params_;
   std::unordered_set<netbase::Prefix> monitored_;

@@ -297,57 +297,4 @@ void FaultInjector::WriteMrtFile(const std::string& path,
             [&path, &updates] { bgp::mrt::WriteFile(path, updates); });
 }
 
-bgp::feed::FeedStage FaultInjector::PerturbStage(std::vector<bgp::BgpUpdate> initial_rib,
-                                                 std::shared_ptr<StreamFaultStats> stats,
-                                                 std::size_t batch_size) const {
-  if (batch_size == 0) batch_size = bgp::feed::kDefaultBatchSize;
-  auto rib = std::make_shared<std::vector<bgp::BgpUpdate>>(std::move(initial_rib));
-  // Injectors are cheap value types; the stage carries its own copy so it
-  // can outlive `this`.
-  FaultInjector injector = *this;
-  return [injector = std::move(injector), rib = std::move(rib), stats = std::move(stats),
-          batch_size](bgp::feed::UpdateStream upstream) -> bgp::feed::UpdateStream {
-    struct State {
-      FaultInjector injector;
-      std::shared_ptr<std::vector<bgp::BgpUpdate>> rib;
-      std::shared_ptr<StreamFaultStats> stats;
-      bgp::feed::UpdateStream upstream;
-      bool drained = false;
-      std::vector<bgp::feed::UpdateRec> records;
-      std::size_t next = 0;
-      State(FaultInjector inj) : injector(std::move(inj)) {}
-    };
-    auto table = upstream.paths();
-    auto state = std::make_shared<State>(injector);
-    state->rib = rib;
-    state->stats = stats;
-    state->upstream = std::move(upstream);
-    bgp::feed::AsPathTable* raw_table = table.get();
-    return bgp::feed::UpdateStream(
-        std::move(table),
-        [state = std::move(state), raw_table,
-         batch_size](std::vector<bgp::feed::UpdateRec>& out) {
-          if (!state->drained) {
-            // Lazy whole-feed perturbation on first pull.
-            const std::vector<bgp::BgpUpdate> input =
-                bgp::feed::Materialize(std::move(state->upstream));
-            FaultedStream faulted = state->injector.PerturbStream(*state->rib, input);
-            if (state->stats) *state->stats = faulted.stats;
-            state->records.reserve(faulted.updates.size());
-            for (const bgp::BgpUpdate& u : faulted.updates) {
-              state->records.push_back(bgp::feed::ToRecord(u, *raw_table));
-            }
-            state->drained = true;
-          }
-          if (state->next >= state->records.size()) return false;
-          const std::size_t end =
-              std::min(state->next + batch_size, state->records.size());
-          out.assign(state->records.begin() + static_cast<std::ptrdiff_t>(state->next),
-                     state->records.begin() + static_cast<std::ptrdiff_t>(end));
-          state->next = end;
-          return true;
-        });
-  };
-}
-
 }  // namespace quicksand::fault

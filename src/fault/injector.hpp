@@ -12,7 +12,6 @@
 // nothing, byte for byte).
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "bgp/collector.hpp"
-#include "bgp/feed.hpp"
 #include "bgp/update.hpp"
 #include "fault/fault_plan.hpp"
 #include "netbase/rng.hpp"
@@ -107,19 +105,6 @@ class FaultInjector {
   [[nodiscard]] FaultedStream PerturbStream(
       std::span<const bgp::BgpUpdate> initial_rib,
       std::span<const bgp::BgpUpdate> updates) const;
-
-  /// Choke point 2 as a composable feed stage. Flap resync and the final
-  /// canonical re-sort are whole-feed operations, so this is a documented
-  /// drain-transform-re-emit stage: the first pull of its output drains
-  /// the upstream, runs PerturbStream against `initial_rib`, and re-emits
-  /// the perturbed feed in `batch_size` chunks on the upstream's table.
-  /// Output content is identical to the materialized PerturbStream for
-  /// every batch size (a zero-rate plan re-emits the input byte for
-  /// byte); `stats`, when set, receives the stream fault statistics.
-  [[nodiscard]] bgp::feed::FeedStage PerturbStage(
-      std::vector<bgp::BgpUpdate> initial_rib,
-      std::shared_ptr<StreamFaultStats> stats = nullptr,
-      std::size_t batch_size = bgp::feed::kDefaultBatchSize) const;
 
   /// Choke point 3 — file I/O. mrt::ReadFile / mrt::WriteFile wrapped in
   /// util::Retry, with transient failures injected before the real

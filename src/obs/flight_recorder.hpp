@@ -2,13 +2,14 @@
 
 // Per-stage flight recorder for streaming pipelines.
 //
-// A pipeline stage that moves batches (the feed data plane's
-// `FeedStage`s, but anything batch-shaped qualifies) registers a named
-// `FlightRecorder::Stage` and records, per batch: item count, hand-off
-// bytes, and the wall time spent producing it. Because pull pipelines
-// nest — a stage's `Next` includes all upstream work — each stage also
-// records the time it spent *inside its upstream's* `Next`, and the
-// recorder reports `self = wall - upstream`, the stage's own cost.
+// A pipeline stage that moves batches (the feed data plane's parse,
+// sanitize and churn steps, but anything batch-shaped qualifies)
+// registers a named `FlightRecorder::Stage` and records, per batch: item
+// count, hand-off bytes, and the wall time spent producing it. Because
+// pull pipelines nest — a stage's `Next` includes all upstream work —
+// each stage also records the time it spent *inside its upstream's*
+// `Next`, and the recorder reports `self = wall - upstream`, the stage's
+// own cost.
 //
 // Stages are kept in registration order (pipeline order), so a snapshot
 // renders directly as the parse → sanitize → churn breakdown table that

@@ -4,6 +4,8 @@
 
 #include <unordered_set>
 
+#include "record_fixture.hpp"
+
 namespace quicksand::bgp {
 namespace {
 
@@ -27,10 +29,11 @@ const SessionPrefixChurn& EntryOf(const ChurnAnalyzer& analyzer, SessionId s,
 
 TEST(ChurnAnalyzer, CountsPathChangesByAsSet) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2 3"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 9 3"));    // change
-  analyzer.Consume(Announce(200, 0, "10.0.0.0/8", "1 9 3 3"));  // prepend: no change
-  analyzer.Consume(Announce(300, 0, "10.0.0.0/8", "1 2 3"));    // change back
+  test::RecordFixture fx;
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2 3"));
+  fx.Feed(analyzer, Announce(100, 0, "10.0.0.0/8", "1 9 3"));    // change
+  fx.Feed(analyzer, Announce(200, 0, "10.0.0.0/8", "1 9 3 3"));  // prepend: no change
+  fx.Feed(analyzer, Announce(300, 0, "10.0.0.0/8", "1 2 3"));    // change back
   analyzer.Finish();
   const auto& entry = EntryOf(analyzer, 0, "10.0.0.0/8");
   EXPECT_EQ(entry.path_changes, 2u);
@@ -40,22 +43,24 @@ TEST(ChurnAnalyzer, CountsPathChangesByAsSet) {
 
 TEST(ChurnAnalyzer, WithdrawIsNotAPathChange) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2 3"));
-  analyzer.Consume(Withdraw(100, 0, "10.0.0.0/8"));
-  analyzer.Consume(Announce(200, 0, "10.0.0.0/8", "1 2 3"));  // same path again
+  test::RecordFixture fx;
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2 3"));
+  fx.Feed(analyzer, Withdraw(100, 0, "10.0.0.0/8"));
+  fx.Feed(analyzer, Announce(200, 0, "10.0.0.0/8", "1 2 3"));  // same path again
   analyzer.Finish();
   EXPECT_EQ(EntryOf(analyzer, 0, "10.0.0.0/8").path_changes, 0u);
 }
 
 TEST(ChurnAnalyzer, ExtraAsRequiresDwellThreshold) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2 3"));
+  test::RecordFixture fx;
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2 3"));
   // AS 9 appears for only 60 s: below the 5-minute threshold.
-  analyzer.Consume(Announce(1000, 0, "10.0.0.0/8", "1 9 3"));
-  analyzer.Consume(Announce(1060, 0, "10.0.0.0/8", "1 2 3"));
+  fx.Feed(analyzer, Announce(1000, 0, "10.0.0.0/8", "1 9 3"));
+  fx.Feed(analyzer, Announce(1060, 0, "10.0.0.0/8", "1 2 3"));
   // AS 7 appears for a full hour: qualifies.
-  analyzer.Consume(Announce(2000, 0, "10.0.0.0/8", "1 7 3"));
-  analyzer.Consume(Announce(2000 + 3600, 0, "10.0.0.0/8", "1 2 3"));
+  fx.Feed(analyzer, Announce(2000, 0, "10.0.0.0/8", "1 7 3"));
+  fx.Feed(analyzer, Announce(2000 + 3600, 0, "10.0.0.0/8", "1 2 3"));
   analyzer.Finish();
   const auto& entry = EntryOf(analyzer, 0, "10.0.0.0/8");
   EXPECT_EQ(entry.qualifying_extra_ases, (std::vector<AsNumber>{7}));
@@ -63,10 +68,11 @@ TEST(ChurnAnalyzer, ExtraAsRequiresDwellThreshold) {
 
 TEST(ChurnAnalyzer, SubThresholdAsIsGlimpsedNotQualifying) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2 3"));
+  test::RecordFixture fx;
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2 3"));
   // AS 9 on path for 60 s: a convergence-style glimpse.
-  analyzer.Consume(Announce(1000, 0, "10.0.0.0/8", "1 9 3"));
-  analyzer.Consume(Announce(1060, 0, "10.0.0.0/8", "1 2 3"));
+  fx.Feed(analyzer, Announce(1000, 0, "10.0.0.0/8", "1 9 3"));
+  fx.Feed(analyzer, Announce(1060, 0, "10.0.0.0/8", "1 2 3"));
   analyzer.Finish();
   const auto& entry = EntryOf(analyzer, 0, "10.0.0.0/8");
   EXPECT_TRUE(entry.qualifying_extra_ases.empty());
@@ -75,12 +81,13 @@ TEST(ChurnAnalyzer, SubThresholdAsIsGlimpsedNotQualifying) {
 
 TEST(ChurnAnalyzer, QualifyingAsIsNeverAlsoGlimpsed) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
+  test::RecordFixture fx;
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
   // First a short appearance, later a long one: qualifies, not glimpsed.
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 9 2"));
-  analyzer.Consume(Announce(160, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(5000, 0, "10.0.0.0/8", "1 9 2"));
-  analyzer.Consume(Announce(5000 + 3600, 0, "10.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(100, 0, "10.0.0.0/8", "1 9 2"));
+  fx.Feed(analyzer, Announce(160, 0, "10.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(5000, 0, "10.0.0.0/8", "1 9 2"));
+  fx.Feed(analyzer, Announce(5000 + 3600, 0, "10.0.0.0/8", "1 2"));
   analyzer.Finish();
   const auto& entry = EntryOf(analyzer, 0, "10.0.0.0/8");
   EXPECT_EQ(entry.qualifying_extra_ases, (std::vector<AsNumber>{9}));
@@ -89,16 +96,17 @@ TEST(ChurnAnalyzer, QualifyingAsIsNeverAlsoGlimpsed) {
 
 TEST(ChurnAnalyzer, GlimpsedCountPerPrefixExcludesQualified) {
   ChurnAnalyzer analyzer;
+  test::RecordFixture fx;
   // Session 0: AS 9 glimpsed; session 1: AS 9 stays long (qualifies).
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 9 2"));
-  analyzer.Consume(Announce(160, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(0, 1, "10.0.0.0/8", "4 2"));
-  analyzer.Consume(Announce(100, 1, "10.0.0.0/8", "4 9 2"));
-  analyzer.Consume(Announce(90000, 1, "10.0.0.0/8", "4 2"));
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(100, 0, "10.0.0.0/8", "1 9 2"));
+  fx.Feed(analyzer, Announce(160, 0, "10.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(0, 1, "10.0.0.0/8", "4 2"));
+  fx.Feed(analyzer, Announce(100, 1, "10.0.0.0/8", "4 9 2"));
+  fx.Feed(analyzer, Announce(90000, 1, "10.0.0.0/8", "4 2"));
   // And AS 8 glimpsed on session 0 only.
-  analyzer.Consume(Announce(5000, 0, "10.0.0.0/8", "1 8 2"));
-  analyzer.Consume(Announce(5050, 0, "10.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(5000, 0, "10.0.0.0/8", "1 8 2"));
+  fx.Feed(analyzer, Announce(5050, 0, "10.0.0.0/8", "1 2"));
   analyzer.Finish();
   const auto glimpsed = analyzer.GlimpsedAsCountPerPrefix();
   // AS 9 qualified somewhere, so only AS 8 is glimpse-only for the prefix.
@@ -107,9 +115,10 @@ TEST(ChurnAnalyzer, GlimpsedCountPerPrefixExcludesQualified) {
 
 TEST(ChurnAnalyzer, ExtraAsAtExactThresholdQualifies) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 5 2"));
-  analyzer.Consume(Announce(100 + kAttackDwellThreshold, 0, "10.0.0.0/8", "1 2"));
+  test::RecordFixture fx;
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(100, 0, "10.0.0.0/8", "1 5 2"));
+  fx.Feed(analyzer, Announce(100 + kAttackDwellThreshold, 0, "10.0.0.0/8", "1 2"));
   analyzer.Finish();
   EXPECT_EQ(EntryOf(analyzer, 0, "10.0.0.0/8").qualifying_extra_ases,
             (std::vector<AsNumber>{5}));
@@ -117,9 +126,10 @@ TEST(ChurnAnalyzer, ExtraAsAtExactThresholdQualifies) {
 
 TEST(ChurnAnalyzer, BaselineAsesNeverCountAsExtra) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2 3"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 2"));       // 3 leaves
-  analyzer.Consume(Announce(90000, 0, "10.0.0.0/8", "1 2 3"));   // 3 returns, long
+  test::RecordFixture fx;
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2 3"));
+  fx.Feed(analyzer, Announce(100, 0, "10.0.0.0/8", "1 2"));       // 3 leaves
+  fx.Feed(analyzer, Announce(90000, 0, "10.0.0.0/8", "1 2 3"));   // 3 returns, long
   analyzer.Finish();
   EXPECT_TRUE(EntryOf(analyzer, 0, "10.0.0.0/8").qualifying_extra_ases.empty());
 }
@@ -128,8 +138,9 @@ TEST(ChurnAnalyzer, OpenIntervalClosedAtWindowEnd) {
   ChurnParams params;
   params.window_end_s = 10000;
   ChurnAnalyzer analyzer(params);
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(9000, 0, "10.0.0.0/8", "1 8 2"));  // stays until end
+  test::RecordFixture fx;
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(9000, 0, "10.0.0.0/8", "1 8 2"));  // stays until end
   analyzer.Finish();
   EXPECT_EQ(EntryOf(analyzer, 0, "10.0.0.0/8").qualifying_extra_ases,
             (std::vector<AsNumber>{8}));
@@ -137,35 +148,38 @@ TEST(ChurnAnalyzer, OpenIntervalClosedAtWindowEnd) {
 
 TEST(ChurnAnalyzer, WithdrawClosesExtraAsIntervals) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 8 2"));
-  analyzer.Consume(Withdraw(160, 0, "10.0.0.0/8"));  // AS8 on path only 60 s
+  test::RecordFixture fx;
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(100, 0, "10.0.0.0/8", "1 8 2"));
+  fx.Feed(analyzer, Withdraw(160, 0, "10.0.0.0/8"));  // AS8 on path only 60 s
   analyzer.Finish();
   EXPECT_TRUE(EntryOf(analyzer, 0, "10.0.0.0/8").qualifying_extra_ases.empty());
 }
 
 TEST(ChurnAnalyzer, InitialRibSetsBaseline) {
   ChurnAnalyzer analyzer;
+  test::RecordFixture fx;
   const std::vector<BgpUpdate> rib = {Announce(0, 0, "10.0.0.0/8", "1 2 3")};
-  analyzer.ConsumeInitialRib(rib);
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 9 3"));
+  fx.Feed(analyzer, rib);
+  fx.Feed(analyzer, Announce(100, 0, "10.0.0.0/8", "1 9 3"));
   analyzer.Finish();
   EXPECT_EQ(EntryOf(analyzer, 0, "10.0.0.0/8").path_changes, 1u);
 }
 
 TEST(ChurnAnalyzer, MedianAndRatios) {
   ChurnAnalyzer analyzer;
+  test::RecordFixture fx;
   // Session 0: three prefixes with 0, 2, and 10 changes.
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(0, 0, "11.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(0, 0, "12.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(0, 0, "11.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(0, 0, "12.0.0.0/8", "1 2"));
   for (int i = 0; i < 2; ++i) {
-    analyzer.Consume(Announce(100 + i * 100, 0, "11.0.0.0/8",
-                              i % 2 == 0 ? "1 9" : "1 2"));
+    fx.Feed(analyzer, Announce(100 + i * 100, 0, "11.0.0.0/8",
+                               i % 2 == 0 ? "1 9" : "1 2"));
   }
   for (int i = 0; i < 10; ++i) {
-    analyzer.Consume(Announce(1000 + i * 100, 0, "12.0.0.0/8",
-                              i % 2 == 0 ? "1 9" : "1 2"));
+    fx.Feed(analyzer, Announce(1000 + i * 100, 0, "12.0.0.0/8",
+                               i % 2 == 0 ? "1 9" : "1 2"));
   }
   analyzer.Finish();
   EXPECT_DOUBLE_EQ(analyzer.MedianPathChanges(0), 2.0);
@@ -178,9 +192,10 @@ TEST(ChurnAnalyzer, MedianAndRatios) {
 
 TEST(ChurnAnalyzer, RatioUsesFloorWhenMedianZero) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 9"));
-  analyzer.Consume(Announce(200, 0, "10.0.0.0/8", "1 2"));
+  test::RecordFixture fx;
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(100, 0, "10.0.0.0/8", "1 9"));
+  fx.Feed(analyzer, Announce(200, 0, "10.0.0.0/8", "1 2"));
   analyzer.Finish();
   // Median over the single prefix is 2; with only one prefix the target
   // ratio is 1. Use a fresh case: single prefix, zero changes elsewhere.
@@ -192,13 +207,14 @@ TEST(ChurnAnalyzer, RatioUsesFloorWhenMedianZero) {
 
 TEST(ChurnAnalyzer, ExtraAsCountUnionsAcrossSessions) {
   ChurnAnalyzer analyzer;
+  test::RecordFixture fx;
   // Same prefix on two sessions, different extra ASes.
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(0, 1, "10.0.0.0/8", "4 2"));
-  analyzer.Consume(Announce(100, 0, "10.0.0.0/8", "1 7 2"));
-  analyzer.Consume(Announce(100, 1, "10.0.0.0/8", "4 8 2"));
-  analyzer.Consume(Announce(90000, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(90000, 1, "10.0.0.0/8", "4 2"));
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(0, 1, "10.0.0.0/8", "4 2"));
+  fx.Feed(analyzer, Announce(100, 0, "10.0.0.0/8", "1 7 2"));
+  fx.Feed(analyzer, Announce(100, 1, "10.0.0.0/8", "4 8 2"));
+  fx.Feed(analyzer, Announce(90000, 0, "10.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(90000, 1, "10.0.0.0/8", "4 2"));
   analyzer.Finish();
   const auto counts = analyzer.ExtraAsCountPerPrefix();
   EXPECT_EQ(counts.at(Prefix::MustParse("10.0.0.0/8")), 2u);  // {7, 8}
@@ -206,9 +222,10 @@ TEST(ChurnAnalyzer, ExtraAsCountUnionsAcrossSessions) {
 
 TEST(ChurnAnalyzer, SessionsPerPrefixAndPrefixesPerSession) {
   ChurnAnalyzer analyzer;
-  analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1 2"));
-  analyzer.Consume(Announce(0, 1, "10.0.0.0/8", "4 2"));
-  analyzer.Consume(Announce(0, 0, "11.0.0.0/8", "1 3"));
+  test::RecordFixture fx;
+  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
+  fx.Feed(analyzer, Announce(0, 1, "10.0.0.0/8", "4 2"));
+  fx.Feed(analyzer, Announce(0, 0, "11.0.0.0/8", "1 3"));
   analyzer.Finish();
   EXPECT_EQ(analyzer.SessionsPerPrefix().at(Prefix::MustParse("10.0.0.0/8")), 2u);
   EXPECT_EQ(analyzer.PrefixesPerSession().at(0), 2u);
@@ -217,9 +234,10 @@ TEST(ChurnAnalyzer, SessionsPerPrefixAndPrefixesPerSession) {
 
 TEST(ChurnAnalyzer, LifecycleEnforced) {
   ChurnAnalyzer analyzer;
+  test::RecordFixture fx;
   EXPECT_THROW((void)analyzer.entries(), std::logic_error);
   analyzer.Finish();
-  EXPECT_THROW(analyzer.Consume(Announce(0, 0, "10.0.0.0/8", "1")), std::logic_error);
+  EXPECT_THROW(fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1")), std::logic_error);
   EXPECT_NO_THROW(analyzer.Finish());  // idempotent
 }
 

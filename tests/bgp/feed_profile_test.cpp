@@ -57,23 +57,20 @@ TEST(FeedProfileDisabled, WrappersAreIdentity) {
   // Recorder disabled (the default): no stage is registered and the
   // stream contents pass through untouched.
   obs::FlightRecorder::Global().Reset();
+  const std::vector<BgpUpdate> updates = SampleFeed();
   auto table = std::make_shared<feed::AsPathTable>();
-  const auto plain = Records(feed::FromOwnedVector(table, SampleFeed(), 3));
-  const auto wrapped = Records(feed::ProfiledStream(
-      "parse", feed::FromOwnedVector(table, SampleFeed(), 3)));
+  const auto plain = Records(feed::FromVector(table, updates, 3));
+  const auto wrapped =
+      Records(feed::ProfiledStream("parse", feed::FromVector(table, updates, 3)));
   EXPECT_EQ(plain, wrapped);
-  feed::FeedStage identity = feed::ProfiledStage(
-      "noop", [](feed::UpdateStream stream) { return stream; });
-  const auto staged =
-      Records(identity(feed::FromOwnedVector(table, SampleFeed(), 3)));
-  EXPECT_EQ(plain, staged);
   EXPECT_TRUE(obs::FlightRecorder::Global().Snapshot().empty());
 }
 
 TEST_F(FeedProfileTest, ProfiledStreamCountsBatches) {
+  const std::vector<BgpUpdate> updates = SampleFeed();
   auto table = std::make_shared<feed::AsPathTable>();
-  const auto records = Records(feed::ProfiledStream(
-      "parse", feed::FromOwnedVector(table, SampleFeed(), 4)));
+  const auto records =
+      Records(feed::ProfiledStream("parse", feed::FromVector(table, updates, 4)));
   EXPECT_EQ(records.size(), 10u);
   const auto snapshot = obs::FlightRecorder::Global().Snapshot();
   ASSERT_EQ(snapshot.size(), 1u);
@@ -86,33 +83,12 @@ TEST_F(FeedProfileTest, ProfiledStreamCountsBatches) {
   EXPECT_GE(stats.wall_us, 0);
 }
 
-TEST_F(FeedProfileTest, ProfiledStageSeparatesUpstreamTime) {
-  auto table = std::make_shared<feed::AsPathTable>();
-  feed::FeedStage identity = feed::ProfiledStage(
-      "noop", [](feed::UpdateStream stream) { return stream; });
-  const auto records =
-      Records(identity(feed::FromOwnedVector(table, SampleFeed(), 5)));
-  EXPECT_EQ(records.size(), 10u);
-  const auto snapshot = obs::FlightRecorder::Global().Snapshot();
-  ASSERT_EQ(snapshot.size(), 1u);
-  const obs::StageStats& stats = snapshot[0].second;
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_EQ(stats.items, 10u);
-  EXPECT_EQ(stats.peak_resident, 5u);
-  // The upstream timer nests inside the stage's own pull timer, so
-  // inclusive wall bounds upstream time, and self = wall - upstream.
-  EXPECT_GE(stats.wall_us, stats.upstream_us);
-  EXPECT_LE(stats.self_us(), stats.wall_us);
-  // Stream content is unchanged by the wrapper.
-  auto bare_table = std::make_shared<feed::AsPathTable>();
-  EXPECT_EQ(records, Records(feed::FromOwnedVector(bare_table, SampleFeed(), 5)));
-}
-
 TEST_F(FeedProfileTest, TalliedStreamAndSinkRecording) {
+  const std::vector<BgpUpdate> updates = SampleFeed();
   auto table = std::make_shared<feed::AsPathTable>();
   auto tally = std::make_shared<feed::StreamTally>();
   feed::UpdateStream tallied =
-      feed::TalliedStream(feed::FromOwnedVector(table, SampleFeed(), 4), tally);
+      feed::TalliedStream(feed::FromVector(table, updates, 4), tally);
   const obs::Stopwatch watch;
   const auto records = Records(std::move(tallied));
   EXPECT_EQ(records.size(), 10u);
@@ -129,6 +105,11 @@ TEST_F(FeedProfileTest, TalliedStreamAndSinkRecording) {
   EXPECT_EQ(stats.items, 10u);
   EXPECT_EQ(stats.bytes, 10u * sizeof(feed::UpdateRec));
   EXPECT_EQ(stats.peak_resident, 4u);
+  // Time spent pulling the input is the stage's upstream time: the
+  // stage's wall bounds it, and self = wall - upstream.
+  EXPECT_EQ(stats.upstream_us, tally->wall_us.load());
+  EXPECT_GE(stats.wall_us, stats.upstream_us);
+  EXPECT_LE(stats.self_us(), stats.wall_us);
 }
 
 TEST(FeedProfileDisabled, RecordSinkStageIsNoOp) {

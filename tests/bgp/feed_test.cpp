@@ -1,8 +1,8 @@
 // Tests for the streaming feed data plane (bgp/feed.hpp): AS-path
-// interning, chunked UpdateStream sources and adapters, stage
-// composition, and the equivalence contract — every stage/consumer must
-// produce output identical to its materialized counterpart for every
-// batch size and thread count (docs/ARCHITECTURE.md).
+// interning, chunked UpdateStream sources and adapters, and the
+// equivalence contract — every stream consumer must produce output
+// identical to record-by-record consumption for every batch size and
+// thread count (docs/ARCHITECTURE.md).
 
 #include "bgp/feed.hpp"
 
@@ -13,11 +13,10 @@
 #include <vector>
 
 #include "bgp/churn.hpp"
-#include "bgp/feed_sanitizer.hpp"
 #include "bgp/update.hpp"
 #include "core/monitor.hpp"
 #include "obs/metrics.hpp"
-#include "fault/injector.hpp"
+#include "record_fixture.hpp"
 
 namespace quicksand::bgp {
 namespace {
@@ -133,15 +132,6 @@ TEST(Feed, MaterializeRoundTripsEveryBatchSize) {
   }
 }
 
-TEST(Feed, FromOwnedVectorOutlivesItsSource) {
-  std::vector<BgpUpdate> updates = SampleFeed();
-  const std::vector<BgpUpdate> expected = updates;
-  feed::UpdateStream stream =
-      feed::FromOwnedVector(std::make_shared<feed::AsPathTable>(), std::move(updates), 2);
-  updates = {};  // the source vector is gone; the stream took ownership
-  EXPECT_EQ(feed::Materialize(std::move(stream)), expected);
-}
-
 TEST(Feed, DrainProducesCompactRecords) {
   const std::vector<BgpUpdate> updates = SampleFeed();
   auto table = std::make_shared<feed::AsPathTable>();
@@ -153,54 +143,11 @@ TEST(Feed, DrainProducesCompactRecords) {
   }
 }
 
-TEST(Feed, ComposeAppliesStagesInOrder) {
-  // Two content-transparent stages that tag which order they ran in by
-  // dropping records: first stage drops withdraws, second drops session 1.
-  const auto drop_withdraws = [](feed::UpdateStream upstream) {
-    auto state = std::make_shared<feed::UpdateStream>(std::move(upstream));
-    auto table = state->paths();
-    return feed::UpdateStream(table, [state](std::vector<feed::UpdateRec>& out) {
-      std::vector<feed::UpdateRec> batch;
-      while (state->Next(batch)) {
-        for (const feed::UpdateRec& rec : batch) {
-          if (rec.type == UpdateType::kAnnounce) out.push_back(rec);
-        }
-        if (!out.empty()) return true;
-      }
-      return !out.empty();
-    });
-  };
-  const auto drop_session_one = [](feed::UpdateStream upstream) {
-    auto state = std::make_shared<feed::UpdateStream>(std::move(upstream));
-    auto table = state->paths();
-    return feed::UpdateStream(table, [state](std::vector<feed::UpdateRec>& out) {
-      std::vector<feed::UpdateRec> batch;
-      while (state->Next(batch)) {
-        for (const feed::UpdateRec& rec : batch) {
-          if (rec.session != 1) out.push_back(rec);
-        }
-        if (!out.empty()) return true;
-      }
-      return !out.empty();
-    });
-  };
-  const std::vector<feed::FeedStage> stages = {drop_withdraws, drop_session_one};
-  auto table = std::make_shared<feed::AsPathTable>();
-  const std::vector<BgpUpdate> updates = SampleFeed();
-  const std::vector<BgpUpdate> out = feed::Materialize(
-      feed::Compose(feed::FromVector(table, updates, 2), stages));
-  std::vector<BgpUpdate> expected;
-  for (const BgpUpdate& u : updates) {
-    if (u.type == UpdateType::kAnnounce && u.session != 1) expected.push_back(u);
-  }
-  EXPECT_EQ(out, expected);
-}
-
-// --- stage/consumer equivalence vs the materialized pipeline --------------
+// --- stream consumers vs record-by-record consumption ----------------------
 
 std::vector<BgpUpdate> ResyncHeavyFeed() {
-  // A feed with session resets, duplicates, and out-of-order adjacencies,
-  // so the sanitizer actually has work to do.
+  // A feed with session resets, duplicates, and an out-of-order
+  // adjacency, so the analyzer's drop path has work to do.
   std::vector<BgpUpdate> updates;
   for (std::int64_t t = 10; t < 200; t += 10) {
     updates.push_back(Announce(t, 0, "10.0.0.0/8", t % 40 == 10 ? "1 2 3" : "1 2 4"));
@@ -210,58 +157,9 @@ std::vector<BgpUpdate> ResyncHeavyFeed() {
   for (int i = 0; i < 6; ++i) {
     updates.push_back(Announce(300, 0, "10.0.0.0/8", "1 2 4"));
   }
-  // One out-of-order adjacency for the ordering repair.
+  // One out-of-order adjacency: the analyzer drops it.
   updates.push_back(Announce(250, 0, "10.0.0.0/8", "1 2 3"));
   return updates;
-}
-
-TEST(Feed, SanitizeStageMatchesSanitizeFeed) {
-  const std::vector<BgpUpdate> initial_rib = {
-      Announce(0, 0, "10.0.0.0/8", "1 2 3"),
-      Announce(0, 1, "192.168.0.0/16", "1 5"),
-  };
-  const std::vector<BgpUpdate> updates = ResyncHeavyFeed();
-  const SanitizedFeed direct = SanitizeFeed(initial_rib, updates);
-  for (std::size_t batch : {1u, 3u, 1024u}) {
-    auto stats = std::make_shared<SanitizeStageStats>();
-    const feed::FeedStage stage = SanitizeStage(initial_rib, {}, stats, batch);
-    auto table = std::make_shared<feed::AsPathTable>();
-    const std::vector<BgpUpdate> staged =
-        feed::Materialize(stage(feed::FromVector(table, updates, batch)));
-    EXPECT_EQ(staged, direct.updates) << "batch size " << batch;
-    EXPECT_EQ(stats->out_of_order_repaired, direct.out_of_order_repaired);
-    EXPECT_EQ(stats->reset_stats.bursts_detected, direct.reset_stats.bursts_detected);
-    EXPECT_EQ(stats->reset_stats.duplicates_removed,
-              direct.reset_stats.duplicates_removed);
-  }
-}
-
-TEST(Feed, PerturbStageMatchesPerturbStream) {
-  fault::FaultPlan plan;
-  plan.seed = 11;
-  plan.window_s = 1000;
-  plan.session.flap_rate = 0.8;
-  plan.session.mean_down_s = 100;
-  plan.session.loss_rate = 0.1;
-  plan.session.delay_rate = 0.2;
-  const fault::FaultInjector injector(plan);
-  const std::vector<BgpUpdate> initial_rib = {
-      Announce(0, 0, "10.0.0.0/8", "1 2 3"),
-      Announce(0, 1, "192.168.0.0/16", "1 5"),
-  };
-  const std::vector<BgpUpdate> updates = ResyncHeavyFeed();
-  const fault::FaultedStream direct = injector.PerturbStream(initial_rib, updates);
-  for (std::size_t batch : {1u, 7u, 4096u}) {
-    auto stats = std::make_shared<fault::StreamFaultStats>();
-    const feed::FeedStage stage = injector.PerturbStage(initial_rib, stats, batch);
-    auto table = std::make_shared<feed::AsPathTable>();
-    const std::vector<BgpUpdate> staged =
-        feed::Materialize(stage(feed::FromVector(table, updates, batch)));
-    EXPECT_EQ(staged, direct.updates) << "batch size " << batch;
-    EXPECT_EQ(stats->dropped(), direct.stats.dropped());
-    EXPECT_EQ(stats->delayed, direct.stats.delayed);
-    EXPECT_EQ(stats->resync_injected, direct.stats.resync_injected);
-  }
 }
 
 // The comparable projection of a finished analyzer.
@@ -278,22 +176,35 @@ std::vector<ChurnRow> Rows(const ChurnAnalyzer& analyzer) {
   return rows;
 }
 
-TEST(Feed, AnalyzeChurnStreamMatchesAnalyzeChurn) {
+TEST(Feed, AnalyzeChurnStreamMatchesSerialConsumption) {
   const std::vector<BgpUpdate> initial_rib = {
       Announce(0, 0, "10.0.0.0/8", "1 2 3"),
       Announce(0, 1, "192.168.0.0/16", "1 5"),
   };
   const std::vector<BgpUpdate> updates = ResyncHeavyFeed();
-  const ChurnAnalyzer direct = AnalyzeChurn(initial_rib, updates);
-  for (std::size_t threads : {1u, 4u}) {
-    for (std::size_t batch : {1u, 5u, 4096u}) {
-      auto table = std::make_shared<feed::AsPathTable>();
-      const ChurnAnalyzer streamed = AnalyzeChurnStream(
-          feed::FromVector(table, initial_rib, batch),
-          feed::FromVector(table, updates, batch), {}, threads);
-      EXPECT_EQ(Rows(streamed), Rows(direct))
-          << "threads " << threads << ", batch " << batch;
-      EXPECT_EQ(streamed.DroppedOutOfOrder(), direct.DroppedOutOfOrder());
+  ChurnAnalyzer serial;
+  test::RecordFixture fx;
+  fx.Feed(serial, initial_rib);
+  fx.Feed(serial, updates);
+  serial.Finish();
+  ASSERT_GT(serial.DroppedOutOfOrder(), 0u);
+  for (bool shared_table : {true, false}) {
+    for (std::size_t threads : {1u, 4u}) {
+      for (std::size_t batch : {1u, 5u, 4096u}) {
+        auto rib_table = std::make_shared<feed::AsPathTable>();
+        auto update_table = rib_table;
+        if (!shared_table) {
+          update_table = std::make_shared<feed::AsPathTable>();
+          (void)update_table->Intern(AsPath::MustParse("9 9 9"));  // skew the id spaces
+        }
+        const ChurnAnalyzer streamed = AnalyzeChurnStream(
+            feed::FromVector(rib_table, initial_rib, batch),
+            feed::FromVector(update_table, updates, batch), {}, threads);
+        EXPECT_EQ(Rows(streamed), Rows(serial))
+            << "shared table " << shared_table << ", threads " << threads
+            << ", batch " << batch;
+        EXPECT_EQ(streamed.DroppedOutOfOrder(), serial.DroppedOutOfOrder());
+      }
     }
   }
 }
@@ -310,10 +221,11 @@ TEST(Feed, MonitorConsumeStreamMatchesConsumeLoop) {
   };
   const std::unordered_set<Prefix> monitored = {Prefix::MustParse("10.0.0.0/8")};
 
-  core::RelayMonitor materialized(monitored);
-  materialized.LearnBaseline(initial_rib);
+  core::RelayMonitor looped(monitored);
+  test::RecordFixture fx;
+  fx.FeedBaseline(looped, initial_rib);
   std::size_t direct_raised = 0;
-  for (const BgpUpdate& u : updates) direct_raised += materialized.Consume(u).size();
+  for (const BgpUpdate& u : updates) direct_raised += fx.Feed(looped, u).size();
 
   core::RelayMonitor streamed(monitored);
   auto table = std::make_shared<feed::AsPathTable>();
@@ -324,8 +236,8 @@ TEST(Feed, MonitorConsumeStreamMatchesConsumeLoop) {
 
   EXPECT_GT(direct_raised, 0u);
   EXPECT_EQ(stream_raised, direct_raised);
-  EXPECT_EQ(streamed.alerts(), materialized.alerts());
-  EXPECT_EQ(streamed.SuppressedDuplicates(), materialized.SuppressedDuplicates());
+  EXPECT_EQ(streamed.alerts(), looped.alerts());
+  EXPECT_EQ(streamed.SuppressedDuplicates(), looped.SuppressedDuplicates());
 }
 
 TEST(AsPathTable, ReservePreSizesTheIndex) {

@@ -45,16 +45,28 @@ std::vector<BgpUpdate> EdgeFeed() {
   };
 }
 
+/// Strictly decodes a whole QMRT byte string back to updates.
+std::vector<BgpUpdate> DecodeAll(std::string_view wire) {
+  return feed::Materialize(
+      qmrt::DecodeStream(std::make_shared<feed::AsPathTable>(), wire));
+}
+
+/// Strictly decodes a whole QMRT file back to updates.
+std::vector<BgpUpdate> ReadAll(const std::string& path) {
+  return feed::Materialize(
+      qmrt::DecodeFileStream(std::make_shared<feed::AsPathTable>(), path));
+}
+
 TEST(Qmrt, RoundTripIdentity) {
   const std::vector<BgpUpdate> feed = EdgeFeed();
   const std::string wire = qmrt::Encode(feed);
-  EXPECT_EQ(qmrt::Decode(wire), feed);
+  EXPECT_EQ(DecodeAll(wire), feed);
 }
 
 TEST(Qmrt, TextBinaryTextIsByteIdentical) {
   const std::string text = mrt::ToText(EdgeFeed());
   const std::string wire = qmrt::Encode(mrt::ParseText(text));
-  EXPECT_EQ(mrt::ToText(qmrt::Decode(wire)), text);
+  EXPECT_EQ(mrt::ToText(DecodeAll(wire)), text);
 }
 
 TEST(Qmrt, MultiBlockEncodingIsSelfContained) {
@@ -62,7 +74,7 @@ TEST(Qmrt, MultiBlockEncodingIsSelfContained) {
   qmrt::EncodeOptions options;
   options.block_records = 2;  // 7 records -> 4 blocks
   const std::string wire = qmrt::Encode(feed, options);
-  EXPECT_EQ(qmrt::Decode(wire), feed);
+  EXPECT_EQ(DecodeAll(wire), feed);
 
   // Self-containment: the last block alone decodes to the last record.
   std::size_t last_block = 0;
@@ -77,7 +89,7 @@ TEST(Qmrt, MultiBlockEncodingIsSelfContained) {
     at += qmrt::kHeaderBytes + payload;
   }
   const std::vector<BgpUpdate> tail =
-      qmrt::Decode(std::string_view(wire).substr(last_block));
+      DecodeAll(std::string_view(wire).substr(last_block));
   EXPECT_EQ(tail, std::vector<BgpUpdate>({feed.back()}));
 }
 
@@ -117,7 +129,7 @@ TEST(Qmrt, DecodeStreamBatchesMatchWholeDecode) {
 
 TEST(Qmrt, EmptyFeed) {
   EXPECT_TRUE(qmrt::Encode({}).empty());
-  EXPECT_TRUE(qmrt::Decode("").empty());
+  EXPECT_TRUE(DecodeAll("").empty());
   feed::UpdateStream stream =
       qmrt::DecodeStream(std::make_shared<feed::AsPathTable>(), "");
   std::vector<feed::UpdateRec> recs;
@@ -127,8 +139,11 @@ TEST(Qmrt, EmptyFeed) {
 TEST(Qmrt, FileRoundTripAndMmapStream) {
   const std::vector<BgpUpdate> feed = EdgeFeed();
   const std::string path = "qmrt_test_roundtrip.qmrt";
-  qmrt::WriteFile(path, feed);
-  EXPECT_EQ(qmrt::ReadFile(path), feed);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << qmrt::Encode(feed);
+  }
+  EXPECT_EQ(ReadAll(path), feed);
 
   auto table = std::make_shared<feed::AsPathTable>();
   feed::UpdateStream stream = qmrt::DecodeFileStream(table, path);
@@ -144,7 +159,7 @@ TEST(Qmrt, FileRoundTripAndMmapStream) {
 TEST(Qmrt, FileErrorsCarryPathAndErrnoContext) {
   const std::string path = "qmrt_test_missing_dir/nope.qmrt";
   try {
-    (void)qmrt::ReadFile(path);
+    (void)ReadAll(path);
     FAIL() << "expected missing-file error";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find(path), std::string::npos) << error.what();
@@ -210,9 +225,9 @@ std::size_t OpenFdCount() {
 
 TEST(QmrtFdLifetime, ErrorPathsLeakNoDescriptors) {
   // Regression for the fd/mmap RAII audit: every throwing exit out of
-  // DecodeFileStream / ReadFile / ParseFileStream must release the file
-  // descriptor (util::FdGuard) — a leak here compounds per retry in the
-  // resident daemon until open() starts failing with EMFILE.
+  // DecodeFileStream / ParseFileStream, at open or mid-drain, must release
+  // the file descriptor (util::FdGuard) — a leak here compounds per retry
+  // in the resident daemon until open() starts failing with EMFILE.
   const std::string corrupt_path = "qmrt_test_fdleak.qmrt";
   {
     TwoBlocks two = MakeTwoBlocks();
@@ -222,8 +237,8 @@ TEST(QmrtFdLifetime, ErrorPathsLeakNoDescriptors) {
   }
 
   auto exercise_error_paths = [&] {
-    EXPECT_THROW((void)qmrt::ReadFile(corrupt_path), std::runtime_error);
-    EXPECT_THROW((void)qmrt::ReadFile("qmrt_test_missing_dir/nope.qmrt"),
+    EXPECT_THROW((void)ReadAll(corrupt_path), std::runtime_error);
+    EXPECT_THROW((void)ReadAll("qmrt_test_missing_dir/nope.qmrt"),
                  std::runtime_error);
     {
       // Strict stream over a corrupt file: open/mmap succeed, the pull
@@ -253,7 +268,7 @@ TEST(QmrtCorruption, TruncatedBlockFailsClosed) {
   const std::string_view truncated =
       std::string_view(two.wire).substr(0, two.wire.size() - 5);
 
-  EXPECT_THROW((void)qmrt::Decode(truncated), std::runtime_error);
+  EXPECT_THROW((void)DecodeAll(truncated), std::runtime_error);
 
   auto stats = std::make_shared<qmrt::DecodeStats>();
   const std::vector<BgpUpdate> got = DecodeLenient(truncated, stats);
@@ -271,7 +286,7 @@ TEST(QmrtCorruption, BadChecksumSkipsExactlyThatBlock) {
   two.wire[qmrt::kHeaderBytes + 2] ^= 0x40;  // flip a payload byte of block 0
 
   try {
-    (void)qmrt::Decode(two.wire);
+    (void)DecodeAll(two.wire);
     FAIL() << "expected checksum error";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find("block 0"), std::string::npos)
@@ -293,7 +308,7 @@ TEST(QmrtCorruption, UnknownVersionFailsClosed) {
   two.wire[qmrt::kVersionOffset] = 9;
 
   try {
-    (void)qmrt::Decode(two.wire);
+    (void)DecodeAll(two.wire);
     FAIL() << "expected version error";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find("version"), std::string::npos)
@@ -321,7 +336,7 @@ TEST(QmrtCorruption, VarintOverflowFailsClosed) {
     wire.push_back(static_cast<char>((checksum >> (8 * b)) & 0xff));
   wire += payload;
 
-  EXPECT_THROW((void)qmrt::Decode(wire), std::runtime_error);
+  EXPECT_THROW((void)DecodeAll(wire), std::runtime_error);
 
   auto stats = std::make_shared<qmrt::DecodeStats>();
   EXPECT_TRUE(DecodeLenient(wire, stats).empty());
@@ -332,7 +347,7 @@ TEST(QmrtCorruption, LenientResyncsOnNextMagicAfterGarbage) {
   const TwoBlocks two = MakeTwoBlocks();
   const std::string garbled = "not a block at all" + two.wire;
 
-  EXPECT_THROW((void)qmrt::Decode(garbled), std::runtime_error);
+  EXPECT_THROW((void)DecodeAll(garbled), std::runtime_error);
 
   auto stats = std::make_shared<qmrt::DecodeStats>();
   const std::vector<BgpUpdate> got = DecodeLenient(garbled, stats);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "record_fixture.hpp"
+
 namespace quicksand::bgp {
 namespace {
 
@@ -15,6 +17,22 @@ BgpUpdate Announce(std::int64_t t, SessionId s, const char* prefix, const char* 
 
 BgpUpdate Withdraw(std::int64_t t, SessionId s, const char* prefix) {
   return {SimTime{t}, s, UpdateType::kWithdraw, Prefix::MustParse(prefix), {}};
+}
+
+/// The filter's output, materialized back for comparison with literals.
+struct Filtered {
+  std::vector<BgpUpdate> updates;
+  ResetFilterStats stats;
+};
+
+/// Interns the RIB and the updates into one table (the filter compares
+/// path ids) and filters.
+Filtered Filter(const std::vector<BgpUpdate>& rib, const std::vector<BgpUpdate>& updates,
+                const ResetFilterParams& params = {}) {
+  test::RecordFixture fx;
+  const std::vector<feed::UpdateRec> rib_recs = fx.Recs(rib);
+  const FilteredRecords result = FilterSessionRecords(rib_recs, fx.Recs(updates), params);
+  return {fx.Updates(result.updates), result.stats};
 }
 
 std::vector<BgpUpdate> SmallRib(SessionId s) {
@@ -32,7 +50,7 @@ TEST(SessionResetFilter, PassesRealChangesThrough) {
       Withdraw(200, 0, "11.0.0.0/8"),            // real withdraw
       Announce(300, 0, "11.0.0.0/8", "1 2 4"),   // real re-announce
   };
-  const auto result = FilterSessionResets(rib, updates);
+  const auto result = Filter(rib, updates);
   EXPECT_EQ(result.updates, updates);
   EXPECT_EQ(result.stats.duplicates_removed, 0u);
   EXPECT_EQ(result.stats.burst_updates_removed, 0u);
@@ -45,7 +63,7 @@ TEST(SessionResetFilter, DropsDuplicateAnnouncements) {
       Announce(200, 0, "10.0.0.0/8", "1 9 3"),  // real change
       Announce(300, 0, "10.0.0.0/8", "1 9 3"),  // duplicate of new state
   };
-  const auto result = FilterSessionResets(rib, updates);
+  const auto result = Filter(rib, updates);
   ASSERT_EQ(result.updates.size(), 1u);
   EXPECT_EQ(result.updates[0].time.seconds, 200);
   EXPECT_EQ(result.stats.duplicates_removed, 2u);
@@ -54,7 +72,7 @@ TEST(SessionResetFilter, DropsDuplicateAnnouncements) {
 TEST(SessionResetFilter, DropsWithdrawalsOfUnknownPrefixes) {
   const auto rib = SmallRib(0);
   const std::vector<BgpUpdate> updates = {Withdraw(50, 0, "99.0.0.0/8")};
-  const auto result = FilterSessionResets(rib, updates);
+  const auto result = Filter(rib, updates);
   EXPECT_TRUE(result.updates.empty());
   EXPECT_EQ(result.stats.duplicates_removed, 1u);
 }
@@ -72,7 +90,7 @@ TEST(SessionResetFilter, CollapsesTableTransferBurst) {
       Announce(1002, 0, "12.0.0.0/8", "1 5"),
       Announce(1003, 0, "11.0.0.0/8", "1 2 4"),  // settles back
   };
-  const auto result = FilterSessionResets(rib, updates, params);
+  const auto result = Filter(rib, updates, params);
   EXPECT_TRUE(result.updates.empty());
   EXPECT_EQ(result.stats.burst_updates_removed, 4u);
   EXPECT_GE(result.stats.bursts_detected, 1u);
@@ -89,7 +107,7 @@ TEST(SessionResetFilter, BurstWithNetChangeKeepsFinalUpdate) {
       Announce(1002, 0, "12.0.0.0/8", "1 5"),
       Announce(1003, 0, "10.0.0.0/8", "1 9 3"),  // genuine new path survives
   };
-  const auto result = FilterSessionResets(rib, updates, params);
+  const auto result = Filter(rib, updates, params);
   ASSERT_EQ(result.updates.size(), 1u);
   EXPECT_EQ(result.updates[0].path, AsPath::MustParse("1 9 3"));
   EXPECT_EQ(result.stats.burst_updates_removed, 3u);
@@ -109,7 +127,7 @@ TEST(SessionResetFilter, SessionsAreIndependent) {
       Announce(1001, 0, "11.0.0.0/8", "1 2 4"),
       Announce(1002, 0, "12.0.0.0/8", "1 5"),
   };
-  const auto result = FilterSessionResets(rib, updates, params);
+  const auto result = Filter(rib, updates, params);
   ASSERT_EQ(result.updates.size(), 1u);
   EXPECT_EQ(result.updates[0].session, 1u);
 }
@@ -120,7 +138,65 @@ TEST(SessionResetFilter, ThrowsOnUnorderedInput) {
       Announce(200, 0, "10.0.0.0/8", "1 9 3"),
       Announce(100, 0, "11.0.0.0/8", "1 9 4"),
   };
-  EXPECT_THROW((void)FilterSessionResets(rib, updates), std::invalid_argument);
+  EXPECT_THROW((void)Filter(rib, updates), std::invalid_argument);
+}
+
+TEST(SessionResetFilter, MergesBurstSurvivorsIntoCanonicalOrder) {
+  // Canonically sorted input. Session 0's burst leaves one survivor (its
+  // last update, at t=1003), flushed only when session 0 moves past the
+  // burst; session 1's pass-throughs straddle it. The survivor must be
+  // merged between them, not appended.
+  auto rib = SmallRib(0);
+  const auto rib1 = SmallRib(1);
+  rib.insert(rib.end(), rib1.begin(), rib1.end());
+  ResetFilterParams params;
+  params.min_burst_updates = 4;
+  params.burst_table_fraction = 0.5;
+  const std::vector<BgpUpdate> updates = {
+      Announce(1000, 0, "10.0.0.0/8", "1 2 3"),  // burst
+      Announce(1000, 1, "10.0.0.0/8", "1 9 3"),  // pass-through
+      Announce(1001, 0, "11.0.0.0/8", "1 2 4"),  // burst
+      Announce(1002, 0, "12.0.0.0/8", "1 5"),    // burst
+      Announce(1003, 0, "10.0.0.0/8", "1 9 3"),  // burst, net change: survives
+      Announce(1004, 1, "11.0.0.0/8", "1 7 4"),  // pass-through
+      Announce(1500, 0, "11.0.0.0/8", "1 7 4"),  // after the burst: flushes it
+      Announce(2000, 1, "12.0.0.0/8", "1 6"),    // pass-through
+  };
+  const auto result = Filter(rib, updates, params);
+  std::vector<BgpUpdate> expected = {updates[1], updates[4], updates[5], updates[6],
+                                     updates[7]};
+  SortUpdates(expected);
+  ASSERT_EQ(expected[1], updates[4]);  // the survivor sorts between pass-throughs
+  EXPECT_EQ(result.updates, expected);
+  EXPECT_EQ(result.stats.bursts_detected, 1u);
+  EXPECT_EQ(result.stats.burst_updates_removed, 3u);
+  EXPECT_EQ(result.stats.output_updates, 5u);
+}
+
+TEST(SessionResetFilter, SortsTimeOrderedInputIntoCanonicalOrder) {
+  // Time-ordered but not in (time, session, prefix) order: same-second
+  // updates out of session and prefix order, as text archives deliver
+  // them and the sanitizer's time-order repair leaves them. The filter
+  // falls back to a full stable sort of the survivors.
+  auto rib = SmallRib(0);
+  const auto rib1 = SmallRib(1);
+  rib.insert(rib.end(), rib1.begin(), rib1.end());
+  const std::vector<BgpUpdate> updates = {
+      Announce(100, 1, "10.0.0.0/8", "1 9 3"),
+      Announce(100, 0, "11.0.0.0/8", "1 7 4"),
+      Announce(100, 1, "11.0.0.0/8", "1 2 4"),  // duplicate: dropped
+      Announce(100, 0, "10.0.0.0/8", "1 9 3"),
+      Withdraw(200, 1, "12.0.0.0/8"),
+      Announce(200, 0, "12.0.0.0/8", "1 6"),
+  };
+  const auto result = Filter(rib, updates);
+  std::vector<BgpUpdate> expected = {updates[0], updates[1], updates[3], updates[4],
+                                     updates[5]};
+  SortUpdates(expected);
+  ASSERT_EQ(expected[0], updates[3]);  // the input order was not canonical
+  EXPECT_EQ(result.updates, expected);
+  EXPECT_EQ(result.stats.duplicates_removed, 1u);
+  EXPECT_EQ(result.stats.output_updates, 5u);
 }
 
 TEST(SessionResetFilter, StatsAreConsistent) {
@@ -129,7 +205,7 @@ TEST(SessionResetFilter, StatsAreConsistent) {
       Announce(100, 0, "10.0.0.0/8", "1 2 3"),   // dup
       Announce(200, 0, "10.0.0.0/8", "1 9 3"),   // change
   };
-  const auto result = FilterSessionResets(rib, updates);
+  const auto result = Filter(rib, updates);
   EXPECT_EQ(result.stats.input_updates, 2u);
   EXPECT_EQ(result.stats.output_updates, 1u);
   EXPECT_EQ(result.stats.input_updates,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "record_fixture.hpp"
+
 namespace quicksand::core {
 namespace {
 
@@ -67,8 +69,9 @@ TEST(RelayAdvisor, AlertMeansAvoid) {
   const Fixture fx;
   RelayMonitor monitor({Prefix::MustParse("10.3.0.0/16")});
   const std::vector<BgpUpdate> rib = {Announce(0, 0, "10.3.0.0/16", "1 2 300")};
-  monitor.LearnBaseline(rib);
-  (void)monitor.Consume(Announce(100, 0, "10.3.0.0/16", "1 666"));  // hijack
+  test::RecordFixture records;
+  records.FeedBaseline(monitor, rib);
+  (void)records.Feed(monitor, Announce(100, 0, "10.3.0.0/16", "1 666"));  // hijack
   ASSERT_FALSE(monitor.alerts().empty());
 
   RelayAdvisor advisor;
@@ -84,10 +87,11 @@ TEST(RelayAdvisor, AlertMeansAvoid) {
 TEST(RelayAdvisor, ChurnyPrefixIsElevated) {
   const Fixture fx;
   bgp::ChurnAnalyzer churn;
-  churn.Consume(Announce(0, 0, "10.2.0.0/16", "1 2 200"));
+  test::RecordFixture records;
+  records.Feed(churn, Announce(0, 0, "10.2.0.0/16", "1 2 200"));
   // Three extra ASes stay on-path for hours: elevation threshold reached.
-  churn.Consume(Announce(1000, 0, "10.2.0.0/16", "1 7 8 9 200"));
-  churn.Consume(Announce(1000 + 7200, 0, "10.2.0.0/16", "1 2 200"));
+  records.Feed(churn, Announce(1000, 0, "10.2.0.0/16", "1 7 8 9 200"));
+  records.Feed(churn, Announce(1000 + 7200, 0, "10.2.0.0/16", "1 2 200"));
   churn.Finish();
 
   RelayAdvisor advisor;

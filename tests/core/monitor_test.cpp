@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "record_fixture.hpp"
+
 namespace quicksand::core {
 namespace {
 
@@ -17,7 +19,7 @@ BgpUpdate Announce(std::int64_t t, SessionId s, const char* prefix, const char* 
           AsPath::MustParse(path)};
 }
 
-RelayMonitor MonitorWithBaseline() {
+RelayMonitor MonitorWithBaseline(test::RecordFixture& fx) {
   RelayMonitor monitor({Prefix::MustParse("78.46.0.0/15"),
                         Prefix::MustParse("10.9.0.0/16")});
   const std::vector<BgpUpdate> rib = {
@@ -25,23 +27,25 @@ RelayMonitor MonitorWithBaseline() {
       Announce(0, 1, "78.46.0.0/15", "1299 3356 24940"),
       Announce(0, 0, "10.9.0.0/16", "701 16276"),
   };
-  monitor.LearnBaseline(rib);
+  fx.FeedBaseline(monitor, rib);
   return monitor;
 }
 
 TEST(RelayMonitor, NoAlertsOnBaselineConsistentUpdates) {
-  RelayMonitor monitor = MonitorWithBaseline();
+  test::RecordFixture fx;
+  RelayMonitor monitor = MonitorWithBaseline(fx);
   // Same origin, known upstream 3356: silent.
-  const auto alerts = monitor.Consume(Announce(100, 1, "78.46.0.0/15",
-                                               "1299 174 3356 24940"));
+  const auto alerts =
+      fx.Feed(monitor, Announce(100, 1, "78.46.0.0/15", "1299 174 3356 24940"));
   EXPECT_TRUE(alerts.empty());
   EXPECT_TRUE(monitor.alerts().empty());
 }
 
 TEST(RelayMonitor, OriginChangeDetected) {
-  RelayMonitor monitor = MonitorWithBaseline();
+  test::RecordFixture fx;
+  RelayMonitor monitor = MonitorWithBaseline(fx);
   const auto alerts =
-      monitor.Consume(Announce(100, 0, "78.46.0.0/15", "701 4837 666"));
+      fx.Feed(monitor, Announce(100, 0, "78.46.0.0/15", "701 4837 666"));
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].kind, AlertKind::kOriginChange);
   EXPECT_EQ(alerts[0].suspect, 666u);
@@ -49,10 +53,11 @@ TEST(RelayMonitor, OriginChangeDetected) {
 }
 
 TEST(RelayMonitor, MoreSpecificDetected) {
-  RelayMonitor monitor = MonitorWithBaseline();
+  test::RecordFixture fx;
+  RelayMonitor monitor = MonitorWithBaseline(fx);
   // A /16 carved out of the monitored /15, announced by anyone.
   const auto alerts =
-      monitor.Consume(Announce(100, 0, "78.46.0.0/16", "701 3356 24940"));
+      fx.Feed(monitor, Announce(100, 0, "78.46.0.0/16", "701 3356 24940"));
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].kind, AlertKind::kMoreSpecific);
   EXPECT_EQ(alerts[0].monitored_prefix, Prefix::MustParse("78.46.0.0/15"));
@@ -60,43 +65,48 @@ TEST(RelayMonitor, MoreSpecificDetected) {
 }
 
 TEST(RelayMonitor, UnrelatedPrefixIgnored) {
-  RelayMonitor monitor = MonitorWithBaseline();
-  EXPECT_TRUE(monitor.Consume(Announce(100, 0, "99.0.0.0/8", "701 666")).empty());
-  EXPECT_TRUE(monitor.Consume(Announce(100, 0, "78.48.0.0/16", "701 666")).empty());
+  test::RecordFixture fx;
+  RelayMonitor monitor = MonitorWithBaseline(fx);
+  EXPECT_TRUE(fx.Feed(monitor, Announce(100, 0, "99.0.0.0/8", "701 666")).empty());
+  EXPECT_TRUE(fx.Feed(monitor, Announce(100, 0, "78.48.0.0/16", "701 666")).empty());
 }
 
 TEST(RelayMonitor, NewUpstreamDetectedOnceAndLearned) {
-  RelayMonitor monitor = MonitorWithBaseline();
+  test::RecordFixture fx;
+  RelayMonitor monitor = MonitorWithBaseline(fx);
   const auto first =
-      monitor.Consume(Announce(100, 0, "10.9.0.0/16", "701 9002 16276"));
+      fx.Feed(monitor, Announce(100, 0, "10.9.0.0/16", "701 9002 16276"));
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].kind, AlertKind::kNewUpstream);
   EXPECT_EQ(first[0].suspect, 9002u);
   // Same upstream again: already learned, no duplicate alert storm.
   const auto second =
-      monitor.Consume(Announce(200, 1, "10.9.0.0/16", "1299 9002 16276"));
+      fx.Feed(monitor, Announce(200, 1, "10.9.0.0/16", "1299 9002 16276"));
   EXPECT_TRUE(second.empty());
 }
 
 TEST(RelayMonitor, UpstreamSkipsOriginPrepending) {
-  RelayMonitor monitor = MonitorWithBaseline();
+  test::RecordFixture fx;
+  RelayMonitor monitor = MonitorWithBaseline(fx);
   // Prepended origin: upstream is still 3356, which is known.
-  const auto alerts = monitor.Consume(
-      Announce(100, 0, "78.46.0.0/15", "701 3356 24940 24940 24940"));
+  const auto alerts = fx.Feed(
+      monitor, Announce(100, 0, "78.46.0.0/15", "701 3356 24940 24940 24940"));
   EXPECT_TRUE(alerts.empty());
 }
 
 TEST(RelayMonitor, WithdrawalsRaiseNothing) {
-  RelayMonitor monitor = MonitorWithBaseline();
+  test::RecordFixture fx;
+  RelayMonitor monitor = MonitorWithBaseline(fx);
   const BgpUpdate withdraw = {SimTime{100}, 0, UpdateType::kWithdraw,
                               Prefix::MustParse("78.46.0.0/15"), {}};
-  EXPECT_TRUE(monitor.Consume(withdraw).empty());
+  EXPECT_TRUE(fx.Feed(monitor, withdraw).empty());
 }
 
 TEST(RelayMonitor, AlertsAccumulateAndFlagPrefixes) {
-  RelayMonitor monitor = MonitorWithBaseline();
-  (void)monitor.Consume(Announce(100, 0, "78.46.0.0/15", "701 666"));
-  (void)monitor.Consume(Announce(200, 0, "10.9.128.0/17", "701 666"));
+  test::RecordFixture fx;
+  RelayMonitor monitor = MonitorWithBaseline(fx);
+  (void)fx.Feed(monitor, Announce(100, 0, "78.46.0.0/15", "701 666"));
+  (void)fx.Feed(monitor, Announce(200, 0, "10.9.128.0/17", "701 666"));
   EXPECT_EQ(monitor.alerts().size(), 2u);
   const auto flagged = monitor.FlaggedPrefixes();
   EXPECT_EQ(flagged.size(), 2u);
@@ -110,26 +120,30 @@ TEST(RelayMonitor, DetectorsCanBeDisabled) {
   params.alert_on_new_upstream = false;
   RelayMonitor monitor({Prefix::MustParse("78.46.0.0/15")}, params);
   const std::vector<BgpUpdate> rib = {Announce(0, 0, "78.46.0.0/15", "701 3356 24940")};
-  monitor.LearnBaseline(rib);
+  test::RecordFixture fx;
+  fx.FeedBaseline(monitor, rib);
   EXPECT_TRUE(
-      monitor.Consume(Announce(100, 0, "78.46.0.0/16", "701 3356 24940")).empty());
+      fx.Feed(monitor, Announce(100, 0, "78.46.0.0/16", "701 3356 24940")).empty());
   EXPECT_TRUE(
-      monitor.Consume(Announce(100, 0, "78.46.0.0/15", "701 9999 24940")).empty());
+      fx.Feed(monitor, Announce(100, 0, "78.46.0.0/15", "701 9999 24940")).empty());
   // Origin change still fires.
-  EXPECT_FALSE(monitor.Consume(Announce(100, 0, "78.46.0.0/15", "701 666")).empty());
+  EXPECT_FALSE(fx.Feed(monitor, Announce(100, 0, "78.46.0.0/15", "701 666")).empty());
 }
 
 TEST(RelayMonitor, MonitoredCount) {
-  EXPECT_EQ(MonitorWithBaseline().MonitoredCount(), 2u);
+  test::RecordFixture fx;
+  EXPECT_EQ(MonitorWithBaseline(fx).MonitoredCount(), 2u);
 }
 
 TEST(RelayMonitor, AlertCountsTrackPerKindTotals) {
-  RelayMonitor monitor = MonitorWithBaseline();
+  test::RecordFixture fx;
+  RelayMonitor monitor = MonitorWithBaseline(fx);
   EXPECT_EQ(monitor.AlertCounts().total(), 0u);
-  (void)monitor.Consume(Announce(100, 0, "78.46.0.0/15", "701 666"));      // origin change
-  (void)monitor.Consume(Announce(200, 0, "10.9.128.0/17", "701 666"));     // more specific
-  (void)monitor.Consume(Announce(300, 0, "10.9.0.0/16", "701 9002 16276"));  // new upstream
-  (void)monitor.Consume(Announce(400, 1, "78.46.0.0/15", "1299 667"));     // origin change
+  // origin change, more specific, new upstream, origin change
+  (void)fx.Feed(monitor, Announce(100, 0, "78.46.0.0/15", "701 666"));
+  (void)fx.Feed(monitor, Announce(200, 0, "10.9.128.0/17", "701 666"));
+  (void)fx.Feed(monitor, Announce(300, 0, "10.9.0.0/16", "701 9002 16276"));
+  (void)fx.Feed(monitor, Announce(400, 1, "78.46.0.0/15", "1299 667"));
   const AlertCountSummary& counts = monitor.AlertCounts();
   EXPECT_EQ(counts.origin_change, 2u);
   EXPECT_EQ(counts.more_specific, 1u);
@@ -142,37 +156,40 @@ TEST(RelayMonitor, AlertCountsTrackPerKindTotals) {
 }
 
 TEST(RelayMonitor, DuplicateOriginChangeAlertsOnce) {
-  RelayMonitor monitor = MonitorWithBaseline();
+  test::RecordFixture fx;
+  RelayMonitor monitor = MonitorWithBaseline(fx);
   // The same hijack re-announced — the signature a flapping session
   // produces when it resyncs its table after recovery.
-  const auto first = monitor.Consume(Announce(100, 0, "78.46.0.0/15", "701 666"));
-  const auto second = monitor.Consume(Announce(200, 1, "78.46.0.0/15", "1299 666"));
-  const auto third = monitor.Consume(Announce(300, 0, "78.46.0.0/15", "701 4837 666"));
+  const auto first = fx.Feed(monitor, Announce(100, 0, "78.46.0.0/15", "701 666"));
+  const auto second = fx.Feed(monitor, Announce(200, 1, "78.46.0.0/15", "1299 666"));
+  const auto third =
+      fx.Feed(monitor, Announce(300, 0, "78.46.0.0/15", "701 4837 666"));
   EXPECT_EQ(first.size(), 1u);
   EXPECT_TRUE(second.empty());
   EXPECT_TRUE(third.empty());
   EXPECT_EQ(monitor.AlertCounts().origin_change, 1u);
   EXPECT_EQ(monitor.SuppressedDuplicates(), 2u);
   // A *different* bogus origin is a new anomaly, not a duplicate.
-  EXPECT_EQ(monitor.Consume(Announce(400, 0, "78.46.0.0/15", "701 667")).size(), 1u);
+  EXPECT_EQ(fx.Feed(monitor, Announce(400, 0, "78.46.0.0/15", "701 667")).size(), 1u);
   EXPECT_EQ(monitor.AlertCounts().origin_change, 2u);
 }
 
 TEST(RelayMonitor, DuplicateMoreSpecificAlertsOnce) {
-  RelayMonitor monitor = MonitorWithBaseline();
+  test::RecordFixture fx;
+  RelayMonitor monitor = MonitorWithBaseline(fx);
   const auto first =
-      monitor.Consume(Announce(100, 0, "78.46.0.0/16", "701 3356 24940"));
+      fx.Feed(monitor, Announce(100, 0, "78.46.0.0/16", "701 3356 24940"));
   const auto repeat =
-      monitor.Consume(Announce(200, 1, "78.46.0.0/16", "1299 3356 24940"));
+      fx.Feed(monitor, Announce(200, 1, "78.46.0.0/16", "1299 3356 24940"));
   EXPECT_EQ(first.size(), 1u);
   EXPECT_TRUE(repeat.empty());
   EXPECT_EQ(monitor.AlertCounts().more_specific, 1u);
   EXPECT_EQ(monitor.SuppressedDuplicates(), 1u);
   // Same carve-out from a different origin: a distinct anomaly.
-  EXPECT_EQ(monitor.Consume(Announce(300, 0, "78.46.0.0/16", "701 666")).size(), 1u);
+  EXPECT_EQ(fx.Feed(monitor, Announce(300, 0, "78.46.0.0/16", "701 666")).size(), 1u);
   // So is a different carve-out by the original origin.
   EXPECT_EQ(
-      monitor.Consume(Announce(400, 0, "78.47.0.0/16", "701 3356 24940")).size(), 1u);
+      fx.Feed(monitor, Announce(400, 0, "78.47.0.0/16", "701 3356 24940")).size(), 1u);
 }
 
 TEST(RelayMonitor, OutOfOrderTimestampsYieldTheSameAlertSet) {
@@ -183,11 +200,12 @@ TEST(RelayMonitor, OutOfOrderTimestampsYieldTheSameAlertSet) {
       Announce(100, 0, "10.9.128.0/17", "701 666"),      // more specific (late)
       Announce(200, 0, "10.9.0.0/16", "701 9002 16276"), // new upstream
   };
-  RelayMonitor in_order = MonitorWithBaseline();
-  RelayMonitor reversed = MonitorWithBaseline();
-  for (const BgpUpdate& update : anomalies) (void)in_order.Consume(update);
+  test::RecordFixture fx;
+  RelayMonitor in_order = MonitorWithBaseline(fx);
+  RelayMonitor reversed = MonitorWithBaseline(fx);
+  for (const BgpUpdate& update : anomalies) (void)fx.Feed(in_order, update);
   for (auto it = anomalies.rbegin(); it != anomalies.rend(); ++it) {
-    (void)reversed.Consume(*it);
+    (void)fx.Feed(reversed, *it);
   }
   EXPECT_EQ(in_order.AlertCounts().total(), 3u);
   EXPECT_EQ(in_order.AlertCounts().origin_change, reversed.AlertCounts().origin_change);
@@ -197,7 +215,8 @@ TEST(RelayMonitor, OutOfOrderTimestampsYieldTheSameAlertSet) {
 }
 
 TEST(RelayMonitor, SuppressedDuplicatesStartAtZero) {
-  EXPECT_EQ(MonitorWithBaseline().SuppressedDuplicates(), 0u);
+  test::RecordFixture fx;
+  EXPECT_EQ(MonitorWithBaseline(fx).SuppressedDuplicates(), 0u);
 }
 
 TEST(AlertCountSummary, Accumulates) {

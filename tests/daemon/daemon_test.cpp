@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -126,24 +127,26 @@ TEST(Daemon, RateZeroMatchesBatchPipeline) {
   const fault::FaultInjector injector(plan);
   fault::FaultedStream base =
       injector.PerturbStream(world.dynamics.initial_rib, world.dynamics.updates);
+  auto table = std::make_shared<bgp::feed::AsPathTable>();
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = kWindow;
-  bgp::ChurnAnalyzer batch_churn =
-      bgp::AnalyzeChurn(world.dynamics.initial_rib, base.updates, churn_params);
+  bgp::ChurnAnalyzer batch_churn = bgp::AnalyzeChurnStream(
+      bgp::feed::FromVector(table, world.dynamics.initial_rib),
+      bgp::feed::FromVector(table, base.updates), churn_params);
 
   daemon.churn().Finish();
   const auto& live_entries = daemon.churn().entries();
   const auto& batch_entries = batch_churn.entries();
   ASSERT_EQ(live_entries.size(), batch_entries.size());
   EXPECT_TRUE(live_entries == batch_entries)
-      << "resident churn state must equal batch AnalyzeChurn";
+      << "resident churn state must equal batch AnalyzeChurnStream";
   EXPECT_EQ(daemon.churn().DroppedOutOfOrder(), batch_churn.DroppedOutOfOrder());
 
   core::RelayMonitor batch_monitor(config.monitored_prefixes, config.monitor);
-  batch_monitor.LearnBaseline(world.dynamics.initial_rib);
-  for (const bgp::BgpUpdate& update : base.updates) {
-    static_cast<void>(batch_monitor.Consume(update));
-  }
+  bgp::feed::UpdateStream rib = bgp::feed::FromVector(table, world.dynamics.initial_rib);
+  batch_monitor.LearnBaselineStream(rib);
+  bgp::feed::UpdateStream updates = bgp::feed::FromVector(table, base.updates);
+  static_cast<void>(batch_monitor.ConsumeStream(updates));
   EXPECT_GT(batch_monitor.alerts().size(), 0u)
       << "world should churn enough to raise alerts, or the test is vacuous";
   EXPECT_EQ(AlertKeys(daemon.monitor().alerts()), AlertKeys(batch_monitor.alerts()));

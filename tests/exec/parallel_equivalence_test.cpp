@@ -19,6 +19,7 @@
 #include "core/attack_analysis.hpp"
 #include "core/exposure.hpp"
 #include "netbase/rng.hpp"
+#include "record_fixture.hpp"
 
 namespace quicksand {
 namespace {
@@ -133,12 +134,14 @@ TEST_F(EntryPointEquivalenceTest, AnalyzeChurnMatchesTheSerialAnalyzer) {
       bgp::GenerateDynamics(topo_, collectors_, params);
 
   bgp::ChurnAnalyzer serial;
-  serial.ConsumeInitialRib(dyn.initial_rib);
-  for (const bgp::BgpUpdate& update : dyn.updates) serial.Consume(update);
+  test::RecordFixture fx;
+  fx.Feed(serial, dyn.initial_rib);
+  fx.Feed(serial, dyn.updates);
   serial.Finish();
 
   const bgp::ChurnAnalyzer parallel =
-      bgp::AnalyzeChurn(dyn.initial_rib, dyn.updates, {}, 4);
+      bgp::AnalyzeChurnStream(bgp::feed::FromVector(fx.table(), dyn.initial_rib),
+                              bgp::feed::FromVector(fx.table(), dyn.updates), {}, 4);
 
   ASSERT_EQ(serial.entries().size(), parallel.entries().size());
   auto it = parallel.entries().begin();

@@ -16,6 +16,7 @@
 #include "bgp/topology_gen.hpp"
 #include "core/monitor.hpp"
 #include "fault/injector.hpp"
+#include "record_fixture.hpp"
 
 namespace quicksand::fault {
 namespace {
@@ -53,7 +54,7 @@ SmallWorld MakeSmallWorld(std::int64_t window_s) {
 struct PipelineRun {
   bgp::mrt::ParseStats parse_stats;
   StreamFaultStats stream_stats;
-  bgp::SanitizedFeed feed;
+  std::vector<bgp::BgpUpdate> sanitized;
   std::size_t churn_dropped = 0;
   std::vector<std::pair<bgp::SessionPrefixKey, bgp::SessionPrefixChurn>> entries;
 };
@@ -68,11 +69,16 @@ PipelineRun RunPipeline(const SmallWorld& world, const FaultInjector& injector,
   FaultedStream stream =
       injector.PerturbStream(world.dynamics.initial_rib, parsed.updates);
   run.stream_stats = stream.stats;
-  run.feed = bgp::SanitizeFeed(world.dynamics.initial_rib, std::move(stream.updates));
+  test::RecordFixture fx;
+  std::vector<bgp::feed::UpdateRec> rib = fx.Recs(world.dynamics.initial_rib);
+  bgp::SanitizedRecords clean = bgp::SanitizeRecords(rib, fx.Recs(stream.updates));
+  run.sanitized = fx.Updates(clean.updates);
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = injector.plan().window_s;
-  const bgp::ChurnAnalyzer analyzer = bgp::AnalyzeChurn(
-      world.dynamics.initial_rib, run.feed.updates, churn_params, threads);
+  const bgp::ChurnAnalyzer analyzer = bgp::AnalyzeChurnStream(
+      bgp::feed::FromRecords(fx.table(), std::move(rib)),
+      bgp::feed::FromRecords(fx.table(), std::move(clean.updates)), churn_params,
+      threads);
   run.churn_dropped = analyzer.DroppedOutOfOrder();
   run.entries.assign(analyzer.entries().begin(), analyzer.entries().end());
   return run;
@@ -101,7 +107,7 @@ TEST(Degradation, FaultedPipelineIsIdenticalAcrossThreadCounts) {
   const FaultInjector injector(FaultPlan::Scaled(0.05, 4242, kWindow));
   const PipelineRun serial = RunPipeline(world, injector, 1);
   const PipelineRun parallel = RunPipeline(world, injector, 4);
-  EXPECT_EQ(serial.feed.updates, parallel.feed.updates);
+  EXPECT_EQ(serial.sanitized, parallel.sanitized);
   EXPECT_EQ(serial.churn_dropped, parallel.churn_dropped);
   ASSERT_EQ(serial.entries.size(), parallel.entries.size());
   for (std::size_t i = 0; i < serial.entries.size(); ++i) {
@@ -118,7 +124,7 @@ TEST(Degradation, FaultedPipelineIsRepeatable) {
   const FaultInjector injector(FaultPlan::Scaled(0.03, 777, kWindow));
   const PipelineRun first = RunPipeline(world, injector, 2);
   const PipelineRun second = RunPipeline(world, injector, 2);
-  EXPECT_EQ(first.feed.updates, second.feed.updates);
+  EXPECT_EQ(first.sanitized, second.sanitized);
   EXPECT_EQ(first.parse_stats.bad_lines, second.parse_stats.bad_lines);
   EXPECT_EQ(first.stream_stats.dropped(), second.stream_stats.dropped());
 }
@@ -130,9 +136,10 @@ TEST(Degradation, ZeroRatePipelineMatchesInjectorFreeRun) {
 
   // The same pipeline without any injector in the loop.
   const auto parsed = bgp::mrt::ParseText(bgp::mrt::ToText(world.dynamics.updates));
-  const bgp::SanitizedFeed clean =
-      bgp::SanitizeFeed(world.dynamics.initial_rib, parsed);
-  EXPECT_EQ(faulted.feed.updates, clean.updates);
+  test::RecordFixture fx;
+  const std::vector<bgp::feed::UpdateRec> rib = fx.Recs(world.dynamics.initial_rib);
+  const bgp::SanitizedRecords clean = bgp::SanitizeRecords(rib, fx.Recs(parsed));
+  EXPECT_EQ(faulted.sanitized, fx.Updates(clean.updates));
   EXPECT_EQ(faulted.parse_stats.bad_lines, 0u);
   EXPECT_EQ(faulted.stream_stats.dropped(), 0u);
   EXPECT_EQ(faulted.churn_dropped, 0u);
@@ -145,10 +152,11 @@ TEST(Degradation, ChurnAnalyzerDropsOutOfOrderInsteadOfCorrupting) {
                           netbase::Prefix::MustParse("10.0.0.0/8"),
                           bgp::AsPath::MustParse(path)};
   };
-  analyzer.Consume(mk(100, "1 2"));
-  analyzer.Consume(mk(500, "1 3"));
-  analyzer.Consume(mk(200, "1 2"));  // late straggler: dropped, not fatal
-  analyzer.Consume(mk(600, "1 2"));
+  test::RecordFixture fx;
+  fx.Feed(analyzer, mk(100, "1 2"));
+  fx.Feed(analyzer, mk(500, "1 3"));
+  fx.Feed(analyzer, mk(200, "1 2"));  // late straggler: dropped, not fatal
+  fx.Feed(analyzer, mk(600, "1 2"));
   EXPECT_EQ(analyzer.DroppedOutOfOrder(), 1u);
   analyzer.Finish();
   const auto& entries = analyzer.entries();
@@ -170,8 +178,9 @@ TEST(Degradation, MonitorSurvivesFaultedStreamIdempotently) {
     if (monitored.size() >= 4) break;
   }
   core::RelayMonitor monitor(monitored);
-  monitor.LearnBaseline(world.dynamics.initial_rib);
-  for (const auto& update : stream.updates) (void)monitor.Consume(update);
+  test::RecordFixture fx;
+  fx.FeedBaseline(monitor, world.dynamics.initial_rib);
+  for (const auto& update : stream.updates) (void)fx.Feed(monitor, update);
   // Alert totals stay consistent however noisy the feed was.
   EXPECT_EQ(monitor.AlertCounts().total(), monitor.alerts().size());
 }

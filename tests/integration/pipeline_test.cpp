@@ -19,6 +19,7 @@
 #include "core/attack_analysis.hpp"
 #include "core/exposure.hpp"
 #include "core/monitor.hpp"
+#include "record_fixture.hpp"
 #include "tor/as_aware_selection.hpp"
 #include "tor/consensus_gen.hpp"
 #include "tor/path_selection.hpp"
@@ -93,15 +94,18 @@ TEST_F(PipelineTest, TorPrefixIdentificationWorksOnGeneratedData) {
 }
 
 TEST_F(PipelineTest, FilterThenChurnProducesTheFigure3Inputs) {
-  const auto filtered =
-      bgp::FilterSessionResets(dynamics_->initial_rib, dynamics_->updates);
+  test::RecordFixture fx;
+  const std::vector<bgp::feed::UpdateRec> rib = fx.Recs(dynamics_->initial_rib);
+  const auto filtered = bgp::FilterSessionRecords(rib, fx.Recs(dynamics_->updates));
   EXPECT_LE(filtered.updates.size(), dynamics_->updates.size());
 
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = 7 * netbase::duration::kDay;
   bgp::ChurnAnalyzer analyzer(churn_params);
-  analyzer.ConsumeInitialRib(dynamics_->initial_rib);
-  for (const bgp::BgpUpdate& update : filtered.updates) analyzer.Consume(update);
+  for (const bgp::feed::UpdateRec& rec : rib) analyzer.ConsumeRecord(rec, *fx.table());
+  for (const bgp::feed::UpdateRec& rec : filtered.updates) {
+    analyzer.ConsumeRecord(rec, *fx.table());
+  }
   analyzer.Finish();
 
   // Every session observed something.
@@ -125,7 +129,9 @@ TEST_F(PipelineTest, FilteringReducesArtifactsWithoutLosingRealChanges) {
   no_resets.seed = 407;
   no_resets.session_resets_per_month = 0;
   const auto clean = bgp::GenerateDynamics(*topo_, *collectors_, no_resets);
-  const auto filtered_clean = bgp::FilterSessionResets(clean.initial_rib, clean.updates);
+  test::RecordFixture fx;
+  const std::vector<bgp::feed::UpdateRec> rib = fx.Recs(clean.initial_rib);
+  const auto filtered_clean = bgp::FilterSessionRecords(rib, fx.Recs(clean.updates));
   // On a reset-free stream the filter is (almost) a no-op.
   EXPECT_EQ(filtered_clean.stats.bursts_detected, 0u);
   EXPECT_GT(static_cast<double>(filtered_clean.updates.size()),
@@ -138,13 +144,14 @@ TEST_F(PipelineTest, MonitorCatchesAttackAgainstTorPrefixButNotBenignChurn) {
   const auto tor_prefixes = map.TorPrefixes(consensus_->consensus);
 
   core::RelayMonitor monitor(tor_prefixes);
-  monitor.LearnBaseline(dynamics_->initial_rib);
+  test::RecordFixture fx;
+  fx.FeedBaseline(monitor, dynamics_->initial_rib);
 
   // Benign stream: origin changes never occur in generated dynamics, so
   // only (rare, aggressive-by-design) new-upstream alerts may fire; no
   // origin-change or more-specific alerts.
   for (const bgp::BgpUpdate& update : dynamics_->updates) {
-    for (const core::Alert& alert : monitor.Consume(update)) {
+    for (const core::Alert& alert : fx.Feed(monitor, update)) {
       EXPECT_NE(alert.kind, core::AlertKind::kOriginChange);
       EXPECT_NE(alert.kind, core::AlertKind::kMoreSpecific);
     }
@@ -154,7 +161,7 @@ TEST_F(PipelineTest, MonitorCatchesAttackAgainstTorPrefixButNotBenignChurn) {
   const netbase::Prefix victim_prefix = *tor_prefixes.begin();
   const bgp::BgpUpdate bogus = {netbase::SimTime{1000}, 0, bgp::UpdateType::kAnnounce,
                                 victim_prefix, bgp::AsPath{64512, 64666}};
-  const auto alerts = monitor.Consume(bogus);
+  const auto alerts = fx.Feed(monitor, bogus);
   ASSERT_FALSE(alerts.empty());
   EXPECT_EQ(alerts[0].kind, core::AlertKind::kOriginChange);
 }
@@ -249,26 +256,29 @@ TEST_F(PipelineTest, MrtArchiveRoundTripsTheWholeMonth) {
 TEST_F(PipelineTest, AdvisorPipelineProducesActionableWeights) {
   // Full defender loop: stream -> filter -> churn + monitor -> advisor ->
   // weights that PickGuardSet accepts and that zero out attacked prefixes.
-  const auto filtered =
-      bgp::FilterSessionResets(dynamics_->initial_rib, dynamics_->updates);
+  test::RecordFixture fx;
+  const std::vector<bgp::feed::UpdateRec> rib = fx.Recs(dynamics_->initial_rib);
+  const auto filtered = bgp::FilterSessionRecords(rib, fx.Recs(dynamics_->updates));
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = 7 * netbase::duration::kDay;
   bgp::ChurnAnalyzer churn(churn_params);
-  churn.ConsumeInitialRib(dynamics_->initial_rib);
   const auto tor_prefixes =
       tor::TorPrefixMap::Build(consensus_->consensus, topo_->prefix_origins)
           .TorPrefixes(consensus_->consensus);
   core::RelayMonitor monitor(tor_prefixes);
-  monitor.LearnBaseline(dynamics_->initial_rib);
-  for (const bgp::BgpUpdate& update : filtered.updates) {
-    churn.Consume(update);
-    (void)monitor.Consume(update);
+  for (const bgp::feed::UpdateRec& rec : rib) {
+    churn.ConsumeRecord(rec, *fx.table());
+    monitor.LearnRecord(rec, *fx.table());
+  }
+  for (const bgp::feed::UpdateRec& rec : filtered.updates) {
+    churn.ConsumeRecord(rec, *fx.table());
+    (void)monitor.ConsumeRecord(rec, *fx.table());
   }
   churn.Finish();
   // Inject one hijack against a monitored prefix.
   const netbase::Prefix victim = *tor_prefixes.begin();
-  (void)monitor.Consume({netbase::SimTime{5000}, 0, bgp::UpdateType::kAnnounce, victim,
-                         bgp::AsPath{64512, 64666}});
+  (void)fx.Feed(monitor, {netbase::SimTime{5000}, 0, bgp::UpdateType::kAnnounce,
+                          victim, bgp::AsPath{64512, 64666}});
 
   const tor::TorPrefixMap map =
       tor::TorPrefixMap::Build(consensus_->consensus, topo_->prefix_origins);
@@ -310,8 +320,9 @@ TEST_F(PipelineTest, RibReplayAgreesWithChurnVisibility) {
   ribs.ApplyAll(dynamics_->initial_rib);
   ribs.ApplyAll(dynamics_->updates);
   bgp::ChurnAnalyzer churn;
-  churn.ConsumeInitialRib(dynamics_->initial_rib);
-  for (const bgp::BgpUpdate& update : dynamics_->updates) churn.Consume(update);
+  test::RecordFixture fx;
+  fx.Feed(churn, dynamics_->initial_rib);
+  fx.Feed(churn, dynamics_->updates);
   churn.Finish();
   // Every prefix currently in a session's RIB must have been observed by
   // the churn analyzer on that session.
