@@ -194,13 +194,13 @@ inline void PrintComparison(util::Table& table, const std::string& metric,
 ///                            stream hand-offs (0, the default, selects the
 ///                            default batch (4096)). Output is
 ///                            byte-identical for every value — only the
-///                            reserved feed.* metrics reflect the batching
+///                            run-class feed.* metrics reflect the batching
 ///                            (docs/ARCHITECTURE.md)
 ///   --format <text|qmrt>     wire format for the bench's serialize/parse
 ///                            legs: the textual MRT debug codec (default)
 ///                            or the QMRT binary codec. Output is
-///                            byte-identical outside the reserved qmrt.*
-///                            and feed.* namespaces — only wall time
+///                            byte-identical outside the run-class qmrt.*
+///                            and feed.* metrics — only wall time
 ///                            changes (docs/PERFORMANCE.md)
 ///   --profile                enable the profiling layer: span aggregation,
 ///                            the per-stage flight recorder, and a
@@ -211,9 +211,10 @@ inline void PrintComparison(util::Table& table, const std::string& metric,
 ///                            byte-identical to a build without the
 ///                            profiling layer (docs/OBSERVABILITY.md)
 ///
-/// The JSON summary separates wall-clock timing (phases / *_ms
-/// histograms) from the deterministic metric snapshot, so two seeded runs
-/// compare equal outside the timing fields (scripts/check_bench_json.py).
+/// The JSON summary keeps wall-clock phase timings and the "run" section
+/// (obs::Stability::kRun metrics) apart from the seeded metric snapshot,
+/// so two seeded runs compare equal outside them
+/// (scripts/check_bench_json.py).
 class BenchContext {
  public:
   BenchContext(int argc, char** argv, std::string experiment, std::string claim)
@@ -263,26 +264,20 @@ class BenchContext {
     if (trace_ != nullptr) obs::SetGlobalTrace(nullptr);
   }
 
-  /// Runs `fn`, records its wall time as a named phase (and under the
-  /// `bench.phase_ms` histogram), and returns whatever `fn` returns.
+  /// Runs `fn`, records its wall time as a named phase, and returns
+  /// whatever `fn` returns.
   /// Returning through here lets phases wrap the construction of
   /// non-default-constructible values (Scenario, CollectorSet, ...).
   template <typename Fn>
   auto Timed(const std::string& phase, Fn&& fn) {
     const obs::ScopedSpan span("bench." + phase);
-    obs::Histogram& phase_hist =
-        obs::MetricsRegistry::Global().GetHistogram("bench.phase_ms");
     const obs::Stopwatch watch;
     if constexpr (std::is_void_v<std::invoke_result_t<Fn&>>) {
       fn();
-      const double ms = watch.ElapsedMs();
-      phase_hist.Observe(ms);
-      phases_.emplace_back(phase, ms);
+      phases_.emplace_back(phase, watch.ElapsedMs());
     } else {
       auto result = fn();
-      const double ms = watch.ElapsedMs();
-      phase_hist.Observe(ms);
-      phases_.emplace_back(phase, ms);
+      phases_.emplace_back(phase, watch.ElapsedMs());
       return result;
     }
   }
@@ -323,18 +318,12 @@ class BenchContext {
     // Outside the deterministic view: a run's thread count, like its wall
     // times, is allowed to differ between compared runs.
     doc.Set("threads", static_cast<std::int64_t>(threads()));
-    const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
-    obs::JsonValue metrics = snapshot.ToJson();
-    for (const auto& [key, value] : metrics.members()) {
-      // Under --profile, histogram objects additionally carry estimated
-      // p50/p95/p99; without it the document stays byte-identical to a
-      // build without the profiling layer.
-      if (profile_ && key == "histograms") {
-        doc.Set(key, HistogramsWithQuantiles(snapshot));
-        continue;
-      }
-      doc.Set(key, value);
-    }
+    // Seeded metrics at top level; everything two runs may disagree on
+    // (obs::Stability::kRun) in "run", with the same three maps.
+    const obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    const obs::JsonValue seeded = MetricsJson(registry.Snapshot(obs::Stability::kSeeded));
+    for (const auto& [key, value] : seeded.members()) doc.Set(key, value);
+    doc.Set("run", MetricsJson(registry.Snapshot(obs::Stability::kRun)));
     obs::JsonValue comparisons = obs::JsonValue::Array();
     for (const auto& row : comparisons_) {
       obs::JsonValue entry = obs::JsonValue::Object();
@@ -438,16 +427,19 @@ class BenchContext {
       }
       std::cout << table.Render();
     }
-    const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
     bool any_histogram = false;
     util::Table quantiles({"histogram", "count", "p50", "p95", "p99"});
-    for (const auto& histogram : snapshot.histograms) {
-      if (histogram.count == 0) continue;
-      any_histogram = true;
-      quantiles.AddRow({histogram.name, std::to_string(histogram.count),
-                        util::FormatDouble(obs::EstimateQuantile(histogram.buckets, 0.50), 3),
-                        util::FormatDouble(obs::EstimateQuantile(histogram.buckets, 0.95), 3),
-                        util::FormatDouble(obs::EstimateQuantile(histogram.buckets, 0.99), 3)});
+    for (const obs::Stability stability : {obs::Stability::kSeeded, obs::Stability::kRun}) {
+      for (const auto& histogram :
+           obs::MetricsRegistry::Global().Snapshot(stability).histograms) {
+        if (histogram.count == 0) continue;
+        any_histogram = true;
+        quantiles.AddRow(
+            {histogram.name, std::to_string(histogram.count),
+             util::FormatDouble(obs::EstimateQuantile(histogram.buckets, 0.50), 3),
+             util::FormatDouble(obs::EstimateQuantile(histogram.buckets, 0.95), 3),
+             util::FormatDouble(obs::EstimateQuantile(histogram.buckets, 0.99), 3)});
+      }
     }
     if (any_histogram) {
       std::cout << "\nHistogram quantiles (estimated from buckets):\n"
@@ -457,6 +449,20 @@ class BenchContext {
       std::cout << "\nResource sampler: peak RSS " << sampler_->peak_rss_kb()
                 << " KiB over " << sampler_->samples() << " samples\n";
     }
+  }
+
+  /// {"counters", "gauges", "histograms"} for one metric class. Under
+  /// --profile, histogram objects additionally carry estimated
+  /// p50/p95/p99; without it the document stays byte-identical to a build
+  /// without the profiling layer.
+  [[nodiscard]] obs::JsonValue MetricsJson(const obs::MetricsSnapshot& snapshot) const {
+    obs::JsonValue metrics = snapshot.ToJson();
+    if (!profile_) return metrics;
+    obs::JsonValue out = obs::JsonValue::Object();
+    for (const auto& [key, value] : metrics.members()) {
+      out.Set(key, key == "histograms" ? HistogramsWithQuantiles(snapshot) : value);
+    }
+    return out;
   }
 
   /// The metrics snapshot's "histograms" object with estimated

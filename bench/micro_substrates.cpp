@@ -365,10 +365,11 @@ int main(int argc, char** argv) {
   // pipeline run archives larger than memory.
   const std::size_t streamed = static_cast<std::size_t>(
       quicksand::obs::MetricsRegistry::Global()
-          .GetCounter("feed.updates_streamed")
+          .GetCounter("feed.updates_streamed", quicksand::obs::Stability::kRun)
           .value());
   const auto peak = quicksand::obs::MetricsRegistry::Global()
-                        .GetGauge("feed.peak_resident_updates")
+                        .GetGauge("feed.peak_resident_updates",
+                                  quicksand::obs::Stability::kRun)
                         .value();
   if (streamed == 0) {
     // A --benchmark_filter excluded the streaming cases; nothing to check.

@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
   // stream ever delivered; an archive-sized value means something
   // materialized where it should have streamed.
   const auto peak = obs::MetricsRegistry::Global()
-                        .GetGauge("feed.peak_resident_updates")
+                        .GetGauge("feed.peak_resident_updates", obs::Stability::kRun)
                         .value();
   if (peak <= 0 || static_cast<std::size_t>(peak) > batch) {
     std::cerr << "FAIL: streaming residency contract violated — peak resident "

@@ -8,9 +8,9 @@ Usage:
 Two independent checks, with different severities:
 
   * Deterministic drift (HARD FAIL): the deterministic views of the two
-    documents (check_bench_json.py: counters, gauges, non-timing
-    histograms, comparison rows, results, stage counts) must be
-    identical. A drift here means the experiment's *output* changed —
+    documents (check_bench_json.py: top-level counters, gauges and
+    histograms, comparison rows, results, stage counts — never the "run"
+    section) must be identical. A drift here means the experiment's *output* changed —
     a correctness regression, never noise — so it always exits 1.
 
   * Wall-time regressions (WARN by default): each phase present in both

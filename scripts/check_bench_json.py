@@ -11,23 +11,18 @@ Usage:
                                               killed-and-resumed run
 
 Validation checks the schema tag, the presence and types of every
-top-level field, and the internal shape of phases, metric maps,
-histograms, and comparison rows.
+top-level field, and the internal shape of phases, metric maps (top
+level and in "run"), histograms, and comparison rows.
 
-Comparison ignores everything that is allowed to vary between runs of
-the same seed: per-phase wall times, total_wall_ms, the top-level
-"threads" field, any histogram whose name ends in "_ms" (the reserved
-wall-clock namespace), and any metric whose name starts with "exec.",
-"ckpt.", "feed.", "span.", "prof.", "qmrt.", "daemon.", or "xmat."
-(the reserved namespaces:
-thread-pool and cache counters legitimately depend on thread count and
-scheduling, checkpoint telemetry depends on where a run was killed,
-streaming-feed telemetry — batch counts, peak resident updates, intern
-hit rates — depends on the chosen batch size, which is a tuning knob,
-not an output, and span/profiler telemetry is wall-clock- and
-sampler-cadence-shaped by construction; see docs/OBSERVABILITY.md,
-docs/ROBUSTNESS.md, and docs/ARCHITECTURE.md). Everything else,
-including every counter, gauge, non-timing histogram, comparison row,
+Every metric declares where it is registered whether two runs of one
+seed must agree on it (obs::Stability, docs/OBSERVABILITY.md). Seeded
+metrics fill the top-level "counters"/"gauges"/"histograms"; run-shaped
+ones (thread-pool, checkpoint, streaming-feed, codec, profiler, daemon,
+matrix and population telemetry, retry backoff) fill the "run" section's
+maps of the same names. Comparison ignores everything that is allowed to
+vary between runs of the same seed: per-phase wall times, total_wall_ms,
+the top-level "threads" field and the "run" section. Everything else,
+including every top-level counter, gauge and histogram, comparison row,
 and result value, must match exactly.
 
 --profile runs add two optional sections, both validated when present:
@@ -41,13 +36,13 @@ whatever their thread counts.
 
 --compare-resume applies the same deterministic view and additionally
 asserts that the second document came from a run that really resumed
-from a snapshot (counters contain a positive ckpt.resume.shards_loaded).
-Without that guard, a rejected snapshot silently falling back to a
-fresh run would make the comparison pass without exercising resume at
-all. Domain counters (core.*, traffic.*, ...) are compared exactly even
-though a resumed process performs less work: checkpoint shards carry
-the counter deltas of the work they recorded, and resume replays them
-(see src/ckpt/sweep.hpp).
+from a snapshot (run.counters contain a positive
+ckpt.resume.shards_loaded). Without that guard, a rejected snapshot
+silently falling back to a fresh run would make the comparison pass
+without exercising resume at all. Seeded counters and histograms are
+compared exactly even though a resumed process performs less work:
+checkpoint shards carry the deltas of the work they recorded, and resume
+replays them (see src/ckpt/sweep.hpp).
 """
 
 import json
@@ -65,6 +60,7 @@ REQUIRED = {
     "counters": dict,
     "gauges": dict,
     "histograms": dict,
+    "run": dict,
     "comparisons": list,
     "results": dict,
 }
@@ -82,33 +78,16 @@ def is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def validate(doc, origin):
-    if not isinstance(doc, dict):
-        fail(f"{origin}: top level is not an object")
-    for key, kind in REQUIRED.items():
-        if key not in doc:
-            fail(f"{origin}: missing required key '{key}'")
-        if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
-            fail(f"{origin}: '{key}' has wrong type {type(doc[key]).__name__}")
-    if doc["schema"] != SCHEMA:
-        fail(f"{origin}: schema is '{doc['schema']}', expected '{SCHEMA}'")
-
-    for i, phase in enumerate(doc["phases"]):
-        if not isinstance(phase, dict):
-            fail(f"{origin}: phases[{i}] is not an object")
-        if not isinstance(phase.get("name"), str):
-            fail(f"{origin}: phases[{i}].name is not a string")
-        if not is_number(phase.get("wall_ms")):
-            fail(f"{origin}: phases[{i}].wall_ms is not a number")
-
-    for name, value in doc["counters"].items():
+def validate_metrics(metrics, origin):
+    """Checks one {"counters", "gauges", "histograms"} set."""
+    for name, value in metrics["counters"].items():
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             fail(f"{origin}: counter '{name}' is not a non-negative integer")
-    for name, value in doc["gauges"].items():
+    for name, value in metrics["gauges"].items():
         if not isinstance(value, int) or isinstance(value, bool):
             fail(f"{origin}: gauge '{name}' is not an integer")
 
-    for name, hist in doc["histograms"].items():
+    for name, hist in metrics["histograms"].items():
         if not isinstance(hist, dict):
             fail(f"{origin}: histogram '{name}' is not an object")
         for key in ("count", "sum", "buckets"):
@@ -134,7 +113,7 @@ def validate(doc, origin):
             fail(f"{origin}: histogram '{name}' bucket counts sum to {total}, "
                  f"count says {hist['count']}")
 
-    for name, hist in doc["histograms"].items():
+    for name, hist in metrics["histograms"].items():
         # --profile runs append estimated quantiles; when present they
         # must be numbers and monotone.
         quantiles = [hist[key] for key in ("p50", "p95", "p99") if key in hist]
@@ -143,6 +122,32 @@ def validate(doc, origin):
                 fail(f"{origin}: histogram '{name}'.{key} is not a number")
         if quantiles != sorted(quantiles):
             fail(f"{origin}: histogram '{name}' quantiles are not monotone")
+
+
+def validate(doc, origin):
+    if not isinstance(doc, dict):
+        fail(f"{origin}: top level is not an object")
+    for key, kind in REQUIRED.items():
+        if key not in doc:
+            fail(f"{origin}: missing required key '{key}'")
+        if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
+            fail(f"{origin}: '{key}' has wrong type {type(doc[key]).__name__}")
+    if doc["schema"] != SCHEMA:
+        fail(f"{origin}: schema is '{doc['schema']}', expected '{SCHEMA}'")
+
+    for i, phase in enumerate(doc["phases"]):
+        if not isinstance(phase, dict):
+            fail(f"{origin}: phases[{i}] is not an object")
+        if not isinstance(phase.get("name"), str):
+            fail(f"{origin}: phases[{i}].name is not a string")
+        if not is_number(phase.get("wall_ms")):
+            fail(f"{origin}: phases[{i}].wall_ms is not a number")
+
+    validate_metrics(doc, origin)
+    for key in ("counters", "gauges", "histograms"):
+        if not isinstance(doc["run"].get(key), dict):
+            fail(f"{origin}: 'run.{key}' is not an object")
+    validate_metrics(doc["run"], f"{origin} (run)")
 
     for i, row in enumerate(doc["comparisons"]):
         if not isinstance(row, dict):
@@ -182,55 +187,15 @@ def validate(doc, origin):
                     fail(f"{origin}: stages[{i}].{key} is not a number")
 
 
-def scheduling_dependent(name):
-    """True for metrics in the reserved "exec.", "ckpt.", "feed.",
-    "span.", "prof.", "qmrt.", "daemon.", "xmat.", and "pop." namespaces, whose values may
-    vary with thread count, scheduling, where in a sweep a run was killed,
-    the streaming batch size, the selected wire format, or the resource
-    sampler's cadence (pool telemetry, cache hits, snapshot sizes and
-    resume bookkeeping, feed batch counts and residency gauges, span wall
-    times, RSS samples, binary codec block/byte volumes). "daemon." covers
-    the resident monitor's supervision/ingest/query counters: a killed-
-    and-restored run legitimately re-counts offers and retries, so the
-    warm-restart contract is alert-dump byte identity, never counter
-    equality (docs/DAEMON.md). "xmat." covers the experiment-matrix
-    runner: attempt, retry, and deadline-kill counts legitimately differ
-    between an uninterrupted matrix and a killed-and-resumed one — the
-    matrix contract is merged-artifact byte identity (docs/ROBUSTNESS.md
-    "Experiment matrix"). "pop." covers the population engine's telemetry
-    (clients simulated, rotation sweeps, alias-table builds, peak shard
-    residency): a resumed population sweep skips the shards it loaded and
-    builds alias tables once per path selector, so these tallies vary with
-    where a run was killed while the population results themselves stay
-    byte-identical."""
-    return (name.startswith("exec.") or name.startswith("ckpt.")
-            or name.startswith("feed.") or name.startswith("span.")
-            or name.startswith("prof.") or name.startswith("qmrt.")
-            or name.startswith("daemon.") or name.startswith("xmat.")
-            or name.startswith("pop."))
-
-
 def deterministic_view(doc):
     """The subset of a document that must be identical across same-seed runs."""
     view = {
         "experiment": doc["experiment"],
         "claim": doc["claim"],
         "phase_names": [p["name"] for p in doc["phases"]],
-        "counters": {
-            name: value
-            for name, value in doc["counters"].items()
-            if not scheduling_dependent(name)
-        },
-        "gauges": {
-            name: value
-            for name, value in doc["gauges"].items()
-            if not scheduling_dependent(name)
-        },
-        "histograms": {
-            name: hist
-            for name, hist in doc["histograms"].items()
-            if not name.endswith("_ms") and not scheduling_dependent(name)
-        },
+        "counters": doc["counters"],
+        "gauges": doc["gauges"],
+        "histograms": doc["histograms"],
         "comparisons": doc["comparisons"],
         "results": doc["results"],
     }
@@ -291,7 +256,7 @@ def main(argv):
         validate(a, a_path)
         validate(b, b_path)
         if mode == "--compare-resume":
-            loaded = b["counters"].get("ckpt.resume.shards_loaded", 0)
+            loaded = b["run"]["counters"].get("ckpt.resume.shards_loaded", 0)
             if not isinstance(loaded, int) or loaded <= 0:
                 print(f"FAIL: {b_path} did not resume from a snapshot "
                       f"(ckpt.resume.shards_loaded={loaded!r}); a rejected "

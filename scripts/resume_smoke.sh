@@ -10,9 +10,9 @@
 #            from the snapshot the aborted run left behind
 # then asserts the resumed run's outputs are byte-identical to the
 # uninterrupted run: bench JSON via check_bench_json.py --compare-resume
-# (full deterministic view minus the reserved exec.*/ckpt.* namespaces —
-# including domain work counters, which resume replays from checkpointed
-# per-shard deltas) and the figure CSV via cmp.
+# (the full deterministic view, which leaves out only the "run" section —
+# including seeded work counters and histograms, which resume replays from
+# checkpointed per-shard deltas) and the figure CSV via cmp.
 #
 # Usage: scripts/resume_smoke.sh [BUILD_DIR] [OUT_DIR]
 #   BUILD_DIR  defaults to "build"
@@ -30,6 +30,7 @@ checker="$repo_root/scripts/check_bench_json.py"
 cases=(
   "sec33_asymmetric_gain:sec33_deanon.csv:7"
   "sec2_longterm_guards:sec2_longterm.csv:2"
+  "fault_sweep:fault_sweep.csv:2"
 )
 
 for spec in "${cases[@]}"; do

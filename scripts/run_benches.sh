@@ -6,7 +6,7 @@
 #   BUILD_DIR  defaults to "build"
 #   OUT_DIR    defaults to "bench_out"
 #
-# Pass QUICKSAND_BENCH_TRACE=1 to also write a .jsonl phase trace per bench.
+# Pass QUICKSAND_BENCH_TRACE=1 to also stream a .jsonl span trace per bench.
 # Pass QUICKSAND_BENCH_THREADS=<n> to forward --threads <n> to every bench
 # (0 = hardware concurrency; output is byte-identical for any value — see
 # docs/PERFORMANCE.md).
@@ -17,8 +17,8 @@
 # Pass QUICKSAND_BENCH_FORMAT=<text|qmrt> to forward --format to every
 # bench: benches with a wire round trip serialize/parse their feed through
 # the textual MRT codec or the binary QMRT codec (unset = text; outputs
-# outside the reserved qmrt.* namespace are byte-identical either way —
-# docs/ARCHITECTURE.md "Wire formats").
+# outside each JSON's "run" section, where the qmrt.* metrics live, are
+# byte-identical either way — docs/ARCHITECTURE.md "Wire formats").
 # Pass QUICKSAND_BENCH_PROFILE=1 to forward --profile to every bench: span
 # aggregation, the per-stage flight recorder, and the RSS sampler come on,
 # breakdown tables are printed, and the JSON grows "spans"/"stages"

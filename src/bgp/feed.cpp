@@ -37,8 +37,8 @@ PathId AsPathTable::Intern(const AsPath& path, bool* hit) {
   const auto it = index_.find(path);
   if (it != index_.end()) {
     if (hit != nullptr) *hit = true;
-    static obs::Counter& hits =
-        obs::MetricsRegistry::Global().GetCounter("feed.intern.hits");
+    static obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter(
+        "feed.intern.hits", obs::Stability::kRun);
     hits.Increment();
     return it->second;
   }
@@ -57,19 +57,19 @@ PathId AsPathTable::Intern(const AsPath& path, bool* hit) {
   approx_bytes_ += sizeof(Entry) + sizeof(std::pair<const AsPath, PathId>) +
                    2 * path.size() * sizeof(AsNumber) +
                    entries_.back().sorted_set.size() * sizeof(AsNumber);
-  static obs::Counter& misses =
-      obs::MetricsRegistry::Global().GetCounter("feed.intern.misses");
+  static obs::Counter& misses = obs::MetricsRegistry::Global().GetCounter(
+      "feed.intern.misses", obs::Stability::kRun);
   misses.Increment();
   // Static refs like the counters above: the registry lookup is a string
   // hash per call, which at tens of thousands of misses per feed shows up
   // in decode profiles. Gauges are process-global, so caching is sound.
-  static obs::Gauge& paths_gauge =
-      obs::MetricsRegistry::Global().GetGauge("feed.paths_interned");
+  static obs::Gauge& paths_gauge = obs::MetricsRegistry::Global().GetGauge(
+      "feed.paths_interned", obs::Stability::kRun);
   paths_gauge.Set(static_cast<std::int64_t>(entries_.size() - 1));  // excl. empty path
   // Codec-table residency: how much heap the intern pool costs the
   // pipeline (docs/OBSERVABILITY.md).
-  static obs::Gauge& bytes_gauge =
-      obs::MetricsRegistry::Global().GetGauge("feed.intern.bytes");
+  static obs::Gauge& bytes_gauge = obs::MetricsRegistry::Global().GetGauge(
+      "feed.intern.bytes", obs::Stability::kRun);
   bytes_gauge.Set(static_cast<std::int64_t>(approx_bytes_));
   return id;
 }
@@ -118,16 +118,16 @@ bool UpdateStream::Next(std::vector<UpdateRec>& batch) {
     return false;
   }
   static obs::Counter& batches =
-      obs::MetricsRegistry::Global().GetCounter("feed.batches");
-  static obs::Counter& streamed =
-      obs::MetricsRegistry::Global().GetCounter("feed.updates_streamed");
+      obs::MetricsRegistry::Global().GetCounter("feed.batches", obs::Stability::kRun);
+  static obs::Counter& streamed = obs::MetricsRegistry::Global().GetCounter(
+      "feed.updates_streamed", obs::Stability::kRun);
   batches.Increment();
   streamed.Increment(batch.size());
   // Max over all batches ever delivered: the hand-off residency bound the
   // micro_substrates streaming case reports. Benign under concurrent
-  // streams (feed.* is a reserved namespace).
-  obs::Gauge& peak =
-      obs::MetricsRegistry::Global().GetGauge("feed.peak_resident_updates");
+  // streams (registered kRun).
+  obs::Gauge& peak = obs::MetricsRegistry::Global().GetGauge(
+      "feed.peak_resident_updates", obs::Stability::kRun);
   const auto size = static_cast<std::int64_t>(batch.size());
   if (size > peak.value()) peak.Set(size);
   return true;

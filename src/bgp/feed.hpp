@@ -27,8 +27,8 @@
 //
 // Determinism contract: a stream's *content* (the concatenation of its
 // batches) never depends on batch size or thread count; only the
-// reserved `feed.*` metrics (batch counts, peak residency, intern
-// telemetry) may vary (docs/ARCHITECTURE.md).
+// `feed.*` metrics (batch counts, peak residency, intern telemetry),
+// registered obs::Stability::kRun, may vary (docs/ARCHITECTURE.md).
 
 #include <cstdint>
 #include <deque>

@@ -16,10 +16,10 @@
 // When the recorder is disabled (everything but `--profile`)
 // `ProfiledStream` returns its argument unchanged and `RecordSinkStage`
 // records nothing: zero overhead, zero extra stream layers, and the
-// reserved `feed.*` metrics are untouched. When enabled, each wrapper
-// adds one stream layer, so the reserved `feed.batches` /
-// `feed.updates_streamed` counters count the extra hand-off (documented
-// in docs/OBSERVABILITY.md); stream *content* is never altered.
+// `feed.*` metrics are untouched. When enabled, each wrapper adds one
+// stream layer, so the run-class `feed.batches` / `feed.updates_streamed`
+// counters count the extra hand-off (documented in
+// docs/OBSERVABILITY.md); stream *content* is never altered.
 
 #include <atomic>
 #include <cstdint>

@@ -246,9 +246,11 @@ void BlockEncoder::Flush() {
   written_blocks_ += 1;
   written_bytes_ += header.size() + payload.size();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("qmrt.blocks_encoded").Increment();
-  registry.GetCounter("qmrt.records_encoded").Increment(pending_.size());
-  registry.GetCounter("qmrt.bytes_encoded").Increment(header.size() + payload.size());
+  registry.GetCounter("qmrt.blocks_encoded", obs::Stability::kRun).Increment();
+  registry.GetCounter("qmrt.records_encoded", obs::Stability::kRun)
+      .Increment(pending_.size());
+  registry.GetCounter("qmrt.bytes_encoded", obs::Stability::kRun)
+      .Increment(header.size() + payload.size());
 
   pending_.clear();
   block_paths_.clear();
@@ -512,9 +514,11 @@ struct BlockCursor {
       ++stats.blocks;
       stats.records += out.size() - out_mark;
       obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-      registry.GetCounter("qmrt.blocks_decoded").Increment();
-      registry.GetCounter("qmrt.records_decoded").Increment(out.size() - out_mark);
-      registry.GetCounter("qmrt.bytes_decoded").Increment(kHeaderBytes + payload_size);
+      registry.GetCounter("qmrt.blocks_decoded", obs::Stability::kRun).Increment();
+      registry.GetCounter("qmrt.records_decoded", obs::Stability::kRun)
+          .Increment(out.size() - out_mark);
+      registry.GetCounter("qmrt.bytes_decoded", obs::Stability::kRun)
+          .Increment(kHeaderBytes + payload_size);
       return true;
     }
     return false;
@@ -528,7 +532,7 @@ struct BlockCursor {
       // Lazily registered, like bgp.mrt.bad_lines: a clean decode leaves
       // no skip metric behind.
       obs::MetricsRegistry::Global()
-          .GetCounter("qmrt.blocks_skipped")
+          .GetCounter("qmrt.blocks_skipped", obs::Stability::kRun)
           .Increment(stats.skipped_blocks);
     }
     if (options.stats) *options.stats = stats;

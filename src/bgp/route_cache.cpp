@@ -47,10 +47,10 @@ std::size_t RouteCache::KeyHash::operator()(const Key& key) const noexcept {
 std::shared_ptr<const RoutingState> RouteCache::GetOrCompute(
     const AsGraph& graph, std::span<const OriginSpec> origins,
     const ComputationOptions& options, const SaltKey& salts) {
-  static obs::Counter& hits =
-      obs::MetricsRegistry::Global().GetCounter("exec.route_cache.hits");
-  static obs::Counter& misses =
-      obs::MetricsRegistry::Global().GetCounter("exec.route_cache.misses");
+  static obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter(
+      "exec.route_cache.hits", obs::Stability::kRun);
+  static obs::Counter& misses = obs::MetricsRegistry::Global().GetCounter(
+      "exec.route_cache.misses", obs::Stability::kRun);
 
   Key key;
   key.origins.assign(origins.begin(), origins.end());

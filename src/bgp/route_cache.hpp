@@ -22,8 +22,8 @@
 // Thread-safe: lookups take a shared lock, inserts an exclusive one.
 // Under a concurrent miss on the same key both threads compute and one
 // insert wins — values are deterministic either way, only the hit/miss
-// telemetry (reserved `exec.` namespace, excluded from determinism
-// comparison) depends on scheduling. The cache stops inserting above
+// telemetry (`exec.route_cache.*`, registered obs::Stability::kRun)
+// depends on scheduling. The cache stops inserting above
 // `max_entries` (lookups still hit): the workloads' hot keys recur early,
 // so a simple insertion cap beats eviction bookkeeping on these sweeps.
 

@@ -10,10 +10,10 @@ std::vector<std::shared_ptr<const RoutingState>> ShardedComputeRoutes(
     const AsGraph& graph, std::span<const RouteShard> shards,
     const ShardedRouteOptions& options) {
   const obs::ScopedSpan span("bgp.sharded_routes");
-  // exec.* (scheduling-reserved) namespace: shard counts double with
-  // repeated sweeps, which the determinism comparison must not see.
+  // Registered kRun: shard counts double with repeated sweeps, which the
+  // determinism comparison must not see.
   obs::MetricsRegistry::Global()
-      .GetCounter("exec.sharded_routes.shards")
+      .GetCounter("exec.sharded_routes.shards", obs::Stability::kRun)
       .Increment(shards.size());
   return exec::ParallelMap(
       options.threads, shards.size(),

@@ -40,7 +40,7 @@ void CheckpointWriter::Seed(std::map<std::uint64_t, std::string> payloads) {
 void CheckpointWriter::Record(std::uint64_t shard, std::string payload) {
   const std::lock_guard<std::mutex> lock(mutex_);
   obs::MetricsRegistry::Global()
-      .GetCounter("ckpt.shards_recorded")
+      .GetCounter("ckpt.shards_recorded", obs::Stability::kRun)
       .Increment();
   snapshot_.payloads.insert_or_assign(shard, std::move(payload));
   ++new_records_;
@@ -72,8 +72,9 @@ void CheckpointWriter::WriteLocked() {
   const std::string encoded = EncodeSnapshot(snapshot_);
   util::WriteFileAtomic(options_.path, encoded);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("ckpt.snapshots_written").Increment();
-  registry.GetCounter("ckpt.snapshot_bytes").Increment(encoded.size());
+  registry.GetCounter("ckpt.snapshots_written", obs::Stability::kRun).Increment();
+  registry.GetCounter("ckpt.snapshot_bytes", obs::Stability::kRun)
+      .Increment(encoded.size());
 }
 
 ResumeResult ResumeLoader::Load(const std::string& path,
@@ -97,7 +98,7 @@ ResumeResult ResumeLoader::Load(const std::string& path,
   }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   if (!load.ok) {
-    registry.GetCounter("ckpt.resume.rejected").Increment();
+    registry.GetCounter("ckpt.resume.rejected", obs::Stability::kRun).Increment();
     obs::LogWarn("ckpt.resume",
                  "snapshot rejected, falling back to a fresh run: " + load.error);
     result.error = std::move(load.error);
@@ -106,8 +107,9 @@ ResumeResult ResumeLoader::Load(const std::string& path,
   result.resumed = true;
   result.first_incomplete = load.snapshot.FirstIncompleteShard();
   result.payloads = std::move(load.snapshot.payloads);
-  registry.GetCounter("ckpt.resume.shards_loaded").Increment(result.payloads.size());
-  registry.GetGauge("ckpt.resume.first_incomplete")
+  registry.GetCounter("ckpt.resume.shards_loaded", obs::Stability::kRun)
+      .Increment(result.payloads.size());
+  registry.GetGauge("ckpt.resume.first_incomplete", obs::Stability::kRun)
       .Set(static_cast<std::int64_t>(result.first_incomplete));
   if (obs::LogEnabled(obs::LogLevel::kInfo)) {
     obs::LogInfo("ckpt.resume",

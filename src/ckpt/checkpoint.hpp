@@ -17,8 +17,7 @@
 // back to a fresh run — resume never crashes and never silently mixes
 // configurations.
 //
-// Telemetry lives in the reserved, non-compared "ckpt." namespace
-// (scripts/check_bench_json.py excludes it like "exec."): snapshot sizes
+// Telemetry (`ckpt.*`) is registered obs::Stability::kRun: snapshot sizes
 // and cadence depend on which shards happened to finish first, which is
 // scheduling-dependent even though the sweep's *output* is not. Counters
 // are only registered once a writer/loader actually exists, so runs

@@ -19,21 +19,29 @@
 // a shard whose stored payload fails to decode (format drift — checksum
 // already rules out corruption) is simply recomputed.
 //
-// Telemetry parity: domain counters (core.*, traffic.*, ...) tally work
-// *performed*, and a resumed process performs less of it — it skips the
-// shards it loaded. To keep resumed bench JSON equal to an uninterrupted
-// run outside the reserved exec.*/ckpt.* namespaces, each shard payload is
-// prefixed with the counter deltas that shard produced, and resume replays
-// the deltas of every decoded shard. Exact attribution requires that only
-// one shard touch the global registry at a time, so a sweep with
-// checkpointing ENABLED runs its shards serially; `fn` keeps whatever
-// inner parallelism it has (the bench's --threads), and counter totals are
-// order-independent sums, so output stays byte-identical either way.
+// Telemetry parity: domain metrics (core.*, traffic.*, util.retry.*, ...)
+// tally work *performed*, and a resumed process performs less of it — it
+// skips the shards it loaded. To keep a resumed run's seeded metrics equal
+// to an uninterrupted run's, each shard payload is prefixed with the
+// deltas that shard produced in every obs::Stability::kSeeded counter and
+// histogram (bounds, per-bucket counts, sum), and resume replays the
+// deltas of every decoded shard. kRun metrics are neither captured nor
+// replayed. Exact attribution requires that only one shard touch the
+// global registry at a time, so a sweep with checkpointing ENABLED runs
+// its shards serially; `fn` keeps whatever inner parallelism it has (the
+// bench's --threads), and counter totals are order-independent sums, so
+// output stays byte-identical either way. A histogram's replayed sum is
+// exact only when its observations are integer-valued (as
+// `util.retry.attempts`' are): otherwise the per-shard differences round
+// differently from one running sum.
 
+#include <algorithm>
 #include <cstddef>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -60,66 +68,114 @@ struct StageOptions {
 
 namespace detail {
 
-/// One counter's contribution from a single shard, replayed on resume so
-/// work-performed telemetry matches an uninterrupted run.
-struct CounterDelta {
-  std::string name;
-  std::uint64_t delta = 0;
-};
+/// Leads every shard payload. Older payloads start with a counter count
+/// instead, so they fail to decode and their shards are recomputed.
+inline constexpr std::string_view kTelemetryTag = "telemetry-v2";
 
-/// Reserved namespaces are scheduling- or checkpoint-dependent by design
-/// and excluded from resume comparison, so their deltas are neither
-/// captured nor replayed (replaying ckpt.* would also self-register
-/// metrics the sweep is about to register anyway).
-[[nodiscard]] inline bool ReservedCounter(const std::string& name) {
-  return name.rfind("exec.", 0) == 0 || name.rfind("ckpt.", 0) == 0;
+[[nodiscard]] inline obs::MetricsSnapshot SeededSnapshot() {
+  return obs::MetricsRegistry::Global().Snapshot(obs::Stability::kSeeded);
 }
 
-/// Name-sorted counter values (the registry snapshot is already sorted).
-[[nodiscard]] inline std::vector<std::pair<std::string, std::uint64_t>>
-CounterValues() {
-  return obs::MetricsRegistry::Global().Snapshot().counters;
+/// What one shard did to the seeded metrics: after - before, keeping only
+/// the counters and histograms it touched. `after` is name-sorted, so the
+/// result is too — snapshot bytes stay deterministic.
+[[nodiscard]] inline obs::MetricsSnapshot ShardDelta(const obs::MetricsSnapshot& before,
+                                                     const obs::MetricsSnapshot& after) {
+  obs::MetricsSnapshot delta;
+  const std::map<std::string_view, std::uint64_t> counters(before.counters.begin(),
+                                                           before.counters.end());
+  for (const auto& [name, value] : after.counters) {
+    const auto prior = counters.find(name);
+    const std::uint64_t base = prior == counters.end() ? 0 : prior->second;
+    if (value != base) delta.counters.emplace_back(name, value - base);
+  }
+  std::map<std::string_view, const obs::MetricsSnapshot::HistogramData*> histograms;
+  for (const auto& histogram : before.histograms) {
+    histograms.emplace(histogram.name, &histogram);
+  }
+  for (obs::MetricsSnapshot::HistogramData histogram : after.histograms) {
+    if (const auto prior = histograms.find(histogram.name); prior != histograms.end()) {
+      histogram.count -= prior->second->count;
+      histogram.sum -= prior->second->sum;
+      for (std::size_t i = 0; i < histogram.buckets.size(); ++i) {
+        histogram.buckets[i].count -= prior->second->buckets[i].count;
+      }
+    }
+    if (histogram.count > 0) delta.histograms.push_back(std::move(histogram));
+  }
+  return delta;
 }
 
-/// after - before, skipping reserved namespaces and zero deltas. Both
-/// inputs are name-sorted, so the result is too — snapshot bytes stay
-/// deterministic.
-[[nodiscard]] inline std::vector<CounterDelta> DiffCounters(
-    const std::vector<std::pair<std::string, std::uint64_t>>& before,
-    const std::vector<std::pair<std::string, std::uint64_t>>& after) {
-  std::vector<CounterDelta> deltas;
-  std::size_t b = 0;
-  for (const auto& [name, value] : after) {
-    while (b < before.size() && before[b].first < name) ++b;
-    const std::uint64_t prior =
-        (b < before.size() && before[b].first == name) ? before[b].second : 0;
-    if (value != prior && !ReservedCounter(name)) {
-      deltas.push_back({name, value - prior});
+inline void EncodeShardDelta(const obs::MetricsSnapshot& delta, PayloadWriter& payload) {
+  payload.Str(kTelemetryTag).U64(delta.counters.size());
+  for (const auto& [name, value] : delta.counters) payload.Str(name).U64(value);
+  payload.U64(delta.histograms.size());
+  for (const auto& histogram : delta.histograms) {
+    payload.Str(histogram.name).Dbl(histogram.sum).U64(histogram.buckets.size());
+    for (const auto& bucket : histogram.buckets) {
+      payload.Dbl(bucket.upper_bound).U64(bucket.count);
     }
   }
-  return deltas;
 }
 
-inline void EncodeCounterDeltas(const std::vector<CounterDelta>& deltas,
-                                PayloadWriter& payload) {
-  payload.U64(deltas.size());
-  for (const CounterDelta& d : deltas) payload.Str(d.name).U64(d.delta);
-}
-
-[[nodiscard]] inline std::vector<CounterDelta> DecodeCounterDeltas(
-    PayloadReader& payload) {
-  std::vector<CounterDelta> deltas(payload.U64());
-  for (CounterDelta& d : deltas) {
-    d.name = payload.Str();
-    d.delta = payload.U64();
+/// Reads field by field, never trusting a decoded length to pre-size a
+/// vector. Throws std::runtime_error on any other format.
+[[nodiscard]] inline obs::MetricsSnapshot DecodeShardDelta(PayloadReader& payload) {
+  if (payload.Str() != kTelemetryTag) {
+    throw std::runtime_error("shard telemetry: unknown format");
   }
-  return deltas;
+  obs::MetricsSnapshot delta;
+  for (std::uint64_t n = payload.U64(); n > 0; --n) {
+    std::string name = payload.Str();
+    delta.counters.emplace_back(std::move(name), payload.U64());
+  }
+  for (std::uint64_t n = payload.U64(); n > 0; --n) {
+    obs::MetricsSnapshot::HistogramData histogram;
+    histogram.name = payload.Str();
+    histogram.sum = payload.Dbl();
+    for (std::uint64_t buckets = payload.U64(); buckets > 0; --buckets) {
+      const double upper_bound = payload.Dbl();
+      histogram.buckets.push_back({upper_bound, payload.U64()});
+      histogram.count += histogram.buckets.back().count;
+    }
+    delta.histograms.push_back(std::move(histogram));
+  }
+  return delta;
 }
 
-inline void ReplayCounterDeltas(const std::vector<CounterDelta>& deltas) {
+/// Replays a shard's delta into the global registry, all or nothing: every
+/// histogram is checked against its own bounds and against the registered
+/// seeded histogram of its name, if any, before anything is applied.
+/// Throws std::exception when a check fails.
+inline void ReplayShardDelta(const obs::MetricsSnapshot& delta) {
+  const obs::MetricsSnapshot seeded = SeededSnapshot();
+  const auto same_bound = [](const obs::Histogram::Bucket& a,
+                             const obs::Histogram::Bucket& b) {
+    return a.upper_bound == b.upper_bound;
+  };
+  std::vector<std::vector<double>> bounds;
+  for (const auto& histogram : delta.histograms) {
+    bounds.emplace_back();
+    for (std::size_t i = 0; i + 1 < histogram.buckets.size(); ++i) {
+      bounds.back().push_back(histogram.buckets[i].upper_bound);
+    }
+    obs::Histogram(bounds.back()).Add(histogram.buckets, histogram.sum);  // layout check
+    for (const auto& registered : seeded.histograms) {
+      if (registered.name == histogram.name &&
+          !std::equal(registered.buckets.begin(), registered.buckets.end(),
+                      histogram.buckets.begin(), histogram.buckets.end(), same_bound)) {
+        throw std::runtime_error("shard telemetry: bounds changed for " +
+                                 histogram.name);
+      }
+    }
+  }
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  for (const CounterDelta& d : deltas) {
-    if (!ReservedCounter(d.name)) registry.GetCounter(d.name).Increment(d.delta);
+  for (const auto& [name, value] : delta.counters) {
+    registry.GetCounter(name).Increment(value);
+  }
+  for (std::size_t i = 0; i < delta.histograms.size(); ++i) {
+    const auto& histogram = delta.histograms[i];
+    registry.GetHistogram(histogram.name, bounds[i]).Add(histogram.buckets, histogram.sum);
   }
 }
 
@@ -162,13 +218,12 @@ template <typename Fn, typename Encode, typename Decode,
       for (const auto& [shard, payload] : loaded.payloads) {
         try {
           PayloadReader reader(payload);
-          const std::vector<detail::CounterDelta> deltas =
-              detail::DecodeCounterDeltas(reader);
+          const obs::MetricsSnapshot delta = detail::DecodeShardDelta(reader);
           slots[shard].emplace(decode(reader));
           if (!reader.AtEnd()) {
             throw std::runtime_error("trailing bytes after shard payload");
           }
-          detail::ReplayCounterDeltas(deltas);
+          detail::ReplayShardDelta(delta);
         } catch (const std::exception&) {
           slots[shard].reset();  // format drift: recompute this shard
         }
@@ -183,7 +238,7 @@ template <typename Fn, typename Encode, typename Decode,
     if (!slots[i].has_value()) missing.push_back(i);
   }
 
-  // Serial on purpose: per-shard counter attribution diffs the global
+  // Serial on purpose: per-shard telemetry attribution diffs the global
   // registry around fn(shard), which is only exact when no sibling shard
   // runs concurrently. `fn` still uses its inner --threads parallelism,
   // and shard results/counter totals are scheduling-independent, so output
@@ -191,11 +246,10 @@ template <typename Fn, typename Encode, typename Decode,
   (void)threads;
   for (const std::size_t shard : missing) {
     const ShardGuard guard(stage.watchdog, stage.name, shard);
-    const auto before = detail::CounterValues();
+    const obs::MetricsSnapshot before = detail::SeededSnapshot();
     R value = fn(shard);
     PayloadWriter payload;
-    detail::EncodeCounterDeltas(detail::DiffCounters(before, detail::CounterValues()),
-                                payload);
+    detail::EncodeShardDelta(detail::ShardDelta(before, detail::SeededSnapshot()), payload);
     encode(static_cast<const R&>(value), payload);
     slots[shard].emplace(std::move(value));
     writer.Record(shard, payload.Take());

@@ -96,7 +96,9 @@ void Watchdog::MonitorLoop() {
         trip.in_flight.push_back(
             {armed.stage, armed.shard, ElapsedMs(armed.start, now)});
       }
-      obs::MetricsRegistry::Global().GetCounter("ckpt.watchdog.trips").Increment();
+      obs::MetricsRegistry::Global()
+          .GetCounter("ckpt.watchdog.trips", obs::Stability::kRun)
+          .Increment();
       // Run the handler outside the lock: it may Arm/Disarm (or exit).
       Handler handler = on_trip_;
       lock.unlock();

@@ -13,8 +13,8 @@
 //
 // The watchdog measures wall time only and never touches sweep output, so
 // runs with and without it are byte-identical (the "ckpt.watchdog.trips"
-// counter lives in the reserved non-compared "ckpt." namespace and is only
-// registered when a trip actually fires).
+// counter is registered obs::Stability::kRun, and only when a trip
+// actually fires).
 
 #include <chrono>
 #include <condition_variable>

@@ -9,22 +9,22 @@ namespace quicksand::daemon {
 namespace {
 
 struct IngestMetrics {
-  obs::Counter& accepted_batches =
-      obs::MetricsRegistry::Global().GetCounter("daemon.ingest.accepted_batches");
-  obs::Counter& accepted_records =
-      obs::MetricsRegistry::Global().GetCounter("daemon.ingest.accepted_records");
-  obs::Counter& shed_batches =
-      obs::MetricsRegistry::Global().GetCounter("daemon.ingest.shed_batches");
-  obs::Counter& shed_records =
-      obs::MetricsRegistry::Global().GetCounter("daemon.ingest.shed_records");
-  obs::Counter& stalls =
-      obs::MetricsRegistry::Global().GetCounter("daemon.ingest.stalls");
-  obs::Counter& resumptions =
-      obs::MetricsRegistry::Global().GetCounter("daemon.ingest.resumptions");
-  obs::Gauge& queued =
-      obs::MetricsRegistry::Global().GetGauge("daemon.ingest.queued_records");
-  obs::Gauge& peak =
-      obs::MetricsRegistry::Global().GetGauge("daemon.ingest.peak_queued_records");
+  obs::Counter& accepted_batches = obs::MetricsRegistry::Global().GetCounter(
+      "daemon.ingest.accepted_batches", obs::Stability::kRun);
+  obs::Counter& accepted_records = obs::MetricsRegistry::Global().GetCounter(
+      "daemon.ingest.accepted_records", obs::Stability::kRun);
+  obs::Counter& shed_batches = obs::MetricsRegistry::Global().GetCounter(
+      "daemon.ingest.shed_batches", obs::Stability::kRun);
+  obs::Counter& shed_records = obs::MetricsRegistry::Global().GetCounter(
+      "daemon.ingest.shed_records", obs::Stability::kRun);
+  obs::Counter& stalls = obs::MetricsRegistry::Global().GetCounter(
+      "daemon.ingest.stalls", obs::Stability::kRun);
+  obs::Counter& resumptions = obs::MetricsRegistry::Global().GetCounter(
+      "daemon.ingest.resumptions", obs::Stability::kRun);
+  obs::Gauge& queued = obs::MetricsRegistry::Global().GetGauge(
+      "daemon.ingest.queued_records", obs::Stability::kRun);
+  obs::Gauge& peak = obs::MetricsRegistry::Global().GetGauge(
+      "daemon.ingest.peak_queued_records", obs::Stability::kRun);
 
   static IngestMetrics& Get() {
     static IngestMetrics metrics;

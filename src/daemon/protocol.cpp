@@ -69,7 +69,7 @@ void FrameReader::Feed(std::string_view chunk) {
                       std::to_string(kMaxFrameBytes);
       buffer_.clear();
       obs::MetricsRegistry::Global()
-          .GetCounter("daemon.proto.oversized_frames")
+          .GetCounter("daemon.proto.oversized_frames", obs::Stability::kRun)
           .Increment();
     }
   }
@@ -90,7 +90,7 @@ bool FrameReader::Next(std::string& payload) {
                       " exceeds cap " + std::to_string(kMaxFrameBytes);
       buffer_.clear();
       obs::MetricsRegistry::Global()
-          .GetCounter("daemon.proto.oversized_frames")
+          .GetCounter("daemon.proto.oversized_frames", obs::Stability::kRun)
           .Increment();
     }
   }

@@ -152,7 +152,9 @@ bool Daemon::WriteSnapshot(std::int64_t now_s) {
   ckpt::WriteSnapshotFile(config_.checkpoint_path, snapshot);
   last_checkpoint_s_ = now_s;
   ++snapshots_written_;
-  obs::MetricsRegistry::Global().GetCounter("daemon.ckpt.writes").Increment();
+  obs::MetricsRegistry::Global()
+      .GetCounter("daemon.ckpt.writes", obs::Stability::kRun)
+      .Increment();
   return true;
 }
 
@@ -174,7 +176,9 @@ RestoreResult Daemon::TryRestore() {
     result.restored = false;
     result.error = std::move(error);
     result.snapshot_time_s = -1;
-    obs::MetricsRegistry::Global().GetCounter("daemon.ckpt.restore_failures").Increment();
+    obs::MetricsRegistry::Global()
+        .GetCounter("daemon.ckpt.restore_failures", obs::Stability::kRun)
+        .Increment();
     return result;
   };
 
@@ -209,7 +213,9 @@ RestoreResult Daemon::TryRestore() {
   }
 
   result.restored = true;
-  obs::MetricsRegistry::Global().GetCounter("daemon.ckpt.restores").Increment();
+  obs::MetricsRegistry::Global()
+      .GetCounter("daemon.ckpt.restores", obs::Stability::kRun)
+      .Increment();
   return result;
 }
 
@@ -244,13 +250,13 @@ std::string Daemon::HandleRequest(std::string_view payload, std::int64_t now_s,
   if (deadline_s >= 0 && now_s > deadline_s) {
     // Picked up past its deadline (queued behind load): answering now
     // would hand back stale data the client already gave up on.
-    registry.GetCounter("daemon.query.rejected_deadline").Increment();
+    registry.GetCounter("daemon.query.rejected_deadline", obs::Stability::kRun).Increment();
     return ErrResponse("deadline expired at t=" + std::to_string(deadline_s));
   }
 
   const Request request = ParseRequest(payload);
   if (request.kind == RequestKind::kInvalid) {
-    registry.GetCounter("daemon.query.invalid").Increment();
+    registry.GetCounter("daemon.query.invalid", obs::Stability::kRun).Increment();
     return ErrResponse(request.error);
   }
 
@@ -259,12 +265,12 @@ std::string Daemon::HandleRequest(std::string_view payload, std::int64_t now_s,
   if (expensive && ingest_.Overloaded()) {
     // Shed policy: under ingest overload the daemon protects its pump
     // thread; ping/health stay available as the ops escape hatch.
-    registry.GetCounter("daemon.query.rejected_busy").Increment();
+    registry.GetCounter("daemon.query.rejected_busy", obs::Stability::kRun).Increment();
     return ErrResponse("busy: ingest backlog of " +
                        std::to_string(ingest_.QueuedRecords()) + " records");
   }
 
-  registry.GetCounter("daemon.query.served").Increment();
+  registry.GetCounter("daemon.query.served", obs::Stability::kRun).Increment();
   switch (request.kind) {
     case RequestKind::kPing:
       return OkResponse("pong");

@@ -76,12 +76,12 @@ void SessionSupervisor::OnConnectResult(std::int64_t now_s, bool ok) {
     hold_deadline_s_ = now_s + config_.hold_time_s;
     next_keepalive_s_ = now_s + config_.keepalive_interval_s;
     obs::MetricsRegistry::Global()
-        .GetCounter("daemon.session.establishments")
+        .GetCounter("daemon.session.establishments", obs::Stability::kRun)
         .Increment();
   } else {
     ++connect_failures_;
     obs::MetricsRegistry::Global()
-        .GetCounter("daemon.session.connect_failures")
+        .GetCounter("daemon.session.connect_failures", obs::Stability::kRun)
         .Increment();
     EnterBackoff(now_s, /*flap=*/false);
   }
@@ -94,7 +94,9 @@ void SessionSupervisor::OnActivity(std::int64_t now_s) {
 
 void SessionSupervisor::OnPeerClose(std::int64_t now_s) {
   if (state_ != SessionState::kEstablished) return;
-  obs::MetricsRegistry::Global().GetCounter("daemon.session.peer_closes").Increment();
+  obs::MetricsRegistry::Global()
+      .GetCounter("daemon.session.peer_closes", obs::Stability::kRun)
+      .Increment();
   EnterBackoff(now_s, /*flap=*/true);
 }
 
@@ -107,7 +109,7 @@ SessionSupervisor::Action SessionSupervisor::Poll(std::int64_t now_s) {
       if (now_s >= connect_deadline_s) {
         ++connect_failures_;
         obs::MetricsRegistry::Global()
-            .GetCounter("daemon.session.connect_timeouts")
+            .GetCounter("daemon.session.connect_timeouts", obs::Stability::kRun)
             .Increment();
         EnterBackoff(now_s, /*flap=*/false);
         return Action::kNone;
@@ -124,7 +126,7 @@ SessionSupervisor::Action SessionSupervisor::Poll(std::int64_t now_s) {
         // transport never noticed. This is the flap signal under outage
         // schedules — no explicit down event is required.
         obs::MetricsRegistry::Global()
-            .GetCounter("daemon.session.hold_expirations")
+            .GetCounter("daemon.session.hold_expirations", obs::Stability::kRun)
             .Increment();
         EnterBackoff(now_s, /*flap=*/true);
         return Action::kNone;
@@ -141,14 +143,16 @@ SessionSupervisor::Action SessionSupervisor::Poll(std::int64_t now_s) {
         // Backoff expired but damping says the peer is still too flappy;
         // defer until the penalty decays below the reuse threshold.
         obs::MetricsRegistry::Global()
-            .GetCounter("daemon.session.damped_deferrals")
+            .GetCounter("daemon.session.damped_deferrals", obs::Stability::kRun)
             .Increment();
         return Action::kNone;
       }
       state_ = SessionState::kConnecting;
       connect_requested_ = true;  // hand out the attempt with the transition
       connect_deadline_s = now_s + config_.connect_timeout_s;
-      obs::MetricsRegistry::Global().GetCounter("daemon.session.reconnects").Increment();
+      obs::MetricsRegistry::Global()
+          .GetCounter("daemon.session.reconnects", obs::Stability::kRun)
+          .Increment();
       return Action::kAttemptConnect;
   }
   return Action::kNone;
@@ -157,7 +161,9 @@ SessionSupervisor::Action SessionSupervisor::Poll(std::int64_t now_s) {
 void SessionSupervisor::EnterBackoff(std::int64_t now_s, bool flap) {
   if (flap) {
     ++flaps_;
-    obs::MetricsRegistry::Global().GetCounter("daemon.session.flaps").Increment();
+    obs::MetricsRegistry::Global()
+        .GetCounter("daemon.session.flaps", obs::Stability::kRun)
+        .Increment();
     AddPenalty(now_s);
   }
   ++consecutive_failures_;
@@ -165,7 +171,8 @@ void SessionSupervisor::EnterBackoff(std::int64_t now_s, bool flap) {
   retry_at_s_ = now_s + backoff_s;
   state_ = SessionState::kBackoff;
   obs::MetricsRegistry::Global()
-      .GetHistogram("daemon.session.backoff_s", BackoffBucketsS())
+      .GetHistogram("daemon.session.backoff_s", BackoffBucketsS(),
+                    obs::Stability::kRun)
       .Observe(static_cast<double>(backoff_s));
 }
 

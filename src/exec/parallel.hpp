@@ -104,10 +104,10 @@ void ParallelFor(std::size_t threads, std::size_t n, Fn&& fn, std::size_t grain 
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  static obs::Counter& batches =
-      obs::MetricsRegistry::Global().GetCounter("exec.parallel.batches");
-  static obs::Counter& items =
-      obs::MetricsRegistry::Global().GetCounter("exec.parallel.items");
+  static obs::Counter& batches = obs::MetricsRegistry::Global().GetCounter(
+      "exec.parallel.batches", obs::Stability::kRun);
+  static obs::Counter& items = obs::MetricsRegistry::Global().GetCounter(
+      "exec.parallel.items", obs::Stability::kRun);
   batches.Increment();
   items.Increment(n);
   if (grain == 0) grain = detail::AutoGrain(n);

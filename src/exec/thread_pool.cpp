@@ -30,8 +30,8 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::EnsureWorkers(std::size_t count) {
   std::lock_guard<std::mutex> lock(mutex_);
-  static obs::Counter& started =
-      obs::MetricsRegistry::Global().GetCounter("exec.pool.workers_started");
+  static obs::Counter& started = obs::MetricsRegistry::Global().GetCounter(
+      "exec.pool.workers_started", obs::Stability::kRun);
   while (workers_.size() < count) {
     workers_.emplace_back([this] { WorkerLoop(); });
     started.Increment();
@@ -44,10 +44,10 @@ std::size_t ThreadPool::WorkerCount() const {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  static obs::Counter& submitted =
-      obs::MetricsRegistry::Global().GetCounter("exec.pool.tasks_submitted");
-  static obs::Gauge& queue_peak =
-      obs::MetricsRegistry::Global().GetGauge("exec.pool.queue_depth_peak");
+  static obs::Counter& submitted = obs::MetricsRegistry::Global().GetCounter(
+      "exec.pool.tasks_submitted", obs::Stability::kRun);
+  static obs::Gauge& queue_peak = obs::MetricsRegistry::Global().GetGauge(
+      "exec.pool.queue_depth_peak", obs::Stability::kRun);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
@@ -64,8 +64,8 @@ ThreadPool& ThreadPool::Shared() {
 }
 
 void ThreadPool::WorkerLoop() {
-  static obs::Counter& run =
-      obs::MetricsRegistry::Global().GetCounter("exec.pool.tasks_run");
+  static obs::Counter& run = obs::MetricsRegistry::Global().GetCounter(
+      "exec.pool.tasks_run", obs::Stability::kRun);
   while (true) {
     std::function<void()> task;
     {

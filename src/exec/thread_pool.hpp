@@ -10,10 +10,9 @@
 // substreams, never from a shared generator. The pool only supplies the
 // concurrency.
 //
-// Telemetry goes to the reserved `exec.` metric namespace (tasks run,
-// peak queue depth, workers started), which check_bench_json.py excludes
-// from determinism comparison: those values legitimately depend on thread
-// count and scheduling (see docs/OBSERVABILITY.md).
+// Its telemetry (`exec.pool.*`: tasks run, peak queue depth, workers
+// started) is registered obs::Stability::kRun: those values legitimately
+// depend on thread count and scheduling (see docs/OBSERVABILITY.md).
 
 #include <condition_variable>
 #include <cstddef>

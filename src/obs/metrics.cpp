@@ -29,6 +29,26 @@ void Histogram::Observe(double value) noexcept {
   }
 }
 
+void Histogram::Add(const std::vector<Bucket>& buckets, double sum) {
+  const auto same_bound = [](double bound, const Bucket& bucket) {
+    return bound == bucket.upper_bound;
+  };
+  if (buckets.size() != bounds_.size() + 1 || !std::isinf(buckets.back().upper_bound) ||
+      !std::equal(bounds_.begin(), bounds_.end(), buckets.begin(), same_bound)) {
+    throw std::invalid_argument("Histogram::Add: buckets do not match the bounds");
+  }
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    counts_[i].fetch_add(buckets[i].count, std::memory_order_relaxed);
+    total += buckets[i].count;
+  }
+  count_.fetch_add(total, std::memory_order_relaxed);
+  double expected = sum_.load(std::memory_order_relaxed);
+  while (!sum_.compare_exchange_weak(expected, expected + sum,
+                                     std::memory_order_relaxed)) {
+  }
+}
+
 std::vector<Histogram::Bucket> Histogram::Buckets() const {
   std::vector<Bucket> out;
   out.reserve(bounds_.size() + 1);
@@ -122,62 +142,69 @@ std::vector<double> MetricsRegistry::DefaultLatencyBucketsMs() {
           1000, 2500, 5000, 10000, 30000, 60000};
 }
 
-Counter& MetricsRegistry::GetCounter(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>()).first;
+namespace {
+
+/// Finds or registers `name` in `map`; kRun, once declared, sticks.
+template <typename Map, typename Make>
+auto& FindOrRegister(Map& map, std::string_view name, Stability stability, Make make) {
+  auto it = map.find(name);
+  if (it == map.end()) {
+    it = map.emplace(std::string(name), typename Map::mapped_type{make(), stability})
+             .first;
   }
-  return *it->second;
+  if (stability == Stability::kRun) it->second.stability = Stability::kRun;
+  return *it->second.metric;
 }
 
-Gauge& MetricsRegistry::GetGauge(std::string_view name) {
+}  // namespace
+
+Counter& MetricsRegistry::GetCounter(std::string_view name, Stability stability) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  }
-  return *it->second;
+  return FindOrRegister(counters_, name, stability,
+                        [] { return std::make_unique<Counter>(); });
+}
+
+Gauge& MetricsRegistry::GetGauge(std::string_view name, Stability stability) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return FindOrRegister(gauges_, name, stability,
+                        [] { return std::make_unique<Gauge>(); });
 }
 
 Histogram& MetricsRegistry::GetHistogram(std::string_view name,
-                                         std::vector<double> upper_bounds) {
+                                         std::vector<double> upper_bounds,
+                                         Stability stability) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
+  return FindOrRegister(histograms_, name, stability, [&] {
     if (upper_bounds.empty()) upper_bounds = DefaultLatencyBucketsMs();
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(upper_bounds)))
-             .first;
-  }
-  return *it->second;
+    return std::make_unique<Histogram>(std::move(upper_bounds));
+  });
 }
 
-MetricsSnapshot MetricsRegistry::Snapshot() const {
+MetricsSnapshot MetricsRegistry::Snapshot(Stability stability) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snapshot;
-  snapshot.counters.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    snapshot.counters.emplace_back(name, counter->value());
+  for (const auto& [name, entry] : counters_) {
+    if (entry.stability != stability) continue;
+    snapshot.counters.emplace_back(name, entry.metric->value());
   }
-  snapshot.gauges.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges.emplace_back(name, gauge->value());
+  for (const auto& [name, entry] : gauges_) {
+    if (entry.stability != stability) continue;
+    snapshot.gauges.emplace_back(name, entry.metric->value());
   }
-  snapshot.histograms.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
+  for (const auto& [name, entry] : histograms_) {
+    if (entry.stability != stability) continue;
+    const Histogram& histogram = *entry.metric;
     snapshot.histograms.push_back(
-        {name, histogram->count(), histogram->sum(), histogram->Buckets()});
+        {name, histogram.count(), histogram.sum(), histogram.Buckets()});
   }
   return snapshot;
 }
 
 void MetricsRegistry::ResetAll() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& entry : counters_) entry.second->Reset();
-  for (const auto& entry : gauges_) entry.second->Reset();
-  for (const auto& entry : histograms_) entry.second->Reset();
+  for (const auto& entry : counters_) entry.second.metric->Reset();
+  for (const auto& entry : gauges_) entry.second.metric->Reset();
+  for (const auto& entry : histograms_) entry.second.metric->Reset();
 }
 
 }  // namespace quicksand::obs

@@ -10,10 +10,10 @@
 // objects are never destroyed or moved while the registry lives, so
 // cached references stay valid across ResetAll().
 //
-// Snapshots are name-sorted and contain only what instrumentation wrote,
-// so a seeded run snapshots identically every time (wall-clock time never
-// enters the registry from library code; time histograms are opt-in via
-// ScopedTimer and carry an `_ms` suffix by convention — see
+// Every metric declares, where it is registered, whether two runs of one
+// seed must agree on it (Stability). Snapshots take one class at a time,
+// are name-sorted and contain only what instrumentation wrote, so a seeded
+// run snapshots its kSeeded metrics identically every time (see
 // docs/OBSERVABILITY.md).
 
 #include <atomic>
@@ -28,6 +28,16 @@
 #include "obs/json.hpp"
 
 namespace quicksand::obs {
+
+/// Whether two runs of one seed must agree on a metric. Bench JSON keeps
+/// kSeeded metrics in its top-level maps and kRun metrics in its "run"
+/// section; the determinism checker, the matrix merge and checkpoint
+/// resume read only the seeded ones.
+enum class Stability : std::uint8_t {
+  kSeeded,  ///< a pure function of the seed and the experiment's inputs
+  kRun,     ///< may vary with threads, scheduling, kill points, batch size,
+            ///< wire format, sampler cadence or wall time
+};
 
 /// Monotonically increasing event count.
 class Counter {
@@ -71,6 +81,11 @@ class Histogram {
   explicit Histogram(std::vector<double> upper_bounds);
 
   void Observe(double value) noexcept;
+  /// Adds pre-bucketed observations (each bucket's count into the bucket
+  /// with the same bound) and `sum` to the running sum. Throws
+  /// std::invalid_argument, changing nothing, unless `buckets` has exactly
+  /// this histogram's bounds, overflow last.
+  void Add(const std::vector<Bucket>& buckets, double sum);
 
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
@@ -126,7 +141,8 @@ struct MetricsSnapshot {
 
 /// Owner of all named metrics. Get* registers on first use and returns a
 /// stable reference; concurrent registration is mutex-protected, updates
-/// through the returned references are lock-free.
+/// through the returned references are lock-free. A metric is kRun once any
+/// Get* call has declared it so; a kSeeded lookup never changes its class.
 class MetricsRegistry {
  public:
   /// The process-wide registry used by library instrumentation.
@@ -135,23 +151,35 @@ class MetricsRegistry {
   /// Default bounds for wall-time histograms, in milliseconds.
   [[nodiscard]] static std::vector<double> DefaultLatencyBucketsMs();
 
-  [[nodiscard]] Counter& GetCounter(std::string_view name);
-  [[nodiscard]] Gauge& GetGauge(std::string_view name);
+  [[nodiscard]] Counter& GetCounter(std::string_view name,
+                                    Stability stability = Stability::kSeeded);
+  [[nodiscard]] Gauge& GetGauge(std::string_view name,
+                                Stability stability = Stability::kSeeded);
   /// `upper_bounds` is used only on first registration of `name`.
   [[nodiscard]] Histogram& GetHistogram(std::string_view name,
-                                        std::vector<double> upper_bounds = {});
+                                        std::vector<double> upper_bounds = {},
+                                        Stability stability = Stability::kSeeded);
 
-  [[nodiscard]] MetricsSnapshot Snapshot() const;
+  /// The metrics of one class.
+  [[nodiscard]] MetricsSnapshot Snapshot(Stability stability) const;
 
   /// Zeroes every metric (references stay valid). For tests and repeated
   /// in-process experiment runs.
   void ResetAll();
 
  private:
+  template <typename Metric>
+  struct Entry {
+    std::unique_ptr<Metric> metric;
+    Stability stability = Stability::kSeeded;
+  };
+  template <typename Metric>
+  using Map = std::map<std::string, Entry<Metric>, std::less<>>;
+
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  Map<Counter> counters_;
+  Map<Gauge> gauges_;
+  Map<Histogram> histograms_;
 };
 
 }  // namespace quicksand::obs

@@ -42,8 +42,9 @@ void ResourceSampler::SampleOnce() {
   samples_.fetch_add(1, std::memory_order_relaxed);
 
   MetricsRegistry& registry = MetricsRegistry::Global();
-  registry.GetGauge("prof.rss_peak_kb").Set(peak_rss_kb_.load(std::memory_order_relaxed));
-  registry.GetGauge("prof.samples")
+  registry.GetGauge("prof.rss_peak_kb", Stability::kRun)
+      .Set(peak_rss_kb_.load(std::memory_order_relaxed));
+  registry.GetGauge("prof.samples", Stability::kRun)
       .Set(static_cast<std::int64_t>(samples_.load(std::memory_order_relaxed)));
 
   if (TraceSink* sink = GlobalTrace()) {
@@ -51,13 +52,14 @@ void ResourceSampler::SampleOnce() {
     args.reserve(1 + options_.counters.size() + options_.gauges.size());
     args.emplace_back("rss_kb", std::to_string(rss_kb));
     for (const std::string& name : options_.counters) {
-      args.emplace_back(name,
-                        std::to_string(registry.GetCounter(name).value()));
+      args.emplace_back(name, std::to_string(
+                                  registry.GetCounter(name, Stability::kRun).value()));
     }
     for (const std::string& name : options_.gauges) {
-      args.emplace_back(name, std::to_string(registry.GetGauge(name).value()));
+      args.emplace_back(name,
+                        std::to_string(registry.GetGauge(name, Stability::kRun).value()));
     }
-    sink->Instant("prof.sample", std::move(args));
+    sink->Instant("prof.sample", args);
   }
 }
 

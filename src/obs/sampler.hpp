@@ -17,9 +17,9 @@
 //     instant event carrying the sampled values, giving traces a
 //     memory/residency overlay alongside the span waterfall.
 //
-// `prof.*` is a reserved metrics namespace: sample counts and RSS depend
-// on the OS and scheduling, never on the seed, so the determinism checker
-// excludes it (scripts/check_bench_json.py).
+// Sample counts and RSS depend on the OS and scheduling, never on the
+// seed, so `prof.*` is registered obs::Stability::kRun. So is every
+// overlay metric the sampler reads: it samples run-shaped residency.
 //
 // Off by default; bench::BenchContext starts one under `--profile`.
 
@@ -38,9 +38,9 @@ class ResourceSampler {
  public:
   struct Options {
     std::chrono::milliseconds cadence{50};
-    /// Registry counter names to include in each trace sample.
+    /// kRun registry counter names to include in each trace sample.
     std::vector<std::string> counters;
-    /// Registry gauge names to include in each trace sample.
+    /// kRun registry gauge names to include in each trace sample.
     std::vector<std::string> gauges;
   };
 

@@ -119,8 +119,8 @@ ScopedSpan::~ScopedSpan() {
   }
   if (TraceSink* sink = GlobalTrace()) {
     // One self-contained 'X' event per span: concurrent spans on pool
-    // threads cannot tear each other's pairing the way 'B'/'E' would.
-    sink->Complete(name_, total_us, depth_, static_cast<int>(tid), std::move(args_));
+    // threads cannot tear each other's pairing.
+    sink->Complete(name_, total_us, depth_, static_cast<int>(tid), args_);
   }
 }
 

@@ -2,10 +2,10 @@
 
 // Hierarchical profiling spans.
 //
-// A `ScopedSpan` brackets a region of work the way `ScopedPhase` brackets
-// a trace phase, but it also understands *nesting*: every span knows its
-// parent on the same thread, accumulates the wall time its children
-// consumed, and reports both inclusive (total) and exclusive (self) time.
+// A `ScopedSpan` brackets a region of work and understands *nesting*:
+// every span knows its parent on the same thread, accumulates the wall
+// time its children consumed, and reports both inclusive (total) and
+// exclusive (self) time.
 // Spans are the substrate `--profile` builds its per-region breakdown on.
 //
 // A span does two independent things when it closes:
@@ -14,7 +14,7 @@
 //     `'X'` (complete) event carrying its start timestamp, duration,
 //     nesting depth, and thread id. Complete events are self-contained,
 //     so spans opened concurrently on pool threads cannot tear each
-//     other's begin/end pairing the way interleaved 'B'/'E' events would;
+//     other's pairing;
 //   * if the global `SpanRegistry` is enabled (bench `--profile` does
 //     this), it folds {calls, total wall, self wall, threads seen} into
 //     the per-span-name aggregate.

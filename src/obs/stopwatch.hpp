@@ -1,15 +1,10 @@
 #pragma once
 
-// Wall-clock timing primitives on std::chrono::steady_clock.
-//
-// Timing results are intentionally kept OUT of the deterministic metrics
-// namespace: when a ScopedTimer feeds a registry histogram, name it with
-// an `_ms` suffix so snapshot consumers (scripts/check_bench_json.py) can
-// exclude it from run-to-run determinism comparisons.
+// Wall-clock stopwatch on std::chrono::steady_clock. A wall time that
+// feeds a registry metric must register it obs::Stability::kRun.
 
 #include <chrono>
-
-#include "obs/metrics.hpp"
+#include <cstdint>
 
 namespace quicksand::obs {
 
@@ -34,20 +29,6 @@ class Stopwatch {
 
  private:
   std::chrono::steady_clock::time_point start_;
-};
-
-/// RAII timer: observes the elapsed wall time (milliseconds) into a
-/// histogram when the scope ends.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& histogram) : histogram_(&histogram) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() { histogram_->Observe(watch_.ElapsedMs()); }
-
- private:
-  Histogram* histogram_;
-  Stopwatch watch_;
 };
 
 }  // namespace quicksand::obs

@@ -1,21 +1,20 @@
 #pragma once
 
-// Structured event tracing for pipeline phases (topology generation,
-// consensus generation, dynamics generation, replay, attack analysis).
+// Streamed trace events for pipeline runs.
 //
-// Events use the Chrome trace_event phase vocabulary ('B' begin,
-// 'E' end, 'i' instant) and are emitted as JSONL — one event object per
-// line — which streams safely even if the process dies mid-run.
-// WriteChromeTrace() wraps the same events into the JSON-array form that
-// chrome://tracing and Perfetto load directly.
+// The sink writes JSONL — one Chrome trace_event object per line, which
+// streams safely even if the process dies mid-run. Two event kinds exist:
+// 'X' complete events (obs::ScopedSpan emits one per closed span) and 'i'
+// instants (the resource sampler's `prof.sample`, the session-reset
+// filter's summary). docs/OBSERVABILITY.md shows how to wrap the lines
+// into the JSON-array form chrome://tracing and Perfetto load.
 //
 // Library code traces through the process-global sink (GlobalTrace()),
 // which is null — tracing disabled, near-zero cost — until a harness
 // installs one (bench binaries do on `--trace <path>`).
 
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
+#include <fstream>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -26,67 +25,30 @@
 
 namespace quicksand::obs {
 
-struct TraceEvent {
-  std::string name;
-  char phase = 'i';        ///< 'B', 'E', 'i', or 'X' (trace_event "ph")
-  std::int64_t ts_us = 0;  ///< microseconds since sink creation
-  int depth = 0;           ///< phase-nesting depth at emission
-  std::vector<std::pair<std::string, std::string>> args;
-  std::int64_t dur_us = 0;  ///< duration; meaningful for 'X' complete events
-  int tid = 0;              ///< emitting thread (obs::CurrentThreadId); 0 = main
-
-  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
-};
-
-/// Collects trace events in memory and (optionally) streams them to a
-/// JSONL file. Thread-safe; events are globally ordered by the sink lock.
+/// Streams trace events to a JSONL file. Thread-safe; lines are globally
+/// ordered by the sink lock.
 class TraceSink {
  public:
-  /// `jsonl_path` empty means in-memory only.
+  using Args = std::vector<std::pair<std::string, std::string>>;
+
   /// Throws std::runtime_error if the file cannot be opened.
-  explicit TraceSink(const std::string& jsonl_path = "");
+  explicit TraceSink(const std::string& jsonl_path);
+  TraceSink(const TraceSink&) = delete;
+  TraceSink& operator=(const TraceSink&) = delete;
   ~TraceSink();
 
-  /// Opens a phase (nestable).
-  void Begin(std::string_view name,
-             std::vector<std::pair<std::string, std::string>> args = {});
-  /// Closes the innermost open phase; no-op if none is open.
-  void End();
-  /// A point event.
-  void Instant(std::string_view name,
-               std::vector<std::pair<std::string, std::string>> args = {});
+  /// A point event, at depth 0.
+  void Instant(std::string_view name, const Args& args = {});
   /// A self-contained span ('X' complete event) that just finished: its
-  /// start timestamp is now minus `dur_us`. Unlike Begin/End pairs,
-  /// complete events from concurrent threads cannot interleave into a
-  /// torn pairing — obs::ScopedSpan emits these (see obs/span.hpp).
+  /// start timestamp is now minus `dur_us`, so complete events from
+  /// concurrent threads cannot interleave into a torn pairing.
   void Complete(std::string_view name, std::int64_t dur_us, int depth, int tid,
-                std::vector<std::pair<std::string, std::string>> args = {});
-
-  [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
-    return events_;
-  }
-  /// Current phase-nesting depth (open Begins minus Ends).
-  [[nodiscard]] int depth() const noexcept { return depth_; }
-
-  /// Re-emits every collected event as a Chrome trace_event JSON array
-  /// ({"traceEvents": [...]}) loadable by chrome://tracing / Perfetto.
-  void WriteChromeTrace(const std::string& path) const;
-
-  /// One event as a single JSONL line (no trailing newline).
-  [[nodiscard]] static std::string ToJsonl(const TraceEvent& event);
-  /// Parses lines previously produced by ToJsonl (round-trip inverse).
-  /// Throws std::runtime_error on malformed input.
-  [[nodiscard]] static std::vector<TraceEvent> ParseJsonl(std::istream& in);
+                const Args& args = {});
 
  private:
-  void Emit(TraceEvent event);
-
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   Stopwatch clock_;
-  std::vector<TraceEvent> events_;
-  std::vector<std::string> open_phases_;
-  int depth_ = 0;
-  std::unique_ptr<std::ofstream> out_;
+  std::ofstream out_;
 };
 
 /// Process-global sink used by library instrumentation; null = disabled.
@@ -94,23 +56,5 @@ class TraceSink {
 /// Installs (or clears, with nullptr) the global sink. The caller keeps
 /// ownership and must outlive any traced calls.
 void SetGlobalTrace(TraceSink* sink) noexcept;
-
-/// RAII phase guard; inert when `sink` is null.
-class ScopedPhase {
- public:
-  ScopedPhase(TraceSink* sink, std::string_view name,
-              std::vector<std::pair<std::string, std::string>> args = {})
-      : sink_(sink) {
-    if (sink_ != nullptr) sink_->Begin(name, std::move(args));
-  }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-  ~ScopedPhase() {
-    if (sink_ != nullptr) sink_->End();
-  }
-
- private:
-  TraceSink* sink_;
-};
 
 }  // namespace quicksand::obs

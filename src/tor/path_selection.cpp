@@ -26,11 +26,11 @@ struct PathMetrics {
   }
 };
 
-// Alias builds count in the reserved pop.* namespace
-// (scripts/check_bench_json.py), next to the population engine's telemetry.
+// Alias builds count next to the population engine's telemetry, registered
+// kRun like it.
 obs::Counter& AliasBuildCounter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::Global().GetCounter("pop.alias_tables_built");
+  static obs::Counter& counter = obs::MetricsRegistry::Global().GetCounter(
+      "pop.alias_tables_built", obs::Stability::kRun);
   return counter;
 }
 

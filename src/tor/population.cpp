@@ -8,17 +8,18 @@ namespace quicksand::tor {
 
 namespace {
 
-// Population telemetry lives in the reserved pop.* namespace
-// (scripts/check_bench_json.py) and registers lazily on first population
-// work.
+// Population telemetry (pop.*) is registered obs::Stability::kRun, lazily
+// on first population work: a resumed sweep skips the shards it loaded, so
+// these tallies vary with where a run was killed.
 struct PopMetrics {
-  obs::Counter& clients_simulated =
-      obs::MetricsRegistry::Global().GetCounter("pop.clients_simulated");
-  obs::Counter& rotations = obs::MetricsRegistry::Global().GetCounter("pop.rotations");
-  obs::Counter& circuits_built =
-      obs::MetricsRegistry::Global().GetCounter("pop.circuits_built");
-  obs::Gauge& peak_shard_clients =
-      obs::MetricsRegistry::Global().GetGauge("pop.peak_shard_clients");
+  obs::Counter& clients_simulated = obs::MetricsRegistry::Global().GetCounter(
+      "pop.clients_simulated", obs::Stability::kRun);
+  obs::Counter& rotations =
+      obs::MetricsRegistry::Global().GetCounter("pop.rotations", obs::Stability::kRun);
+  obs::Counter& circuits_built = obs::MetricsRegistry::Global().GetCounter(
+      "pop.circuits_built", obs::Stability::kRun);
+  obs::Gauge& peak_shard_clients = obs::MetricsRegistry::Global().GetGauge(
+      "pop.peak_shard_clients", obs::Stability::kRun);
 
   static PopMetrics& Get() {
     static PopMetrics metrics;
@@ -47,8 +48,8 @@ ClientPopulation::ClientPopulation(const PathSelector& selector,
   }
   PopMetrics& metrics = PopMetrics::Get();
   metrics.clients_simulated.Increment(rngs_.size());
-  // Shard-residency high-water mark (reserved namespace: scheduling may
-  // interleave shards, so last-max-wins is fine).
+  // Shard-residency high-water mark (kRun: scheduling may interleave
+  // shards, so last-max-wins is fine).
   if (static_cast<std::int64_t>(rngs_.size()) > metrics.peak_shard_clients.value()) {
     metrics.peak_shard_clients.Set(static_cast<std::int64_t>(rngs_.size()));
   }

@@ -75,8 +75,8 @@ struct RetryStats {
 /// runs register nothing (the lazy-registration contract of
 /// docs/ROBUSTNESS.md). `util.retry.attempts` counts are exact integers
 /// (deterministic for seeded runs at any thread count); the per-sleep
-/// distribution lands in `util.retry.backoff_ms`, whose `_ms` suffix marks
-/// it wall-clock-shaped and comparison-exempt. The old opaque totals
+/// distribution lands in `util.retry.backoff_ms`, registered
+/// obs::Stability::kRun as wall-clock-shaped. The old opaque totals
 /// (`util.retry.retries` / `util.retry.giveups`) stay for compatibility.
 inline void ObserveRetryOutcome(const RetryStats& tally) {
   obs::MetricsRegistry::Global()
@@ -125,7 +125,8 @@ auto Retry(const RetryPolicy& policy, netbase::Rng& rng, Fn&& fn,
       local.total_backoff_ms += backoff;
       obs::MetricsRegistry::Global()
           .GetHistogram("util.retry.backoff_ms",
-                        obs::MetricsRegistry::DefaultLatencyBucketsMs())
+                        obs::MetricsRegistry::DefaultLatencyBucketsMs(),
+                        obs::Stability::kRun)
           .Observe(backoff);
       if (policy.sleeper) {
         policy.sleeper(backoff);

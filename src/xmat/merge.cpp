@@ -12,18 +12,6 @@ namespace quicksand::xmat {
 
 namespace {
 
-/// Mirror of scripts/check_bench_json.py's reserved namespaces: metric
-/// families whose values legitimately vary with thread count, kill
-/// points, batch sizes, wire format, or sampler cadence. Excluded from
-/// the merge so the document stays byte-stable across all of those.
-[[nodiscard]] bool SchedulingDependent(std::string_view name) {
-  for (const char* prefix :
-       {"exec.", "ckpt.", "feed.", "span.", "prof.", "qmrt.", "daemon.", "xmat."}) {
-    if (name.rfind(prefix, 0) == 0) return true;
-  }
-  return false;
-}
-
 [[nodiscard]] obs::JsonValue LoadCellDocument(const std::string& path) {
   std::ifstream stream(path, std::ios::binary);
   if (!stream) {
@@ -42,6 +30,13 @@ namespace {
     throw std::runtime_error("merge: cell summary " + path +
                              " is not a quicksand-bench-v1 document");
   }
+  // A summary without the run section predates the stability split: its
+  // top-level maps still hold run-shaped metrics the merge must not copy.
+  if (const obs::JsonValue* run = doc->Find("run"); run == nullptr || !run->IsObject()) {
+    throw std::runtime_error("merge: cell summary " + path +
+                             " has no \"run\" metrics section (written by an older "
+                             "bench binary; rerun the cell)");
+  }
   return std::move(*doc);
 }
 
@@ -51,20 +46,6 @@ namespace {
     coordinates.Set(name, value);
   }
   return coordinates;
-}
-
-/// Copies an object member's deterministic subset: domain counters and
-/// gauges minus the reserved namespaces.
-[[nodiscard]] obs::JsonValue FilteredMetrics(const obs::JsonValue& doc,
-                                             std::string_view section) {
-  obs::JsonValue out = obs::JsonValue::Object();
-  if (const obs::JsonValue* metrics = doc.Find(section);
-      metrics != nullptr && metrics->IsObject()) {
-    for (const auto& [name, value] : metrics->members()) {
-      if (!SchedulingDependent(name)) out.Set(name, value);
-    }
-  }
-  return out;
 }
 
 /// A short headline for the summary table: results[summary_key] when
@@ -132,8 +113,12 @@ MergeResult MergeMatrix(const MatrixConfig& config, const std::string& out_dir) 
           comparisons != nullptr && comparisons->IsArray()) {
         entry.Set("comparisons", *comparisons);
       }
-      entry.Set("counters", FilteredMetrics(cell_doc, "counters"));
-      entry.Set("gauges", FilteredMetrics(cell_doc, "gauges"));
+      // The seeded maps only: the run section is never merged.
+      for (const char* section : {"counters", "gauges"}) {
+        const obs::JsonValue* metrics = cell_doc.Find(section);
+        const bool present = metrics != nullptr && metrics->IsObject();
+        entry.Set(section, present ? *metrics : obs::JsonValue::Object());
+      }
       merged_cells.Append(std::move(entry));
       ++result.merged;
     } else {

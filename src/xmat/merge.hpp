@@ -4,10 +4,10 @@
 // quicksand-xmat-v1 document plus an aligned summary table.
 //
 // The merged document is built *only* from deterministic cell content —
-// the cells' "results" and "comparisons" sections and their domain
-// counters/gauges, with the reserved scheduling-dependent namespaces and
-// every wall-clock field excluded (the same view
-// scripts/check_bench_json.py compares). That makes the merge the proof
+// the cells' "results" and "comparisons" sections and their seeded
+// top-level counters/gauges, never the "run" section or a wall-clock field
+// (the same view scripts/check_bench_json.py compares). That makes the
+// merge the proof
 // artifact of the crash-safety contract: a matrix that was SIGKILLed and
 // resumed merges byte-identically to one that ran uninterrupted.
 //
@@ -37,8 +37,8 @@ struct MergeResult {
 /// manifest is re-loaded from its journal, so merging works on a freshly
 /// resumed tree or long after the runner exited. Throws
 /// std::runtime_error if the manifest is missing/foreign or a *done*
-/// cell's JSON is missing or unparseable (a done cell without a summary
-/// is corruption, not a gap).
+/// cell's JSON is missing, unparseable or has no "run" section (a done
+/// cell without a summary is corruption, not a gap).
 [[nodiscard]] MergeResult MergeMatrix(const MatrixConfig& config,
                                       const std::string& out_dir);
 

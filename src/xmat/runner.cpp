@@ -74,11 +74,11 @@ AttemptOutcome RunAttempt(const std::vector<std::string>& argv,
   return outcome;
 }
 
-/// xmat.* is a reserved telemetry namespace (scripts/check_bench_json.py):
-/// retry counts and deadline kills legitimately differ between an
-/// uninterrupted matrix and a killed-and-resumed one.
+/// xmat.* telemetry is registered kRun: retry counts and deadline kills
+/// legitimately differ between an uninterrupted matrix and a
+/// killed-and-resumed one.
 void Count(const char* name, std::uint64_t delta = 1) {
-  obs::MetricsRegistry::Global().GetCounter(name).Increment(delta);
+  obs::MetricsRegistry::Global().GetCounter(name, obs::Stability::kRun).Increment(delta);
 }
 
 }  // namespace

@@ -43,15 +43,38 @@ ShardResult Decode(PayloadReader& payload) {
 }
 
 /// The sweep body: deterministic per shard, counts invocations, and
-/// increments a domain-style counter so delta replay is observable.
+/// touches a domain-style counter and histogram so replay is observable,
+/// plus a run-class counter that resume must not replay.
 struct CountingFn {
   std::atomic<std::size_t>* calls;
   ShardResult operator()(std::size_t i) const {
     calls->fetch_add(1);
-    obs::MetricsRegistry::Global()
-        .GetCounter("test.sweep.work_done")
-        .Increment(i + 1);
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    registry.GetCounter("test.sweep.work_done").Increment(i + 1);
+    registry.GetHistogram("test.sweep.attempts", {1, 2, 4})
+        .Observe(static_cast<double>(i % 3 + 1));
+    registry.GetCounter("test.sweep.run_only", obs::Stability::kRun).Increment();
     return {i, 0.5 * static_cast<double>(i) + 1.0 / 3.0};
+  }
+};
+
+/// Count, sum and per-bucket counts of the sweep's seeded histogram.
+struct HistogramTotals {
+  std::uint64_t count = 0;
+  double sum = 0;
+  std::vector<std::uint64_t> buckets;
+
+  [[nodiscard]] static HistogramTotals Now() {
+    const obs::Histogram& histogram =
+        obs::MetricsRegistry::Global().GetHistogram("test.sweep.attempts", {1, 2, 4});
+    HistogramTotals totals{histogram.count(), histogram.sum(), {}};
+    for (const auto& bucket : histogram.Buckets()) totals.buckets.push_back(bucket.count);
+    return totals;
+  }
+  [[nodiscard]] HistogramTotals operator-(const HistogramTotals& base) const {
+    HistogramTotals delta{count - base.count, sum - base.sum, buckets};
+    for (std::size_t i = 0; i < buckets.size(); ++i) delta.buckets[i] -= base.buckets[i];
+    return delta;
   }
 };
 
@@ -65,6 +88,10 @@ struct CountingFn {
 
 [[nodiscard]] std::uint64_t WorkCounter() {
   return obs::MetricsRegistry::Global().GetCounter("test.sweep.work_done").value();
+}
+
+[[nodiscard]] std::uint64_t RunOnlyCounter() {
+  return obs::MetricsRegistry::Global().GetCounter("test.sweep.run_only").value();
 }
 
 TEST(CheckpointedMap, DisabledStageMatchesParallelMap) {
@@ -93,21 +120,32 @@ TEST(CheckpointedMap, ResumeFromCompleteSnapshotRecomputesNothing) {
   stage.fingerprint = 77;
 
   std::atomic<std::size_t> calls{0};
+  const HistogramTotals fresh_base = HistogramTotals::Now();
   const auto first =
       CheckpointedMap(stage, 2, 6, CountingFn{&calls}, Encode, Decode);
   EXPECT_EQ(calls.load(), 6u);
+  const HistogramTotals fresh = HistogramTotals::Now() - fresh_base;
+  ASSERT_EQ(fresh.count, 6u);
 
   stage.resume = true;
   calls = 0;
   const std::uint64_t before = WorkCounter();
+  const std::uint64_t run_before = RunOnlyCounter();
+  const HistogramTotals resume_base = HistogramTotals::Now();
   const auto second =
       CheckpointedMap(stage, 2, 6, CountingFn{&calls}, Encode, Decode);
   EXPECT_EQ(calls.load(), 0u) << "complete snapshot must skip every shard";
   EXPECT_EQ(second, first);
   // Work-performed telemetry is replayed from the checkpointed per-shard
-  // counter deltas, so a resumed run reports the same totals as a fresh
-  // one: 1+2+...+6.
+  // deltas, so a resumed run reports the same seeded totals as a fresh
+  // one: 1+2+...+6, and the same histogram buckets and sum.
   EXPECT_EQ(WorkCounter() - before, 21u);
+  const HistogramTotals replayed = HistogramTotals::Now() - resume_base;
+  EXPECT_EQ(replayed.count, fresh.count);
+  EXPECT_EQ(replayed.sum, fresh.sum);
+  EXPECT_EQ(replayed.buckets, fresh.buckets);
+  // Run-class metrics record what this process did: no shard ran.
+  EXPECT_EQ(RunOnlyCounter() - run_before, 0u);
 }
 
 TEST(CheckpointedMap, PartialSnapshotRecomputesOnlyMissingShards) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -82,7 +84,7 @@ TEST(MetricsRegistry, SnapshotIsNameSortedAndDeterministic) {
   registry.GetGauge("m.middle").Set(-7);
   registry.GetHistogram("h.hist", {1.0}).Observe(0.5);
 
-  const MetricsSnapshot snap1 = registry.Snapshot();
+  const MetricsSnapshot snap1 = registry.Snapshot(Stability::kSeeded);
   ASSERT_EQ(snap1.counters.size(), 2u);
   EXPECT_EQ(snap1.counters[0].first, "a.first");
   EXPECT_EQ(snap1.counters[1].first, "z.last");
@@ -91,7 +93,7 @@ TEST(MetricsRegistry, SnapshotIsNameSortedAndDeterministic) {
   EXPECT_EQ(snap1.gauges[0].second, -7);
 
   // Identical state serializes byte-for-byte identically.
-  const MetricsSnapshot snap2 = registry.Snapshot();
+  const MetricsSnapshot snap2 = registry.Snapshot(Stability::kSeeded);
   EXPECT_EQ(snap1.ToJson().Dump(2), snap2.ToJson().Dump(2));
 }
 
@@ -106,7 +108,42 @@ TEST(MetricsRegistry, ResetAllZeroesButKeepsReferences) {
   EXPECT_EQ(hist.count(), 0u);
   // The reference obtained before ResetAll still updates the registry.
   counter.Increment();
-  EXPECT_EQ(registry.Snapshot().counters[0].second, 1u);
+  EXPECT_EQ(registry.Snapshot(Stability::kSeeded).counters[0].second, 1u);
+}
+
+TEST(MetricsRegistry, SnapshotTakesOneStabilityClass) {
+  MetricsRegistry registry;
+  registry.GetCounter("seeded.count").Increment(2);
+  registry.GetCounter("run.count", Stability::kRun).Increment(5);
+  registry.GetGauge("run.level", Stability::kRun).Set(9);
+  registry.GetHistogram("run.hist", {1.0}, Stability::kRun).Observe(0.5);
+
+  const MetricsSnapshot seeded = registry.Snapshot(Stability::kSeeded);
+  ASSERT_EQ(seeded.counters.size(), 1u);
+  EXPECT_EQ(seeded.counters[0].first, "seeded.count");
+  EXPECT_TRUE(seeded.gauges.empty());
+  EXPECT_TRUE(seeded.histograms.empty());
+
+  const MetricsSnapshot run = registry.Snapshot(Stability::kRun);
+  ASSERT_EQ(run.counters.size(), 1u);
+  EXPECT_EQ(run.counters[0].first, "run.count");
+  ASSERT_EQ(run.gauges.size(), 1u);
+  EXPECT_EQ(run.gauges[0].second, 9);
+  ASSERT_EQ(run.histograms.size(), 1u);
+  EXPECT_EQ(run.histograms[0].name, "run.hist");
+}
+
+TEST(MetricsRegistry, RunClassSticksOnceDeclared) {
+  // A lookup that declares nothing (a reader registering first, or reading
+  // later) never changes a metric's class.
+  MetricsRegistry registry;
+  Counter& early = registry.GetCounter("x.read_first");
+  Counter& declared = registry.GetCounter("x.read_first", Stability::kRun);
+  Counter& late = registry.GetCounter("x.read_first");
+  EXPECT_EQ(&early, &declared);
+  EXPECT_EQ(&late, &declared);
+  EXPECT_TRUE(registry.Snapshot(Stability::kSeeded).counters.empty());
+  EXPECT_EQ(registry.Snapshot(Stability::kRun).counters.size(), 1u);
 }
 
 TEST(MetricsRegistry, ConcurrentIncrementsAreLossless) {
@@ -137,10 +174,27 @@ TEST(MetricsSnapshot, JsonShape) {
   MetricsRegistry registry;
   registry.GetCounter("j.count").Increment(2);
   registry.GetHistogram("j.hist", {1.0}).Observe(2.5);
-  const std::string json = registry.Snapshot().ToJson().Dump();
+  const std::string json = registry.Snapshot(Stability::kSeeded).ToJson().Dump();
   EXPECT_NE(json.find("\"counters\":{\"j.count\":2}"), std::string::npos);
   EXPECT_NE(json.find("\"j.hist\""), std::string::npos);
   EXPECT_NE(json.find("\"sum\":2.5"), std::string::npos);
+}
+
+TEST(Histogram, AddReplaysBucketedObservations) {
+  Histogram observed({1.0, 2.0});
+  for (const double value : {0.5, 2.0, 2.0, 7.0}) observed.Observe(value);
+
+  Histogram replayed({1.0, 2.0});
+  replayed.Add(observed.Buckets(), observed.sum());
+  EXPECT_EQ(replayed.count(), observed.count());
+  EXPECT_EQ(replayed.sum(), observed.sum());
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(replayed.Buckets()[i].count, observed.Buckets()[i].count) << "bucket " << i;
+  }
+  // Other bounds, or a bucket missing, change nothing.
+  EXPECT_THROW(replayed.Add(Histogram({1.0, 3.0}).Buckets(), 1.0), std::invalid_argument);
+  EXPECT_THROW(replayed.Add(Histogram({1.0}).Buckets(), 1.0), std::invalid_argument);
+  EXPECT_EQ(replayed.count(), observed.count());
 }
 
 TEST(GlobalRegistry, IsASingleton) {

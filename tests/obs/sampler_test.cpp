@@ -51,7 +51,7 @@ TEST(ResourceSampler, PublishesProfGauges) {
   ResourceSampler sampler;
   sampler.Start();
   sampler.Stop();
-  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot(Stability::kRun);
   bool saw_peak = false;
   bool saw_samples = false;
   for (const auto& [name, value] : snapshot.gauges) {

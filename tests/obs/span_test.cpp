@@ -3,24 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "exec/parallel.hpp"
 #include "obs/trace.hpp"
+#include "trace_lines.hpp"
 
 namespace quicksand::obs {
 namespace {
 
 std::string TempPath(const std::string& name) {
   return std::string(::testing::TempDir()) + name;
-}
-
-std::vector<TraceEvent> ReadTrace(const std::string& path) {
-  std::ifstream in(path);
-  return TraceSink::ParseJsonl(in);
 }
 
 /// Enables span aggregation for one test and restores the disabled
@@ -132,13 +127,13 @@ TEST(ScopedSpanTrace, EmitsCompleteEventsWithThreadIds) {
     SetGlobalTrace(nullptr);
   }
   // outer is still open when the sink detaches; only inner was emitted.
-  const std::vector<TraceEvent> events = ReadTrace(path);
+  const std::vector<JsonValue> events = test::ReadTraceLines(path);
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, "inner");
-  EXPECT_EQ(events[0].phase, 'X');
-  EXPECT_EQ(events[0].depth, 1);
-  EXPECT_GE(events[0].dur_us, 0);
-  EXPECT_GE(events[0].tid, 1);
+  EXPECT_EQ(events[0].Find("name")->AsString(), "inner");
+  EXPECT_EQ(events[0].Find("ph")->AsString(), "X");
+  EXPECT_EQ(events[0].Find("depth")->AsInt(), 1);
+  EXPECT_GE(events[0].Find("dur")->AsInt(), 0);
+  EXPECT_GE(events[0].Find("tid")->AsInt(), 1);
   std::remove(path.c_str());
 }
 
@@ -155,16 +150,18 @@ TEST(ScopedSpanTrace, ConcurrentSpansAreSelfContained) {
     });
     SetGlobalTrace(nullptr);
   }
-  const std::vector<TraceEvent> events = ReadTrace(path);
+  const std::vector<JsonValue> events = test::ReadTraceLines(path);
   ASSERT_EQ(events.size(), kItems);
   std::set<std::string> seen_args;
-  for (const TraceEvent& event : events) {
-    EXPECT_EQ(event.name, "mt");
-    EXPECT_EQ(event.phase, 'X');
-    EXPECT_GE(event.dur_us, 0);
-    EXPECT_GE(event.tid, 1);
-    ASSERT_EQ(event.args.size(), 1u);
-    seen_args.insert(event.args[0].second);
+  for (const JsonValue& event : events) {
+    EXPECT_EQ(event.Find("name")->AsString(), "mt");
+    EXPECT_EQ(event.Find("ph")->AsString(), "X");
+    EXPECT_GE(event.Find("dur")->AsInt(), 0);
+    EXPECT_GE(event.Find("tid")->AsInt(), 1);
+    const JsonValue* args = event.Find("args");
+    ASSERT_NE(args, nullptr);
+    ASSERT_EQ(args->members().size(), 1u);
+    seen_args.insert(args->Find("i")->AsString());
   }
   // Every iteration's event arrived exactly once — nothing torn or lost.
   EXPECT_EQ(seen_args.size(), kItems);

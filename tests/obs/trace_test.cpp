@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "trace_lines.hpp"
 
 namespace quicksand::obs {
 namespace {
+
+using test::Keys;
+using test::ReadTraceLines;
+using Names = std::vector<std::string>;
 
 /// Temp-file path helper; removes the file on destruction.
 struct TempPath {
@@ -19,154 +25,75 @@ struct TempPath {
   ~TempPath() { std::remove(path.c_str()); }
 };
 
-TEST(TraceSink, RecordsPhaseNesting) {
-  TraceSink sink;
-  sink.Begin("outer");
-  EXPECT_EQ(sink.depth(), 1);
-  sink.Begin("inner", {{"k", "v"}});
-  EXPECT_EQ(sink.depth(), 2);
-  sink.Instant("tick");
-  sink.End();
-  sink.End();
-  EXPECT_EQ(sink.depth(), 0);
-
-  const auto& events = sink.events();
-  ASSERT_EQ(events.size(), 5u);
-  EXPECT_EQ(events[0].name, "outer");
-  EXPECT_EQ(events[0].phase, 'B');
-  EXPECT_EQ(events[0].depth, 0);
-  EXPECT_EQ(events[1].name, "inner");
-  EXPECT_EQ(events[1].depth, 1);
-  EXPECT_EQ(events[2].phase, 'i');
-  EXPECT_EQ(events[2].depth, 2);
-  // End events close the innermost open phase, by name.
-  EXPECT_EQ(events[3].name, "inner");
-  EXPECT_EQ(events[3].phase, 'E');
-  EXPECT_EQ(events[4].name, "outer");
-  EXPECT_EQ(events[4].phase, 'E');
-}
-
-TEST(TraceSink, EndWithoutBeginIsNoOp) {
-  TraceSink sink;
-  sink.End();
-  EXPECT_TRUE(sink.events().empty());
-  EXPECT_EQ(sink.depth(), 0);
-}
-
-TEST(TraceSink, JsonlRoundTrip) {
-  TraceSink sink;
-  sink.Begin("phase \"quoted\"", {{"key", "line1\nline2"}, {"n", "42"}});
-  sink.Instant("point");
-  sink.End();
-
-  std::string jsonl;
-  for (const TraceEvent& event : sink.events()) {
-    jsonl += TraceSink::ToJsonl(event);
-    jsonl += '\n';
-  }
-  std::istringstream in(jsonl);
-  const std::vector<TraceEvent> parsed = TraceSink::ParseJsonl(in);
-  ASSERT_EQ(parsed.size(), sink.events().size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i], sink.events()[i]) << "event " << i;
-  }
-}
-
 TEST(TraceSink, CompleteEventsRoundTrip) {
-  TraceSink sink;
-  sink.Complete("span", /*dur_us=*/1234, /*depth=*/2, /*tid=*/3, {{"k", "v"}});
-  sink.Complete("plain", /*dur_us=*/0, /*depth=*/0, /*tid=*/0);
-
-  const auto& events = sink.events();
+  TempPath tmp("quicksand_trace_complete.jsonl");
+  {
+    TraceSink sink(tmp.path);
+    sink.Complete("span \"quoted\"", /*dur_us=*/1234, /*depth=*/2, /*tid=*/3,
+                  {{"key", "line1\nline2"}, {"n", "42"}});
+    sink.Complete("plain", /*dur_us=*/0, /*depth=*/0, /*tid=*/0);
+  }
+  const std::vector<JsonValue> events = ReadTraceLines(tmp.path);
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].phase, 'X');
-  EXPECT_EQ(events[0].dur_us, 1234);
-  EXPECT_EQ(events[0].tid, 3);
+  const JsonValue& span = events[0];
+  EXPECT_EQ(span.Find("name")->AsString(), "span \"quoted\"");
+  EXPECT_EQ(span.Find("ph")->AsString(), "X");
+  EXPECT_EQ(span.Find("depth")->AsInt(), 2);
+  EXPECT_EQ(span.Find("dur")->AsInt(), 1234);
+  EXPECT_EQ(span.Find("tid")->AsInt(), 3);
+  ASSERT_NE(span.Find("args"), nullptr);
+  EXPECT_EQ(span.Find("args")->Find("key")->AsString(), "line1\nline2");
+  EXPECT_EQ(span.Find("args")->Find("n")->AsString(), "42");
   // The event's ts is its start: emission time minus duration.
-  EXPECT_GE(events[1].ts_us, events[0].ts_us);
-
-  std::string jsonl;
-  for (const TraceEvent& event : events) {
-    jsonl += TraceSink::ToJsonl(event);
-    jsonl += '\n';
-  }
+  EXPECT_GE(events[1].Find("ts")->AsInt(), span.Find("ts")->AsInt());
   // dur is always serialized for 'X' events; tid only when attributed.
-  EXPECT_NE(jsonl.find("\"dur\":1234"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"tid\":3"), std::string::npos);
-  std::istringstream in(jsonl);
-  const std::vector<TraceEvent> parsed = TraceSink::ParseJsonl(in);
-  ASSERT_EQ(parsed.size(), events.size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i], events[i]) << "event " << i;
-  }
+  EXPECT_EQ(Keys(events[1]), (Names{"name", "ph", "ts", "depth", "dur"}));
 }
 
 TEST(TraceSink, NonSpanJsonlOmitsDurAndTid) {
-  // Pre-span serialization must stay byte-stable: B/E/i events carry no
-  // dur or tid keys, so traces from non-profiled runs are unchanged.
-  TraceSink sink;
-  sink.Begin("phase");
-  sink.Instant("tick");
-  sink.End();
-  for (const TraceEvent& event : sink.events()) {
-    const std::string line = TraceSink::ToJsonl(event);
-    EXPECT_EQ(line.find("\"dur\""), std::string::npos) << line;
-    EXPECT_EQ(line.find("\"tid\""), std::string::npos) << line;
+  // Instants carry no dur or tid keys and sit at depth 0.
+  TempPath tmp("quicksand_trace_instant.jsonl");
+  {
+    TraceSink sink(tmp.path);
+    sink.Instant("tick", {{"rss_kb", "7"}});
+    sink.Instant("bare");
   }
-}
-
-TEST(TraceSink, ParseRejectsMalformedInput) {
-  std::istringstream bad("not json\n");
-  EXPECT_THROW((void)TraceSink::ParseJsonl(bad), std::runtime_error);
+  const std::vector<JsonValue> events = ReadTraceLines(tmp.path);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(Keys(events[0]), (Names{"name", "ph", "ts", "depth", "args"}));
+  EXPECT_EQ(events[0].Find("ph")->AsString(), "i");
+  EXPECT_EQ(events[0].Find("depth")->AsInt(), 0);
+  EXPECT_EQ(events[0].Find("args")->Find("rss_kb")->AsString(), "7");
+  EXPECT_EQ(Keys(events[1]), (Names{"name", "ph", "ts", "depth"}));
 }
 
 TEST(TraceSink, StreamsJsonlToFile) {
   TempPath tmp("quicksand_trace_test.jsonl");
   {
     TraceSink sink(tmp.path);
-    sink.Begin("write");
-    sink.End();
+    sink.Instant("first");
+    sink.Complete("second", /*dur_us=*/5, /*depth=*/0, /*tid=*/1);
   }
-  std::ifstream in(tmp.path);
-  ASSERT_TRUE(in.good());
-  const std::vector<TraceEvent> parsed = TraceSink::ParseJsonl(in);
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].name, "write");
-  EXPECT_EQ(parsed[1].phase, 'E');
+  const std::vector<JsonValue> events = ReadTraceLines(tmp.path);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].Find("name")->AsString(), "first");
+  EXPECT_EQ(events[1].Find("name")->AsString(), "second");
+  EXPECT_EQ(events[1].Find("ph")->AsString(), "X");
 }
 
-TEST(TraceSink, WritesChromeTraceArray) {
-  TempPath tmp("quicksand_trace_test_chrome.json");
-  TraceSink sink;
-  sink.Begin("p");
-  sink.End();
-  sink.WriteChromeTrace(tmp.path);
-  std::ifstream in(tmp.path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string content = buffer.str();
-  EXPECT_NE(content.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(content.find("\"ph\": \"B\""), std::string::npos);
+TEST(TraceSink, UnopenablePathThrows) {
+  EXPECT_THROW(TraceSink("/nonexistent-dir/trace.jsonl"), std::runtime_error);
 }
 
 TEST(GlobalTraceSink, InstallAndClear) {
+  TempPath tmp("quicksand_trace_global.jsonl");
   EXPECT_EQ(GlobalTrace(), nullptr);
   {
-    TraceSink sink;
+    TraceSink sink(tmp.path);
     SetGlobalTrace(&sink);
     EXPECT_EQ(GlobalTrace(), &sink);
-    {
-      const ScopedPhase phase(GlobalTrace(), "scoped");
-      EXPECT_EQ(sink.depth(), 1);
-    }
-    EXPECT_EQ(sink.depth(), 0);
     // The sink's destructor clears the global pointer it owns.
   }
-  EXPECT_EQ(GlobalTrace(), nullptr);
-}
-
-TEST(ScopedPhase, InertOnNullSink) {
-  const ScopedPhase phase(nullptr, "nothing");  // must not crash
   EXPECT_EQ(GlobalTrace(), nullptr);
 }
 

@@ -54,7 +54,7 @@ class RunnerTest : public ::testing::Test {
 
   static constexpr const char* kWriteJson =
       "printf '{\"schema\": \"quicksand-bench-v1\", \"results\": "
-      "{\"mode\": \"%s\"}}\\n' \"$mode\" > \"$json\"\n";
+      "{\"mode\": \"%s\"}, \"run\": {}}\\n' \"$mode\" > \"$json\"\n";
 
   MatrixConfig Config(const std::string& extra = "") {
     return ParseMatrixConfig("bench = fake_cell\nretries = 1\n" + extra +
@@ -176,7 +176,8 @@ TEST_F(RunnerTest, MissingBenchFailsLoudly) {
 TEST_F(RunnerTest, CellEnvReachesTheChild) {
   InstallBench(
       "printf '{\"schema\": \"quicksand-bench-v1\", \"results\": "
-      "{\"hook\": \"%s\"}}\\n' \"$XMAT_TEST_HOOK\" > \"$json\"\nexit 0\n");
+      "{\"hook\": \"%s\"}, \"run\": {}}\\n' \"$XMAT_TEST_HOOK\" > \"$json\"\n"
+      "exit 0\n");
   const MatrixConfig config = Config("summary_key = hook\n");
   RunnerOptions options = Options();
   options.cell_env = {"XMAT_TEST_HOOK=wired"};
@@ -184,6 +185,46 @@ TEST_F(RunnerTest, CellEnvReachesTheChild) {
   EXPECT_TRUE(summary.AllDone());
   const MergeResult merged = MergeMatrix(config, out_);
   EXPECT_NE(merged.table.find("wired"), std::string::npos) << merged.table;
+}
+
+TEST_F(RunnerTest, MergeKeepsSeededMetricsOnly) {
+  InstallBench(
+      "printf '{\"schema\": \"quicksand-bench-v1\", \"results\": {\"mode\": \"%s\"}, "
+      "\"counters\": {\"core.work\": 3}, \"gauges\": {\"core.level\": 2}, "
+      "\"run\": {\"counters\": {\"exec.pool.tasks_run\": 9, \"pop.rotations\": 4}, "
+      "\"gauges\": {\"feed.peak_resident_updates\": 5}, \"histograms\": {}}}\\n' "
+      "\"$mode\" > \"$json\"\nexit 0\n");
+  const MatrixConfig config = Config();
+  ASSERT_TRUE(RunMatrix(config, Options()).AllDone());
+  const MergeResult merged = MergeMatrix(config, out_);
+  const obs::JsonValue* cells = merged.document.Find("cells");
+  ASSERT_NE(cells, nullptr);
+  ASSERT_EQ(cells->elements().size(), 3u);
+  for (const obs::JsonValue& cell : cells->elements()) {
+    ASSERT_NE(cell.Find("counters"), nullptr);
+    ASSERT_NE(cell.Find("gauges"), nullptr);
+    EXPECT_EQ(cell.Find("counters")->Dump(), "{\"core.work\":3}");
+    EXPECT_EQ(cell.Find("gauges")->Dump(), "{\"core.level\":2}");
+    EXPECT_EQ(cell.Find("run"), nullptr);
+  }
+}
+
+TEST_F(RunnerTest, MergeRefusesCellWithoutRunSection) {
+  // A summary written before the stability split keeps run-shaped metrics
+  // in its top-level maps; merging it would leak them into matrix.json.
+  InstallBench(
+      "printf '{\"schema\": \"quicksand-bench-v1\", \"results\": {}, "
+      "\"counters\": {\"exec.pool.tasks_run\": 9}}\\n' > \"$json\"\nexit 0\n");
+  const MatrixConfig config = Config();
+  ASSERT_TRUE(RunMatrix(config, Options()).AllDone());
+  const std::string first_cell = CellJsonPath(out_, ExpandCells(config).front());
+  try {
+    (void)MergeMatrix(config, out_);
+    FAIL() << "merge accepted a cell summary without a run section";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(first_cell), std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace
