@@ -85,6 +85,53 @@ void BM_ComputeRoutes(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeRoutes)->Arg(0)->Arg(5);
 
+/// The middle link of the forwarding path from the AS half the index space
+/// away from `origin` — one on-path failure, as the exposure analyzer draws.
+std::uint64_t OnPathLink(const bgp::RoutingState& routes, bgp::AsIndex origin) {
+  const auto n = static_cast<bgp::AsIndex>(routes.graph().AsCount());
+  for (bgp::AsIndex step = 0; step < n; ++step) {
+    const auto path = routes.ForwardingPath((origin + n / 2 + step) % n);
+    if (path.size() < 2) continue;
+    const std::size_t k = (path.size() - 2) / 2;
+    return bgp::LinkKey(path[k], path[k + 1]);
+  }
+  return 0;
+}
+
+void BM_ComputeRoutesDisabledLink(benchmark::State& state) {
+  const bgp::Topology& topo = SharedTopology();
+  const bgp::AsNumber origin = topo.hostings[static_cast<std::size_t>(state.range(0))];
+  const bgp::LinkSet disabled = {
+      OnPathLink(bgp::ComputeRoutes(topo.graph, origin), topo.graph.MustIndexOf(origin))};
+  bgp::ComputationOptions options;
+  options.disabled_links = &disabled;
+  options.tie_break_salts = topo.policy_salts;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bgp::ComputeRoutes(topo.graph, origin, options));
+  }
+  state.SetLabel("policy salts + one failed on-path link");
+}
+BENCHMARK(BM_ComputeRoutesDisabledLink)->Arg(0)->Arg(5);
+
+void BM_ShiftSalt(benchmark::State& state) {
+  // A salt-shift variant: the cached base state re-salted at one AS on a
+  // forwarding path (vs BM_ComputeRoutes, the solve it replaces).
+  const bgp::Topology& topo = SharedTopology();
+  const bgp::AsNumber origin = topo.hostings[static_cast<std::size_t>(state.range(0))];
+  bgp::ComputationOptions options;
+  options.tie_break_salts = topo.policy_salts;
+  const bgp::RoutingState base = bgp::ComputeRoutes(topo.graph, origin, options);
+  const auto path = base.ForwardingPath(static_cast<bgp::AsIndex>(topo.graph.AsCount() / 2));
+  const bgp::AsIndex shifted = path.empty() ? 0 : path[path.size() / 2];
+  std::uint64_t salt = 1;
+  for (auto _ : state) {
+    salt += 2;
+    benchmark::DoNotOptimize(bgp::ShiftSalt(base, shifted, salt));
+  }
+  state.SetLabel("one on-path AS re-salted");
+}
+BENCHMARK(BM_ShiftSalt)->Arg(0)->Arg(5);
+
 void BM_HijackExecute(benchmark::State& state) {
   const bgp::Topology& topo = SharedTopology();
   const bgp::HijackSimulator sim(topo.graph);

@@ -19,12 +19,21 @@ AsIndex AsGraph::AddAs(AsNumber asn) {
   index_of_.emplace(asn, index);
   asns_.push_back(asn);
   neighbors_.emplace_back();
+  customers_.emplace_back();
+  peers_.emplace_back();
+  providers_.emplace_back();
   return index;
 }
 
 std::optional<AsIndex> AsGraph::IndexOf(AsNumber asn) const noexcept {
   auto it = index_of_.find(asn);
   if (it == index_of_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::optional<std::uint32_t> AsGraph::LinkIdOf(std::uint64_t link_key) const noexcept {
+  auto it = link_ids_.find(link_key);
+  if (it == link_ids_.end()) return std::nullopt;
   return it->second;
 }
 
@@ -38,7 +47,8 @@ void AsGraph::AddLink(AsNumber a, AsNumber b, Relationship rel_of_b_seen_from_a)
   if (a == b) throw std::invalid_argument("self link on AS" + std::to_string(a));
   const AsIndex ia = MustIndexOf(a);
   const AsIndex ib = MustIndexOf(b);
-  if (!links_.insert(LinkKey(ia, ib)).second) {
+  const auto link = static_cast<std::uint32_t>(link_ids_.size());
+  if (!link_ids_.emplace(LinkKey(ia, ib), link).second) {
     throw std::invalid_argument("duplicate link AS" + std::to_string(a) + " - AS" +
                                 std::to_string(b));
   }
@@ -49,7 +59,17 @@ void AsGraph::AddLink(AsNumber a, AsNumber b, Relationship rel_of_b_seen_from_a)
                                                              : Relationship::kCustomer);
   neighbors_[ia].push_back({ib, b, rel_of_b_seen_from_a});
   neighbors_[ib].push_back({ia, a, rel_of_a_seen_from_b});
-  ++link_count_;
+  SplitListOf(ia, rel_of_b_seen_from_a).push_back({ib, link});
+  SplitListOf(ib, rel_of_a_seen_from_b).push_back({ia, link});
+}
+
+std::vector<Edge>& AsGraph::SplitListOf(AsIndex index, Relationship rel) {
+  switch (rel) {
+    case Relationship::kCustomer: return customers_[index];
+    case Relationship::kPeer: return peers_[index];
+    case Relationship::kProvider: break;
+  }
+  return providers_[index];
 }
 
 void AsGraph::AddCustomerLink(AsNumber provider, AsNumber customer) {
@@ -71,30 +91,6 @@ std::optional<Relationship> AsGraph::RelationshipBetween(AsNumber a, AsNumber b)
   return std::nullopt;
 }
 
-std::size_t AsGraph::CustomerCount(AsIndex index) const {
-  std::size_t count = 0;
-  for (const Neighbor& n : neighbors_.at(index)) {
-    if (n.rel == Relationship::kCustomer) ++count;
-  }
-  return count;
-}
-
-std::size_t AsGraph::PeerCount(AsIndex index) const {
-  std::size_t count = 0;
-  for (const Neighbor& n : neighbors_.at(index)) {
-    if (n.rel == Relationship::kPeer) ++count;
-  }
-  return count;
-}
-
-std::size_t AsGraph::ProviderCount(AsIndex index) const {
-  std::size_t count = 0;
-  for (const Neighbor& n : neighbors_.at(index)) {
-    if (n.rel == Relationship::kProvider) ++count;
-  }
-  return count;
-}
-
 std::vector<AsIndex> AsGraph::CustomerCone(AsIndex index) const {
   std::vector<AsIndex> cone;
   std::vector<bool> visited(AsCount(), false);
@@ -104,10 +100,10 @@ std::vector<AsIndex> AsGraph::CustomerCone(AsIndex index) const {
     const AsIndex current = stack.back();
     stack.pop_back();
     cone.push_back(current);
-    for (const Neighbor& n : neighbors_[current]) {
-      if (n.rel == Relationship::kCustomer && !visited[n.index]) {
-        visited[n.index] = true;
-        stack.push_back(n.index);
+    for (const Edge& e : customers_[current]) {
+      if (!visited[e.to]) {
+        visited[e.to] = true;
+        stack.push_back(e.to);
       }
     }
   }

@@ -3,8 +3,8 @@
 // AS-level topology with business relationships.
 //
 // Edges are either customer-provider (directed economics, bidirectional
-// connectivity) or peer-peer. The graph hands out dense indices so the
-// routing algorithms can use flat arrays.
+// connectivity) or peer-peer. The graph hands out dense indices and dense
+// link ids so the routing algorithms can use flat arrays.
 
 #include <cstdint>
 #include <optional>
@@ -38,6 +38,14 @@ struct Neighbor {
   Relationship rel;
 };
 
+/// One entry of the relationship-split adjacency: the neighbor's dense
+/// index and the dense id of the link to it (0..LinkCount()-1, in the
+/// order the links were added).
+struct Edge {
+  AsIndex to;
+  std::uint32_t link;
+};
+
 /// Canonical undirected link key: (min index, max index) packed in 64 bits.
 [[nodiscard]] constexpr std::uint64_t LinkKey(AsIndex a, AsIndex b) noexcept {
   const AsIndex lo = a < b ? a : b;
@@ -66,7 +74,7 @@ class AsGraph {
   void AddPeerLink(AsNumber a, AsNumber b);
 
   [[nodiscard]] std::size_t AsCount() const noexcept { return neighbors_.size(); }
-  [[nodiscard]] std::size_t LinkCount() const noexcept { return link_count_; }
+  [[nodiscard]] std::size_t LinkCount() const noexcept { return link_ids_.size(); }
 
   [[nodiscard]] bool HasAs(AsNumber asn) const noexcept {
     return index_of_.contains(asn);
@@ -81,10 +89,25 @@ class AsGraph {
   /// ASN of a dense index. Index must be < AsCount().
   [[nodiscard]] AsNumber AsnOf(AsIndex index) const { return asns_.at(index); }
 
-  /// Adjacency of an AS by dense index.
+  /// Adjacency of an AS by dense index, in the order links were added.
   [[nodiscard]] std::span<const Neighbor> NeighborsOf(AsIndex index) const {
     return neighbors_.at(index);
   }
+
+  /// The same adjacency split by relationship (each list in the order its
+  /// links were added): the AS's customers, peers and providers.
+  [[nodiscard]] std::span<const Edge> CustomersOf(AsIndex index) const {
+    return customers_.at(index);
+  }
+  [[nodiscard]] std::span<const Edge> PeersOf(AsIndex index) const {
+    return peers_.at(index);
+  }
+  [[nodiscard]] std::span<const Edge> ProvidersOf(AsIndex index) const {
+    return providers_.at(index);
+  }
+
+  /// Dense id of the link with this LinkKey, or nullopt if there is none.
+  [[nodiscard]] std::optional<std::uint32_t> LinkIdOf(std::uint64_t link_key) const noexcept;
 
   /// Relationship of `b` as seen from `a`, or nullopt if not adjacent.
   [[nodiscard]] std::optional<Relationship> RelationshipBetween(AsNumber a,
@@ -94,9 +117,13 @@ class AsGraph {
   [[nodiscard]] const std::vector<AsNumber>& AllAses() const noexcept { return asns_; }
 
   /// Number of customers / peers / providers of an AS.
-  [[nodiscard]] std::size_t CustomerCount(AsIndex index) const;
-  [[nodiscard]] std::size_t PeerCount(AsIndex index) const;
-  [[nodiscard]] std::size_t ProviderCount(AsIndex index) const;
+  [[nodiscard]] std::size_t CustomerCount(AsIndex index) const {
+    return customers_.at(index).size();
+  }
+  [[nodiscard]] std::size_t PeerCount(AsIndex index) const { return peers_.at(index).size(); }
+  [[nodiscard]] std::size_t ProviderCount(AsIndex index) const {
+    return providers_.at(index).size();
+  }
 
   /// Total degree of an AS.
   [[nodiscard]] std::size_t Degree(AsIndex index) const {
@@ -109,12 +136,15 @@ class AsGraph {
 
  private:
   void AddLink(AsNumber a, AsNumber b, Relationship rel_of_b_seen_from_a);
+  std::vector<Edge>& SplitListOf(AsIndex index, Relationship rel);
 
   std::unordered_map<AsNumber, AsIndex> index_of_;
   std::vector<AsNumber> asns_;
   std::vector<std::vector<Neighbor>> neighbors_;
-  std::unordered_set<std::uint64_t> links_;
-  std::size_t link_count_ = 0;
+  std::vector<std::vector<Edge>> customers_;
+  std::vector<std::vector<Edge>> peers_;
+  std::vector<std::vector<Edge>> providers_;
+  std::unordered_map<std::uint64_t, std::uint32_t> link_ids_;  // LinkKey -> link id
 };
 
 }  // namespace quicksand::bgp

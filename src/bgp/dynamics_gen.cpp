@@ -8,7 +8,6 @@
 
 #include "bgp/route_cache.hpp"
 #include "bgp/route_computation.hpp"
-#include "bgp/sharded_routes.hpp"
 #include "exec/parallel.hpp"
 #include "netbase/rng.hpp"
 #include "obs/logger.hpp"
@@ -72,7 +71,7 @@ std::optional<ObservationTable> MakeAlternate(
 
   ComputationOptions options;
   LinkSet disabled;
-  std::vector<std::uint64_t> salts;
+  std::vector<std::pair<AsIndex, std::uint64_t>> salt_shifts;
   const OriginSpec spec{graph.AsnOf(origin_index), 1, 0};
 
   const bool fail_links = rng.Bernoulli(0.75);
@@ -95,28 +94,26 @@ std::optional<ObservationTable> MakeAlternate(
   if (!fail_links || rng.Bernoulli(0.25)) {
     // Policy-shift component: re-salt the tie-breaks of 1-2 on-path ASes.
     if (on_path.empty()) return std::nullopt;
-    salts.assign(graph.AsCount(), 0);
     const std::size_t shifts = 1 + (rng.Bernoulli(0.4) ? 1 : 0);
     for (std::size_t s = 0; s < shifts; ++s) {
       const AsNumber shifted = on_path[rng.UniformInt(0, on_path.size() - 1)];
-      if (const auto idx = graph.IndexOf(shifted)) salts[*idx] = rng() | 1;
+      if (const auto idx = graph.IndexOf(shifted)) salt_shifts.emplace_back(*idx, rng() | 1);
     }
-    options.tie_break_salts = salts;
   }
 
+  // The unperturbed or link-failed state recurs across attempts and across
+  // prefixes of the same origin, so it comes from the cache. Salt variants
+  // draw fresh 64-bit salts and never repeat: each is a shift of that
+  // cached state, equal to a solve with those salts.
+  const auto state =
+      cache.GetOrCompute(graph, std::span<const OriginSpec>(&spec, 1), options);
   ObservationTable table;
-  if (salts.empty()) {
-    // Link-failure variants recur across attempts and across prefixes of
-    // the same origin — the cache turns those repeats into lookups.
-    const auto state = cache.GetOrCompute(
-        graph, std::span<const OriginSpec>(&spec, 1), options);
+  if (salt_shifts.empty()) {
     table = ObserveAll(collectors, graph, *state);
   } else {
-    // Salt variants draw fresh 64-bit salts, so they never repeat; compute
-    // directly rather than pollute the cache with one-shot keys.
-    const RoutingState state =
-        ComputeRoutes(graph, std::span<const OriginSpec>(&spec, 1), options);
-    table = ObserveAll(collectors, graph, state);
+    RoutingState shifted = *state;
+    for (const auto& [as, salt] : salt_shifts) shifted = ShiftSalt(std::move(shifted), as, salt);
+    table = ObserveAll(collectors, graph, shifted);
   }
   for (const ObservationTable& tree : existing_trees) {
     if (table == tree) return std::nullopt;
@@ -155,12 +152,10 @@ GeneratedDynamics GenerateDynamics(const Topology& topology, const CollectorSet&
       distinct_origins.push_back(po.origin);
     }
   }
-  ShardedRouteOptions shard_options;
-  shard_options.threads = params.threads;
-  shard_options.cache = &cache;
   const std::vector<std::shared_ptr<const RoutingState>> baseline_states =
-      ShardedComputeRoutes(graph, std::span<const AsNumber>(distinct_origins),
-                           shard_options);
+      exec::ParallelMap(params.threads, distinct_origins.size(), [&](std::size_t i) {
+        return cache.GetOrCompute(graph, distinct_origins[i]);
+      });
   const std::vector<ObservationTable> baselines = exec::ParallelMap(
       params.threads, distinct_origins.size(), [&](std::size_t i) {
         return ObserveAll(collectors, graph, *baseline_states[i]);

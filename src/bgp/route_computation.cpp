@@ -1,11 +1,8 @@
 #include "bgp/route_computation.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <map>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
+#include <string>
 
 #include "obs/span.hpp"
 
@@ -13,20 +10,59 @@ namespace quicksand::bgp {
 
 namespace {
 
-constexpr std::uint64_t kNoCandidate = std::numeric_limits<std::uint64_t>::max();
-
-/// Per-AS best candidate while a propagation level is being gathered.
+/// An AS's best offer so far in the current solve; valid iff stamp equals
+/// the solve's epoch. Each AS receives offers during one round only (the
+/// stage-1 level, stage-2 round or stage-3 level that routes it), so one
+/// stamp per solve suffices.
 struct Candidate {
-  std::uint64_t score = kNoCandidate;
+  std::uint64_t score = 0;
   AsIndex exporter = 0;
+  std::uint32_t stamp = 0;
 };
 
-std::uint64_t SaltOf(std::span<const std::uint64_t> salts, AsIndex as) {
-  return salts.empty() ? 0 : salts[as];
-}
+/// Working memory of the kernel, one per thread and reused by every solve
+/// on it. Arrays only grow (to the largest graph solved so far) and are
+/// reset by bumping `epoch`, so a solve allocates nothing but its result.
+struct Scratch {
+  std::vector<Candidate> candidates;    // per AS
+  std::vector<std::uint32_t> link_down;  // per link id: failed iff == epoch
+  std::vector<int> radius;               // per origin AS of the current solve
+  /// buckets[L - base]: the ASes whose route of length L is final, in the
+  /// order they were finalized. Stage 1 fills them with customer and self
+  /// routes, stage 2 adds the peer routes, stage 3 walks them again and
+  /// appends the provider routes.
+  std::vector<std::vector<AsIndex>> buckets;
+  std::size_t used_buckets = 0;  // buckets[used_buckets..] are empty
+  std::vector<AsIndex> peer_offers;  // ASes holding a stage-2 candidate
+  std::uint32_t epoch = 0;
 
-bool LinkUp(const LinkSet* disabled, AsIndex a, AsIndex b) {
-  return disabled == nullptr || !disabled->contains(LinkKey(a, b));
+  /// Readies the scratch for a solve over `as_count` ASes, `link_count`
+  /// links and `levels` buckets; returns the solve's epoch.
+  std::uint32_t Begin(std::size_t as_count, std::size_t link_count, std::size_t levels) {
+    if (candidates.size() < as_count) {
+      candidates.resize(as_count);
+      radius.resize(as_count);
+    }
+    if (link_down.size() < link_count) link_down.resize(link_count);
+    // A solve cut short by an exception can have filled one bucket past
+    // used_buckets.
+    const std::size_t dirty = std::min(used_buckets + 1, buckets.size());
+    for (std::size_t i = 0; i < dirty; ++i) buckets[i].clear();
+    used_buckets = 0;
+    if (buckets.size() < levels) buckets.resize(levels);
+    if (++epoch == 0) {  // wrapped: forget every stamp
+      std::fill(candidates.begin(), candidates.end(), Candidate{});
+      std::fill(link_down.begin(), link_down.end(), 0);
+      epoch = 1;
+    }
+    return epoch;
+  }
+};
+
+thread_local Scratch tls_scratch;
+
+std::string OriginError(AsNumber origin, const std::string& what) {
+  return "OriginSpec AS" + std::to_string(origin) + ": " + what;
 }
 
 }  // namespace
@@ -47,7 +83,7 @@ AsPath RoutingState::PathOf(AsIndex as) const {
     hops.push_back(graph_->AsnOf(current));
     current = routes_[current].next_hop;
   }
-  const int prepend = prepends_[current];
+  const int prepend = routes_[current].length;
   for (int i = 0; i < prepend; ++i) hops.push_back(graph_->AsnOf(current));
   return AsPath(std::move(hops));
 }
@@ -86,137 +122,221 @@ RoutingState ComputeRoutes(const AsGraph& graph, std::span<const OriginSpec> ori
                            const ComputationOptions& options) {
   const obs::ScopedSpan span("bgp.compute_routes");
   const std::size_t n = graph.AsCount();
-  if (!options.tie_break_salts.empty() && options.tie_break_salts.size() != n) {
+  const std::span<const std::uint64_t> salts = options.tie_break_salts;
+  if (!salts.empty() && salts.size() != n) {
     throw std::invalid_argument("tie_break_salts size must equal AsCount");
   }
   std::vector<RouteEntry> routes(n);
-  std::vector<int> prepends(n, 0);
-  std::vector<int> radius(n, 0);  // per-origin propagation radius (dense index)
-
-  std::unordered_set<AsIndex> origin_set;
+  int min_prepend = 0;
+  int max_prepend = 0;
+  bool has_radius = false;
   for (const OriginSpec& spec : origins) {
-    if (spec.prepend < 1) throw std::invalid_argument("OriginSpec: prepend must be >= 1");
+    if (spec.prepend < 1) {
+      throw std::invalid_argument(OriginError(spec.origin, "prepend must be >= 1"));
+    }
+    if (spec.propagation_radius < 0) {
+      throw std::invalid_argument(OriginError(spec.origin, "propagation_radius must be >= 0"));
+    }
     const AsIndex idx = graph.MustIndexOf(spec.origin);
-    if (!origin_set.insert(idx).second) {
+    // A route visits each AS at most once, so prepend + n - 1 bounds its length.
+    if (static_cast<std::size_t>(spec.prepend) + n - 1 > kMaxRouteLength) {
+      throw std::invalid_argument(OriginError(
+          spec.origin, "prepend " + std::to_string(spec.prepend) + " with " +
+                           std::to_string(n) + " ASes exceeds the maximum route length " +
+                           std::to_string(kMaxRouteLength)));
+    }
+    if (routes[idx].cls == RouteClass::kSelf) {
       throw std::invalid_argument("duplicate origin AS" + std::to_string(spec.origin));
     }
     routes[idx] = RouteEntry{RouteClass::kSelf, idx, idx,
                              static_cast<std::uint16_t>(spec.prepend)};
-    prepends[idx] = spec.prepend;
-    radius[idx] = spec.propagation_radius;
+    min_prepend = min_prepend == 0 ? spec.prepend : std::min(min_prepend, spec.prepend);
+    max_prepend = std::max(max_prepend, spec.prepend);
+    has_radius = has_radius || spec.propagation_radius > 0;
   }
 
-  // True if a route via `exporter` may grow to `new_length` hops under the
-  // exporter's origin's propagation radius.
-  auto radius_allows = [&](AsIndex exporter, int new_length) {
-    const int r = radius[routes[exporter].origin];
-    return r == 0 || new_length <= r;
-  };
+  // Route lengths run from min_prepend to max_prepend + n - 1; bucket i
+  // holds length base + i, and one spare bucket lets every level name its
+  // successor.
+  const int base = min_prepend;
+  const std::size_t levels = static_cast<std::size_t>(max_prepend - min_prepend) + n + 1;
+  Scratch& scratch = tls_scratch;
+  const std::uint32_t epoch = scratch.Begin(n, graph.LinkCount(), levels);
+  Candidate* const cand = scratch.candidates.data();
+  std::vector<std::vector<AsIndex>>& buckets = scratch.buckets;
+  std::size_t& used = scratch.used_buckets;  // one past the highest non-empty bucket
 
-  // ---- Stage 1: customer routes ripple up provider links, BFS by length.
-  // frontier[L] holds ASes whose customer/self route of length L was just
-  // finalized and must be offered to their providers.
-  std::map<int, std::vector<AsIndex>> frontier;
-  for (AsIndex o : origin_set) frontier[routes[o].length].push_back(o);
-
-  std::unordered_map<AsIndex, Candidate> candidates;
-  while (!frontier.empty()) {
-    const auto level = frontier.begin()->first;
-    const std::vector<AsIndex> exporters = std::move(frontier.begin()->second);
-    frontier.erase(frontier.begin());
-    candidates.clear();
-    for (AsIndex u : exporters) {
-      if (!radius_allows(u, level + 1)) continue;
-      for (const Neighbor& nb : graph.NeighborsOf(u)) {
-        if (nb.rel != Relationship::kProvider) continue;  // export up only
-        const AsIndex v = nb.index;
-        if (!LinkUp(options.disabled_links, u, v)) continue;
-        // v already has a self or (necessarily shorter-or-equal) customer
-        // route finalized at an earlier level.
-        if (routes[v].cls <= RouteClass::kCustomer) continue;
-        const std::uint64_t score =
-            TieBreakScore(graph.AsnOf(u), SaltOf(options.tie_break_salts, v));
-        Candidate& cand = candidates[v];
-        if (score < cand.score) cand = Candidate{score, u};
+  for (const OriginSpec& spec : origins) {
+    const AsIndex idx = *graph.IndexOf(spec.origin);
+    scratch.radius[idx] = spec.propagation_radius;
+    const auto level = static_cast<std::size_t>(spec.prepend - base);
+    buckets[level].push_back(idx);
+    used = std::max(used, level + 1);
+  }
+  bool any_down = false;
+  if (options.disabled_links != nullptr) {
+    for (const std::uint64_t key : *options.disabled_links) {
+      if (const auto link = graph.LinkIdOf(key)) {
+        scratch.link_down[*link] = epoch;
+        any_down = true;
       }
     }
-    for (const auto& [v, cand] : candidates) {
-      routes[v] = RouteEntry{RouteClass::kCustomer, cand.exporter,
-                             routes[cand.exporter].origin,
-                             static_cast<std::uint16_t>(level + 1)};
-      frontier[level + 1].push_back(v);
+  }
+  const std::uint32_t* const link_down = scratch.link_down.data();
+  const AsNumber* const asn = graph.AllAses().data();
+  RouteEntry* const r = routes.data();
+
+  // May `exporter`'s route, grown to `length` hops, still propagate?
+  const auto within_radius = [&](AsIndex exporter, int length) {
+    if (!has_radius) return true;
+    const int radius = scratch.radius[r[exporter].origin];
+    return radius == 0 || length <= radius;
+  };
+  // Offers `exporter`'s route, grown to `length`, over `edges` to every
+  // neighbour whose current class is worse than `accept_below`; a first
+  // offer to an AS appends it to `offered`.
+  const auto offer = [&](AsIndex exporter, std::span<const Edge> edges, RouteClass accept_below,
+                         std::vector<AsIndex>& offered) {
+    const AsNumber exporter_asn = asn[exporter];
+    for (const Edge& e : edges) {
+      if (any_down && link_down[e.link] == epoch) continue;
+      const AsIndex v = e.to;
+      if (r[v].cls < accept_below) continue;
+      const std::uint64_t score = TieBreakScore(exporter_asn, salts.empty() ? 0 : salts[v]);
+      Candidate& c = cand[v];
+      if (c.stamp != epoch) {
+        c = Candidate{score, exporter, epoch};
+        offered.push_back(v);
+      } else if (score < c.score) {
+        c.score = score;
+        c.exporter = exporter;
+      }
     }
+  };
+  // Commits the candidates offered[first..] as routes of class `cls` and
+  // length `length`.
+  const auto commit = [&](std::vector<AsIndex>& offered, std::size_t first, RouteClass cls,
+                          int length) {
+    for (std::size_t i = first; i < offered.size(); ++i) {
+      const AsIndex v = offered[i];
+      const AsIndex exporter = cand[v].exporter;
+      r[v] = RouteEntry{cls, exporter, r[exporter].origin, static_cast<std::uint16_t>(length)};
+    }
+  };
+
+  // ---- Stage 1: customer routes ripple up provider links, level by level.
+  // Candidates for level L + 1 collect behind any origin seeded there.
+  for (std::size_t level = 0; level < used; ++level) {
+    std::vector<AsIndex>& next = buckets[level + 1];
+    const std::size_t first = next.size();
+    const int length = base + static_cast<int>(level) + 1;
+    for (const AsIndex u : buckets[level]) {
+      if (within_radius(u, length)) offer(u, graph.ProvidersOf(u), RouteClass::kPeer, next);
+    }
+    commit(next, first, RouteClass::kCustomer, length);
+    if (next.size() > first) used = std::max(used, level + 2);
   }
 
   // ---- Stage 2: one round of peer exports from customer/self routes.
-  // Collect the best peer candidate per AS (shortest, then score), then
-  // commit all at once; peer routes are never re-exported to peers.
-  struct PeerCandidate {
-    int length = std::numeric_limits<int>::max();
-    std::uint64_t score = kNoCandidate;
-    AsIndex exporter = 0;
-  };
-  std::unordered_map<AsIndex, PeerCandidate> peer_candidates;
-  for (AsIndex u = 0; u < n; ++u) {
-    if (routes[u].cls > RouteClass::kCustomer) continue;
-    const int new_length = routes[u].length + 1;
-    if (!radius_allows(u, new_length)) continue;
-    for (const Neighbor& nb : graph.NeighborsOf(u)) {
-      if (nb.rel != Relationship::kPeer) continue;
-      const AsIndex v = nb.index;
-      if (!LinkUp(options.disabled_links, u, v)) continue;
-      if (routes[v].cls <= RouteClass::kCustomer) continue;  // has better class
-      const std::uint64_t score =
-          TieBreakScore(graph.AsnOf(u), SaltOf(options.tie_break_salts, v));
-      PeerCandidate& cand = peer_candidates[v];
-      if (new_length < cand.length || (new_length == cand.length && score < cand.score)) {
-        cand = PeerCandidate{new_length, score, u};
+  // Buckets are walked shortest first, so an AS's first offer has its
+  // shortest peer length and later offers compete only at that length.
+  std::vector<AsIndex>& peer_offers = scratch.peer_offers;
+  peer_offers.clear();
+  for (std::size_t level = 0; level < used; ++level) {
+    const int length = base + static_cast<int>(level) + 1;
+    for (const AsIndex u : buckets[level]) {
+      if (!within_radius(u, length)) continue;
+      const AsNumber exporter_asn = asn[u];
+      for (const Edge& e : graph.PeersOf(u)) {
+        if (any_down && link_down[e.link] == epoch) continue;
+        const AsIndex v = e.to;
+        if (r[v].cls <= RouteClass::kCustomer) continue;
+        const std::uint64_t score = TieBreakScore(exporter_asn, salts.empty() ? 0 : salts[v]);
+        Candidate& c = cand[v];
+        if (c.stamp != epoch) {
+          c = Candidate{score, u, epoch};
+          peer_offers.push_back(v);
+        } else if (score < c.score && r[c.exporter].length + 1 == length) {
+          c.score = score;
+          c.exporter = u;
+        }
       }
     }
   }
-  for (const auto& [v, cand] : peer_candidates) {
-    routes[v] = RouteEntry{RouteClass::kPeer, cand.exporter, routes[cand.exporter].origin,
-                           static_cast<std::uint16_t>(cand.length)};
+  for (const AsIndex v : peer_offers) {
+    const RouteEntry& via = r[cand[v].exporter];
+    const int length = via.length + 1;
+    r[v] = RouteEntry{RouteClass::kPeer, cand[v].exporter, via.origin,
+                      static_cast<std::uint16_t>(length)};
+    const auto level = static_cast<std::size_t>(length - base);
+    buckets[level].push_back(v);
+    used = std::max(used, level + 1);
   }
 
-  // ---- Stage 3: provider routes ripple down customer links, BFS by the
-  // total candidate length (sources have heterogeneous lengths).
-  std::map<int, std::vector<std::pair<AsIndex, AsIndex>>> down;  // length -> (v, exporter)
-  auto offer_down = [&](AsIndex u) {
-    const int new_length = routes[u].length + 1;
-    if (!radius_allows(u, new_length)) return;
-    for (const Neighbor& nb : graph.NeighborsOf(u)) {
-      if (nb.rel != Relationship::kCustomer) continue;
-      const AsIndex v = nb.index;
-      if (!LinkUp(options.disabled_links, u, v)) continue;
-      if (routes[v].cls != RouteClass::kNone) continue;
-      down[new_length].emplace_back(v, u);
+  // ---- Stage 3: routes ripple down customer links, level by level, from
+  // every routed AS (customer, self, peer and newly provider routes).
+  for (std::size_t level = 0; level < used; ++level) {
+    std::vector<AsIndex>& next = buckets[level + 1];
+    const std::size_t first = next.size();
+    const int length = base + static_cast<int>(level) + 1;
+    for (const AsIndex u : buckets[level]) {
+      if (within_radius(u, length)) offer(u, graph.CustomersOf(u), RouteClass::kNone, next);
     }
-  };
-  for (AsIndex u = 0; u < n; ++u) {
-    if (routes[u].cls != RouteClass::kNone) offer_down(u);
-  }
-  while (!down.empty()) {
-    const int level = down.begin()->first;
-    const auto offers = std::move(down.begin()->second);
-    down.erase(down.begin());
-    candidates.clear();
-    for (const auto& [v, u] : offers) {
-      if (routes[v].cls != RouteClass::kNone) continue;  // finalized earlier
-      const std::uint64_t score =
-          TieBreakScore(graph.AsnOf(u), SaltOf(options.tie_break_salts, v));
-      Candidate& cand = candidates[v];
-      if (score < cand.score) cand = Candidate{score, u};
-    }
-    for (const auto& [v, cand] : candidates) {
-      routes[v] = RouteEntry{RouteClass::kProvider, cand.exporter,
-                             routes[cand.exporter].origin,
-                             static_cast<std::uint16_t>(level)};
-      offer_down(v);
-    }
+    commit(next, first, RouteClass::kProvider, length);
+    if (next.size() > first) used = std::max(used, level + 2);
   }
 
-  return RoutingState(graph, std::move(routes), std::move(prepends));
+  RoutingState state(graph, std::move(routes));
+  state.salt_shiftable_ = origins.size() == 1 && !has_radius;
+  if (options.disabled_links != nullptr) {
+    state.disabled_links_.assign(options.disabled_links->begin(),
+                                 options.disabled_links->end());
+    std::sort(state.disabled_links_.begin(), state.disabled_links_.end());
+  }
+  return state;
+}
+
+RoutingState ShiftSalt(RoutingState base, AsIndex as, std::uint64_t salt) {
+  if (!base.salt_shiftable_) {
+    throw std::invalid_argument(
+        "ShiftSalt: a state with several origins or a propagation radius cannot be "
+        "shifted exactly");
+  }
+  const AsGraph& graph = *base.graph_;
+  if (as >= graph.AsCount()) throw std::invalid_argument("ShiftSalt: AS index out of range");
+  RouteEntry& route = base.routes_[as];
+  // The exporters that offered `as` its class and length in the solve:
+  // customers with a customer/self route (stage 1), peers with one
+  // (stage 2), or providers with any route (stage 3), one hop shorter.
+  std::span<const Edge> edges;
+  RouteClass worst_offer = RouteClass::kCustomer;
+  switch (route.cls) {
+    case RouteClass::kCustomer: edges = graph.CustomersOf(as); break;
+    case RouteClass::kPeer: edges = graph.PeersOf(as); break;
+    case RouteClass::kProvider:
+      edges = graph.ProvidersOf(as);
+      worst_offer = RouteClass::kProvider;
+      break;
+    case RouteClass::kSelf:
+    case RouteClass::kNone: return base;  // no exporter to choose
+  }
+  std::uint64_t best = 0;
+  bool found = false;
+  for (const Edge& e : edges) {
+    const RouteEntry& via = base.routes_[e.to];
+    if (via.cls > worst_offer || via.length + 1 != route.length) continue;
+    if (std::binary_search(base.disabled_links_.begin(), base.disabled_links_.end(),
+                           LinkKey(as, e.to))) {
+      continue;
+    }
+    const std::uint64_t score = TieBreakScore(graph.AsnOf(e.to), salt);
+    if (!found || score < best) {
+      best = score;
+      route.next_hop = e.to;
+      found = true;
+    }
+  }
+  return base;
 }
 
 RoutingState ComputeRoutes(const AsGraph& graph, AsNumber origin,

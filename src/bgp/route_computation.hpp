@@ -19,8 +19,15 @@
 // Failed links are passed as a LinkSet; announcements may carry a
 // propagation radius (BGP-community-scoped attacks, Section 3.2) and
 // origin-side path prepending.
+//
+// Which ASes hold a route, of which class and length, does not depend on
+// the tie-break salts; only the choice among equally good exporters does.
+// So re-salting one AS of a single-origin state changes that AS's next hop
+// and nothing else, and ShiftSalt computes exactly that in O(degree)
+// instead of a new solve.
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -58,16 +65,39 @@ struct RouteEntry {
   RouteClass cls = RouteClass::kNone;
   AsIndex next_hop = 0;  ///< meaningful unless cls is kSelf or kNone
   AsIndex origin = 0;    ///< dense index of the origin this route reaches
-  std::uint16_t length = 0;  ///< AS-PATH length including prepending
+  /// AS-PATH length including prepending (an origin's own entry holds
+  /// its prepend count).
+  std::uint16_t length = 0;
+
+  friend bool operator==(const RouteEntry&, const RouteEntry&) = default;
 };
+
+/// The longest AS-PATH a RouteEntry can hold. ComputeRoutes rejects an
+/// origin whose longest possible route (prepend + AsCount - 1) exceeds it.
+inline constexpr std::size_t kMaxRouteLength = std::numeric_limits<std::uint16_t>::max();
+
+class RoutingState;
+
+/// Computes the stable routing state for a prefix announced by `origins`.
+/// Throws std::invalid_argument on an unknown origin ASN, duplicate
+/// origins, a prepend below 1 or one whose longest route would exceed
+/// kMaxRouteLength, or a negative propagation radius.
+[[nodiscard]] RoutingState ComputeRoutes(const AsGraph& graph,
+                                         std::span<const OriginSpec> origins,
+                                         const ComputationOptions& options = {});
+
+/// The state ComputeRoutes would return for `base`'s inputs with AS `as`'s
+/// tie-break salt replaced by `salt`: `base` with `as`'s next hop re-chosen
+/// among the exporters that offered it the same class and length. Chains:
+/// shifting several ASes in turn equals one solve with all their salts.
+/// Throws std::invalid_argument if `base` has several origins or a
+/// propagation radius (a re-chosen exporter could then change the origin
+/// or the reach of the routes behind it), or if `as` is out of range.
+[[nodiscard]] RoutingState ShiftSalt(RoutingState base, AsIndex as, std::uint64_t salt);
 
 /// The stable routing state toward one destination prefix.
 class RoutingState {
  public:
-  RoutingState(const AsGraph& graph, std::vector<RouteEntry> routes,
-               std::vector<int> prepends)
-      : graph_(&graph), routes_(std::move(routes)), prepends_(std::move(prepends)) {}
-
   [[nodiscard]] const AsGraph& graph() const noexcept { return *graph_; }
 
   [[nodiscard]] bool HasRoute(AsIndex as) const { return routes_.at(as).cls != RouteClass::kNone; }
@@ -95,17 +125,20 @@ class RoutingState {
   [[nodiscard]] std::vector<AsIndex> AsesRoutedTo(AsIndex origin) const;
 
  private:
+  friend RoutingState ComputeRoutes(const AsGraph&, std::span<const OriginSpec>,
+                                    const ComputationOptions&);
+  friend RoutingState ShiftSalt(RoutingState, AsIndex, std::uint64_t);
+
+  RoutingState(const AsGraph& graph, std::vector<RouteEntry> routes)
+      : graph_(&graph), routes_(std::move(routes)) {}
+
   const AsGraph* graph_;
   std::vector<RouteEntry> routes_;
-  std::vector<int> prepends_;  ///< per-AS: prepend count if kSelf, else 0
+  /// What ShiftSalt needs of the inputs: the failed links (sorted
+  /// LinkKeys) and whether the state has one origin and no radius.
+  std::vector<std::uint64_t> disabled_links_;
+  bool salt_shiftable_ = false;
 };
-
-/// Computes the stable routing state for a prefix announced by `origins`.
-/// Throws std::invalid_argument on an unknown origin ASN, duplicate
-/// origins, or prepend < 1.
-[[nodiscard]] RoutingState ComputeRoutes(const AsGraph& graph,
-                                         std::span<const OriginSpec> origins,
-                                         const ComputationOptions& options = {});
 
 /// Convenience overload: single origin, default options.
 [[nodiscard]] RoutingState ComputeRoutes(const AsGraph& graph, AsNumber origin,

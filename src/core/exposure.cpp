@@ -9,7 +9,6 @@ using bgp::AsNumber;
 using bgp::ComputationOptions;
 using bgp::LinkKey;
 using bgp::LinkSet;
-using bgp::OriginSpec;
 using bgp::RoutingState;
 
 std::shared_ptr<const RoutingState> ExposureAnalyzer::StateFor(AsNumber dst) {
@@ -18,14 +17,18 @@ std::shared_ptr<const RoutingState> ExposureAnalyzer::StateFor(AsNumber dst) {
   return cache_.GetOrCompute(*graph_, dst, options, bgp::SaltKey{salt_epoch_, {}});
 }
 
+std::vector<AsNumber> ExposureAnalyzer::PathFrom(const RoutingState& state, AsIndex src) const {
+  std::vector<AsNumber> out;
+  for (AsIndex as : state.ForwardingPath(src)) out.push_back(graph_->AsnOf(as));
+  return out;
+}
+
 std::vector<AsNumber> ExposureAnalyzer::ForwardPathAses(AsNumber src, AsNumber dst) {
   if (src == dst) return {src};
   const auto state = StateFor(dst);
   const auto src_index = graph_->IndexOf(src);
   if (!src_index) return {};
-  std::vector<AsNumber> out;
-  for (AsIndex as : state->ForwardingPath(*src_index)) out.push_back(graph_->AsnOf(as));
-  return out;
+  return PathFrom(*state, *src_index);
 }
 
 int ExposureAnalyzer::ForwardPathLength(AsNumber src, AsNumber dst) {
@@ -45,50 +48,30 @@ SegmentExposure ExposureAnalyzer::InstantExposure(AsNumber client_as, AsNumber g
 std::vector<AsNumber> ExposureAnalyzer::PathUnderVariant(AsNumber src, AsNumber dst,
                                                          netbase::Rng& rng) {
   // Start from the current path and perturb: fail one of its links or
-  // re-salt one of its ASes, then recompute the route for this variant.
-  const auto base = ForwardPathAses(src, dst);
-  if (base.size() < 2) return base;
-
-  ComputationOptions options;
-  LinkSet disabled;
-  std::vector<std::uint64_t> salts = base_salts_;
-  if (salts.empty()) salts.assign(graph_->AsCount(), 0);
-  options.tie_break_salts = salts;
-  bool cacheable = false;
-  if (rng.Bernoulli(0.7)) {
-    const std::size_t cut = rng.UniformInt(0, base.size() - 2);
-    const auto a = graph_->IndexOf(base[cut]);
-    const auto b = graph_->IndexOf(base[cut + 1]);
-    if (a && b) {
-      disabled.insert(LinkKey(*a, *b));
-      options.disabled_links = &disabled;
-    }
-    // Link-failure variants cut one of a handful of on-path links, so the
-    // same (dst, failed link) keys recur across variants and circuits.
-    cacheable = true;
-  } else {
-    const AsNumber shifted = base[rng.UniformInt(0, base.size() - 1)];
-    if (const auto idx = graph_->IndexOf(shifted)) {
-      salts[*idx] = rng() | 1;
-      options.tie_break_salts = salts;
-    }
-  }
-
+  // re-salt one of its ASes, then take the route for this variant.
+  if (src == dst) return {src};
+  const auto base_state = StateFor(dst);
   const auto src_index = graph_->IndexOf(src);
   if (!src_index) return {};
-  const OriginSpec spec{dst, 1, 0};
-  std::shared_ptr<const RoutingState> state;
-  if (cacheable) {
-    state = cache_.GetOrCompute(*graph_, dst, options, bgp::SaltKey{salt_epoch_, {}});
-  } else {
-    // Salt-shift variants draw a fresh 64-bit salt each time — one-shot
-    // keys that would only pollute the cache.
-    state = std::make_shared<const RoutingState>(
-        bgp::ComputeRoutes(*graph_, std::span<const OriginSpec>(&spec, 1), options));
+  const auto base = PathFrom(*base_state, *src_index);
+  if (base.size() < 2) return base;
+
+  if (rng.Bernoulli(0.7)) {
+    // Link-failure variants cut one of a handful of on-path links, so the
+    // same (dst, failed link) keys recur across variants and circuits.
+    const std::size_t cut = rng.UniformInt(0, base.size() - 2);
+    const LinkSet disabled = {LinkKey(graph_->MustIndexOf(base[cut]),
+                                      graph_->MustIndexOf(base[cut + 1]))};
+    ComputationOptions options;
+    options.disabled_links = &disabled;
+    options.tie_break_salts = base_salts_;
+    return PathFrom(*cache_.GetOrCompute(*graph_, dst, options, bgp::SaltKey{salt_epoch_, {}}),
+                    *src_index);
   }
-  std::vector<AsNumber> out;
-  for (AsIndex as : state->ForwardingPath(*src_index)) out.push_back(graph_->AsnOf(as));
-  return out;
+  // Salt-shift variants draw a fresh 64-bit salt each time: a shift of
+  // the cached base state, which equals a solve with that one salt replaced.
+  const AsIndex shifted = graph_->MustIndexOf(base[rng.UniformInt(0, base.size() - 1)]);
+  return PathFrom(bgp::ShiftSalt(*base_state, shifted, rng() | 1), *src_index);
 }
 
 SegmentExposure ExposureAnalyzer::TemporalExposure(AsNumber client_as, AsNumber guard_as,

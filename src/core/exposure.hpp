@@ -24,8 +24,9 @@ namespace quicksand::core {
 /// Computes AS-level directional paths and segment exposures over a fixed
 /// topology, caching routing states (per destination, and per recurring
 /// link-failure variant) in a thread-safe bgp::RouteCache — concurrent
-/// queries from parallel sweeps are safe. The graph must outlive the
-/// analyzer.
+/// queries from parallel sweeps are safe. A policy-shift variant is a
+/// bgp::ShiftSalt of the cached per-destination state, not a solve. The
+/// graph must outlive the analyzer.
 class ExposureAnalyzer {
  public:
   /// `base_salts` are per-AS tie-break salts applied to every computation
@@ -75,6 +76,8 @@ class ExposureAnalyzer {
 
  private:
   [[nodiscard]] std::shared_ptr<const bgp::RoutingState> StateFor(bgp::AsNumber dst);
+  [[nodiscard]] std::vector<bgp::AsNumber> PathFrom(const bgp::RoutingState& state,
+                                                    bgp::AsIndex src) const;
   [[nodiscard]] std::vector<bgp::AsNumber> PathUnderVariant(bgp::AsNumber src,
                                                             bgp::AsNumber dst,
                                                             netbase::Rng& rng);

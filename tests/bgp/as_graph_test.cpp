@@ -91,6 +91,35 @@ TEST(AsGraph, LinkKeyIsSymmetric) {
   EXPECT_NE(LinkKey(3, 9), LinkKey(3, 10));
 }
 
+TEST(AsGraph, SplitAdjacencyMirrorsNeighborsInOrder) {
+  AsGraph graph = SmallGraph();
+  // A rejected duplicate must leave every list and the link count alone.
+  EXPECT_THROW(graph.AddPeerLink(300, 200), std::invalid_argument);
+  ASSERT_EQ(graph.LinkCount(), 4u);
+  std::vector<bool> seen(graph.LinkCount(), false);
+  for (AsIndex as = 0; as < graph.AsCount(); ++as) {
+    std::vector<Edge> customers, peers, providers;
+    for (const Neighbor& nb : graph.NeighborsOf(as)) {
+      const auto link = graph.LinkIdOf(LinkKey(as, nb.index));
+      ASSERT_TRUE(link.has_value());
+      seen[*link] = true;
+      auto& list = nb.rel == Relationship::kCustomer ? customers
+                   : nb.rel == Relationship::kPeer   ? peers
+                                                     : providers;
+      list.push_back({nb.index, *link});
+    }
+    const auto same = [](std::span<const Edge> a, const std::vector<Edge>& b) {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                        [](const Edge& x, const Edge& y) { return x.to == y.to && x.link == y.link; });
+    };
+    EXPECT_TRUE(same(graph.CustomersOf(as), customers)) << "AS index " << as;
+    EXPECT_TRUE(same(graph.PeersOf(as), peers)) << "AS index " << as;
+    EXPECT_TRUE(same(graph.ProvidersOf(as), providers)) << "AS index " << as;
+  }
+  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }));
+  EXPECT_FALSE(graph.LinkIdOf(LinkKey(0, 3)).has_value());  // 100 and 400 are not adjacent
+}
+
 TEST(RelationshipNames, AreHumanReadable) {
   EXPECT_EQ(ToString(Relationship::kCustomer), "customer");
   EXPECT_EQ(ToString(Relationship::kPeer), "peer");

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <thread>
+#include <utility>
 
 #include "bgp/topology_gen.hpp"
 
@@ -182,6 +186,26 @@ TEST(RouteComputation, MultiOriginSplitsTheInternet) {
             graph.AsCount());
 }
 
+/// 1 -> 2 -> 3: AS 1 is the provider of 2, which is the provider of 3.
+AsGraph ChainGraph() {
+  AsGraph graph;
+  for (AsNumber asn : {1u, 2u, 3u}) graph.AddAs(asn);
+  graph.AddCustomerLink(1, 2);
+  graph.AddCustomerLink(2, 3);
+  return graph;
+}
+
+/// The std::invalid_argument message ComputeRoutes throws for `spec`, or
+/// "" if it does not throw one.
+std::string RejectionOf(const AsGraph& graph, const OriginSpec& spec) {
+  try {
+    (void)ComputeRoutes(graph, std::span<const OriginSpec>(&spec, 1));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(RouteComputation, InputValidation) {
   const AsGraph graph = DiamondGraph();
   EXPECT_THROW((void)ComputeRoutes(graph, 777), std::invalid_argument);  // unknown
@@ -190,6 +214,21 @@ TEST(RouteComputation, InputValidation) {
                std::invalid_argument);
   const OriginSpec dup[] = {{1000, 1, 0}, {1000, 1, 0}};
   EXPECT_THROW((void)ComputeRoutes(graph, dup), std::invalid_argument);
+
+  // A prepend whose longest route (prepend + AsCount - 1) overflows
+  // RouteEntry::length, and a negative radius, fail closed naming the
+  // origin instead of returning a truncated or empty table.
+  const AsGraph chain = ChainGraph();
+  EXPECT_NE(RejectionOf(chain, OriginSpec{3, 70000, 0}).find("AS3"), std::string::npos);
+  EXPECT_NE(RejectionOf(chain, OriginSpec{3, 65534, 0}).find("AS3"), std::string::npos);
+  EXPECT_NE(RejectionOf(chain, OriginSpec{3, 1, -1}).find("AS3"), std::string::npos);
+  // The longest prepend that fits is accepted and reported exactly.
+  const OriginSpec longest{3, 65533, 0};
+  const RoutingState state = ComputeRoutes(chain, std::span<const OriginSpec>(&longest, 1));
+  EXPECT_EQ(state.RoutedCount(), 3u);
+  const AsIndex top = chain.MustIndexOf(1);
+  EXPECT_EQ(state.RouteOf(top).length, kMaxRouteLength);
+  EXPECT_EQ(state.PathOf(top).Length(), state.RouteOf(top).length);
 }
 
 TEST(RouteComputation, ForwardingPathMatchesAdvertisedPath) {
@@ -213,6 +252,261 @@ TEST(RouteComputation, PathCrossesDetectsTransit) {
   EXPECT_TRUE(state.PathCrosses(d, graph.MustIndexOf(10)));
   EXPECT_TRUE(state.PathCrosses(d, d));
   EXPECT_FALSE(state.PathCrosses(d, graph.MustIndexOf(31)));
+}
+
+// ---- The paper topology: golden tables and the salt-shift oracle ----
+
+/// The paper benches' world: default TopologyParams at the paper seed.
+const Topology& PaperTopology() {
+  static const Topology topology = [] {
+    TopologyParams params;
+    params.seed = 20140501;
+    return GenerateTopology(params);
+  }();
+  return topology;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
+
+/// Folds (cls, next_hop, origin, length) of every AS, in index order and
+/// little-endian field bytes, into an FNV-1a digest.
+void HashRoutes(std::uint64_t& h, const RoutingState& state) {
+  const auto mix = [&h](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (value >> (8 * i)) & 0xFFu;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  for (AsIndex as = 0; as < state.graph().AsCount(); ++as) {
+    const RouteEntry& e = state.RouteOf(as);
+    mix(static_cast<std::uint8_t>(e.cls), 1);
+    mix(e.next_hop, 4);
+    mix(e.origin, 4);
+    mix(e.length, 2);
+  }
+}
+
+/// One link on a forwarding path of `state`: the middle link of the path
+/// from the first AS, starting half the index space past `origin`, whose
+/// path has a link.
+std::uint64_t OnPathLink(const RoutingState& state, AsIndex origin) {
+  const auto n = static_cast<AsIndex>(state.graph().AsCount());
+  for (AsIndex step = 0; step < n; ++step) {
+    const auto path = state.ForwardingPath((origin + n / 2 + step) % n);
+    if (path.size() < 2) continue;
+    const std::size_t k = (path.size() - 2) / 2;
+    return LinkKey(path[k], path[k + 1]);
+  }
+  return 0;
+}
+
+void ExpectSameRoutes(const RoutingState& actual, const RoutingState& expected,
+                      const std::string& what) {
+  ASSERT_EQ(actual.graph().AsCount(), expected.graph().AsCount()) << what;
+  std::size_t mismatches = 0;
+  for (AsIndex as = 0; as < actual.graph().AsCount(); ++as) {
+    if (!(actual.RouteOf(as) == expected.RouteOf(as))) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+}
+
+// Every origin of the paper topology under zero salts, its policy salts,
+// policy salts plus one failed on-path link, and a two-origin announcement
+// (the first origin prepending 3, its neighbour in index order with
+// radius 5). The constants were produced by running this digest against
+// the map-frontier solver this kernel replaced (commit c9dbe5a), built
+// RelWithDebInfo with gcc 12; the flat kernel must reproduce them.
+TEST(RouteComputation, GoldenDigestOfThePaperTopology) {
+  const Topology& topo = PaperTopology();
+  const AsGraph& graph = topo.graph;
+  ASSERT_EQ(graph.AsCount(), 608u);
+  const auto n = static_cast<AsIndex>(graph.AsCount());
+  std::uint64_t zero = kFnvOffset, salted = kFnvOffset, failed = kFnvOffset, moas = kFnvOffset;
+  ComputationOptions with_salts;
+  with_salts.tie_break_salts = topo.policy_salts;
+  for (AsIndex o = 0; o < n; ++o) {
+    const AsNumber origin = graph.AsnOf(o);
+    const RoutingState plain = ComputeRoutes(graph, origin);
+    HashRoutes(zero, plain);
+    HashRoutes(salted, ComputeRoutes(graph, origin, with_salts));
+    const LinkSet disabled = {OnPathLink(plain, o)};
+    ComputationOptions failed_options = with_salts;
+    failed_options.disabled_links = &disabled;
+    HashRoutes(failed, ComputeRoutes(graph, origin, failed_options));
+    const OriginSpec pair[] = {{origin, 3, 0}, {graph.AsnOf((o + 1) % n), 1, 5}};
+    HashRoutes(moas, ComputeRoutes(graph, pair, with_salts));
+  }
+  EXPECT_EQ(zero, 0x272738567AB658F4ULL);
+  EXPECT_EQ(salted, 0xDF5A75C64B1E752CULL);
+  EXPECT_EQ(failed, 0x008A75B02EDA38C0ULL);
+  EXPECT_EQ(moas, 0x8695BA539667C840ULL);
+}
+
+/// Distinct non-zero salts per AS, numbered by `which`.
+std::uint64_t ShiftSaltFor(AsIndex as, int which) {
+  return (std::uint64_t{as} * 0x9E3779B97F4A7C15ULL +
+          static_cast<std::uint64_t>(which + 1) * 0xC0FFEE51ULL) |
+         1;
+}
+
+/// An AS `as` and the link to its next hop whose failure leaves `as` a
+/// route of the same class and length: after the failure the old next hop
+/// still offers `as` an equally good route, across the failed link.
+std::pair<AsIndex, std::uint64_t> TiedLink(const RoutingState& state, AsIndex origin) {
+  const auto n = static_cast<AsIndex>(state.graph().AsCount());
+  for (AsIndex step = 0; step < n; ++step) {
+    const AsIndex as = (origin + n / 2 + step) % n;
+    const RouteEntry& route = state.RouteOf(as);
+    if (route.cls == RouteClass::kSelf || route.cls == RouteClass::kNone) continue;
+    const LinkSet failed = {LinkKey(as, route.next_hop)};
+    ComputationOptions options;
+    options.disabled_links = &failed;
+    const RoutingState after =
+        ComputeRoutes(state.graph(), state.graph().AsnOf(route.origin), options);
+    if (after.RouteOf(as).cls == route.cls && after.RouteOf(as).length == route.length) {
+      return {as, *failed.begin()};
+    }
+  }
+  return {0, 0};
+}
+
+// SNIPPETS.md exp1's before/after snapshot, for salt shifts: for several
+// origins, every AS x and two salts, shifting the unperturbed state and a
+// link-failed state (under zero and under policy base salts) must give
+// exactly the table a solve with x's salt replaced gives. The failed link
+// is one an equally good exporter sits behind, and its near end is
+// shifted under many salts, so a shift that chose across it would show.
+TEST(SaltShift, EqualsASolveWithThatSaltReplaced) {
+  const Topology& topo = PaperTopology();
+  const AsGraph& graph = topo.graph;
+  const std::vector<std::uint64_t> zero_salts(graph.AsCount(), 0);
+  for (const AsNumber origin : {topo.hostings.front(), topo.eyeballs.back(), topo.transits[3]}) {
+    const auto [tied, link] = TiedLink(ComputeRoutes(graph, origin), graph.MustIndexOf(origin));
+    ASSERT_NE(link, 0u) << "origin AS" << origin;
+    const LinkSet disabled = {link};
+    for (const std::vector<std::uint64_t>* base_salts : {&zero_salts, &topo.policy_salts}) {
+      for (const LinkSet* failed : {static_cast<const LinkSet*>(nullptr), &disabled}) {
+        ComputationOptions options;
+        options.tie_break_salts = *base_salts;
+        options.disabled_links = failed;
+        const RoutingState base = ComputeRoutes(graph, origin, options);
+        std::vector<std::uint64_t> salts = *base_salts;
+        for (AsIndex x = 0; x < graph.AsCount(); ++x) {
+          const int salt_count = x == tied ? 32 : 2;
+          for (int which = 0; which < salt_count; ++which) {
+            salts[x] = ShiftSaltFor(x, which);
+            options.tie_break_salts = salts;
+            ExpectSameRoutes(ShiftSalt(base, x, salts[x]), ComputeRoutes(graph, origin, options),
+                             "origin AS" + std::to_string(origin) + " x=" + std::to_string(x) +
+                                 " salt " + std::to_string(which) +
+                                 (failed != nullptr ? " link-failed" : "") +
+                                 (base_salts == &zero_salts ? "" : " policy salts"));
+          }
+          salts[x] = (*base_salts)[x];
+        }
+      }
+    }
+  }
+}
+
+TEST(SaltShift, ChainsEqualOneSolveWithAllSalts) {
+  const Topology& topo = PaperTopology();
+  const AsGraph& graph = topo.graph;
+  const auto n = static_cast<AsIndex>(graph.AsCount());
+  const AsNumber origin = topo.hostings[2];
+  const LinkSet disabled = {OnPathLink(ComputeRoutes(graph, origin), graph.MustIndexOf(origin))};
+  for (const LinkSet* failed : {static_cast<const LinkSet*>(nullptr), &disabled}) {
+    ComputationOptions options;
+    options.disabled_links = failed;
+    const RoutingState base = ComputeRoutes(graph, origin, options);
+    for (AsIndex x = 0; x < n; ++x) {
+      const AsIndex y = (x * 7 + 3) % n;
+      std::vector<std::uint64_t> salts(n, 0);
+      // Two ASes in turn (one solve with both salts)...
+      salts[x] = ShiftSaltFor(x, 0);
+      salts[y] = ShiftSaltFor(y, 1);
+      options.tie_break_salts = salts;
+      ExpectSameRoutes(ShiftSalt(ShiftSalt(base, x, salts[x]), y, salts[y]),
+                       ComputeRoutes(graph, origin, options), "x then y, x=" + std::to_string(x));
+      // ...and one AS twice (the second salt wins).
+      salts.assign(n, 0);
+      salts[x] = ShiftSaltFor(x, 1);
+      options.tie_break_salts = salts;
+      ExpectSameRoutes(ShiftSalt(ShiftSalt(base, x, ShiftSaltFor(x, 0)), x, salts[x]),
+                       ComputeRoutes(graph, origin, options), "x twice, x=" + std::to_string(x));
+    }
+  }
+}
+
+TEST(SaltShift, RejectsStatesItCannotUpdateExactly) {
+  const Topology& topo = PaperTopology();
+  const AsGraph& graph = topo.graph;
+  const OriginSpec two[] = {{topo.hostings[0], 1, 0}, {topo.hostings[1], 1, 0}};
+  const RoutingState moas = ComputeRoutes(graph, two);
+  EXPECT_THROW((void)ShiftSalt(moas, 0, 7), std::invalid_argument);
+  const OriginSpec scoped{topo.hostings[0], 1, 4};
+  const RoutingState radius = ComputeRoutes(graph, std::span<const OriginSpec>(&scoped, 1));
+  EXPECT_THROW((void)ShiftSalt(radius, 0, 7), std::invalid_argument);
+  const RoutingState plain = ComputeRoutes(graph, topo.hostings[0]);
+  EXPECT_THROW((void)ShiftSalt(plain, static_cast<AsIndex>(graph.AsCount()), 7),
+               std::invalid_argument);
+
+  // One origin that prepends, without a radius, stays exact.
+  const OriginSpec prepended{topo.hostings[0], 3, 0};
+  const RoutingState base = ComputeRoutes(graph, std::span<const OriginSpec>(&prepended, 1));
+  std::vector<std::uint64_t> salts(graph.AsCount(), 0);
+  ComputationOptions options;
+  for (AsIndex x = 0; x < graph.AsCount(); ++x) {
+    salts[x] = ShiftSaltFor(x, 0);
+    options.tie_break_salts = salts;
+    ExpectSameRoutes(ShiftSalt(base, x, salts[x]),
+                     ComputeRoutes(graph, std::span<const OriginSpec>(&prepended, 1), options),
+                     "prepend 3, x=" + std::to_string(x));
+    salts[x] = 0;
+  }
+}
+
+// The kernel keeps its working memory per thread and reuses it across
+// solves. One thread alternating between graphs of very different sizes
+// (and level counts, and failed link ids) must keep matching what a fresh
+// thread computes.
+TEST(RouteComputation, ScratchReuseAcrossGraphSizes) {
+  struct Case {
+    const AsGraph* graph;
+    std::vector<OriginSpec> origins;
+    LinkSet disabled;
+  };
+  const Topology& paper = PaperTopology();
+  const AsGraph diamond = DiamondGraph();
+  const AsGraph chain = ChainGraph();
+  const AsNumber eyeball = paper.eyeballs[9];
+  std::vector<Case> cases;
+  cases.push_back({&paper.graph, {{paper.hostings[4], 1, 0}}, {}});
+  cases.push_back({&diamond, {{1000, 2, 0}},
+                   {LinkKey(diamond.MustIndexOf(10), diamond.MustIndexOf(100))}});
+  cases.push_back({&paper.graph, {{eyeball, 1, 0}},
+                   {OnPathLink(ComputeRoutes(paper.graph, eyeball),
+                               paper.graph.MustIndexOf(eyeball))}});
+  cases.push_back({&chain, {{3, 65533, 0}}, {}});
+  // Prepends 1 and 60,000: about 60k length levels on an 8-AS graph.
+  cases.push_back({&diamond, {{1000, 1, 0}, {2000, 60000, 3}}, {}});
+
+  const auto solve = [](const Case& c) {
+    ComputationOptions options;
+    options.disabled_links = &c.disabled;
+    return ComputeRoutes(*c.graph, c.origins, options);
+  };
+  std::vector<std::optional<RoutingState>> fresh(cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    std::thread([&] { fresh[i].emplace(solve(cases[i])); }).join();
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const std::size_t k = round % 2 == 0 ? i : cases.size() - 1 - i;
+      ExpectSameRoutes(solve(cases[k]), *fresh[k],
+                       "round " + std::to_string(round) + " case " + std::to_string(k));
+    }
+  }
 }
 
 // ---- Property sweeps over generated topologies ----
