@@ -101,10 +101,10 @@ std::uint64_t OnPathLink(const bgp::RoutingState& routes, bgp::AsIndex origin) {
 void BM_ComputeRoutesDisabledLink(benchmark::State& state) {
   const bgp::Topology& topo = SharedTopology();
   const bgp::AsNumber origin = topo.hostings[static_cast<std::size_t>(state.range(0))];
-  const bgp::LinkSet disabled = {
+  const std::uint64_t disabled[] = {
       OnPathLink(bgp::ComputeRoutes(topo.graph, origin), topo.graph.MustIndexOf(origin))};
   bgp::ComputationOptions options;
-  options.disabled_links = &disabled;
+  options.disabled_links = disabled;
   options.tie_break_salts = topo.policy_salts;
   for (auto _ : state) {
     benchmark::DoNotOptimize(bgp::ComputeRoutes(topo.graph, origin, options));
@@ -112,6 +112,32 @@ void BM_ComputeRoutesDisabledLink(benchmark::State& state) {
   state.SetLabel("policy salts + one failed on-path link");
 }
 BENCHMARK(BM_ComputeRoutesDisabledLink)->Arg(0)->Arg(5);
+
+void BM_FailLink(benchmark::State& state) {
+  // A link-failure variant derived from the cached base state (vs
+  // BM_ComputeRoutesDisabledLink, the solve it replaces). Arg 0: an on-path
+  // link deep in the tree, whose subtree is small; arg 1: the destination's
+  // access link on that path, whose subtree is the largest.
+  const bgp::Topology& topo = SharedTopology();
+  const bgp::AsNumber origin = topo.hostings.front();
+  const bgp::AsIndex origin_index = topo.graph.MustIndexOf(origin);
+  bgp::ComputationOptions options;
+  options.tie_break_salts = topo.policy_salts;
+  const bgp::RoutingState base = bgp::ComputeRoutes(topo.graph, origin, options);
+  const auto n = static_cast<bgp::AsIndex>(topo.graph.AsCount());
+  std::vector<bgp::AsIndex> path;
+  for (bgp::AsIndex step = 0; step < n && path.size() < 4; ++step) {
+    path = base.ForwardingPath((origin_index + n / 2 + step) % n);
+  }
+  const std::size_t cut = state.range(0) == 0 ? 0 : path.size() - 2;
+  const std::uint64_t link = bgp::LinkKey(path[cut], path[cut + 1]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bgp::FailLink(base, link, topo.policy_salts));
+  }
+  state.SetLabel((state.range(0) == 0 ? "deep on-path link, " : "access link, ") +
+                 std::to_string(base.CountCrossing(link, n)) + " ASes re-routed");
+}
+BENCHMARK(BM_FailLink)->Arg(0)->Arg(1);
 
 void BM_ShiftSalt(benchmark::State& state) {
   // A salt-shift variant: the cached base state re-salted at one AS on a

@@ -11,7 +11,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bgp/path.hpp"
@@ -52,9 +51,6 @@ struct Edge {
   const AsIndex hi = a < b ? b : a;
   return (std::uint64_t{lo} << 32) | hi;
 }
-
-/// A set of disabled (failed) links, keyed by LinkKey.
-using LinkSet = std::unordered_set<std::uint64_t>;
 
 /// AS-level topology with customer/provider/peer relationships.
 ///

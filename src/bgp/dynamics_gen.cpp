@@ -70,7 +70,7 @@ std::optional<ObservationTable> MakeAlternate(
   if (visible.empty()) return std::nullopt;
 
   ComputationOptions options;
-  LinkSet disabled;
+  std::vector<std::uint64_t> disabled;
   std::vector<std::pair<AsIndex, std::uint64_t>> salt_shifts;
   const OriginSpec spec{graph.AsnOf(origin_index), 1, 0};
 
@@ -86,10 +86,10 @@ std::optional<ObservationTable> MakeAlternate(
                                   : rng.UniformInt(0, hops.size() - 2);
       const auto a = graph.IndexOf(hops[cut]);
       const auto b = graph.IndexOf(hops[cut + 1]);
-      if (a && b) disabled.insert(LinkKey(*a, *b));
+      if (a && b) disabled.push_back(LinkKey(*a, *b));
     }
     if (disabled.empty()) return std::nullopt;
-    options.disabled_links = &disabled;
+    options.disabled_links = disabled;
   }
   if (!fail_links || rng.Bernoulli(0.25)) {
     // Policy-shift component: re-salt the tie-breaks of 1-2 on-path ASes.

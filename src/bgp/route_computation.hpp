@@ -16,7 +16,7 @@
 // AS-PATH, then a deterministic tie-break (optionally salted per AS to
 // model policy shifts). The result is the unique stable valley-free state.
 //
-// Failed links are passed as a LinkSet; announcements may carry a
+// Failed links are passed as LinkKeys; announcements may carry a
 // propagation radius (BGP-community-scoped attacks, Section 3.2) and
 // origin-side path prepending.
 //
@@ -25,6 +25,15 @@
 // So re-salting one AS of a single-origin state changes that AS's next hop
 // and nothing else, and ShiftSalt computes exactly that in O(degree)
 // instead of a new solve.
+//
+// Failing one more link of a single-origin state re-routes the ASes whose
+// forwarding path crosses it (the subtree behind the link) and, less
+// obviously, some ASes outside that subtree: a subtree member that loses a
+// long customer route can fall back to a shorter peer route, and its
+// customers then get shorter provider routes through it. FailLink
+// re-solves the subtree in stage order and then runs that improvement wave
+// over provider routes, so it equals a solve while touching only the
+// re-routed region.
 
 #include <cstdint>
 #include <limits>
@@ -53,8 +62,8 @@ struct OriginSpec {
 
 /// Options shared by a route computation.
 struct ComputationOptions {
-  /// Links to treat as failed (keyed by LinkKey of dense indices).
-  const LinkSet* disabled_links = nullptr;
+  /// Links to treat as failed: LinkKeys of dense indices, in any order.
+  std::span<const std::uint64_t> disabled_links = {};
   /// Per-AS tie-break salt (dense-indexed). Empty span means all zeros,
   /// i.e. prefer the lowest neighbor ASN among equally good routes.
   std::span<const std::uint64_t> tie_break_salts = {};
@@ -95,6 +104,18 @@ class RoutingState;
 /// or the reach of the routes behind it), or if `as` is out of range.
 [[nodiscard]] RoutingState ShiftSalt(RoutingState base, AsIndex as, std::uint64_t salt);
 
+/// The state ComputeRoutes would return for `base`'s inputs with `link` (a
+/// LinkKey) failed as well; `salts` must be the tie-break salts `base` was
+/// computed with. Re-solves only the ASes whose forwarding path crosses the
+/// link and the provider routes their new routes improve. A link that is
+/// already failed, is not in the graph, or carries no forwarding path
+/// changes only the failed-link list. Chains: failing links in turn equals
+/// one solve with all of them. Throws std::invalid_argument if `base` has
+/// several origins or a propagation radius, or if `salts` is neither empty
+/// nor one per AS.
+[[nodiscard]] RoutingState FailLink(RoutingState base, std::uint64_t link,
+                                    std::span<const std::uint64_t> salts);
+
 /// The stable routing state toward one destination prefix.
 class RoutingState {
  public:
@@ -124,18 +145,34 @@ class RoutingState {
   /// capture set of a hijacking origin.
   [[nodiscard]] std::vector<AsIndex> AsesRoutedTo(AsIndex origin) const;
 
+  /// The links this state was computed with as failed: sorted, distinct
+  /// LinkKeys.
+  [[nodiscard]] std::span<const std::uint64_t> FailedLinks() const noexcept {
+    return disabled_links_;
+  }
+
+  /// How many ASes' forwarding paths cross `link` (the subtree FailLink
+  /// re-solves), counted up to `cap`: a larger subtree returns `cap`.
+  [[nodiscard]] std::size_t CountCrossing(std::uint64_t link, std::size_t cap) const;
+
+  /// The next hop `as` would choose with its tie-break salt replaced by
+  /// `salt` — the one entry ShiftSalt changes. Throws like ShiftSalt.
+  [[nodiscard]] AsIndex NextHopWithSalt(AsIndex as, std::uint64_t salt) const;
+
  private:
   friend RoutingState ComputeRoutes(const AsGraph&, std::span<const OriginSpec>,
                                     const ComputationOptions&);
   friend RoutingState ShiftSalt(RoutingState, AsIndex, std::uint64_t);
+  friend RoutingState FailLink(RoutingState, std::uint64_t, std::span<const std::uint64_t>);
 
   RoutingState(const AsGraph& graph, std::vector<RouteEntry> routes)
       : graph_(&graph), routes_(std::move(routes)) {}
 
   const AsGraph* graph_;
   std::vector<RouteEntry> routes_;
-  /// What ShiftSalt needs of the inputs: the failed links (sorted
-  /// LinkKeys) and whether the state has one origin and no radius.
+  /// What ShiftSalt and FailLink need of the inputs: the failed links
+  /// (sorted, distinct LinkKeys) and whether the state has one origin and
+  /// no radius.
   std::vector<std::uint64_t> disabled_links_;
   bool salt_shiftable_ = false;
 };

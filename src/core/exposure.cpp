@@ -8,18 +8,53 @@ using bgp::AsIndex;
 using bgp::AsNumber;
 using bgp::ComputationOptions;
 using bgp::LinkKey;
-using bgp::LinkSet;
+using bgp::RouteClass;
 using bgp::RoutingState;
 
-std::shared_ptr<const RoutingState> ExposureAnalyzer::StateFor(AsNumber dst) {
+namespace {
+
+/// The AS after `as` on a forwarding path of `state` in which AS `detour`
+/// forwards to `detour_hop` instead of its own next hop.
+AsIndex NextOnPath(const RoutingState& state, AsIndex as, AsIndex detour, AsIndex detour_hop) {
+  return as == detour ? detour_hop : state.RouteOf(as).next_hop;
+}
+
+/// The number of ASes on `src`'s forwarding path (0 if it is unrouted).
+std::size_t PathSize(const RoutingState& state, AsIndex src, AsIndex detour, AsIndex detour_hop) {
+  if (!state.HasRoute(src)) return 0;
+  std::size_t size = 1;
+  for (AsIndex as = src; state.RouteOf(as).cls != RouteClass::kSelf;
+       as = NextOnPath(state, as, detour, detour_hop)) {
+    ++size;
+  }
+  return size;
+}
+
+/// The AS `steps` hops along `src`'s forwarding path.
+AsIndex HopAt(const RoutingState& state, AsIndex src, std::size_t steps) {
+  AsIndex as = src;
+  for (; steps > 0; --steps) as = state.RouteOf(as).next_hop;
+  return as;
+}
+
+}  // namespace
+
+std::shared_ptr<const RoutingState> ExposureAnalyzer::StateFor(AsNumber dst,
+                                                               std::uint64_t failed_link) {
   ComputationOptions options;
   options.tie_break_salts = base_salts_;
+  if (failed_link != 0) options.disabled_links = std::span(&failed_link, 1);
   return cache_.GetOrCompute(*graph_, dst, options, bgp::SaltKey{salt_epoch_, {}});
 }
 
-std::vector<AsNumber> ExposureAnalyzer::PathFrom(const RoutingState& state, AsIndex src) const {
+std::vector<AsNumber> ExposureAnalyzer::PathFrom(const RoutingState& state, AsIndex src,
+                                                 AsIndex detour, AsIndex detour_hop) const {
+  const std::size_t size = PathSize(state, src, detour, detour_hop);
   std::vector<AsNumber> out;
-  for (AsIndex as : state.ForwardingPath(src)) out.push_back(graph_->AsnOf(as));
+  out.reserve(size);
+  for (AsIndex as = src; out.size() < size; as = NextOnPath(state, as, detour, detour_hop)) {
+    out.push_back(graph_->AsnOf(as));
+  }
   return out;
 }
 
@@ -50,28 +85,24 @@ std::vector<AsNumber> ExposureAnalyzer::PathUnderVariant(AsNumber src, AsNumber 
   // Start from the current path and perturb: fail one of its links or
   // re-salt one of its ASes, then take the route for this variant.
   if (src == dst) return {src};
-  const auto base_state = StateFor(dst);
+  const auto base = StateFor(dst);
   const auto src_index = graph_->IndexOf(src);
   if (!src_index) return {};
-  const auto base = PathFrom(*base_state, *src_index);
-  if (base.size() < 2) return base;
+  const std::size_t hops = PathSize(*base, *src_index, kNoDetour, 0);
+  if (hops < 2) return PathFrom(*base, *src_index);
 
   if (rng.Bernoulli(0.7)) {
     // Link-failure variants cut one of a handful of on-path links, so the
-    // same (dst, failed link) keys recur across variants and circuits.
-    const std::size_t cut = rng.UniformInt(0, base.size() - 2);
-    const LinkSet disabled = {LinkKey(graph_->MustIndexOf(base[cut]),
-                                      graph_->MustIndexOf(base[cut + 1]))};
-    ComputationOptions options;
-    options.disabled_links = &disabled;
-    options.tie_break_salts = base_salts_;
-    return PathFrom(*cache_.GetOrCompute(*graph_, dst, options, bgp::SaltKey{salt_epoch_, {}}),
-                    *src_index);
+    // same (dst, failed link) keys recur across variants and circuits; a
+    // key the cache misses is derived from `base` (bgp::FailLink).
+    const AsIndex near = HopAt(*base, *src_index, rng.UniformInt(0, hops - 2));
+    return PathFrom(*StateFor(dst, LinkKey(near, base->RouteOf(near).next_hop)), *src_index);
   }
-  // Salt-shift variants draw a fresh 64-bit salt each time: a shift of
-  // the cached base state, which equals a solve with that one salt replaced.
-  const AsIndex shifted = graph_->MustIndexOf(base[rng.UniformInt(0, base.size() - 1)]);
-  return PathFrom(bgp::ShiftSalt(*base_state, shifted, rng() | 1), *src_index);
+  // Salt-shift variants draw a fresh 64-bit salt each time. Only the
+  // shifted AS's next hop changes (bgp::ShiftSalt), so the path is read off
+  // `base` with that one hop replaced.
+  const AsIndex shifted = HopAt(*base, *src_index, rng.UniformInt(0, hops - 1));
+  return PathFrom(*base, *src_index, shifted, base->NextHopWithSalt(shifted, rng() | 1));
 }
 
 SegmentExposure ExposureAnalyzer::TemporalExposure(AsNumber client_as, AsNumber guard_as,

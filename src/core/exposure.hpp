@@ -10,6 +10,7 @@
 // relays does change" even while the guard stays fixed.
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -24,9 +25,13 @@ namespace quicksand::core {
 /// Computes AS-level directional paths and segment exposures over a fixed
 /// topology, caching routing states (per destination, and per recurring
 /// link-failure variant) in a thread-safe bgp::RouteCache — concurrent
-/// queries from parallel sweeps are safe. A policy-shift variant is a
-/// bgp::ShiftSalt of the cached per-destination state, not a solve. The
-/// graph must outlive the analyzer.
+/// queries from parallel sweeps are safe. A link-failure variant the cache
+/// misses is derived from the cached per-destination state
+/// (bgp::FailLink), not solved, unless it re-routes much of the graph. A
+/// policy-shift variant is not a state at all: its path is read off the
+/// cached per-destination state with the one next hop bgp::ShiftSalt would
+/// re-choose. A variant lookup that hits the cache allocates nothing; each
+/// returned path is one vector. The graph must outlive the analyzer.
 class ExposureAnalyzer {
  public:
   /// `base_salts` are per-AS tie-break salts applied to every computation
@@ -75,9 +80,19 @@ class ExposureAnalyzer {
   void ClearCache() { cache_.Clear(); }
 
  private:
-  [[nodiscard]] std::shared_ptr<const bgp::RoutingState> StateFor(bgp::AsNumber dst);
+  /// No AS of a path takes a detour (see PathFrom).
+  static constexpr bgp::AsIndex kNoDetour = std::numeric_limits<bgp::AsIndex>::max();
+
+  /// The routing state toward `dst`, with `failed_link` (a LinkKey; 0 for
+  /// none) down.
+  [[nodiscard]] std::shared_ptr<const bgp::RoutingState> StateFor(bgp::AsNumber dst,
+                                                                  std::uint64_t failed_link = 0);
+  /// The ASNs of `src`'s forwarding path in `state`, where AS `detour`
+  /// forwards to `detour_hop` instead of its own next hop.
   [[nodiscard]] std::vector<bgp::AsNumber> PathFrom(const bgp::RoutingState& state,
-                                                    bgp::AsIndex src) const;
+                                                    bgp::AsIndex src,
+                                                    bgp::AsIndex detour = kNoDetour,
+                                                    bgp::AsIndex detour_hop = 0) const;
   [[nodiscard]] std::vector<bgp::AsNumber> PathUnderVariant(bgp::AsNumber src,
                                                             bgp::AsNumber dst,
                                                             netbase::Rng& rng);

@@ -140,10 +140,9 @@ TEST(RouteComputation, CustomerRoutePreferredOverShorterPeerOrProvider) {
 
 TEST(RouteComputation, DisabledLinkReroutesTraffic) {
   const AsGraph graph = DiamondGraph();
-  LinkSet disabled;
-  disabled.insert(LinkKey(graph.MustIndexOf(10), graph.MustIndexOf(100)));
+  const std::uint64_t disabled[] = {LinkKey(graph.MustIndexOf(10), graph.MustIndexOf(100))};
   ComputationOptions options;
-  options.disabled_links = &disabled;
+  options.disabled_links = disabled;
   const RoutingState state = ComputeRoutes(graph, 1000, options);
   // T1 can no longer use A; C stays reachable only via A, so T1 has no
   // route at all (A's only other neighbour is C itself).
@@ -329,9 +328,9 @@ TEST(RouteComputation, GoldenDigestOfThePaperTopology) {
     const RoutingState plain = ComputeRoutes(graph, origin);
     HashRoutes(zero, plain);
     HashRoutes(salted, ComputeRoutes(graph, origin, with_salts));
-    const LinkSet disabled = {OnPathLink(plain, o)};
+    const std::uint64_t disabled[] = {OnPathLink(plain, o)};
     ComputationOptions failed_options = with_salts;
-    failed_options.disabled_links = &disabled;
+    failed_options.disabled_links = disabled;
     HashRoutes(failed, ComputeRoutes(graph, origin, failed_options));
     const OriginSpec pair[] = {{origin, 3, 0}, {graph.AsnOf((o + 1) % n), 1, 5}};
     HashRoutes(moas, ComputeRoutes(graph, pair, with_salts));
@@ -358,13 +357,13 @@ std::pair<AsIndex, std::uint64_t> TiedLink(const RoutingState& state, AsIndex or
     const AsIndex as = (origin + n / 2 + step) % n;
     const RouteEntry& route = state.RouteOf(as);
     if (route.cls == RouteClass::kSelf || route.cls == RouteClass::kNone) continue;
-    const LinkSet failed = {LinkKey(as, route.next_hop)};
+    const std::uint64_t failed[] = {LinkKey(as, route.next_hop)};
     ComputationOptions options;
-    options.disabled_links = &failed;
+    options.disabled_links = failed;
     const RoutingState after =
         ComputeRoutes(state.graph(), state.graph().AsnOf(route.origin), options);
     if (after.RouteOf(as).cls == route.cls && after.RouteOf(as).length == route.length) {
-      return {as, *failed.begin()};
+      return {as, failed[0]};
     }
   }
   return {0, 0};
@@ -383,9 +382,10 @@ TEST(SaltShift, EqualsASolveWithThatSaltReplaced) {
   for (const AsNumber origin : {topo.hostings.front(), topo.eyeballs.back(), topo.transits[3]}) {
     const auto [tied, link] = TiedLink(ComputeRoutes(graph, origin), graph.MustIndexOf(origin));
     ASSERT_NE(link, 0u) << "origin AS" << origin;
-    const LinkSet disabled = {link};
+    const std::uint64_t disabled[] = {link};
     for (const std::vector<std::uint64_t>* base_salts : {&zero_salts, &topo.policy_salts}) {
-      for (const LinkSet* failed : {static_cast<const LinkSet*>(nullptr), &disabled}) {
+      for (const std::span<const std::uint64_t> failed : {std::span<const std::uint64_t>{},
+                                                          std::span<const std::uint64_t>(disabled)}) {
         ComputationOptions options;
         options.tie_break_salts = *base_salts;
         options.disabled_links = failed;
@@ -399,7 +399,7 @@ TEST(SaltShift, EqualsASolveWithThatSaltReplaced) {
             ExpectSameRoutes(ShiftSalt(base, x, salts[x]), ComputeRoutes(graph, origin, options),
                              "origin AS" + std::to_string(origin) + " x=" + std::to_string(x) +
                                  " salt " + std::to_string(which) +
-                                 (failed != nullptr ? " link-failed" : "") +
+                                 (!failed.empty() ? " link-failed" : "") +
                                  (base_salts == &zero_salts ? "" : " policy salts"));
           }
           salts[x] = (*base_salts)[x];
@@ -414,8 +414,10 @@ TEST(SaltShift, ChainsEqualOneSolveWithAllSalts) {
   const AsGraph& graph = topo.graph;
   const auto n = static_cast<AsIndex>(graph.AsCount());
   const AsNumber origin = topo.hostings[2];
-  const LinkSet disabled = {OnPathLink(ComputeRoutes(graph, origin), graph.MustIndexOf(origin))};
-  for (const LinkSet* failed : {static_cast<const LinkSet*>(nullptr), &disabled}) {
+  const std::uint64_t disabled[] = {
+      OnPathLink(ComputeRoutes(graph, origin), graph.MustIndexOf(origin))};
+  for (const std::span<const std::uint64_t> failed :
+       {std::span<const std::uint64_t>{}, std::span<const std::uint64_t>(disabled)}) {
     ComputationOptions options;
     options.disabled_links = failed;
     const RoutingState base = ComputeRoutes(graph, origin, options);
@@ -466,6 +468,197 @@ TEST(SaltShift, RejectsStatesItCannotUpdateExactly) {
   }
 }
 
+// ---- FailLink: the link-failure oracle (SNIPPETS.md exp1, as above) ----
+
+/// Every link of `graph` as a LinkKey.
+std::vector<std::uint64_t> AllLinks(const AsGraph& graph) {
+  std::vector<std::uint64_t> links;
+  for (AsIndex a = 0; a < graph.AsCount(); ++a) {
+    for (const Neighbor& nb : graph.NeighborsOf(a)) {
+      if (a < nb.index) links.push_back(LinkKey(a, nb.index));
+    }
+  }
+  return links;
+}
+
+/// ExpectSameRoutes plus the failed-link list, which ShiftSalt reads.
+void ExpectSameState(const RoutingState& actual, const RoutingState& expected,
+                     const std::string& what) {
+  ExpectSameRoutes(actual, expected, what);
+  EXPECT_TRUE(std::ranges::equal(actual.FailedLinks(), expected.FailedLinks())) << what;
+}
+
+/// Does `src`'s forwarding path in `state` cross `link`?
+bool PathUsesLink(const RoutingState& state, AsIndex src, std::uint64_t link) {
+  const auto path = state.ForwardingPath(src);
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    if (LinkKey(path[i], path[i + 1]) == link) return true;
+  }
+  return false;
+}
+
+// For every link of the paper topology and one origin per role, under zero
+// and under policy salts: failing the link in a solved state must give the
+// table (and failed-link list) a solve with that link failed gives. Under
+// policy salts both ends of the link are then re-salted, which must still
+// equal a solve: a derived state that forgot its failed link would let
+// ShiftSalt choose across it. The keys must include ones where an AS whose
+// path does not cross the link changes its route (the improvement wave), or
+// a subtree-only update would pass this oracle.
+TEST(FailLink, EqualsASolveForEveryLinkOfThePaperTopology) {
+  const Topology& topo = PaperTopology();
+  const AsGraph& graph = topo.graph;
+  const std::vector<std::uint64_t> links = AllLinks(graph);
+  const std::vector<std::uint64_t> zero_salts;
+  std::size_t keys = 0;
+  std::size_t outside_changes = 0;
+  for (const AsNumber origin : {topo.tier1[1], topo.transits[5], topo.eyeballs[17],
+                                topo.hostings[3], topo.contents[11]}) {
+    for (const std::vector<std::uint64_t>* salts : {&zero_salts, &topo.policy_salts}) {
+      ComputationOptions options;
+      options.tie_break_salts = *salts;
+      const RoutingState base = ComputeRoutes(graph, origin, options);
+      for (const std::uint64_t link : links) {
+        const std::string what = "origin AS" + std::to_string(origin) + " link " +
+                                 std::to_string(link) +
+                                 (salts == &zero_salts ? "" : " policy salts");
+        options.disabled_links = std::span(&link, 1);
+        const RoutingState solved = ComputeRoutes(graph, origin, options);
+        const RoutingState derived = FailLink(base, link, *salts);
+        ExpectSameState(derived, solved, what);
+        ++keys;
+        for (AsIndex as = 0; as < graph.AsCount(); ++as) {
+          if (!(solved.RouteOf(as) == base.RouteOf(as)) && !PathUsesLink(base, as, link)) {
+            ++outside_changes;
+            break;
+          }
+        }
+        if (salts == &topo.policy_salts) {
+          const auto a = static_cast<AsIndex>(link >> 32);
+          const auto b = static_cast<AsIndex>(link & 0xFFFFFFFFu);
+          std::vector<std::uint64_t> shifted = *salts;
+          shifted[a] = ShiftSaltFor(a, 0);
+          shifted[b] = ShiftSaltFor(b, 1);
+          options.tie_break_salts = shifted;
+          ExpectSameRoutes(ShiftSalt(ShiftSalt(derived, a, shifted[a]), b, shifted[b]),
+                           ComputeRoutes(graph, origin, options), what + " shifted");
+          options.tie_break_salts = *salts;
+        }
+        options.disabled_links = {};
+      }
+    }
+  }
+  EXPECT_EQ(keys, 10 * links.size());
+  EXPECT_GT(outside_changes, 0u) << "no key re-routes an AS outside the failed subtree";
+}
+
+// Exhaustive on a small generated topology: every origin x every link.
+TEST(FailLink, EqualsASolveForEveryOriginAndLinkOfASmallTopology) {
+  TopologyParams params;
+  params.tier1_count = 4;
+  params.transit_count = 20;
+  params.eyeball_count = 50;
+  params.hosting_count = 16;
+  params.content_count = 30;
+  params.seed = 20140517;
+  const Topology topo = GenerateTopology(params);
+  const AsGraph& graph = topo.graph;
+  ASSERT_EQ(graph.AsCount(), 120u);
+  const std::vector<std::uint64_t> links = AllLinks(graph);
+  for (AsIndex o = 0; o < graph.AsCount(); ++o) {
+    ComputationOptions options;
+    options.tie_break_salts = topo.policy_salts;
+    const RoutingState base = ComputeRoutes(graph, graph.AsnOf(o), options);
+    for (const std::uint64_t link : links) {
+      options.disabled_links = std::span(&link, 1);
+      ExpectSameState(FailLink(base, link, topo.policy_salts),
+                      ComputeRoutes(graph, graph.AsnOf(o), options),
+                      "origin index " + std::to_string(o) + " link " + std::to_string(link));
+    }
+  }
+}
+
+TEST(FailLink, ChainsAndRepeatsEqualOneSolve) {
+  const Topology& topo = PaperTopology();
+  const AsGraph& graph = topo.graph;
+  const std::vector<std::uint64_t> links = AllLinks(graph);
+  const auto n = static_cast<AsIndex>(graph.AsCount());
+  for (AsIndex o = 0; o < n; o += 19) {
+    const AsNumber origin = graph.AsnOf(o);
+    ComputationOptions options;
+    options.tie_break_salts = topo.policy_salts;
+    const RoutingState base = ComputeRoutes(graph, origin, options);
+    // An on-path link and one from the whole link list, in turn.
+    const std::uint64_t both[] = {OnPathLink(base, o), links[(o * 131) % links.size()]};
+    options.disabled_links = both;
+    const RoutingState solved = ComputeRoutes(graph, origin, options);
+    const std::string what = "origin AS" + std::to_string(origin);
+    ExpectSameState(FailLink(FailLink(base, both[0], topo.policy_salts), both[1],
+                             topo.policy_salts),
+                    solved, what + " first then second");
+    ExpectSameState(FailLink(FailLink(base, both[1], topo.policy_salts), both[0],
+                             topo.policy_salts),
+                    solved, what + " second then first");
+    // Failing the same link again changes nothing.
+    const RoutingState once = FailLink(base, both[0], topo.policy_salts);
+    ExpectSameState(FailLink(once, both[0], topo.policy_salts), once, what + " twice");
+  }
+}
+
+TEST(FailLink, LinksNoPathCrossesChangeOnlyTheFailedList) {
+  const Topology& topo = PaperTopology();
+  const AsGraph& graph = topo.graph;
+  const AsNumber origin = topo.eyeballs[4];
+  const RoutingState base = ComputeRoutes(graph, origin);
+  // A link that no AS forwards over...
+  std::uint64_t unused = 0;
+  for (const std::uint64_t link : AllLinks(graph)) {
+    if (base.CountCrossing(link, graph.AsCount()) == 0) {
+      unused = link;
+      break;
+    }
+  }
+  ASSERT_NE(unused, 0u);
+  // ...and two ASes with no link between them.
+  AsIndex far = 1;
+  while (graph.LinkIdOf(LinkKey(0, far))) ++far;
+  for (const std::uint64_t link : {unused, LinkKey(0, far)}) {
+    const RoutingState derived = FailLink(base, link, {});
+    ExpectSameRoutes(derived, base, "link " + std::to_string(link));
+    ASSERT_EQ(derived.FailedLinks().size(), 1u);
+    EXPECT_EQ(derived.FailedLinks()[0], link);
+    ComputationOptions options;
+    options.disabled_links = std::span(&link, 1);
+    ExpectSameState(derived, ComputeRoutes(graph, origin, options),
+                    "link " + std::to_string(link));
+  }
+}
+
+TEST(FailLink, RejectsStatesItCannotUpdateExactly) {
+  const Topology& topo = PaperTopology();
+  const AsGraph& graph = topo.graph;
+  const OriginSpec two[] = {{topo.hostings[0], 1, 0}, {topo.hostings[1], 1, 0}};
+  const RoutingState moas = ComputeRoutes(graph, two);
+  const std::uint64_t link = OnPathLink(moas, graph.MustIndexOf(topo.hostings[0]));
+  EXPECT_THROW((void)FailLink(moas, link, {}), std::invalid_argument);
+  const OriginSpec scoped{topo.hostings[0], 1, 4};
+  const RoutingState radius = ComputeRoutes(graph, std::span<const OriginSpec>(&scoped, 1));
+  EXPECT_THROW((void)FailLink(radius, link, {}), std::invalid_argument);
+  const RoutingState plain = ComputeRoutes(graph, topo.hostings[0]);
+  const std::vector<std::uint64_t> short_salts(graph.AsCount() - 1, 5);
+  EXPECT_THROW((void)FailLink(plain, link, short_salts), std::invalid_argument);
+
+  // One origin that prepends, without a radius, stays exact.
+  const OriginSpec prepended{topo.hostings[0], 3, 0};
+  const RoutingState base = ComputeRoutes(graph, std::span<const OriginSpec>(&prepended, 1));
+  const std::uint64_t on_path = OnPathLink(base, graph.MustIndexOf(topo.hostings[0]));
+  ComputationOptions options;
+  options.disabled_links = std::span(&on_path, 1);
+  ExpectSameState(FailLink(base, on_path, {}),
+                  ComputeRoutes(graph, std::span<const OriginSpec>(&prepended, 1), options),
+                  "prepend 3");
+}
+
 // The kernel keeps its working memory per thread and reuses it across
 // solves. One thread alternating between graphs of very different sizes
 // (and level counts, and failed link ids) must keep matching what a fresh
@@ -474,7 +667,7 @@ TEST(RouteComputation, ScratchReuseAcrossGraphSizes) {
   struct Case {
     const AsGraph* graph;
     std::vector<OriginSpec> origins;
-    LinkSet disabled;
+    std::vector<std::uint64_t> disabled;
   };
   const Topology& paper = PaperTopology();
   const AsGraph diamond = DiamondGraph();
@@ -493,7 +686,7 @@ TEST(RouteComputation, ScratchReuseAcrossGraphSizes) {
 
   const auto solve = [](const Case& c) {
     ComputationOptions options;
-    options.disabled_links = &c.disabled;
+    options.disabled_links = c.disabled;
     return ComputeRoutes(*c.graph, c.origins, options);
   };
   std::vector<std::optional<RoutingState>> fresh(cases.size());

@@ -9,6 +9,8 @@
 
 #include <limits>
 #include <tuple>
+#include <unordered_set>
+#include <vector>
 
 #include "bgp/route_computation.hpp"
 #include "bgp/topology_gen.hpp"
@@ -115,7 +117,7 @@ TEST_P(RouteStability, StableUnderLinkFailuresToo) {
   const AsNumber origin = topo.hostings.front();
   const RoutingState baseline = ComputeRoutes(topo.graph, origin);
   // Fail three random links from the baseline forwarding tree.
-  LinkSet disabled;
+  std::unordered_set<std::uint64_t> disabled;
   for (int f = 0; f < 3; ++f) {
     const AsIndex src = static_cast<AsIndex>(rng.UniformInt(0, topo.graph.AsCount() - 1));
     if (!baseline.HasRoute(src)) continue;
@@ -124,8 +126,9 @@ TEST_P(RouteStability, StableUnderLinkFailuresToo) {
     const std::size_t cut = rng.UniformInt(0, path.size() - 2);
     disabled.insert(LinkKey(path[cut], path[cut + 1]));
   }
+  const std::vector<std::uint64_t> failed(disabled.begin(), disabled.end());
   ComputationOptions options;
-  options.disabled_links = &disabled;
+  options.disabled_links = failed;
   const RoutingState state = ComputeRoutes(topo.graph, origin, options);
 
   // Oracle over the surviving adjacency: treat disabled links as absent.
