@@ -28,6 +28,7 @@
 #include "ckpt/sweep.hpp"
 #include "exec/thread_pool.hpp"
 #include "util/atomic_file.hpp"
+#include "util/parse_num.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -577,13 +578,12 @@ class BenchContext {
   }
 
   static std::size_t ParseCount(const std::string& flag, const char* raw) {
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(raw, &end, 10);
-    if (end == nullptr || *end != '\0' || end == raw) {
+    const std::optional<std::uint64_t> value = util::ParseU64(raw);
+    if (!value.has_value()) {
       std::cerr << "invalid " << flag << " value: " << raw << "\n";
       std::exit(2);
     }
-    return static_cast<std::size_t>(value);
+    return static_cast<std::size_t>(*value);
   }
 
   static const char* Usage() {

@@ -17,12 +17,12 @@
 //     scripts/daemon_chaos_smoke.sh drives exactly that comparison.
 //
 // Flags:
-//   --rate <r>          fault intensity (default 0; 0 enables the batch
-//                       equivalence self-check)
+//   --rate <r>          fault intensity in [0, 1] (default 0; 0 enables
+//                       the batch equivalence self-check)
 //   --seed <n>          fault plan seed (default 33)
-//   --days <n>          replay window in days (default 7)
-//   --step <s>          replay step seconds (default 60; must stay below
-//                       the session hold time)
+//   --days <n>          replay window in days, > 0 (default 7)
+//   --step <s>          replay step seconds, > 0 (default 60; must stay
+//                       below the session hold time)
 //   --checkpoint <file> snapshot path + enables checkpointing (6h cadence)
 //   --resume            restore from --checkpoint before replaying
 //   --alerts-out <file> write the final alert dump here
@@ -34,7 +34,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,7 +67,16 @@ struct Options {
   std::string json;
 };
 
+[[noreturn]] void InvalidValue(const std::string& flag, const std::string& value) {
+  std::cerr << "invalid " << flag << " value: " << value << "\n";
+  std::exit(2);
+}
+
 Options ParseArgs(int argc, char** argv) {
+  // Numeric flags parse the whole value or exit 2: std::stoll reads "7x"
+  // as 7, std::stoull wraps "-1", and both abort on "abc" by throwing.
+  constexpr std::int64_t kMaxDays =
+      std::numeric_limits<std::int64_t>::max() / netbase::duration::kDay;
   Options options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -77,13 +88,25 @@ Options ParseArgs(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--rate") {
-      options.rate = std::stod(next("--rate"));
+      const std::string value = next("--rate");
+      const std::optional<double> rate = util::ParseF64(value);
+      if (!rate || *rate < 0 || *rate > 1) InvalidValue(arg, value);
+      options.rate = *rate;
     } else if (arg == "--seed") {
-      options.seed = std::stoull(next("--seed"));
+      const std::string value = next("--seed");
+      const std::optional<std::uint64_t> seed = util::ParseU64(value);
+      if (!seed) InvalidValue(arg, value);
+      options.seed = *seed;
     } else if (arg == "--days") {
-      options.days = std::stoll(next("--days"));
+      const std::string value = next("--days");
+      const std::optional<std::int64_t> days = util::ParseI64(value);
+      if (!days || *days <= 0 || *days > kMaxDays) InvalidValue(arg, value);
+      options.days = *days;
     } else if (arg == "--step") {
-      options.step_s = std::stoll(next("--step"));
+      const std::string value = next("--step");
+      const std::optional<std::int64_t> step = util::ParseI64(value);
+      if (!step || *step <= 0) InvalidValue(arg, value);
+      options.step_s = *step;
     } else if (arg == "--checkpoint") {
       options.checkpoint = next("--checkpoint");
     } else if (arg == "--resume") {

@@ -17,8 +17,8 @@ level and in "run"), histograms, and comparison rows.
 Every metric declares where it is registered whether two runs of one
 seed must agree on it (obs::Stability, docs/OBSERVABILITY.md). Seeded
 metrics fill the top-level "counters"/"gauges"/"histograms"; run-shaped
-ones (thread-pool, checkpoint, streaming-feed, codec, profiler, daemon,
-matrix and population telemetry, retry backoff) fill the "run" section's
+ones (thread-pool, checkpoint, streaming-feed, codec, profiler, daemon
+and population telemetry, retry backoff) fill the "run" section's
 maps of the same names. Comparison ignores everything that is allowed to
 vary between runs of the same seed: per-phase wall times, total_wall_ms,
 the top-level "threads" field and the "run" section. Everything else,

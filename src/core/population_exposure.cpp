@@ -13,7 +13,9 @@ namespace quicksand::core {
 MaliciousMarkResult MarkMaliciousByBandwidth(const tor::Consensus& consensus,
                                              double bandwidth_fraction,
                                              netbase::Rng& rng) {
-  if (bandwidth_fraction < 0 || bandwidth_fraction > 1) {
+  // Negated so that NaN fails too: with a NaN target the loop below never
+  // breaks and marks every relay.
+  if (!(bandwidth_fraction >= 0 && bandwidth_fraction <= 1)) {
     throw std::invalid_argument("MarkMaliciousByBandwidth: fraction outside [0,1]");
   }
   const auto& relays = consensus.relays();

@@ -36,7 +36,7 @@ struct MaliciousMarkResult {
 /// Marks relays malicious in shuffled order until `bandwidth_fraction` of
 /// the consensus total bandwidth is owned (random order: the adversary
 /// stands up mid-sized relays, not only the biggest ones). Throws
-/// std::invalid_argument on a fraction outside [0, 1].
+/// std::invalid_argument on a fraction outside [0, 1], NaN included.
 [[nodiscard]] MaliciousMarkResult MarkMaliciousByBandwidth(
     const tor::Consensus& consensus, double bandwidth_fraction, netbase::Rng& rng);
 

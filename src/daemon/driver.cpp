@@ -1,6 +1,7 @@
 #include "daemon/driver.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace quicksand::daemon {
@@ -9,6 +10,9 @@ ReplayDriver::ReplayDriver(Daemon& daemon, const fault::FaultPlan& plan,
                            std::vector<bgp::BgpUpdate> initial_rib,
                            std::vector<bgp::BgpUpdate> updates, ReplayConfig config)
     : daemon_(daemon), injector_(plan), rib_(std::move(initial_rib)), config_(config) {
+  if (config_.step_s <= 0) {
+    throw std::invalid_argument("ReplayDriver: step_s must be positive");
+  }
   // Every session seen anywhere in the feed gets a supervisor-driven
   // timeline, even if faults end up dropping all its updates.
   for (const bgp::BgpUpdate& update : rib_) timelines_[update.session];

@@ -51,7 +51,9 @@ class ReplayDriver {
  public:
   /// Perturbs `updates` against `plan` (rate 0 = exact pass-through) and
   /// partitions the result into per-session timelines. The initial RIB
-  /// seeds resync bursts and the daemon baseline.
+  /// seeds resync bursts and the daemon baseline. Throws
+  /// std::invalid_argument if `config.step_s` is not positive: the step
+  /// grid would never reach `end_s`.
   ReplayDriver(Daemon& daemon, const fault::FaultPlan& plan,
                std::vector<bgp::BgpUpdate> initial_rib,
                std::vector<bgp::BgpUpdate> updates, ReplayConfig config = {});

@@ -13,8 +13,8 @@
 // class decides what the admitted records *mean*. Transports — the replay
 // driver in tests/bench, the socket server in examples — push batches in
 // via OfferBatch and pump with Pump. All daemon time is an explicit
-// `now_s` argument (the Clock seam): the chaos harness runs simulated
-// time, the example binary wall time, and the logic cannot tell.
+// `now_s` argument and the daemon reads no clock: the chaos harness and
+// the example binary both drive it on simulated time.
 //
 // Crash-safety contract (docs/DAEMON.md, "Restart semantics"): Tick()
 // snapshots at the checkpoint cadence, always from a quiescent point

@@ -25,8 +25,8 @@
 
 namespace quicksand::daemon {
 
-/// Returns seconds from the daemon's clock seam; the server never reads
-/// wall time directly so tests can drive it on simulated time.
+/// Returns the daemon's time in seconds; the server never reads wall time
+/// directly, so tests can drive it on simulated time.
 using NowFn = std::function<std::int64_t()>;
 
 class UnixSocketServer {

@@ -12,7 +12,8 @@
 //     Connecting --fail/timeout--> Backoff --retry--> Connecting
 //     Established --hold timer expiry / peer close--> Backoff   (a *flap*)
 //
-// Robustness mechanics, all deterministic under the Clock seam:
+// Robustness mechanics, all deterministic in the explicit `now_s` every
+// call takes (the daemon never reads a clock itself):
 //   * hold timer / keepalive deadlines — liveness is detected by silence,
 //     exactly like BGP: any received record or keepalive refreshes the
 //     hold deadline; expiry is a flap;

@@ -7,8 +7,8 @@
 //
 // Parse() is the matching reader: it accepts full JSON (the superset of
 // what Dump emits), preserves member order, and fails closed with a
-// byte-offset error message — the experiment-matrix merge step
-// (src/xmat/) uses it to re-read per-cell bench summaries.
+// byte-offset error message. The trace tests read the sink's JSONL lines
+// back through it.
 
 #include <cstdint>
 #include <optional>

@@ -16,6 +16,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -61,6 +62,8 @@ namespace quicksand::util {
 }
 
 /// Parses all of `text` as a finite double (strtod grammar, whole-string).
+/// "nan" and "inf", which strtod accepts, return nullopt: a NaN slips past
+/// every range check written as `x < lo || x > hi`.
 [[nodiscard]] inline std::optional<double> ParseF64(std::string_view text) {
   if (text.empty()) return std::nullopt;
   const std::string owned(text);
@@ -68,6 +71,7 @@ namespace quicksand::util {
   char* end = nullptr;
   const double value = std::strtod(owned.c_str(), &end);
   if (errno == ERANGE || end == owned.c_str() || *end != '\0') return std::nullopt;
+  if (!std::isfinite(value)) return std::nullopt;
   return value;
 }
 

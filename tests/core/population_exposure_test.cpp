@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "bgp/topology_gen.hpp"
@@ -210,6 +211,10 @@ TEST(MarkMalicious, BoundaryFractions) {
   EXPECT_EQ(none.relays, 0u);
   netbase::Rng rng2(3);
   EXPECT_THROW((void)MarkMaliciousByBandwidth(consensus, 1.5, rng2),
+               std::invalid_argument);
+  // A NaN target never stops the marking loop: every relay would go.
+  EXPECT_THROW((void)MarkMaliciousByBandwidth(
+                   consensus, std::numeric_limits<double>::quiet_NaN(), rng2),
                std::invalid_argument);
 }
 

@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <memory>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -157,6 +158,21 @@ TEST(Daemon, RateZeroMatchesBatchPipeline) {
     EXPECT_EQ(daemon.Session(session).flaps(), 0u);
     EXPECT_EQ(daemon.Session(session).establishments(), 1u);
     EXPECT_EQ(tally.shed_records, 0u);
+  }
+}
+
+TEST(Daemon, ReplayDriverRejectsNonPositiveStep) {
+  // Run() steps until Now() reaches end_s, which a zero or negative step
+  // never does; the constructor refuses the config instead.
+  Daemon daemon(DaemonConfig{});
+  const fault::FaultPlan plan = fault::FaultPlan::Scaled(0.0, 1, kWindow);
+  for (const std::int64_t step_s : {std::int64_t{0}, std::int64_t{-60}}) {
+    ReplayConfig replay;
+    replay.end_s = kWindow;
+    replay.step_s = step_s;
+    EXPECT_THROW(ReplayDriver driver(daemon, plan, {}, {}, replay),
+                 std::invalid_argument)
+        << "step_s " << step_s;
   }
 }
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "bgp/churn.hpp"
 #include "bgp/collector.hpp"
@@ -14,7 +16,6 @@
 #include "bgp/session_reset.hpp"
 #include "bgp/topology_gen.hpp"
 #include "bgp/mrt.hpp"
-#include "bgp/rib.hpp"
 #include "core/advisor.hpp"
 #include "core/attack_analysis.hpp"
 #include "core/exposure.hpp"
@@ -314,24 +315,32 @@ TEST_F(PipelineTest, AdvisorPipelineProducesActionableWeights) {
 }
 
 TEST_F(PipelineTest, RibReplayAgreesWithChurnVisibility) {
-  // Reconstructed per-session tables after the full month agree with the
-  // churn analyzer on which (session, prefix) pairs were ever observed.
-  bgp::RibSet ribs(collectors_->SessionCount());
-  ribs.ApplyAll(dynamics_->initial_rib);
-  ribs.ApplyAll(dynamics_->updates);
+  // Replaying the initial tables and the month's updates per session leaves
+  // the (session, prefix) pairs still announced at the end; the churn
+  // analyzer must have observed every one of them on that session.
+  std::set<bgp::SessionPrefixKey> held;
+  for (const std::vector<bgp::BgpUpdate>* stream :
+       {&dynamics_->initial_rib, &dynamics_->updates}) {
+    for (const bgp::BgpUpdate& update : *stream) {
+      ASSERT_LT(update.session, collectors_->SessionCount());
+      const bgp::SessionPrefixKey key{update.session, update.prefix};
+      if (update.type == bgp::UpdateType::kAnnounce) {
+        held.insert(key);
+      } else {
+        held.erase(key);
+      }
+    }
+  }
+  ASSERT_FALSE(held.empty());
   bgp::ChurnAnalyzer churn;
   test::RecordFixture fx;
   fx.Feed(churn, dynamics_->initial_rib);
   fx.Feed(churn, dynamics_->updates);
   churn.Finish();
-  // Every prefix currently in a session's RIB must have been observed by
-  // the churn analyzer on that session.
-  for (bgp::SessionId s = 0; s < collectors_->SessionCount(); ++s) {
-    for (const netbase::Prefix& prefix : ribs.Of(s).Prefixes()) {
-      EXPECT_TRUE(churn.entries().contains(bgp::SessionPrefixKey{s, prefix}))
-          << "session " << s << " holds " << prefix.ToString()
-          << " that churn never saw";
-    }
+  for (const bgp::SessionPrefixKey& key : held) {
+    EXPECT_TRUE(churn.entries().contains(key))
+        << "session " << key.session << " holds " << key.prefix.ToString()
+        << " that churn never saw";
   }
 }
 

@@ -25,7 +25,7 @@ TEST(JsonParse, RoundTripsBuilderOutput) {
   const std::optional<JsonValue> parsed = JsonValue::Parse(dumped);
   ASSERT_TRUE(parsed.has_value());
   // Byte-identical re-dump: key order, number formatting, and escapes all
-  // survive the round trip — the property the xmat merge leans on.
+  // survive the round trip.
   EXPECT_EQ(parsed->Dump(2), dumped);
 }
 

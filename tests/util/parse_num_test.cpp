@@ -39,6 +39,10 @@ TEST(ParseNum, Doubles) {
   EXPECT_DOUBLE_EQ(ParseF64("-1e3").value(), -1000.0);
   EXPECT_FALSE(ParseF64("0.25x").has_value());
   EXPECT_FALSE(ParseF64("").has_value());
+  // strtod accepts these, and a NaN passes every `x < lo || x > hi` check.
+  EXPECT_FALSE(ParseF64("nan").has_value());
+  EXPECT_FALSE(ParseF64("inf").has_value());
+  EXPECT_FALSE(ParseF64("-inf").has_value());
 }
 
 TEST(ParseNum, HexEscapesForTraceDecoding) {
