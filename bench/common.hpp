@@ -29,7 +29,6 @@
 #include "exec/thread_pool.hpp"
 #include "util/atomic_file.hpp"
 #include "util/parse_num.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
@@ -181,9 +180,9 @@ inline void PrintComparison(util::Table& table, const std::string& metric,
 ///   --json <path>    write a "quicksand-bench-v1" JSON summary
 ///   --trace <path>   stream pipeline phases as trace_event JSONL
 ///   --threads <n>    worker threads for parallel phases (0 = hardware
-///                    concurrency, the default). Output is byte-identical
-///                    for every value — only wall time changes (see
-///                    docs/PERFORMANCE.md).
+///                    concurrency, the default; at most 256). Output is
+///                    byte-identical for every value — only wall time
+///                    changes (see docs/PERFORMANCE.md).
 ///   --checkpoint <dir>       write crash-safe sweep snapshots into <dir>
 ///   --checkpoint-every <n>   snapshot cadence in completed shards (default 1)
 ///   --resume                 restart checkpointed sweeps from their last
@@ -203,14 +202,12 @@ inline void PrintComparison(util::Table& table, const std::string& metric,
 ///                            byte-identical outside the run-class qmrt.*
 ///                            and feed.* metrics — only wall time
 ///                            changes (docs/PERFORMANCE.md)
-///   --profile                enable the profiling layer: span aggregation,
-///                            the per-stage flight recorder, and a
-///                            background RSS sampler. Prints breakdown
-///                            tables and embeds "spans" / "stages"
-///                            sections (plus histogram p50/p95/p99) in the
-///                            JSON summary. Without it the JSON output is
-///                            byte-identical to a build without the
-///                            profiling layer (docs/OBSERVABILITY.md)
+///   --profile                enable the profiling layer: span aggregation
+///                            and a background RSS sampler. Runs exactly
+///                            the code an unprofiled run does, prints the
+///                            span, histogram-quantile and RSS tables, and
+///                            adds only a "spans" section to the JSON
+///                            summary (docs/OBSERVABILITY.md)
 ///
 /// The JSON summary keeps wall-clock phase timings and the "run" section
 /// (obs::Stability::kRun metrics) apart from the seeded metric snapshot,
@@ -246,7 +243,6 @@ class BenchContext {
     }
     if (profile_) {
       obs::SpanRegistry::Global().Enable(true);
-      obs::FlightRecorder::Global().Enable(true);
       obs::ResourceSampler::Options sampler_options;
       // Overlay the streaming plane's residency/throughput next to RSS in
       // each trace sample (names the feed data plane maintains).
@@ -322,9 +318,9 @@ class BenchContext {
     // Seeded metrics at top level; everything two runs may disagree on
     // (obs::Stability::kRun) in "run", with the same three maps.
     const obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    const obs::JsonValue seeded = MetricsJson(registry.Snapshot(obs::Stability::kSeeded));
+    const obs::JsonValue seeded = registry.Snapshot(obs::Stability::kSeeded).ToJson();
     for (const auto& [key, value] : seeded.members()) doc.Set(key, value);
-    doc.Set("run", MetricsJson(registry.Snapshot(obs::Stability::kRun)));
+    doc.Set("run", registry.Snapshot(obs::Stability::kRun).ToJson());
     obs::JsonValue comparisons = obs::JsonValue::Array();
     for (const auto& row : comparisons_) {
       obs::JsonValue entry = obs::JsonValue::Object();
@@ -335,10 +331,7 @@ class BenchContext {
     }
     doc.Set("comparisons", std::move(comparisons));
     doc.Set("results", results_);
-    if (profile_) {
-      doc.Set("spans", SpansJson());
-      doc.Set("stages", StagesJson());
-    }
+    if (profile_) doc.Set("spans", SpansJson());
     // Atomic replacement: a crash mid-Finish leaves the previous summary
     // (or nothing), never a torn JSON document.
     util::WriteFileAtomic(json_path_, doc.Dump(2) + '\n');
@@ -387,10 +380,6 @@ class BenchContext {
   /// --format value: the wire format for serialize/parse legs.
   [[nodiscard]] FeedFormat format() const noexcept { return format_; }
 
-  /// True when --profile was given: span aggregation, the flight
-  /// recorder, and the resource sampler are live.
-  [[nodiscard]] bool profile() const noexcept { return profile_; }
-
  private:
   struct ComparisonRow {
     std::string metric;
@@ -398,8 +387,8 @@ class BenchContext {
     std::string measured;
   };
 
-  /// Prints the --profile breakdown: span aggregates, the pipeline stage
-  /// table, latency quantiles, and the sampler's memory footprint.
+  /// Prints the --profile breakdown: span aggregates, latency quantiles,
+  /// and the sampler's memory footprint.
   void PrintProfile() const {
     const auto spans = obs::SpanRegistry::Global().Summary();
     if (!spans.empty()) {
@@ -411,20 +400,6 @@ class BenchContext {
                       util::FormatDouble(stats.self_us / 1000.0, 3),
                       std::to_string(stats.max_depth),
                       std::to_string(stats.threads)});
-      }
-      std::cout << table.Render();
-    }
-    const auto stages = obs::FlightRecorder::Global().Snapshot();
-    if (!stages.empty()) {
-      std::cout << "\nPipeline stage profile (pipeline order):\n";
-      util::Table table({"stage", "batches", "updates", "bytes", "peak_resident",
-                         "wall_ms", "self_ms"});
-      for (const auto& [name, stats] : stages) {
-        table.AddRow({name, std::to_string(stats.batches),
-                      std::to_string(stats.items), std::to_string(stats.bytes),
-                      std::to_string(stats.peak_resident),
-                      util::FormatDouble(stats.wall_us / 1000.0, 3),
-                      util::FormatDouble(stats.self_us() / 1000.0, 3)});
       }
       std::cout << table.Render();
     }
@@ -452,45 +427,6 @@ class BenchContext {
     }
   }
 
-  /// {"counters", "gauges", "histograms"} for one metric class. Under
-  /// --profile, histogram objects additionally carry estimated
-  /// p50/p95/p99; without it the document stays byte-identical to a build
-  /// without the profiling layer.
-  [[nodiscard]] obs::JsonValue MetricsJson(const obs::MetricsSnapshot& snapshot) const {
-    obs::JsonValue metrics = snapshot.ToJson();
-    if (!profile_) return metrics;
-    obs::JsonValue out = obs::JsonValue::Object();
-    for (const auto& [key, value] : metrics.members()) {
-      out.Set(key, key == "histograms" ? HistogramsWithQuantiles(snapshot) : value);
-    }
-    return out;
-  }
-
-  /// The metrics snapshot's "histograms" object with estimated
-  /// p50/p95/p99 appended to each entry (same layout otherwise).
-  [[nodiscard]] static obs::JsonValue HistogramsWithQuantiles(
-      const obs::MetricsSnapshot& snapshot) {
-    obs::JsonValue histograms = obs::JsonValue::Object();
-    for (const auto& histogram : snapshot.histograms) {
-      obs::JsonValue entry = obs::JsonValue::Object();
-      entry.Set("count", histogram.count);
-      entry.Set("sum", histogram.sum);
-      obs::JsonValue buckets = obs::JsonValue::Array();
-      for (const obs::Histogram::Bucket& bucket : histogram.buckets) {
-        obs::JsonValue b = obs::JsonValue::Object();
-        b.Set("le", bucket.upper_bound);
-        b.Set("count", bucket.count);
-        buckets.Append(std::move(b));
-      }
-      entry.Set("buckets", std::move(buckets));
-      entry.Set("p50", obs::EstimateQuantile(histogram.buckets, 0.50));
-      entry.Set("p95", obs::EstimateQuantile(histogram.buckets, 0.95));
-      entry.Set("p99", obs::EstimateQuantile(histogram.buckets, 0.99));
-      histograms.Set(histogram.name, std::move(entry));
-    }
-    return histograms;
-  }
-
   /// Span aggregates as a name-keyed object (wall time under _ms keys).
   [[nodiscard]] static obs::JsonValue SpansJson() {
     obs::JsonValue spans = obs::JsonValue::Object();
@@ -504,25 +440,6 @@ class BenchContext {
       spans.Set(name, std::move(entry));
     }
     return spans;
-  }
-
-  /// Flight-recorder stages in pipeline order. Everything except the _ms
-  /// fields is a pure function of feed content + batch-size knobs, so the
-  /// determinism checker compares it across runs.
-  [[nodiscard]] static obs::JsonValue StagesJson() {
-    obs::JsonValue stages = obs::JsonValue::Array();
-    for (const auto& [name, stats] : obs::FlightRecorder::Global().Snapshot()) {
-      obs::JsonValue entry = obs::JsonValue::Object();
-      entry.Set("name", name);
-      entry.Set("batches", stats.batches);
-      entry.Set("updates", stats.items);
-      entry.Set("bytes", stats.bytes);
-      entry.Set("peak_resident_updates", stats.peak_resident);
-      entry.Set("wall_ms", stats.wall_us / 1000.0);
-      entry.Set("self_ms", stats.self_us() / 1000.0);
-      stages.Append(std::move(entry));
-    }
-    return stages;
   }
 
   void ParseArgs(int argc, char** argv) {
@@ -539,6 +456,12 @@ class BenchContext {
         trace_path_ = argv[++i];
       } else if (arg == "--threads" && i + 1 < argc) {
         threads_ = ParseCount(arg, argv[++i]);
+        // Every parallel phase starts up to this many OS threads.
+        if (threads_ > kMaxThreads) {
+          std::cerr << "invalid --threads value: " << threads_ << " (at most "
+                    << kMaxThreads << ")\n";
+          std::exit(2);
+        }
       } else if (arg == "--checkpoint" && i + 1 < argc) {
         checkpoint_dir_ = argv[++i];
       } else if (arg == "--checkpoint-every" && i + 1 < argc) {
@@ -585,6 +508,8 @@ class BenchContext {
     }
     return static_cast<std::size_t>(*value);
   }
+
+  static constexpr std::size_t kMaxThreads = 256;
 
   static const char* Usage() {
     return " [--json <path>] [--trace <path>] [--threads <n>]\n"

@@ -15,7 +15,6 @@
 
 #include "bgp/churn.hpp"
 #include "bgp/feed.hpp"
-#include "bgp/feed_profile.hpp"
 #include "bgp/feed_sanitizer.hpp"
 #include "ckpt/sweep.hpp"
 #include "common.hpp"
@@ -39,53 +38,6 @@ bgp::ChurnAnalyzer Analyze(const std::shared_ptr<bgp::feed::AsPathTable>& table,
   return bgp::AnalyzeChurnStream(bgp::feed::FromVector(table, initial_rib, batch),
                                  bgp::feed::FromRecords(table, updates, batch), {},
                                  threads);
-}
-
-/// The --profile variant of the filtered pass: the full parse -> sanitize
-/// -> churn pipeline on the streaming data plane, with each stage in the
-/// flight recorder. The month of updates is serialized in the selected
-/// wire format first so the parse stage does real work; both formats
-/// round-trip exactly, so the ratios match the unprofiled pass. Sanitize
-/// and churn consume a stream rather than re-emit one, so each tallies
-/// its input and is recorded from the outside; a stage row counts the
-/// batches and updates it took in. Stage counts (batches, updates, peak
-/// residency) depend only on the feed content and the batch size — never
-/// on `threads` or the format — which is what CI's t1-vs-t4 stage
-/// comparison holds them to.
-std::vector<double> ProfiledFilteredRatios(const bench::Scenario& scenario,
-                                           const bgp::GeneratedDynamics& dynamics,
-                                           bench::FeedFormat format,
-                                           std::size_t threads,
-                                           std::size_t feed_batch) {
-  const std::size_t batch =
-      feed_batch != 0 ? feed_batch : bgp::feed::kDefaultBatchSize;
-  const std::string wire = bench::SerializeWire(format, dynamics.updates);
-  auto table = std::make_shared<bgp::feed::AsPathTable>();
-
-  auto sanitize_tally = std::make_shared<bgp::feed::StreamTally>();
-  bgp::feed::UpdateStream parsed = bgp::feed::TalliedStream(
-      bgp::feed::ProfiledStream("parse",
-                                bench::OpenWireStream(format, table, wire, batch)),
-      sanitize_tally);
-  const obs::Stopwatch sanitize_watch;
-  std::vector<bgp::feed::UpdateRec> drained = bgp::feed::Drain(parsed);
-  // Intern the RIB after the drain so the wire source keeps the ids it
-  // assigned.
-  std::vector<bgp::feed::UpdateRec> rib =
-      bench::InternRecords(*table, dynamics.initial_rib);
-  bgp::SanitizedRecords sanitized = bgp::SanitizeRecords(rib, std::move(drained));
-  bgp::feed::RecordSinkStage("sanitize", *sanitize_tally, sanitize_watch.ElapsedUs());
-
-  auto churn_tally = std::make_shared<bgp::feed::StreamTally>();
-  bgp::feed::UpdateStream clean = bgp::feed::TalliedStream(
-      bgp::feed::FromRecords(table, std::move(sanitized.updates), batch), churn_tally);
-  const obs::Stopwatch churn_watch;
-  const bgp::ChurnAnalyzer analyzer = bgp::AnalyzeChurnStream(
-      bgp::feed::FromRecords(table, std::move(rib), batch), std::move(clean), {},
-      threads);
-  bgp::feed::RecordSinkStage("churn", *churn_tally, churn_watch.ElapsedUs());
-  return analyzer.RatioToSessionMedian(
-      scenario.prefix_map.TorPrefixes(scenario.consensus.consensus));
 }
 
 std::vector<double> RatiosFromStream(const bench::Scenario& scenario,
@@ -160,13 +112,6 @@ int main(int argc, char** argv) {
     return ckpt::CheckpointedMap(
         churn_stage, /*threads=*/1, 2,
         [&](std::size_t shard) {
-          // Under --profile the filtered pass runs the full parse ->
-          // sanitize -> churn pipeline so the stage table has all three
-          // rows; the ratios are identical either way.
-          if (shard == 0 && ctx.profile()) {
-            return ProfiledFilteredRatios(scenario, dynamics, ctx.format(),
-                                          ctx.threads(), ctx.feed_batch());
-          }
           return RatiosFromStream(scenario, table, dynamics.initial_rib,
                                   shard == 0 ? filtered.updates : parsed,
                                   ctx.threads(), ctx.feed_batch());

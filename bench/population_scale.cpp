@@ -13,7 +13,7 @@
 //
 // Axis flags (consumed before the shared BenchContext flags):
 //
-//   population_scale --clients 1000000 --days 30 --shard-clients 65536 \
+//   population_scale --clients 1000000 --days 30 --shard-clients 65536
 //                    --seed 20140901 --threads 8 --json out.json
 
 #include <algorithm>

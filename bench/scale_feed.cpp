@@ -25,13 +25,13 @@
 
 #include "bgp/churn.hpp"
 #include "bgp/feed.hpp"
-#include "bgp/feed_profile.hpp"
 #include "bgp/feed_sanitizer.hpp"
 #include "bgp/mrt.hpp"
 #include "bgp/qmrt.hpp"
 #include "bgp/topology_gen.hpp"
 #include "common.hpp"
 #include "obs/metrics.hpp"
+#include "util/parse_num.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -41,13 +41,12 @@ using namespace quicksand;
 std::size_t EnvCount(const char* name, std::size_t fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || parsed == 0) {
+  const std::optional<std::uint64_t> parsed = util::ParseU64(value);
+  if (!parsed.has_value() || *parsed == 0) {
     std::cerr << name << ": invalid count '" << value << "'\n";
     std::exit(2);
   }
-  return static_cast<std::size_t>(parsed);
+  return static_cast<std::size_t>(*parsed);
 }
 
 }  // namespace
@@ -118,9 +117,8 @@ int main(int argc, char** argv) {
   // Analyze straight off the file: decode -> sanitize -> churn, each
   // hand-off one batch. Sanitizing needs the whole feed, so the decoded
   // stream is drained to compact records and the clean records are
-  // re-streamed. The tally between decode and sanitize counts exactly
-  // what came off the wire.
-  auto tally = std::make_shared<bgp::feed::StreamTally>();
+  // re-streamed. The drained count is exactly what came off the wire.
+  std::size_t decoded = 0;
   const bgp::ChurnAnalyzer analyzer = ctx.Timed("analyze", [&] {
     auto table = std::make_shared<bgp::feed::AsPathTable>();
     table->Reserve(dynamics.initial_rib.size());  // same hint as encode
@@ -128,12 +126,12 @@ int main(int argc, char** argv) {
     decode_options.batch_size = batch;
     bgp::mrt::ParseStreamOptions parse_options;
     parse_options.batch_size = batch;
-    bgp::feed::UpdateStream decoded = bgp::feed::TalliedStream(
+    bgp::feed::UpdateStream wire =
         ctx.format() == bench::FeedFormat::kQmrt
             ? bgp::qmrt::DecodeFileStream(table, wire_path, decode_options)
-            : bgp::mrt::ParseFileStream(table, wire_path, parse_options),
-        tally);
-    std::vector<bgp::feed::UpdateRec> drained = bgp::feed::Drain(decoded);
+            : bgp::mrt::ParseFileStream(table, wire_path, parse_options);
+    std::vector<bgp::feed::UpdateRec> drained = bgp::feed::Drain(wire);
+    decoded = drained.size();
     // Intern the RIB after the drain so the wire source keeps the ids it
     // assigned.
     const std::vector<bgp::feed::UpdateRec> rib =
@@ -149,8 +147,8 @@ int main(int argc, char** argv) {
 
   // Contract 1: the file round trip is lossless — every generated update
   // came back off the wire before sanitizing touched the feed.
-  if (tally->items.load() != dynamics.updates.size()) {
-    std::cerr << "FAIL: wire file returned " << tally->items.load() << " of "
+  if (decoded != dynamics.updates.size()) {
+    std::cerr << "FAIL: wire file returned " << decoded << " of "
               << dynamics.updates.size() << " generated updates\n";
     return 1;
   }
@@ -174,14 +172,14 @@ int main(int argc, char** argv) {
   util::Table contract({"metric", "paper", "measured"});
   ctx.Comparison(contract, "wire file round trip", "lossless",
                  std::to_string(written) + " written / " +
-                     std::to_string(tally->items.load()) + " decoded");
+                     std::to_string(decoded) + " decoded");
   ctx.Comparison(contract, "peak resident updates", "<= batch size",
                  std::to_string(static_cast<long long>(peak)));
   std::cout << contract.Render();
 
   ctx.Result("as_count", static_cast<std::uint64_t>(scenario.topology.graph.AsCount()));
   ctx.Result("updates_generated", static_cast<std::uint64_t>(dynamics.updates.size()));
-  ctx.Result("updates_decoded", static_cast<std::uint64_t>(tally->items.load()));
+  ctx.Result("updates_decoded", static_cast<std::uint64_t>(decoded));
   ctx.Result("churn_entries", static_cast<std::uint64_t>(analyzer.entries().size()));
   ctx.Finish();
   return 0;

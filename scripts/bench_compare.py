@@ -9,8 +9,8 @@ Two independent checks, with different severities:
 
   * Deterministic drift (HARD FAIL): the deterministic views of the two
     documents (check_bench_json.py: top-level counters, gauges and
-    histograms, comparison rows, results, stage counts — never the "run"
-    section) must be identical. A drift here means the experiment's *output* changed —
+    histograms, comparison rows, results — never the "run" section)
+    must be identical. A drift here means the experiment's *output* changed —
     a correctness regression, never noise — so it always exits 1.
 
   * Wall-time regressions (WARN by default): each phase present in both

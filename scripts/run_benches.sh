@@ -20,9 +20,9 @@
 # outside each JSON's "run" section, where the qmrt.* metrics live, are
 # byte-identical either way — docs/ARCHITECTURE.md "Wire formats").
 # Pass QUICKSAND_BENCH_PROFILE=1 to forward --profile to every bench: span
-# aggregation, the per-stage flight recorder, and the RSS sampler come on,
-# breakdown tables are printed, and the JSON grows "spans"/"stages"
-# sections plus histogram quantiles (docs/OBSERVABILITY.md).
+# aggregation and the RSS sampler come on, span and histogram-quantile
+# tables are printed, and the JSON grows a "spans" section; nothing else
+# in it changes (docs/OBSERVABILITY.md).
 # micro_substrates runs with --benchmark_min_time=0.01 to keep the sweep
 # fast; drop that override for real performance numbers.
 # fault_sweep (picked up by the same glob) additionally writes

@@ -2,22 +2,28 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/logger.hpp"
 #include "obs/metrics.hpp"
 #include "util/atomic_file.hpp"
+#include "util/parse_num.hpp"
 
 namespace quicksand::ckpt {
 
 namespace {
 
+// Unset means the hook is off (0). A malformed or negative value throws
+// rather than silently turning a kill leg into an uninterrupted run.
 [[nodiscard]] std::size_t AbortAfterFromEnv() {
-  const char* raw = std::getenv("QUICKSAND_CKPT_ABORT_AFTER");
-  if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(raw, &end, 10);
-  if (end == nullptr || *end != '\0') return 0;
+  constexpr const char* kName = "QUICKSAND_CKPT_ABORT_AFTER";
+  const std::int64_t value = util::EnvInt64(kName, 0);
+  if (value < 0) {
+    throw std::runtime_error(std::string(kName) + ": negative shard count " +
+                             std::to_string(value));
+  }
   return static_cast<std::size_t>(value);
 }
 

@@ -27,7 +27,9 @@
 // (std::_Exit, no destructors — a stand-in for SIGKILL) right after the
 // n-th newly recorded shard is flushed. The kill-and-resume smoke test
 // (scripts/resume_smoke.sh, CI "resume-smoke") uses it to assert resumed
-// output is byte-identical to an uninterrupted run.
+// output is byte-identical to an uninterrupted run. A malformed or
+// negative value makes the CheckpointWriter constructor throw
+// std::runtime_error naming the variable.
 
 #include <cstdint>
 #include <map>

@@ -118,7 +118,7 @@ class Histogram {
 /// never invents a value beyond what the buckets can support). Returns 0
 /// for an empty distribution. Pure
 /// arithmetic over the bucket counts, so deterministic inputs give
-/// deterministic quantiles — `--profile` surfaces p50/p95/p99 through
+/// deterministic quantiles — `--profile` prints p50/p95/p99 through
 /// this instead of dumping raw buckets.
 [[nodiscard]] double EstimateQuantile(const std::vector<Histogram::Bucket>& buckets,
                                       double q);

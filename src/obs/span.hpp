@@ -24,8 +24,9 @@
 // the reason library code can use ScopedSpan unconditionally.
 //
 // Determinism contract: span aggregation never writes to the metrics
-// registry, and the summary's wall-time numbers live only in fields whose
-// names end in `_ms` when serialized (bench/common.hpp). Call counts at
+// registry, and the bench JSON's `spans{}` section (bench/common.hpp) is
+// left out of scripts/check_bench_json.py's deterministic view, so a
+// profiled run compares equal to an unprofiled one. Call counts at
 // deterministically-placed callsites are themselves deterministic — the
 // span tests hold summaries to that across thread counts.
 

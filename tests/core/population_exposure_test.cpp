@@ -68,7 +68,9 @@ TEST(PopulationExposure, CurveMonotoneAndTalliesConsistent) {
   std::size_t clients = 0, compromised = 0;
   for (std::size_t i = 0; i < result.per_as.size(); ++i) {
     const ClientAsExposure& entry = result.per_as[i];
-    if (i > 0) EXPECT_LT(result.per_as[i - 1].as, entry.as);
+    if (i > 0) {
+      EXPECT_LT(result.per_as[i - 1].as, entry.as);
+    }
     EXPECT_LE(entry.compromised, entry.clients);
     EXPECT_GE(entry.fraction, 0.0);
     EXPECT_LE(entry.fraction, 1.0);

@@ -62,7 +62,7 @@ TEST_F(SpanRegistryTest, NestingAttributesSelfAndDepth) {
     const ScopedSpan inner("inner");
     // Deterministic busy loop so inner accumulates measurable time.
     volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 2000000; ++i) sink += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 2000000; ++i) sink = sink + static_cast<std::uint64_t>(i);
   }
   const auto summary = SpanRegistry::Global().Summary();
   ASSERT_EQ(summary.size(), 2u);
@@ -90,7 +90,7 @@ TEST_F(SpanRegistryTest, PoolThreadsAggregateWithoutLoss) {
   exec::ParallelFor(4, kItems, [](std::size_t i) {
     const ScopedSpan span("worker");
     volatile std::uint64_t sink = i;
-    for (int k = 0; k < 1000; ++k) sink += static_cast<std::uint64_t>(k);
+    for (int k = 0; k < 1000; ++k) sink = sink + static_cast<std::uint64_t>(k);
   });
   const auto summary = SpanRegistry::Global().Summary();
   ASSERT_EQ(summary.size(), 1u);
