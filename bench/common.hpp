@@ -25,6 +25,7 @@
 #include "bgp/mrt.hpp"
 #include "bgp/qmrt.hpp"
 #include "bgp/topology_gen.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "ckpt/sweep.hpp"
 #include "exec/thread_pool.hpp"
 #include "util/atomic_file.hpp"
@@ -496,6 +497,14 @@ class BenchContext {
     }
     if (resume_ && checkpoint_dir_.empty()) {
       std::cerr << "--resume requires --checkpoint <dir>\n";
+      std::exit(2);
+    }
+    // The checkpoint fault hook is read when a sweep starts; a bad value
+    // must stop the bench here, before any phase runs.
+    try {
+      (void)ckpt::AbortAfterFromEnv();
+    } catch (const std::runtime_error& error) {
+      std::cerr << error.what() << "\n";
       std::exit(2);
     }
   }

@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <unordered_set>
 
 #include "bgp/churn.hpp"
 #include "bgp/feed.hpp"
@@ -26,29 +28,42 @@ namespace {
 
 using namespace quicksand;
 
+/// What one churn pass yields: the Fig. 3 left ratio series and the share
+/// of Tor prefixes that change more than their session's median on at
+/// least one session.
+struct ChurnShard {
+  std::vector<double> ratios;
+  double tor_prefixes_above_median = 0;
+};
+
 /// Runs the churn analysis on the streaming data plane over records that
 /// already index `table`. Results are identical for every batch size —
 /// the --feed-batch smoke in CI holds the default batch and 512 to that.
-bgp::ChurnAnalyzer Analyze(const std::shared_ptr<bgp::feed::AsPathTable>& table,
-                           const std::vector<bgp::BgpUpdate>& initial_rib,
-                           const std::vector<bgp::feed::UpdateRec>& updates,
-                           std::size_t threads, std::size_t feed_batch) {
+ChurnShard AnalyzeShard(const std::unordered_set<netbase::Prefix>& tor_prefixes,
+                        const std::shared_ptr<bgp::feed::AsPathTable>& table,
+                        const std::vector<bgp::BgpUpdate>& initial_rib,
+                        const std::vector<bgp::feed::UpdateRec>& updates,
+                        std::size_t threads, std::size_t feed_batch) {
   const std::size_t batch =
       feed_batch != 0 ? feed_batch : bgp::feed::kDefaultBatchSize;
-  return bgp::AnalyzeChurnStream(bgp::feed::FromVector(table, initial_rib, batch),
-                                 bgp::feed::FromRecords(table, updates, batch), {},
-                                 threads);
-}
-
-std::vector<double> RatiosFromStream(const bench::Scenario& scenario,
-                                     const std::shared_ptr<bgp::feed::AsPathTable>& table,
-                                     const std::vector<bgp::BgpUpdate>& initial_rib,
-                                     const std::vector<bgp::feed::UpdateRec>& updates,
-                                     std::size_t threads, std::size_t feed_batch) {
   const bgp::ChurnAnalyzer analyzer =
-      Analyze(table, initial_rib, updates, threads, feed_batch);
-  return analyzer.RatioToSessionMedian(
-      scenario.prefix_map.TorPrefixes(scenario.consensus.consensus));
+      bgp::AnalyzeChurnStream(bgp::feed::FromVector(table, initial_rib, batch),
+                              bgp::feed::FromRecords(table, updates, batch), {}, threads);
+  ChurnShard shard;
+  shard.ratios = analyzer.RatioToSessionMedian(tor_prefixes);
+  const std::map<bgp::SessionId, double> medians = analyzer.MedianPathChangesPerSession();
+  std::map<netbase::Prefix, bool> above;
+  for (const auto& [key, churn] : analyzer.entries()) {
+    if (!tor_prefixes.contains(key.prefix)) continue;
+    above[key.prefix] = above[key.prefix] ||
+                        static_cast<double>(churn.path_changes) > medians.at(key.session);
+  }
+  const auto count = std::count_if(above.begin(), above.end(),
+                                   [](const auto& entry) { return entry.second; });
+  shard.tor_prefixes_above_median =
+      above.empty() ? 0.0
+                    : static_cast<double>(count) / static_cast<double>(above.size());
+  return shard;
 }
 
 }  // namespace
@@ -106,28 +121,35 @@ int main(int argc, char** argv) {
   // The two heavy churn passes (filtered / unfiltered) are checkpoint
   // shards: a killed run resumes past whichever pass already completed.
   // The inputs (dynamics, sanitized feed) are regenerated deterministically
-  // above, so decoded ratios splice back in byte-identically.
-  const ckpt::StageOptions churn_stage = ctx.Stage("churn", 2);
-  const auto ratio_sets = ctx.Timed("churn", [&] {
+  // above, so decoded shards splice back in byte-identically. Config key 1:
+  // a payload carries the above-median share next to the ratios (older
+  // snapshots held ratios only and are recomputed).
+  const std::unordered_set<netbase::Prefix> tor_prefixes =
+      scenario.prefix_map.TorPrefixes(scenario.consensus.consensus);
+  const ckpt::StageOptions churn_stage = ctx.Stage("churn", 2, /*config_key=*/1);
+  const auto shards = ctx.Timed("churn", [&] {
     return ckpt::CheckpointedMap(
         churn_stage, /*threads=*/1, 2,
         [&](std::size_t shard) {
-          return RatiosFromStream(scenario, table, dynamics.initial_rib,
-                                  shard == 0 ? filtered.updates : parsed,
-                                  ctx.threads(), ctx.feed_batch());
+          return AnalyzeShard(tor_prefixes, table, dynamics.initial_rib,
+                              shard == 0 ? filtered.updates : parsed, ctx.threads(),
+                              ctx.feed_batch());
         },
-        [](const std::vector<double>& ratios, ckpt::PayloadWriter& payload) {
-          payload.U64(ratios.size());
-          for (const double r : ratios) payload.Dbl(r);
+        [](const ChurnShard& shard, ckpt::PayloadWriter& payload) {
+          payload.U64(shard.ratios.size());
+          for (const double r : shard.ratios) payload.Dbl(r);
+          payload.Dbl(shard.tor_prefixes_above_median);
         },
         [](ckpt::PayloadReader& payload) {
-          std::vector<double> ratios(payload.U64());
-          for (double& r : ratios) r = payload.Dbl();
-          return ratios;
+          ChurnShard shard;
+          shard.ratios.resize(payload.U64());
+          for (double& r : shard.ratios) r = payload.Dbl();
+          shard.tor_prefixes_above_median = payload.Dbl();
+          return shard;
         });
   });
-  const std::vector<double>& ratios = ratio_sets[0];
-  const std::vector<double>& raw_ratios = ratio_sets[1];
+  const std::vector<double>& ratios = shards[0].ratios;
+  const std::vector<double>& raw_ratios = shards[1].ratios;
 
   util::PrintBanner(std::cout, "CCDF of ratio (filtered stream)");
   core::PrintCcdf(std::cout, util::Ccdf(ratios), "changes / session median", 18);
@@ -154,37 +176,8 @@ int main(int argc, char** argv) {
   ctx.Comparison(comparison, "worst Tor prefix vs median",
                  "~2000x (178.239.176.0/20)",
                  util::FormatDouble(max_ratio, 0) + "x");
-  ctx.Comparison(
-      comparison, "Tor prefixes above median on >=1 session", "90%", [&] {
-        // Group ratios per prefix across sessions via a second pass.
-        const bgp::ChurnAnalyzer analyzer =
-            Analyze(table, dynamics.initial_rib, filtered.updates, ctx.threads(),
-                    ctx.feed_batch());
-        const auto tor_prefixes =
-            scenario.prefix_map.TorPrefixes(scenario.consensus.consensus);
-        std::map<bgp::SessionId, double> medians;
-        std::map<netbase::Prefix, bool> above;
-        for (const auto& [key, churn] : analyzer.entries()) {
-          if (!tor_prefixes.contains(key.prefix)) continue;
-          auto it = medians.find(key.session);
-          if (it == medians.end()) {
-            it = medians.emplace(key.session, analyzer.MedianPathChanges(key.session))
-                     .first;
-          }
-          above[key.prefix] =
-              above[key.prefix] ||
-              static_cast<double>(churn.path_changes) > it->second;
-        }
-        std::size_t count = 0;
-        for (const auto& [prefix, is_above] : above) {
-          (void)prefix;
-          if (is_above) ++count;
-        }
-        return util::FormatPercent(
-            above.empty() ? 0.0
-                          : static_cast<double>(count) / static_cast<double>(above.size()),
-            1);
-      }());
+  ctx.Comparison(comparison, "Tor prefixes above median on >=1 session", "90%",
+                 util::FormatPercent(shards[0].tor_prefixes_above_median, 1));
   std::cout << comparison.Render();
 
   util::CsvWriter csv("fig3_left.csv", {"ratio", "ccdf_fraction"});

@@ -24,12 +24,12 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "bgp/feed.hpp"
 #include "netbase/sim_time.hpp"
+#include "util/flat_index.hpp"
 
 namespace quicksand::daemon {
 struct StateCodec;
@@ -70,13 +70,17 @@ class ChurnAnalyzer;
 
 /// Runs a whole dataset (initial RIB + time-ordered updates) through the
 /// analyzer on `threads` threads (0 = hardware concurrency) and returns it
-/// finished. Drains both streams (records are compact — 32-bit path ids,
-/// not owning paths); sessions are independent key spaces, so the records
-/// are partitioned by session, analyzed per partition, and merged in
-/// session order. The entries are identical to serial consumption for
-/// every thread count and batch size, and the two streams may share an
-/// AsPathTable or carry their own. Each partition keeps its own seen-path
-/// set, so `bgp.churn.path_set_cache_hits` counts per session.
+/// finished. Sessions are independent key spaces: both streams are
+/// drained once into one contiguous record range per session (its RIB
+/// records, then its updates, each in stream order; records are compact —
+/// 32-bit path ids, not owning paths), each stream's own copy is released
+/// as soon as it is drained, and the ranges are analyzed in parallel and
+/// merged in session order. The entries are identical to serial
+/// consumption for every thread count and batch size, and the two streams
+/// may share an AsPathTable or carry their own. Each range keeps its own
+/// seen-path set, so `bgp.churn.path_set_cache_hits` counts per session.
+/// The returned analyzer holds results only: its live queries
+/// (CurrentOnPathAses, IsOnPath) see no state.
 [[nodiscard]] ChurnAnalyzer AnalyzeChurnStream(feed::UpdateStream initial_rib,
                                                feed::UpdateStream updates,
                                                ChurnParams params = {},
@@ -131,12 +135,10 @@ class ChurnAnalyzer {
   /// Per-(session, prefix) results. Only valid after Finish().
   [[nodiscard]] const std::map<SessionPrefixKey, SessionPrefixChurn>& entries() const;
 
-  /// Path-change counts of every prefix observed on `session`.
-  [[nodiscard]] std::vector<double> PathChangeCounts(SessionId session) const;
-
-  /// Median path-change count over all prefixes on `session` (the paper's
-  /// normalizer). Returns 0 if the session observed nothing.
-  [[nodiscard]] double MedianPathChanges(SessionId session) const;
+  /// Median path-change count over all prefixes of each observed session
+  /// (the paper's normalizer), from one pass over the session-ordered
+  /// entries.
+  [[nodiscard]] std::map<SessionId, double> MedianPathChangesPerSession() const;
 
   /// For each (session, prefix) whose prefix satisfies `is_target`, the
   /// ratio of its path changes to the session's median (the Fig. 3 left
@@ -167,25 +169,70 @@ class ChurnAnalyzer {
   /// (src/daemon/state_codec.cpp) without widening the public API.
   friend struct quicksand::daemon::StateCodec;
 
-  struct State {
-    bool has_baseline = false;
-    std::int64_t last_time_s = std::numeric_limits<std::int64_t>::min();
-    std::vector<AsNumber> baseline;       // sorted distinct AS set
-    std::vector<AsNumber> last_announced; // sorted; empty only before first
-    bool withdrawn = true;
-    std::unordered_map<AsNumber, std::int64_t> open_since;  // extra ASes on path
-    std::unordered_set<AsNumber> qualifying;
-    std::unordered_set<AsNumber> glimpsed;
-    std::unordered_set<std::uint64_t> distinct_sets;
-    std::size_t announcements = 0;
-    std::size_t path_changes = 0;
+  /// An extra AS on the current path and when its on-path interval opened.
+  struct OpenInterval {
+    AsNumber as = 0;
+    std::int64_t since = 0;
   };
 
+  /// One (session, prefix)'s bookkeeping. Besides the two sorted AS sets,
+  /// every set is a short vector of unique values in arrival order — the
+  /// paper month has at most 5 distinct sets and 10 extra ASes per key —
+  /// so a key costs a few small vectors, not hash tables.
+  struct State {
+    bool has_baseline = false;
+    bool withdrawn = true;
+    std::int64_t last_time_s = std::numeric_limits<std::int64_t>::min();
+    std::size_t announcements = 0;
+    std::size_t path_changes = 0;
+    std::vector<AsNumber> baseline;            // sorted distinct AS set
+    std::vector<AsNumber> last_announced;      // sorted; empty only before first
+    std::vector<OpenInterval> open;            // extra ASes on path
+    std::vector<AsNumber> qualifying;          // closed at or above the threshold
+    std::vector<AsNumber> glimpsed;            // closed below it (may also qualify)
+    std::vector<std::uint64_t> distinct_sets;  // SetHash of every announced set
+  };
+
+  /// One session's states, in first-seen order, found by prefix through
+  /// an open-addressing index.
+  struct Partition {
+    SessionId session = 0;
+    std::vector<netbase::Prefix> prefixes;  // slot -> prefix
+    std::vector<State> states;              // slot -> state
+    util::FlatIndex slot_of;                // packed prefix -> slot
+
+    /// The state of `prefix`, added on first sight.
+    State& Slot(const netbase::Prefix& prefix);
+    /// The state of `prefix`, or null.
+    [[nodiscard]] const State* Find(const netbase::Prefix& prefix) const;
+    /// Every slot, in ascending prefix order.
+    [[nodiscard]] std::vector<std::uint32_t> SlotsByPrefix() const;
+  };
+
+  /// Counter increments of a consumed range, published once.
+  struct Tally {
+    std::uint64_t consumed = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t cache_hits = 0;
+  };
+
+  /// The partition of `session`, added (in session order) on first sight.
+  Partition& PartitionOf(SessionId session);
+  /// Feeds one record to its prefix's state in `part`; `seen` holds the
+  /// path hashes announced so far in this key space.
+  void Consume(Partition& part, const feed::UpdateRec& rec,
+               const feed::AsPathTable& table, util::FlatU64Set& seen,
+               Tally& tally) const;
   void Announce(State& state, std::int64_t now, const std::vector<AsNumber>& as_set,
-                std::uint64_t set_hash);
-  void Withdraw(State& state, std::int64_t now);
+                std::uint64_t set_hash) const;
+  void Withdraw(State& state, std::int64_t now) const;
   void CloseIntervals(State& state, std::int64_t now,
-                      const std::vector<AsNumber>* keep_sorted);
+                      const std::vector<AsNumber>* keep_sorted) const;
+  /// Closes `part`'s intervals at the window end and appends its entries,
+  /// in prefix order, to `out` (whose keys must all precede them).
+  void FinishPartition(Partition& part,
+                       std::map<SessionPrefixKey, SessionPrefixChurn>& out) const;
+  static void Publish(const Tally& tally);
 
   ChurnParams params_;
   /// Hop-content hashes of every announced path this analyzer has seen —
@@ -193,9 +240,9 @@ class ChurnAnalyzer {
   /// (bgp.churn.path_set_cache_hits). Keyed on the table-independent
   /// content hash so the count does not depend on which table a record
   /// indexes.
-  std::unordered_set<std::uint64_t> seen_path_hashes_;
-  std::map<SessionPrefixKey, State> states_;
-  mutable std::map<SessionPrefixKey, SessionPrefixChurn> results_;
+  util::FlatU64Set seen_path_hashes_;
+  std::vector<Partition> partitions_;  // ascending session
+  std::map<SessionPrefixKey, SessionPrefixChurn> results_;
   std::size_t dropped_out_of_order_ = 0;
   bool finished_ = false;
 };

@@ -13,11 +13,9 @@
 
 namespace quicksand::ckpt {
 
-namespace {
-
-// Unset means the hook is off (0). A malformed or negative value throws
-// rather than silently turning a kill leg into an uninterrupted run.
-[[nodiscard]] std::size_t AbortAfterFromEnv() {
+// A malformed or negative value throws rather than silently turning a
+// kill leg into an uninterrupted run.
+std::size_t AbortAfterFromEnv() {
   constexpr const char* kName = "QUICKSAND_CKPT_ABORT_AFTER";
   const std::int64_t value = util::EnvInt64(kName, 0);
   if (value < 0) {
@@ -26,8 +24,6 @@ namespace {
   }
   return static_cast<std::size_t>(value);
 }
-
-}  // namespace
 
 CheckpointWriter::CheckpointWriter(Options options)
     : options_(std::move(options)), abort_after_(AbortAfterFromEnv()) {

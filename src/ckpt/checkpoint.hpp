@@ -28,8 +28,9 @@
 // n-th newly recorded shard is flushed. The kill-and-resume smoke test
 // (scripts/resume_smoke.sh, CI "resume-smoke") uses it to assert resumed
 // output is byte-identical to an uninterrupted run. A malformed or
-// negative value makes the CheckpointWriter constructor throw
-// std::runtime_error naming the variable.
+// negative value makes AbortAfterFromEnv — and so the CheckpointWriter
+// constructor — throw std::runtime_error naming the variable; the benches
+// call it while parsing their arguments and exit 2.
 
 #include <cstdint>
 #include <map>
@@ -39,6 +40,11 @@
 #include "ckpt/snapshot.hpp"
 
 namespace quicksand::ckpt {
+
+/// The QUICKSAND_CKPT_ABORT_AFTER shard count; 0 (hook off) when unset.
+/// Throws std::runtime_error naming the variable on a malformed or
+/// negative value.
+[[nodiscard]] std::size_t AbortAfterFromEnv();
 
 class CheckpointWriter {
  public:

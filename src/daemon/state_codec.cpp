@@ -35,14 +35,33 @@ void PutSortedU64Set(ckpt::PayloadWriter& w, const T& set) {
   for (const std::uint64_t value : sorted) w.U64(value);
 }
 
+/// A set written by PutSortedU64Set; members that are not strictly
+/// ascending make the payload malformed.
+template <typename T>
+std::vector<T> GetSortedSet(ckpt::PayloadReader& r) {
+  const std::uint64_t count = r.U64();
+  std::vector<T> out;
+  std::uint64_t previous = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint64_t value = r.U64();
+    if (i > 0 && value <= previous) {
+      throw std::runtime_error("StateCodec: set members not strictly ascending");
+    }
+    out.push_back(static_cast<T>(value));
+    previous = value;
+  }
+  return out;
+}
+
 void PutAsVector(ckpt::PayloadWriter& w, const std::vector<bgp::AsNumber>& ases) {
   w.U64(ases.size());
   for (const bgp::AsNumber as : ases) w.U64(as);
 }
+// No reserve from a count read off the payload: an inflated count must
+// fail on the missing fields, not allocate first.
 std::vector<bgp::AsNumber> GetAsVector(ckpt::PayloadReader& r) {
   const std::uint64_t count = r.U64();
   std::vector<bgp::AsNumber> out;
-  out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     out.push_back(static_cast<bgp::AsNumber>(r.U64()));
   }
@@ -85,32 +104,42 @@ void StateCodec::EncodeChurn(ckpt::PayloadWriter& w, const bgp::ChurnAnalyzer& a
     throw std::runtime_error("StateCodec: cannot snapshot a finished ChurnAnalyzer");
   }
   w.U64(analyzer.dropped_out_of_order_);
-  PutSortedU64Set(w, analyzer.seen_path_hashes_);
-  w.U64(analyzer.states_.size());
-  for (const auto& [key, state] : analyzer.states_) {
-    w.U64(key.session);
-    PutPrefix(w, key.prefix);
-    w.Bool(state.has_baseline);
-    PutI64(w, state.last_time_s);
-    PutAsVector(w, state.baseline);
-    PutAsVector(w, state.last_announced);
-    w.Bool(state.withdrawn);
-    {
-      // open_since: AS -> opened-at, ASes ascending.
-      std::vector<std::pair<bgp::AsNumber, std::int64_t>> open(
-          state.open_since.begin(), state.open_since.end());
-      std::sort(open.begin(), open.end());
-      w.U64(open.size());
-      for (const auto& [as, since] : open) {
-        w.U64(as);
-        PutI64(w, since);
+  std::vector<std::uint64_t> seen;
+  seen.reserve(analyzer.seen_path_hashes_.size());
+  analyzer.seen_path_hashes_.ForEach([&seen](std::uint64_t hash) { seen.push_back(hash); });
+  PutSortedU64Set(w, seen);
+  std::size_t states = 0;
+  for (const auto& part : analyzer.partitions_) states += part.states.size();
+  w.U64(states);
+  // Keys ascending: partitions are in session order, slots sorted by prefix.
+  for (const auto& part : analyzer.partitions_) {
+    for (const std::uint32_t slot : part.SlotsByPrefix()) {
+      const auto& state = part.states[slot];
+      w.U64(part.session);
+      PutPrefix(w, part.prefixes[slot]);
+      w.Bool(state.has_baseline);
+      PutI64(w, state.last_time_s);
+      PutAsVector(w, state.baseline);
+      PutAsVector(w, state.last_announced);
+      w.Bool(state.withdrawn);
+      {
+        // Open intervals: AS -> opened-at, ASes ascending.
+        std::vector<std::pair<bgp::AsNumber, std::int64_t>> open;
+        open.reserve(state.open.size());
+        for (const auto& interval : state.open) open.emplace_back(interval.as, interval.since);
+        std::sort(open.begin(), open.end());
+        w.U64(open.size());
+        for (const auto& [as, since] : open) {
+          w.U64(as);
+          PutI64(w, since);
+        }
       }
+      PutSortedU64Set(w, state.qualifying);
+      PutSortedU64Set(w, state.glimpsed);
+      PutSortedU64Set(w, state.distinct_sets);
+      w.U64(state.announcements);
+      w.U64(state.path_changes);
     }
-    PutSortedU64Set(w, state.qualifying);
-    PutSortedU64Set(w, state.glimpsed);
-    PutSortedU64Set(w, state.distinct_sets);
-    w.U64(state.announcements);
-    w.U64(state.path_changes);
   }
 }
 
@@ -118,18 +147,21 @@ void StateCodec::DecodeChurn(ckpt::PayloadReader& r, bgp::ChurnAnalyzer& analyze
   analyzer.finished_ = false;
   analyzer.results_.clear();
   analyzer.dropped_out_of_order_ = r.U64();
-  analyzer.seen_path_hashes_.clear();
-  {
-    const std::uint64_t count = r.U64();
-    for (std::uint64_t i = 0; i < count; ++i) analyzer.seen_path_hashes_.insert(r.U64());
+  analyzer.seen_path_hashes_ = util::FlatU64Set();
+  for (const std::uint64_t hash : GetSortedSet<std::uint64_t>(r)) {
+    analyzer.seen_path_hashes_.Insert(hash);
   }
-  analyzer.states_.clear();
+  analyzer.partitions_.clear();
   const std::uint64_t states = r.U64();
   for (std::uint64_t i = 0; i < states; ++i) {
-    bgp::SessionPrefixKey key;
-    key.session = static_cast<bgp::SessionId>(r.U64());
-    key.prefix = GetPrefix(r);
-    bgp::ChurnAnalyzer::State state;
+    const auto session = static_cast<bgp::SessionId>(r.U64());
+    const netbase::Prefix prefix = GetPrefix(r);
+    auto& part = analyzer.PartitionOf(session);
+    const std::size_t known = part.states.size();
+    auto& state = part.Slot(prefix);
+    if (part.states.size() == known) {
+      throw std::runtime_error("StateCodec: duplicate churn key");
+    }
     state.has_baseline = r.Bool();
     state.last_time_s = GetI64(r);
     state.baseline = GetAsVector(r);
@@ -138,21 +170,16 @@ void StateCodec::DecodeChurn(ckpt::PayloadReader& r, bgp::ChurnAnalyzer& analyze
     const std::uint64_t open = r.U64();
     for (std::uint64_t j = 0; j < open; ++j) {
       const auto as = static_cast<bgp::AsNumber>(r.U64());
-      state.open_since.emplace(as, GetI64(r));
+      if (!state.open.empty() && as <= state.open.back().as) {
+        throw std::runtime_error("StateCodec: open intervals not strictly ascending");
+      }
+      state.open.push_back({as, GetI64(r)});
     }
-    std::uint64_t count = r.U64();
-    for (std::uint64_t j = 0; j < count; ++j) {
-      state.qualifying.insert(static_cast<bgp::AsNumber>(r.U64()));
-    }
-    count = r.U64();
-    for (std::uint64_t j = 0; j < count; ++j) {
-      state.glimpsed.insert(static_cast<bgp::AsNumber>(r.U64()));
-    }
-    count = r.U64();
-    for (std::uint64_t j = 0; j < count; ++j) state.distinct_sets.insert(r.U64());
+    state.qualifying = GetSortedSet<bgp::AsNumber>(r);
+    state.glimpsed = GetSortedSet<bgp::AsNumber>(r);
+    state.distinct_sets = GetSortedSet<std::uint64_t>(r);
     state.announcements = r.U64();
     state.path_changes = r.U64();
-    analyzer.states_.emplace(key, std::move(state));
   }
 }
 
@@ -187,7 +214,6 @@ void StateCodec::DecodeMonitor(ckpt::PayloadReader& r, core::RelayMonitor& monit
   monitor.counts_.new_upstream = r.U64();
   monitor.alerts_.clear();
   const std::uint64_t alerts = r.U64();
-  monitor.alerts_.reserve(alerts);
   for (std::uint64_t i = 0; i < alerts; ++i) {
     core::Alert alert;
     alert.time = netbase::SimTime{GetI64(r)};

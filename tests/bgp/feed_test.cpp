@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <tuple>
 #include <vector>
 
 #include "bgp/churn.hpp"
@@ -162,20 +161,6 @@ std::vector<BgpUpdate> ResyncHeavyFeed() {
   return updates;
 }
 
-// The comparable projection of a finished analyzer.
-using ChurnRow = std::tuple<SessionId, Prefix, std::size_t, std::size_t, std::size_t,
-                            std::vector<AsNumber>, std::vector<AsNumber>>;
-
-std::vector<ChurnRow> Rows(const ChurnAnalyzer& analyzer) {
-  std::vector<ChurnRow> rows;
-  for (const auto& [key, churn] : analyzer.entries()) {
-    rows.emplace_back(key.session, key.prefix, churn.announcements, churn.path_changes,
-                      churn.distinct_paths, churn.qualifying_extra_ases,
-                      churn.glimpsed_extra_ases);
-  }
-  return rows;
-}
-
 TEST(Feed, AnalyzeChurnStreamMatchesSerialConsumption) {
   const std::vector<BgpUpdate> initial_rib = {
       Announce(0, 0, "10.0.0.0/8", "1 2 3"),
@@ -200,7 +185,7 @@ TEST(Feed, AnalyzeChurnStreamMatchesSerialConsumption) {
         const ChurnAnalyzer streamed = AnalyzeChurnStream(
             feed::FromVector(rib_table, initial_rib, batch),
             feed::FromVector(update_table, updates, batch), {}, threads);
-        EXPECT_EQ(Rows(streamed), Rows(serial))
+        EXPECT_EQ(test::ChurnRows(streamed), test::ChurnRows(serial))
             << "shared table " << shared_table << ", threads " << threads
             << ", batch " << batch;
         EXPECT_EQ(streamed.DroppedOutOfOrder(), serial.DroppedOutOfOrder());

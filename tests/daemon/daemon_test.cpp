@@ -28,11 +28,13 @@
 #include "bgp/collector.hpp"
 #include "bgp/dynamics_gen.hpp"
 #include "bgp/topology_gen.hpp"
+#include "ckpt/payload.hpp"
 #include "core/monitor.hpp"
 #include "daemon/driver.hpp"
 #include "daemon/protocol.hpp"
 #include "daemon/quicksandd.hpp"
 #include "daemon/server.hpp"
+#include "daemon/state_codec.hpp"
 #include "fault/injector.hpp"
 
 namespace quicksand::daemon {
@@ -239,6 +241,93 @@ TEST(Daemon, WarmRestartEmitsByteIdenticalAlertStream) {
 
   std::filesystem::remove(ref_ckpt);
   std::filesystem::remove(kill_ckpt);
+}
+
+// StateCodec::EncodeChurn is the daemon's warm-restart format, so its
+// bytes are pinned: keys ascending, every set sorted. The analyzer is
+// snapshotted halfway through a week, with dwell intervals open, keys
+// withdrawn and five records dropped as out of order. The constants were
+// produced by the std::map/unordered-set analyzer the flat layout
+// replaced (commit e06f442).
+TEST(StateCodec, ChurnPayloadGoldenHash) {
+  const SmallWorld world = MakeSmallWorld(kWindow);
+  bgp::ChurnParams params;
+  params.window_end_s = kWindow;
+  bgp::ChurnAnalyzer analyzer(params);
+  bgp::feed::AsPathTable table;
+  const auto consume = [&](const bgp::BgpUpdate& update) {
+    analyzer.ConsumeRecord(bgp::feed::ToRecord(update, table), table);
+  };
+  for (const bgp::BgpUpdate& update : world.dynamics.initial_rib) consume(update);
+  const std::vector<bgp::BgpUpdate>& updates = world.dynamics.updates;
+  const std::size_t half = updates.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) consume(updates[i]);
+  for (std::size_t i = 1; i <= 5; ++i) {
+    bgp::BgpUpdate stale = updates[half - i];
+    stale.time.seconds -= 1000;  // behind its key's newest record: dropped
+    consume(stale);
+  }
+  ASSERT_EQ(analyzer.DroppedOutOfOrder(), 5u);
+
+  ckpt::PayloadWriter writer;
+  StateCodec::EncodeChurn(writer, analyzer);
+  const std::string payload = writer.Take();
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : payload) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  EXPECT_EQ(payload.size(), 189'984u);
+  EXPECT_EQ(hash, 0xB94623A804A500A8ULL);
+
+  // A restored analyzer encodes to the same bytes.
+  bgp::ChurnAnalyzer restored(params);
+  ckpt::PayloadReader reader(payload);
+  StateCodec::DecodeChurn(reader, restored);
+  ckpt::PayloadWriter again;
+  StateCodec::EncodeChurn(again, restored);
+  EXPECT_EQ(again.Take(), payload);
+}
+
+// Malformed payloads must make decoding throw std::runtime_error (which
+// the restore path turns into "no snapshot"): an element count inflated
+// past what the payload carries must not be allocated first, and a set
+// or key list that is not strictly ascending was not written by the
+// encoder.
+TEST(StateCodec, MalformedPayloadsFailClosed) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 60;
+  const auto decode_churn = [](const std::string& payload) {
+    bgp::ChurnAnalyzer analyzer;
+    ckpt::PayloadReader reader(payload);
+    StateCodec::DecodeChurn(reader, analyzer);
+  };
+  // One state (session 3, 10.0.0.0/8) whose baseline claims 2^60 ASes.
+  ckpt::PayloadWriter inflated;
+  inflated.U64(0).U64(0).U64(1).U64(3).U64(0x0A000000).U64(8);
+  inflated.Bool(true).U64(0).U64(kHuge);
+  EXPECT_THROW(decode_churn(inflated.Take()), std::runtime_error);
+  // A seen-path hash listed twice.
+  ckpt::PayloadWriter repeated;
+  repeated.U64(0).U64(2).U64(5).U64(5).U64(0);
+  EXPECT_THROW(decode_churn(repeated.Take()), std::runtime_error);
+  // The same (session, prefix) key twice, each with an empty state.
+  ckpt::PayloadWriter twice;
+  twice.U64(0).U64(0).U64(2);
+  for (int copy = 0; copy < 2; ++copy) {
+    twice.U64(3).U64(0x0A000000).U64(8).Bool(false).U64(0).U64(0).U64(0).Bool(true);
+    twice.U64(0).U64(0).U64(0).U64(0).U64(0).U64(0);
+  }
+  EXPECT_THROW(decode_churn(twice.Take()), std::runtime_error);
+
+  ckpt::PayloadWriter monitor;
+  for (int map = 0; map < 4; ++map) monitor.U64(0);  // four empty prefix maps
+  monitor.U64(0).U64(0).U64(0).U64(0);               // suppressed, three counts
+  monitor.U64(kHuge);                                // alert log claims 2^60
+  const std::string monitor_payload = monitor.Take();
+  core::RelayMonitor relay_monitor({netbase::Prefix::MustParse("10.0.0.0/8")});
+  ckpt::PayloadReader monitor_reader(monitor_payload);
+  EXPECT_THROW(StateCodec::DecodeMonitor(monitor_reader, relay_monitor),
+               std::runtime_error);
 }
 
 TEST(Daemon, RestoreRejectsForeignAndCorruptSnapshots) {

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "bgp/churn.hpp"
@@ -18,6 +19,24 @@
 #include "core/monitor.hpp"
 
 namespace quicksand::test {
+
+/// The comparable projection of one finished churn entry: (session,
+/// prefix, announcements, path changes, distinct paths, qualifying extra
+/// ASes, glimpsed extra ASes).
+using ChurnRow =
+    std::tuple<bgp::SessionId, netbase::Prefix, std::size_t, std::size_t, std::size_t,
+               std::vector<bgp::AsNumber>, std::vector<bgp::AsNumber>>;
+
+/// Every entry of a finished analyzer, in key order.
+inline std::vector<ChurnRow> ChurnRows(const bgp::ChurnAnalyzer& analyzer) {
+  std::vector<ChurnRow> rows;
+  for (const auto& [key, churn] : analyzer.entries()) {
+    rows.emplace_back(key.session, key.prefix, churn.announcements, churn.path_changes,
+                      churn.distinct_paths, churn.qualifying_extra_ases,
+                      churn.glimpsed_extra_ases);
+  }
+  return rows;
+}
 
 class RecordFixture {
  public:
