@@ -128,19 +128,6 @@ inline std::vector<bgp::feed::UpdateRec> ParseWireRecords(
   return bgp::feed::Drain(stream);
 }
 
-/// Interns `updates` into `table`: a generated feed on the record plane,
-/// the only input the analysis stages take. A filter or sanitizer
-/// compares path ids, so intern its RIB and its updates into one table.
-inline std::vector<bgp::feed::UpdateRec> InternRecords(
-    bgp::feed::AsPathTable& table, const std::vector<bgp::BgpUpdate>& updates) {
-  std::vector<bgp::feed::UpdateRec> records;
-  records.reserve(updates.size());
-  for (const bgp::BgpUpdate& u : updates) {
-    records.push_back(bgp::feed::ToRecord(u, table));
-  }
-  return records;
-}
-
 /// Round-trip check without materializing: true iff `records` under
 /// `table` denote exactly `updates` — every scalar field equal and every
 /// record's interned path resolving to the update's hop vector.

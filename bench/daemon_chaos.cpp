@@ -186,15 +186,17 @@ std::vector<std::string> AlertKeySet(const std::vector<core::Alert>& alerts) {
 int CheckBatchEquivalence(daemon::Daemon& d, const World& world,
                           const fault::FaultPlan& plan, std::int64_t window_s) {
   const fault::FaultInjector injector(plan);
-  const fault::FaultedStream base =
-      injector.PerturbStream(world.dynamics.initial_rib, world.dynamics.updates);
-
   auto table = std::make_shared<bgp::feed::AsPathTable>();
+  std::vector<bgp::feed::UpdateRec> rib =
+      bgp::feed::InternRecords(*table, world.dynamics.initial_rib);
+  fault::FaultedRecords base = injector.PerturbRecords(
+      rib, bgp::feed::InternRecords(*table, world.dynamics.updates));
+
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = window_s;
   const bgp::ChurnAnalyzer batch = bgp::AnalyzeChurnStream(
-      bgp::feed::FromVector(table, world.dynamics.initial_rib),
-      bgp::feed::FromVector(table, base.updates), churn_params);
+      bgp::feed::FromRecords(table, rib), bgp::feed::FromRecords(table, base.updates),
+      churn_params);
   d.churn().Finish();
   if (!(d.churn().entries() == batch.entries())) {
     std::cerr << "FAIL: daemon churn entries diverge from batch AnalyzeChurnStream\n";
@@ -202,9 +204,9 @@ int CheckBatchEquivalence(daemon::Daemon& d, const World& world,
   }
 
   core::RelayMonitor batch_monitor(d.config().monitored_prefixes, d.config().monitor);
-  bgp::feed::UpdateStream rib = bgp::feed::FromVector(table, world.dynamics.initial_rib);
-  batch_monitor.LearnBaselineStream(rib);
-  bgp::feed::UpdateStream updates = bgp::feed::FromVector(table, base.updates);
+  bgp::feed::UpdateStream baseline = bgp::feed::FromRecords(table, std::move(rib));
+  batch_monitor.LearnBaselineStream(baseline);
+  bgp::feed::UpdateStream updates = bgp::feed::FromRecords(table, std::move(base.updates));
   static_cast<void>(batch_monitor.ConsumeStream(updates));
   if (AlertKeySet(d.monitor().alerts()) != AlertKeySet(batch_monitor.alerts())) {
     std::cerr << "FAIL: daemon alert set diverges from batch RelayMonitor ("

@@ -5,9 +5,10 @@
 // point faulted at once:
 //
 //   WriteStream → CorruptText → lenient ParseStream (chunk boundaries
-//   split lines mid-record) → PerturbStream → SanitizeRecords →
+//   split lines mid-record) → PerturbRecords → SanitizeRecords →
 //   AnalyzeChurnStream + RelayMonitor::ConsumeStream (plus one retried
-//   write/read cycle through the injector's I/O wrapper)
+//   write/read cycle through the injector's I/O wrapper), on records in
+//   the AsPathTable that holds the rate's RIB from the parse on,
 //
 // and the sweep records what was dropped, retried, and alerted alongside
 // the Fig. 3 (left) headline statistic. Two contracts are checked hard
@@ -134,6 +135,11 @@ SweepPoint RunSweepPoint(const bench::Scenario& scenario,
   point.rate = rate;
   const fault::FaultInjector injector(
       fault::FaultPlan::Scaled(rate, kFaultSeed, kWindow));
+  // The RIB and the parsed feed share one table, as the sanitizer's id
+  // compare needs; every later stage reads records on it.
+  auto table = std::make_shared<bgp::feed::AsPathTable>();
+  std::vector<bgp::feed::UpdateRec> rib =
+      bgp::feed::InternRecords(*table, dynamics.initial_rib);
 
   // Choke point 1: the archived text rots, and parsing degrades
   // gracefully — through the chunked streaming parser, whose fixed-size
@@ -143,14 +149,11 @@ SweepPoint RunSweepPoint(const bench::Scenario& scenario,
   bgp::mrt::ParseStreamOptions parse_options;
   parse_options.lenient = true;
   parse_options.stats = parse_stats;
-  const std::vector<bgp::BgpUpdate> parsed_updates =
-      bgp::feed::Materialize(bgp::mrt::ParseStream(
-          std::make_shared<bgp::feed::AsPathTable>(), faulted.text, parse_options));
-  point.parse = *parse_stats;
+  bgp::feed::UpdateStream parsed = bgp::mrt::ParseStream(table, faulted.text, parse_options);
 
   // Choke point 2: sessions flap, lose, delay, and resync.
-  fault::FaultedStream stream =
-      injector.PerturbStream(dynamics.initial_rib, parsed_updates);
+  fault::FaultedRecords stream = injector.PerturbRecords(rib, bgp::feed::Drain(parsed));
+  point.parse = *parse_stats;
   point.stream = stream.stats;
 
   // Choke point 3: archive the initial RIB in per-collector shards, each
@@ -174,13 +177,8 @@ SweepPoint RunSweepPoint(const bench::Scenario& scenario,
     throw std::runtime_error("fault_sweep: retried I/O lost records");
   }
 
-  // Degraded-but-standing analysis on the record plane: the RIB and the
-  // perturbed feed share one table, as the sanitizer's id compare needs.
-  auto table = std::make_shared<bgp::feed::AsPathTable>();
-  const std::vector<bgp::feed::UpdateRec> rib =
-      bench::InternRecords(*table, dynamics.initial_rib);
-  const bgp::SanitizedRecords feed =
-      bgp::SanitizeRecords(rib, bench::InternRecords(*table, stream.updates));
+  // Degraded-but-standing analysis on the record plane.
+  bgp::SanitizedRecords feed = bgp::SanitizeRecords(rib, std::move(stream.updates));
   point.sanitized_updates = feed.updates.size();
   point.feed_hash = FeedHash(feed.updates, *table);
   bgp::ChurnParams churn_params;
@@ -194,11 +192,13 @@ SweepPoint RunSweepPoint(const bench::Scenario& scenario,
   point.fraction_ratio_above_one =
       ratios.empty() ? 0.0 : util::FractionAtLeast(ratios, 1.0 + 1e-9);
 
+  // The monitor pass is the last use of the RIB and the sanitized feed.
   core::RelayMonitor monitor(
       scenario.prefix_map.TorPrefixes(scenario.consensus.consensus));
-  bgp::feed::UpdateStream baseline = bgp::feed::FromRecords(table, rib);
+  bgp::feed::UpdateStream baseline = bgp::feed::FromRecords(table, std::move(rib));
   monitor.LearnBaselineStream(baseline);
-  bgp::feed::UpdateStream monitor_feed = bgp::feed::FromRecords(table, feed.updates);
+  bgp::feed::UpdateStream monitor_feed =
+      bgp::feed::FromRecords(table, std::move(feed.updates));
   (void)monitor.ConsumeStream(monitor_feed);
   point.alerts = monitor.AlertCounts().total();
   point.alerts_suppressed = monitor.SuppressedDuplicates();
@@ -292,8 +292,8 @@ int main(int argc, char** argv) {
     }
     bgp::feed::AsPathTable clean_table;
     const bgp::SanitizedRecords clean =
-        bgp::SanitizeRecords(bench::InternRecords(clean_table, dynamics.initial_rib),
-                             bench::InternRecords(clean_table, clean_parsed));
+        bgp::SanitizeRecords(bgp::feed::InternRecords(clean_table, dynamics.initial_rib),
+                             bgp::feed::InternRecords(clean_table, clean_parsed));
     const std::uint64_t clean_hash = FeedHash(clean.updates, clean_table);
     const SweepPoint& zero = points.front();
     if (zero.feed_hash != clean_hash ||

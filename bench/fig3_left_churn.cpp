@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   // ids it assigned. The copy of `parsed` exists only because the
   // ablation below also analyzes the unfiltered feed.
   const std::vector<bgp::feed::UpdateRec> rib_recs =
-      bench::InternRecords(*table, dynamics.initial_rib);
+      bgp::feed::InternRecords(*table, dynamics.initial_rib);
   std::vector<bgp::feed::UpdateRec> to_sanitize = parsed;
   const auto filtered = ctx.Timed("sanitize", [&] {
     return bgp::SanitizeRecords(rib_recs, std::move(to_sanitize));

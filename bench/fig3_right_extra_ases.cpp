@@ -84,10 +84,10 @@ int main(int argc, char** argv) {
   const FilteredMonth month = ctx.Timed("reset_filter", [&] {
     FilteredMonth filtered;
     filtered.table = std::make_shared<bgp::feed::AsPathTable>();
-    filtered.rib = bench::InternRecords(*filtered.table, dynamics.initial_rib);
+    filtered.rib = bgp::feed::InternRecords(*filtered.table, dynamics.initial_rib);
     filtered.updates =
         bgp::FilterSessionRecords(filtered.rib,
-                                  bench::InternRecords(*filtered.table, dynamics.updates))
+                                  bgp::feed::InternRecords(*filtered.table, dynamics.updates))
             .updates;
     return filtered;
   });

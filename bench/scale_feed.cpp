@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
     // Intern the RIB after the drain so the wire source keeps the ids it
     // assigned.
     const std::vector<bgp::feed::UpdateRec> rib =
-        bench::InternRecords(*table, dynamics.initial_rib);
+        bgp::feed::InternRecords(*table, dynamics.initial_rib);
     bgp::feed::UpdateStream sanitized = bgp::feed::FromRecords(
         table, bgp::SanitizeRecords(rib, std::move(drained)).updates, batch);
     bgp::ChurnAnalyzer churn;

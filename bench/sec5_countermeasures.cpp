@@ -78,9 +78,9 @@ int main(int argc, char** argv) {
   // feed), on one table shared by the RIB and the filtered month.
   bgp::feed::AsPathTable advisory_table;
   const std::vector<bgp::feed::UpdateRec> advisory_rib =
-      bench::InternRecords(advisory_table, month.initial_rib);
+      bgp::feed::InternRecords(advisory_table, month.initial_rib);
   const bgp::FilteredRecords advisory_filtered = bgp::FilterSessionRecords(
-      advisory_rib, bench::InternRecords(advisory_table, month.updates));
+      advisory_rib, bgp::feed::InternRecords(advisory_table, month.updates));
   bgp::ChurnAnalyzer advisory_churn;
   core::RelayMonitor advisory_monitor(
       scenario.prefix_map.TorPrefixes(consensus));
@@ -286,7 +286,8 @@ int main(int argc, char** argv) {
   // The monitored month on the record plane, shared by the benign run
   // and every attack case below.
   bgp::feed::AsPathTable table;
-  const std::vector<bgp::feed::UpdateRec> rib = bench::InternRecords(table, month.initial_rib);
+  const std::vector<bgp::feed::UpdateRec> rib =
+      bgp::feed::InternRecords(table, month.initial_rib);
 
   // False-alarm cost on a benign month.
   core::RelayMonitor benign_monitor(tor_prefixes);

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""Regression-gate a bench run against a baseline document or the ledger.
+"""Regression-gate a bench run against a committed baseline document.
 
 Usage:
   bench_compare.py RUN.json --baseline BASELINE.json [options]
-  bench_compare.py RUN.json --history LEDGER.jsonl [options]
 
 Two independent checks, with different severities:
 
@@ -21,11 +20,9 @@ Two independent checks, with different severities:
     loads differ, so flags are warnings unless --fail-on-wall is given
     (CI does that only on dedicated runners).
 
-With --history the baseline is the newest ledger entry whose experiment
-name (and --threads, if given) matches the run — so a CI job that
-appends each run via bench_history.py gets "compare against the
-previous build" for free, and comparing a run against the entry it just
-appended is the zero-drift round-trip the perf-regression job asserts.
+The baselines are committed under bench/baselines/; regenerating one is
+a reviewed change to the repository, so the gate always compares against
+a known build.
 
 Exit codes: 0 clean (or wall warnings without --fail-on-wall),
 1 deterministic drift / wall breach with --fail-on-wall / no baseline,
@@ -33,7 +30,6 @@ Exit codes: 0 clean (or wall warnings without --fail-on-wall),
 """
 
 import argparse
-import json
 import sys
 
 from check_bench_json import CheckError, deterministic_view, diff, load, validate
@@ -59,32 +55,11 @@ def compare_wall(run, baseline, max_ratio, min_ms):
             yield name, base_ms, run_ms, ratio
 
 
-def baseline_from_history(ledger_path, run):
-    entries = []
-    with open(ledger_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise CheckError(f"{ledger_path}:{lineno}: {exc}") from exc
-    matches = [e for e in entries if e.get("bench") == run["experiment"]]
-    if not matches:
-        raise CheckError(
-            f"{ledger_path}: no entry for experiment {run['experiment']!r}")
-    return matches[-1]["doc"]
-
-
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("run", help="bench JSON produced by this build")
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--baseline", help="baseline bench JSON")
-    source.add_argument("--history",
-                        help="BENCH_history.jsonl ledger; newest matching "
-                             "entry becomes the baseline")
+    parser.add_argument("--baseline", required=True,
+                        help="baseline bench JSON")
     parser.add_argument("--max-wall-ratio", type=float, default=1.5,
                         help="flag a phase when run/baseline exceeds this "
                              "(default: 1.5)")
@@ -97,12 +72,8 @@ def main(argv):
 
     run = load(args.run)
     validate(run, args.run)
-    if args.baseline:
-        baseline = load(args.baseline)
-        baseline_origin = args.baseline
-    else:
-        baseline = baseline_from_history(args.history, run)
-        baseline_origin = f"{args.history} (latest {run['experiment']!r})"
+    baseline = load(args.baseline)
+    baseline_origin = args.baseline
     validate(baseline, baseline_origin)
 
     drift = list(diff(deterministic_view(baseline), deterministic_view(run)))

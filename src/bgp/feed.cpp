@@ -93,6 +93,13 @@ UpdateRec ToRecord(const BgpUpdate& update, AsPathTable& table) {
   return rec;
 }
 
+std::vector<UpdateRec> InternRecords(AsPathTable& table, std::span<const BgpUpdate> updates) {
+  std::vector<UpdateRec> records;
+  records.reserve(updates.size());
+  for (const BgpUpdate& update : updates) records.push_back(ToRecord(update, table));
+  return records;
+}
+
 void SortRecords(std::vector<UpdateRec>& records) {
   std::stable_sort(records.begin(), records.end(),
                    [](const UpdateRec& a, const UpdateRec& b) {

@@ -133,6 +133,12 @@ struct UpdateRec {
 /// Interns `update.path` into `table` and returns the compact record.
 [[nodiscard]] UpdateRec ToRecord(const BgpUpdate& update, AsPathTable& table);
 
+/// Interns `updates` into `table`: the feed on the record plane, in input
+/// order. A filter or sanitizer compares path ids, so intern its RIB and
+/// its updates into one table.
+[[nodiscard]] std::vector<UpdateRec> InternRecords(AsPathTable& table,
+                                                   std::span<const BgpUpdate> updates);
+
 /// Stable sort by (time, session, prefix) — SortUpdates on the record
 /// plane. The path is not part of the key in either form, so both sorts
 /// produce the same permutation of the same feed.

@@ -18,9 +18,6 @@ namespace {
 /// megabyte garbage line from producing a megabyte exception string.
 constexpr std::size_t kMaxQuotedLine = 96;
 
-/// Bytes per read in the chunked file paths.
-constexpr std::size_t kFileChunkBytes = 64 * 1024;
-
 std::string QuoteForError(std::string_view line) {
   if (line.size() <= kMaxQuotedLine) return std::string(line);
   std::string out(line.substr(0, kMaxQuotedLine));
@@ -183,16 +180,6 @@ std::vector<BgpUpdate> ParseText(std::string_view text) {
   return out;
 }
 
-LenientParse ParseTextLenient(std::string_view text, std::size_t max_recorded_errors) {
-  LenientParse result;
-  result.updates.reserve(LineCountBound(text));
-  StreamParser parser({.lenient = true, .max_recorded_errors = max_recorded_errors});
-  parser.Feed(text, result.updates);
-  parser.Finish(result.updates);
-  result.stats = parser.stats();
-  return result;
-}
-
 namespace {
 
 /// Pull-side state shared by ParseStream and ParseFileStream: a chunk
@@ -248,6 +235,26 @@ feed::UpdateStream MakeParserStream(std::shared_ptr<feed::AsPathTable> table,
       });
 }
 
+/// The one chunked file reader: opens `path` (errno context on failure)
+/// and yields its next `chunk_bytes`-sized chunk, false at end of file.
+std::function<bool(std::string&)> FileChunks(std::string path, std::size_t chunk_bytes) {
+  auto in = std::make_shared<std::ifstream>(path, std::ios::binary);
+  if (!*in) {
+    throw std::runtime_error("mrt: cannot open '" + path + "': " + util::ErrnoDetail());
+  }
+  if (chunk_bytes == 0) chunk_bytes = 1;
+  return [in = std::move(in), chunk_bytes, path = std::move(path)](std::string& chunk) {
+    chunk.resize(chunk_bytes);
+    in->read(chunk.data(), static_cast<std::streamsize>(chunk_bytes));
+    if (in->bad()) {
+      throw std::runtime_error("mrt: read failed for '" + path + "': " + util::ErrnoDetail());
+    }
+    const auto got = static_cast<std::size_t>(in->gcount());
+    chunk.resize(got);
+    return got > 0;
+  };
+}
+
 }  // namespace
 
 feed::UpdateStream ParseStream(std::shared_ptr<feed::AsPathTable> table,
@@ -266,24 +273,8 @@ feed::UpdateStream ParseStream(std::shared_ptr<feed::AsPathTable> table,
 
 feed::UpdateStream ParseFileStream(std::shared_ptr<feed::AsPathTable> table,
                                    std::string path, ParseStreamOptions options) {
-  auto in = std::make_shared<std::ifstream>(path, std::ios::binary);
-  if (!*in) {
-    throw std::runtime_error("mrt: cannot open '" + path + "': " + util::ErrnoDetail());
-  }
-  const std::size_t chunk_bytes = options.chunk_bytes == 0 ? 1 : options.chunk_bytes;
-  return MakeParserStream(
-      std::move(table), options,
-      [in = std::move(in), chunk_bytes, path = std::move(path)](std::string& chunk) {
-        chunk.resize(chunk_bytes);
-        in->read(chunk.data(), static_cast<std::streamsize>(chunk_bytes));
-        if (in->bad()) {
-          throw std::runtime_error("mrt: read failed for '" + path +
-                                   "': " + util::ErrnoDetail());
-        }
-        const auto got = static_cast<std::size_t>(in->gcount());
-        chunk.resize(got);
-        return got > 0;
-      });
+  return MakeParserStream(std::move(table), options,
+                          FileChunks(std::move(path), options.chunk_bytes));
 }
 
 void StreamWriter::Write(const BgpUpdate& update) {
@@ -318,26 +309,10 @@ void WriteFile(const std::string& path, const std::vector<BgpUpdate>& updates) {
 }
 
 std::vector<BgpUpdate> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("mrt: cannot open '" + path + "': " + util::ErrnoDetail());
-  }
+  const auto next_chunk = FileChunks(path, ParseStreamOptions{}.chunk_bytes);
   std::vector<BgpUpdate> out;
   StreamParser parser;
-  std::string chunk;
-  while (true) {
-    chunk.resize(kFileChunkBytes);
-    in.read(chunk.data(), static_cast<std::streamsize>(kFileChunkBytes));
-    if (in.bad()) {
-      throw std::runtime_error("mrt: read failed for '" + path +
-                               "': " + util::ErrnoDetail());
-    }
-    const auto got = static_cast<std::size_t>(in.gcount());
-    if (got == 0) break;
-    chunk.resize(got);
-    parser.Feed(chunk, out);
-    if (got < kFileChunkBytes) break;  // short read: EOF reached
-  }
+  for (std::string chunk; next_chunk(chunk);) parser.Feed(chunk, out);
   parser.Finish(out);
   return out;
 }

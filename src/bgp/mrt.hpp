@@ -19,10 +19,10 @@
 //
 // Both modes run on the incremental `StreamParser`, which accepts input
 // in arbitrary byte chunks (a chunk boundary may split a line mid-record)
-// and behaves identically to whole-text parsing. The whole-dump
-// ParseText / ParseTextLenient APIs are thin adapters over it, and
-// `ParseStream` exposes the parser as a chunked `feed::UpdateStream`
-// source (docs/ARCHITECTURE.md).
+// and behaves identically to whole-text parsing. The strict whole-dump
+// ParseText is a thin adapter over it, and `ParseStream` exposes the
+// parser as a chunked `feed::UpdateStream` source in either mode — its
+// `lenient` option is the one lenient entry point (docs/ARCHITECTURE.md).
 
 #include <iosfwd>
 #include <memory>
@@ -107,19 +107,6 @@ class StreamParser {
 /// reallocation churn.
 [[nodiscard]] std::vector<BgpUpdate> ParseText(std::string_view text);
 
-/// A leniently parsed dump: everything that parsed, plus drop statistics.
-struct LenientParse {
-  std::vector<BgpUpdate> updates;
-  ParseStats stats;
-};
-
-/// Parses a whole dump, skipping malformed lines instead of throwing.
-/// Records up to `max_recorded_errors` error descriptions in the stats.
-/// Increments the `bgp.mrt.bad_lines` counter (registered only when bad
-/// lines actually occur).
-[[nodiscard]] LenientParse ParseTextLenient(std::string_view text,
-                                            std::size_t max_recorded_errors = 8);
-
 /// Options for the chunked stream sources.
 struct ParseStreamOptions {
   std::size_t batch_size = feed::kDefaultBatchSize;
@@ -173,9 +160,10 @@ std::size_t WriteStream(std::ostream& out, feed::UpdateStream stream);
 /// Writes updates to a file. Throws std::runtime_error if it cannot open.
 void WriteFile(const std::string& path, const std::vector<BgpUpdate>& updates);
 
-/// Reads updates from a file via the incremental parser (fixed-size
-/// chunks; the file is never slurped into one string). Throws
-/// std::runtime_error on I/O or parse errors.
+/// Reads updates from a file through the incremental parser, in the
+/// fixed-size chunks of ParseFileStream's file reader (the file is never
+/// slurped into one string). Throws std::runtime_error on I/O or parse
+/// errors.
 [[nodiscard]] std::vector<BgpUpdate> ReadFile(const std::string& path);
 
 }  // namespace quicksand::bgp::mrt

@@ -7,30 +7,29 @@
 namespace quicksand::daemon {
 
 ReplayDriver::ReplayDriver(Daemon& daemon, const fault::FaultPlan& plan,
-                           std::vector<bgp::BgpUpdate> initial_rib,
-                           std::vector<bgp::BgpUpdate> updates, ReplayConfig config)
-    : daemon_(daemon), injector_(plan), rib_(std::move(initial_rib)), config_(config) {
+                           std::span<const bgp::BgpUpdate> initial_rib,
+                           std::span<const bgp::BgpUpdate> updates, ReplayConfig config)
+    : daemon_(daemon), injector_(plan), config_(config) {
   if (config_.step_s <= 0) {
     throw std::invalid_argument("ReplayDriver: step_s must be positive");
   }
+  rib_ = bgp::feed::InternRecords(*daemon_.paths(), initial_rib);
+  const auto records = bgp::feed::InternRecords(*daemon_.paths(), updates);
   // Every session seen anywhere in the feed gets a supervisor-driven
   // timeline, even if faults end up dropping all its updates.
-  for (const bgp::BgpUpdate& update : rib_) timelines_[update.session];
-  for (const bgp::BgpUpdate& update : updates) timelines_[update.session];
+  for (const bgp::feed::UpdateRec& rec : rib_) timelines_[rec.session];
+  for (const bgp::feed::UpdateRec& rec : records) timelines_[rec.session];
 
-  fault::FaultedStream perturbed = injector_.PerturbStream(rib_, updates);
+  const fault::FaultedRecords perturbed = injector_.PerturbRecords(rib_, records);
   stats_ = perturbed.stats;
-  for (const bgp::BgpUpdate& update : perturbed.updates) {
-    timelines_[update.session].records.push_back(
-        bgp::feed::ToRecord(update, *daemon_.paths()));
-  }
+  for (const auto& rec : perturbed.updates) timelines_[rec.session].records.push_back(rec);
   for (auto& [session, timeline] : timelines_) {
     timeline.schedule = injector_.ScheduleFor(session);
   }
 }
 
 void ReplayDriver::Prime() {
-  bgp::feed::UpdateStream rib_stream = bgp::feed::FromVector(daemon_.paths(), rib_);
+  bgp::feed::UpdateStream rib_stream = bgp::feed::FromRecords(daemon_.paths(), rib_);
   daemon_.LearnBaseline(rib_stream);
 }
 

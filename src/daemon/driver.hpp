@@ -5,8 +5,10 @@
 // The driver plays a generated (or recorded) feed into a Daemon under
 // simulated time, acting as every session's transport at once:
 //
+//   * the feed is interned once into the daemon's path table, and the
+//     driver works on those records from then on;
 //   * the same fault::FaultInjector both perturbs the feed
-//     (PerturbStream: outage drops, resync bursts, loss, delay) and gates
+//     (PerturbRecords: outage drops, resync bursts, loss, delay) and gates
 //     the transport (ScheduleFor: connect attempts fail and keepalives go
 //     unanswered while the peer's outage schedule says it is down) — data
 //     loss and session liveness are views of one outage, never
@@ -33,6 +35,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "bgp/update.hpp"
@@ -49,14 +52,15 @@ struct ReplayConfig {
 
 class ReplayDriver {
  public:
-  /// Perturbs `updates` against `plan` (rate 0 = exact pass-through) and
+  /// Interns both feeds once into `daemon.paths()`, perturbs `updates`
+  /// against `plan` (rate 0 = exact pass-through) on the record plane and
   /// partitions the result into per-session timelines. The initial RIB
   /// seeds resync bursts and the daemon baseline. Throws
   /// std::invalid_argument if `config.step_s` is not positive: the step
   /// grid would never reach `end_s`.
   ReplayDriver(Daemon& daemon, const fault::FaultPlan& plan,
-               std::vector<bgp::BgpUpdate> initial_rib,
-               std::vector<bgp::BgpUpdate> updates, ReplayConfig config = {});
+               std::span<const bgp::BgpUpdate> initial_rib,
+               std::span<const bgp::BgpUpdate> updates, ReplayConfig config = {});
 
   /// Fresh-start path: streams the initial RIB through the daemon's
   /// baseline learning. Skip this after a successful restore — the
@@ -102,7 +106,7 @@ class ReplayDriver {
 
   Daemon& daemon_;
   fault::FaultInjector injector_;
-  std::vector<bgp::BgpUpdate> rib_;
+  std::vector<bgp::feed::UpdateRec> rib_;  ///< indexes daemon_.paths()
   ReplayConfig config_;
   std::map<bgp::SessionId, SessionTimeline> timelines_;
   fault::StreamFaultStats stats_;

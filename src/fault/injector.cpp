@@ -4,10 +4,9 @@
 #include <charconv>
 #include <cstdlib>
 #include <limits>
-#include <map>
 #include <optional>
 #include <stdexcept>
-#include <type_traits>
+#include <unordered_map>
 
 #include "bgp/mrt.hpp"
 #include "obs/metrics.hpp"
@@ -156,86 +155,90 @@ FlapSchedule FaultInjector::ScheduleFor(bgp::SessionId session) const {
   return schedule;
 }
 
-FaultedStream FaultInjector::PerturbStream(std::span<const bgp::BgpUpdate> initial_rib,
-                                           std::span<const bgp::BgpUpdate> updates) const {
+FaultedRecords FaultInjector::PerturbRecords(
+    std::span<const bgp::feed::UpdateRec> initial_rib,
+    std::span<const bgp::feed::UpdateRec> updates) const {
   const SessionFaultRates& rates = plan_.session;
-  FaultedStream result;
+  FaultedRecords result;
   result.stats.input_updates = updates.size();
+  result.updates.reserve(updates.size());
 
-  // Partition by session, preserving per-session arrival order. Each
-  // session is perturbed independently from its own substreams, so the
-  // outcome is invariant to how sessions interleave in the input.
-  std::map<bgp::SessionId, std::pair<std::vector<const bgp::BgpUpdate*>,
-                                     std::vector<const bgp::BgpUpdate*>>>
-      by_session;
-  for (const bgp::BgpUpdate& u : initial_rib) by_session[u.session].first.push_back(&u);
-  for (const bgp::BgpUpdate& u : updates) by_session[u.session].second.push_back(&u);
-
-  for (const auto& [session, streams] : by_session) {
-    const FlapSchedule schedule = ScheduleFor(session);
-    netbase::Rng delivery = Substream("session.delivery", session);
-    if (!schedule.down.empty()) {
-      ++result.stats.flapped_sessions;
-      result.stats.flaps += schedule.down.size();
-    }
-
+  // One state per session. A session draws only from its own substreams
+  // and sees only its own updates, in input order, so one pass over the
+  // interleaved input perturbs each session exactly as if it ran alone;
+  // the final sort orders the sessions' outputs.
+  struct Session {
+    FlapSchedule schedule;
+    netbase::Rng delivery;
+    std::size_t cursor = 0;  // next un-finished down interval
     // The peer's true table, evolved through every update whether or not
     // the collector sees it — resync bursts re-announce *current* state.
-    std::map<netbase::Prefix, bgp::AsPath> table;
-    for (const bgp::BgpUpdate* u : streams.first) {
-      if (u->type == bgp::UpdateType::kAnnounce) table[u->prefix] = u->path;
+    std::unordered_map<netbase::Prefix, bgp::feed::PathId> table = {};
+  };
+  std::unordered_map<bgp::SessionId, Session> sessions;
+  const auto session = [&](bgp::SessionId id) -> Session& {
+    auto it = sessions.find(id);
+    if (it == sessions.end()) {
+      it = sessions.emplace(id, Session{ScheduleFor(id), Substream("session.delivery", id)}).first;
     }
-
-    std::size_t cursor = 0;  // next un-finished down interval
-    auto resync = [&](std::int64_t at) {
-      if (!rates.resync_on_recovery) return;
-      for (const auto& [prefix, path] : table) {
-        result.updates.push_back({netbase::SimTime{at}, session,
-                                  bgp::UpdateType::kAnnounce, prefix, path});
-        ++result.stats.resync_injected;
-      }
-    };
-
-    for (const bgp::BgpUpdate* u : streams.second) {
-      const std::int64_t t = u->time.seconds;
-      while (cursor < schedule.down.size() && schedule.down[cursor].second <= t) {
-        resync(schedule.down[cursor].second);
-        ++cursor;
-      }
-      if (u->type == bgp::UpdateType::kAnnounce) {
-        table[u->prefix] = u->path;
-      } else {
-        table.erase(u->prefix);
-      }
-      const bool down = cursor < schedule.down.size() &&
-                        schedule.down[cursor].first <= t && t < schedule.down[cursor].second;
-      if (down) {
-        ++result.stats.dropped_down;
-        continue;
-      }
-      if (delivery.Bernoulli(rates.loss_rate)) {
-        ++result.stats.dropped_loss;
-        continue;
-      }
-      bgp::BgpUpdate out = *u;
-      if (rates.delay_rate > 0 && delivery.Bernoulli(rates.delay_rate)) {
-        const auto delay = static_cast<std::int64_t>(delivery.UniformInt(
-            1, static_cast<std::uint64_t>(std::max<std::int64_t>(rates.max_delay_s, 1))));
-        out.time.seconds = std::min(t + delay, plan_.window_s);
-        ++result.stats.delayed;
-      }
-      result.updates.push_back(std::move(out));
+    return it->second;
+  };
+  // Table order, not prefix order: the final sort keys on the prefix.
+  const auto resync = [&](bgp::SessionId id, const Session& s, std::int64_t at) {
+    if (!rates.resync_on_recovery) return;
+    for (const auto& [prefix, path] : s.table) {
+      result.updates.push_back(
+          {netbase::SimTime{at}, id, bgp::UpdateType::kAnnounce, prefix, path});
+      ++result.stats.resync_injected;
     }
+  };
+
+  for (const bgp::feed::UpdateRec& rec : initial_rib) {
+    Session& s = session(rec.session);
+    if (rec.type == bgp::UpdateType::kAnnounce) s.table[rec.prefix] = rec.path;
+  }
+  for (const bgp::feed::UpdateRec& rec : updates) {
+    Session& s = session(rec.session);
+    const auto& down = s.schedule.down;
+    const std::int64_t t = rec.time.seconds;
+    while (s.cursor < down.size() && down[s.cursor].second <= t) {
+      resync(rec.session, s, down[s.cursor].second);
+      ++s.cursor;
+    }
+    if (rec.type == bgp::UpdateType::kAnnounce) {
+      s.table[rec.prefix] = rec.path;
+    } else {
+      s.table.erase(rec.prefix);
+    }
+    // The loop above left t before the current interval's end.
+    if (s.cursor < down.size() && down[s.cursor].first <= t) {
+      ++result.stats.dropped_down;
+      continue;
+    }
+    if (s.delivery.Bernoulli(rates.loss_rate)) {
+      ++result.stats.dropped_loss;
+      continue;
+    }
+    bgp::feed::UpdateRec out = rec;
+    if (rates.delay_rate > 0 && s.delivery.Bernoulli(rates.delay_rate)) {
+      const auto delay = static_cast<std::int64_t>(s.delivery.UniformInt(
+          1, static_cast<std::uint64_t>(std::max<std::int64_t>(rates.max_delay_s, 1))));
+      out.time.seconds = std::min(t + delay, plan_.window_s);
+      ++result.stats.delayed;
+    }
+    result.updates.push_back(out);
+  }
+  for (auto& [id, s] : sessions) {
+    result.stats.flapped_sessions += s.schedule.down.empty() ? 0 : 1;
+    result.stats.flaps += s.schedule.down.size();
     // Outages that end after the session's last update still resync.
-    while (cursor < schedule.down.size()) {
-      if (schedule.down[cursor].second <= plan_.window_s) {
-        resync(schedule.down[cursor].second);
-      }
-      ++cursor;
+    for (; s.cursor < s.schedule.down.size(); ++s.cursor) {
+      const std::int64_t up = s.schedule.down[s.cursor].second;
+      if (up <= plan_.window_s) resync(id, s, up);
     }
   }
 
-  bgp::SortUpdates(result.updates);
+  bgp::feed::SortRecords(result.updates);
   result.stats.output_updates = result.updates.size();
 
   Count("fault.session.dropped_down", result.stats.dropped_down);
@@ -243,6 +246,20 @@ FaultedStream FaultInjector::PerturbStream(std::span<const bgp::BgpUpdate> initi
   Count("fault.session.delayed", result.stats.delayed);
   Count("fault.session.resync_injected", result.stats.resync_injected);
   Count("fault.session.flaps", result.stats.flaps);
+  return result;
+}
+
+FaultedStream FaultInjector::PerturbStream(std::span<const bgp::BgpUpdate> initial_rib,
+                                           std::span<const bgp::BgpUpdate> updates) const {
+  bgp::feed::AsPathTable table;
+  const std::vector<bgp::feed::UpdateRec> rib = bgp::feed::InternRecords(table, initial_rib);
+  const FaultedRecords perturbed =
+      PerturbRecords(rib, bgp::feed::InternRecords(table, updates));
+  FaultedStream result{{}, perturbed.stats};
+  result.updates.reserve(perturbed.updates.size());
+  for (const bgp::feed::UpdateRec& rec : perturbed.updates) {
+    result.updates.push_back(bgp::feed::ToBgpUpdate(rec, table));
+  }
   return result;
 }
 
@@ -267,20 +284,19 @@ auto FaultInjector::RetriedIo(std::string_view purpose, const std::string& path,
     return fn();
   };
   util::RetryStats retry_stats;
-  auto finalize = [&] {
+  // Tally on success and on give-up alike: when the budget runs out, the
+  // rethrown failure still leaves its injected damage counted.
+  const auto finalize = [&] {
     local.retries = retry_stats.retries;
     local.total_backoff_ms = retry_stats.total_backoff_ms;
     Count("fault.io.injected_failures", local.injected_failures);
     if (stats != nullptr) *stats = local;
   };
-  if constexpr (std::is_void_v<std::invoke_result_t<Fn&>>) {
-    util::Retry(plan_.retry, backoff, attempt, &retry_stats);
-    finalize();
-  } else {
-    auto result = util::Retry(plan_.retry, backoff, attempt, &retry_stats);
-    finalize();
-    return result;
-  }
+  struct Finalizer {
+    const decltype(finalize)& run;
+    ~Finalizer() { run(); }
+  } finalizer{finalize};
+  return util::Retry(plan_.retry, backoff, attempt, &retry_stats);
 }
 
 std::vector<bgp::BgpUpdate> FaultInjector::ReadMrtFile(const std::string& path,

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bgp/collector.hpp"
+#include "bgp/feed.hpp"
 #include "bgp/update.hpp"
 #include "fault/fault_plan.hpp"
 #include "netbase/rng.hpp"
@@ -67,11 +68,15 @@ struct StreamFaultStats {
   }
 };
 
-/// A perturbed update stream (time-ordered via SortUpdates).
-struct FaultedStream {
-  std::vector<bgp::BgpUpdate> updates;
+/// A perturbed feed, time-ordered: records on the table the inputs index
+/// (PerturbRecords) or materialized updates (PerturbStream).
+template <typename Update>
+struct Faulted {
+  std::vector<Update> updates;
   StreamFaultStats stats;
 };
+using FaultedRecords = Faulted<bgp::feed::UpdateRec>;
+using FaultedStream = Faulted<bgp::BgpUpdate>;
 
 /// Attempt/retry tally for one retried file operation.
 struct IoFaultStats {
@@ -101,7 +106,15 @@ class FaultInjector {
   /// inside an outage are missed; on recovery the session re-announces
   /// its current table), iid loss, and bounded delivery delay. The
   /// result is re-sorted into canonical order. `initial_rib` seeds each
-  /// session's table so resync bursts announce the right state.
+  /// session's table so resync bursts announce the right state. Both
+  /// inputs must index one AsPathTable; the output indexes it too. Only
+  /// each session's input order matters, not how sessions interleave.
+  [[nodiscard]] FaultedRecords PerturbRecords(
+      std::span<const bgp::feed::UpdateRec> initial_rib,
+      std::span<const bgp::feed::UpdateRec> updates) const;
+
+  /// PerturbRecords on materialized feeds: interns both into a private
+  /// table and materializes the result.
   [[nodiscard]] FaultedStream PerturbStream(
       std::span<const bgp::BgpUpdate> initial_rib,
       std::span<const bgp::BgpUpdate> updates) const;

@@ -4,6 +4,9 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "bgp/feed.hpp"
 #include "bgp/mrt.hpp"
@@ -22,6 +25,22 @@ BgpUpdate Announce(std::int64_t t, SessionId s, const char* prefix, const char* 
 
 BgpUpdate Withdraw(std::int64_t t, SessionId s, const char* prefix) {
   return {SimTime{t}, s, UpdateType::kWithdraw, Prefix::MustParse(prefix), {}};
+}
+
+/// A lenient ParseStream drained whole: the updates it kept and its stats.
+struct LenientResult {
+  std::vector<BgpUpdate> updates;
+  mrt::ParseStats stats;
+};
+
+LenientResult ParseLeniently(std::string_view text, std::size_t max_recorded_errors = 8) {
+  mrt::ParseStreamOptions options;
+  options.lenient = true;
+  options.max_recorded_errors = max_recorded_errors;
+  options.stats = std::make_shared<mrt::ParseStats>();
+  std::vector<BgpUpdate> updates = feed::Materialize(
+      mrt::ParseStream(std::make_shared<feed::AsPathTable>(), text, options));
+  return {std::move(updates), *options.stats};
 }
 
 TEST(Update, SortOrdersByTimeSessionPrefix) {
@@ -166,7 +185,7 @@ TEST(Mrt, LenientParseSkipsBadLinesAndKeepsTheRest) {
       "2|1|W|10.0.0.0/8|\n"
       "-5|0|A|10.0.0.0/8|65001\n"
       "3|0|A|192.168.0.0/16|65001 65002\n";
-  const auto result = mrt::ParseTextLenient(text);
+  const auto result = ParseLeniently(text);
   EXPECT_EQ(result.stats.total_lines, 5u);  // comments and blanks excluded
   EXPECT_EQ(result.stats.parsed, 3u);
   EXPECT_EQ(result.stats.bad_lines, 2u);
@@ -181,7 +200,7 @@ TEST(Mrt, LenientParseOnCleanDumpReportsNothing) {
       Announce(1, 0, "10.0.0.0/8", "65001 65002"),
       Withdraw(2, 1, "10.0.0.0/8"),
   };
-  const auto result = mrt::ParseTextLenient(mrt::ToText(updates));
+  const auto result = ParseLeniently(mrt::ToText(updates));
   EXPECT_EQ(result.updates, updates);
   EXPECT_EQ(result.stats.bad_lines, 0u);
   EXPECT_TRUE(result.stats.first_errors.empty());
@@ -190,7 +209,7 @@ TEST(Mrt, LenientParseOnCleanDumpReportsNothing) {
 TEST(Mrt, LenientParseCapsRecordedErrors) {
   std::string text;
   for (int i = 0; i < 20; ++i) text += "junk line\n";
-  const auto result = mrt::ParseTextLenient(text, /*max_recorded_errors=*/4);
+  const auto result = ParseLeniently(text, /*max_recorded_errors=*/4);
   EXPECT_EQ(result.stats.bad_lines, 20u);
   EXPECT_EQ(result.stats.first_errors.size(), 4u);
 }
@@ -251,7 +270,7 @@ TEST(Mrt, StreamParserLenientStatsMatchWholeTextParse) {
       "garbage\n"
       "2|1|W|10.0.0.0/8|\n"
       "-5|0|A|10.0.0.0/8|65001\n";
-  const mrt::LenientParse whole = mrt::ParseTextLenient(text);
+  const LenientResult whole = ParseLeniently(text);
   mrt::StreamParser::Options options;
   options.lenient = true;
   mrt::StreamParser parser(options);

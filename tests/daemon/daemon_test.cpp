@@ -124,18 +124,20 @@ TEST(Daemon, RateZeroMatchesBatchPipeline) {
   driver.Prime();
   driver.Run();
 
-  // Batch reference on the identical (pass-through) feed. PerturbStream
+  // Batch reference on the identical (pass-through) feed. PerturbRecords
   // at rate 0 re-sorts canonically; reuse it so both pipelines see the
   // same update sequence.
   const fault::FaultInjector injector(plan);
-  fault::FaultedStream base =
-      injector.PerturbStream(world.dynamics.initial_rib, world.dynamics.updates);
   auto table = std::make_shared<bgp::feed::AsPathTable>();
+  const std::vector<bgp::feed::UpdateRec> rib_records =
+      bgp::feed::InternRecords(*table, world.dynamics.initial_rib);
+  const fault::FaultedRecords base = injector.PerturbRecords(
+      rib_records, bgp::feed::InternRecords(*table, world.dynamics.updates));
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = kWindow;
   bgp::ChurnAnalyzer batch_churn = bgp::AnalyzeChurnStream(
-      bgp::feed::FromVector(table, world.dynamics.initial_rib),
-      bgp::feed::FromVector(table, base.updates), churn_params);
+      bgp::feed::FromRecords(table, rib_records),
+      bgp::feed::FromRecords(table, base.updates), churn_params);
 
   daemon.churn().Finish();
   const auto& live_entries = daemon.churn().entries();
@@ -146,9 +148,9 @@ TEST(Daemon, RateZeroMatchesBatchPipeline) {
   EXPECT_EQ(daemon.churn().DroppedOutOfOrder(), batch_churn.DroppedOutOfOrder());
 
   core::RelayMonitor batch_monitor(config.monitored_prefixes, config.monitor);
-  bgp::feed::UpdateStream rib = bgp::feed::FromVector(table, world.dynamics.initial_rib);
+  bgp::feed::UpdateStream rib = bgp::feed::FromRecords(table, rib_records);
   batch_monitor.LearnBaselineStream(rib);
-  bgp::feed::UpdateStream updates = bgp::feed::FromVector(table, base.updates);
+  bgp::feed::UpdateStream updates = bgp::feed::FromRecords(table, base.updates);
   static_cast<void>(batch_monitor.ConsumeStream(updates));
   EXPECT_GT(batch_monitor.alerts().size(), 0u)
       << "world should churn enough to raise alerts, or the test is vacuous";

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bgp/churn.hpp"
@@ -49,8 +51,9 @@ SmallWorld MakeSmallWorld(std::int64_t window_s) {
   return world;
 }
 
-/// The full faulted pipeline: text faults → lenient parse → delivery
-/// faults → sanitizer → churn analysis.
+/// The full faulted pipeline, on one table from the parse on, as
+/// fault_sweep runs it: text faults → lenient ParseStream → delivery
+/// faults (PerturbRecords) → sanitizer → churn analysis.
 struct PipelineRun {
   bgp::mrt::ParseStats parse_stats;
   StreamFaultStats stream_stats;
@@ -62,16 +65,19 @@ struct PipelineRun {
 PipelineRun RunPipeline(const SmallWorld& world, const FaultInjector& injector,
                         std::size_t threads) {
   PipelineRun run;
-  const FaultedText faulted_text =
-      injector.CorruptText(bgp::mrt::ToText(world.dynamics.updates));
-  bgp::mrt::LenientParse parsed = bgp::mrt::ParseTextLenient(faulted_text.text);
-  run.parse_stats = parsed.stats;
-  FaultedStream stream =
-      injector.PerturbStream(world.dynamics.initial_rib, parsed.updates);
-  run.stream_stats = stream.stats;
   test::RecordFixture fx;
   std::vector<bgp::feed::UpdateRec> rib = fx.Recs(world.dynamics.initial_rib);
-  bgp::SanitizedRecords clean = bgp::SanitizeRecords(rib, fx.Recs(stream.updates));
+  const FaultedText faulted_text =
+      injector.CorruptText(bgp::mrt::ToText(world.dynamics.updates));
+  bgp::mrt::ParseStreamOptions parse_options;
+  parse_options.lenient = true;
+  parse_options.stats = std::make_shared<bgp::mrt::ParseStats>();
+  bgp::feed::UpdateStream parsed =
+      bgp::mrt::ParseStream(fx.table(), faulted_text.text, parse_options);
+  FaultedRecords stream = injector.PerturbRecords(rib, bgp::feed::Drain(parsed));
+  run.parse_stats = *parse_options.stats;
+  run.stream_stats = stream.stats;
+  bgp::SanitizedRecords clean = bgp::SanitizeRecords(rib, std::move(stream.updates));
   run.sanitized = fx.Updates(clean.updates);
   bgp::ChurnParams churn_params;
   churn_params.window_end_s = injector.plan().window_s;
@@ -169,8 +175,10 @@ TEST(Degradation, ChurnAnalyzerDropsOutOfOrderInsteadOfCorrupting) {
 TEST(Degradation, MonitorSurvivesFaultedStreamIdempotently) {
   const SmallWorld world = MakeSmallWorld(kWindow);
   const FaultInjector injector(FaultPlan::Scaled(0.05, 999, kWindow));
-  FaultedStream stream = injector.PerturbStream(world.dynamics.initial_rib,
-                                                world.dynamics.updates);
+  test::RecordFixture fx;
+  const std::vector<bgp::feed::UpdateRec> rib = fx.Recs(world.dynamics.initial_rib);
+  const FaultedRecords stream =
+      injector.PerturbRecords(rib, fx.Recs(world.dynamics.updates));
 
   std::unordered_set<netbase::Prefix> monitored;
   for (const auto& update : world.dynamics.initial_rib) {
@@ -178,9 +186,10 @@ TEST(Degradation, MonitorSurvivesFaultedStreamIdempotently) {
     if (monitored.size() >= 4) break;
   }
   core::RelayMonitor monitor(monitored);
-  test::RecordFixture fx;
-  fx.FeedBaseline(monitor, world.dynamics.initial_rib);
-  for (const auto& update : stream.updates) (void)fx.Feed(monitor, update);
+  for (const bgp::feed::UpdateRec& rec : rib) monitor.LearnRecord(rec, *fx.table());
+  for (const bgp::feed::UpdateRec& rec : stream.updates) {
+    (void)monitor.ConsumeRecord(rec, *fx.table());
+  }
   // Alert totals stay consistent however noisy the feed was.
   EXPECT_EQ(monitor.AlertCounts().total(), monitor.alerts().size());
 }

@@ -42,10 +42,7 @@ class RecordFixture {
  public:
   [[nodiscard]] std::vector<bgp::feed::UpdateRec> Recs(
       std::span<const bgp::BgpUpdate> updates) {
-    std::vector<bgp::feed::UpdateRec> records;
-    records.reserve(updates.size());
-    for (const bgp::BgpUpdate& update : updates) records.push_back(Rec(update));
-    return records;
+    return bgp::feed::InternRecords(*table_, updates);
   }
 
   /// Back to fixture form, to compare a stage's output with literals.
