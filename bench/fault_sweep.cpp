@@ -37,6 +37,7 @@
 #include "common.hpp"
 #include "core/monitor.hpp"
 #include "fault/injector.hpp"
+#include "obs/span.hpp"
 #include "util/csv.hpp"
 #include "util/stats.hpp"
 
@@ -144,35 +145,50 @@ SweepPoint RunSweepPoint(const bench::Scenario& scenario,
   // Choke point 1: the archived text rots, and parsing degrades
   // gracefully — through the chunked streaming parser, whose fixed-size
   // chunk boundaries routinely split lines mid-record.
-  const fault::FaultedText faulted = injector.CorruptText(text);
+  const fault::FaultedText faulted = [&] {
+    const obs::ScopedSpan span("fault.corrupt");
+    return injector.CorruptText(text);
+  }();
   auto parse_stats = std::make_shared<bgp::mrt::ParseStats>();
-  bgp::mrt::ParseStreamOptions parse_options;
-  parse_options.lenient = true;
-  parse_options.stats = parse_stats;
-  bgp::feed::UpdateStream parsed = bgp::mrt::ParseStream(table, faulted.text, parse_options);
+  std::vector<bgp::feed::UpdateRec> parsed = [&] {
+    const obs::ScopedSpan span("bgp.mrt.parse");
+    bgp::mrt::ParseStreamOptions parse_options;
+    parse_options.lenient = true;
+    parse_options.stats = parse_stats;
+    bgp::feed::UpdateStream stream = bgp::mrt::ParseStream(table, faulted.text, parse_options);
+    return bgp::feed::Drain(stream);
+  }();
+  point.parse = *parse_stats;
 
   // Choke point 2: sessions flap, lose, delay, and resync.
-  fault::FaultedRecords stream = injector.PerturbRecords(rib, bgp::feed::Drain(parsed));
-  point.parse = *parse_stats;
+  // The closure owns the parsed records, so they are freed with it.
+  fault::FaultedRecords stream = [&, parsed = std::move(parsed)] {
+    const obs::ScopedSpan span("fault.perturb");
+    return injector.PerturbRecords(rib, parsed);
+  }();
   point.stream = stream.stats;
 
   // Choke point 3: archive the initial RIB in per-collector shards, each
   // write and read-back retried through the injector.
-  constexpr std::size_t kIoShards = 4;
-  const std::string io_path = "fault_sweep_io.tmp";
   std::size_t read_back = 0;
-  for (std::size_t shard = 0; shard < kIoShards; ++shard) {
-    std::vector<bgp::BgpUpdate> slice;
-    for (std::size_t i = shard; i < dynamics.initial_rib.size(); i += kIoShards) {
-      slice.push_back(dynamics.initial_rib[i]);
+  {
+    const obs::ScopedSpan span("fault.io");
+    constexpr std::size_t kIoShards = 4;
+    const std::string io_path = "fault_sweep_io.tmp";
+    for (std::size_t shard = 0; shard < kIoShards; ++shard) {
+      std::vector<bgp::BgpUpdate> slice;
+      for (std::size_t i = shard; i < dynamics.initial_rib.size(); i += kIoShards) {
+        slice.push_back(dynamics.initial_rib[i]);
+      }
+      fault::IoFaultStats write_stats, read_stats;
+      injector.WriteMrtFile(io_path, slice, &write_stats, /*op_index=*/2 * shard);
+      read_back +=
+          injector.ReadMrtFile(io_path, &read_stats, /*op_index=*/2 * shard + 1).size();
+      point.io_retries += write_stats.retries + read_stats.retries;
+      point.io_injected += write_stats.injected_failures + read_stats.injected_failures;
     }
-    fault::IoFaultStats write_stats, read_stats;
-    injector.WriteMrtFile(io_path, slice, &write_stats, /*op_index=*/2 * shard);
-    read_back += injector.ReadMrtFile(io_path, &read_stats, /*op_index=*/2 * shard + 1).size();
-    point.io_retries += write_stats.retries + read_stats.retries;
-    point.io_injected += write_stats.injected_failures + read_stats.injected_failures;
+    std::remove(io_path.c_str());
   }
-  std::remove(io_path.c_str());
   if (read_back != dynamics.initial_rib.size()) {
     throw std::runtime_error("fault_sweep: retried I/O lost records");
   }
@@ -193,6 +209,7 @@ SweepPoint RunSweepPoint(const bench::Scenario& scenario,
       ratios.empty() ? 0.0 : util::FractionAtLeast(ratios, 1.0 + 1e-9);
 
   // The monitor pass is the last use of the RIB and the sanitized feed.
+  const obs::ScopedSpan span("core.monitor");
   core::RelayMonitor monitor(
       scenario.prefix_map.TorPrefixes(scenario.consensus.consensus));
   bgp::feed::UpdateStream baseline = bgp::feed::FromRecords(table, std::move(rib));

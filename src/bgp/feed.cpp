@@ -1,6 +1,8 @@
 #include "bgp/feed.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -10,53 +12,114 @@ namespace quicksand::bgp::feed {
 
 namespace {
 
-/// FNV-1a over a sorted AS set — must stay identical to the churn
-/// analyzer's historical HashAsSet so interned-set keys reproduce the
-/// pre-interning distinct-set counts bit for bit.
-std::uint64_t HashSortedSet(const std::vector<AsNumber>& sorted) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (AsNumber as : sorted) {
-    h ^= as;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+/// Index occupancy bound: at most 3 of every 4 slots hold a path, so a
+/// linear probe for a hit stays within a slot or two.
+constexpr std::size_t kMaxLoadNum = 3;
+constexpr std::size_t kMaxLoadDen = 4;
+constexpr std::size_t kMinSlots = 64;
+
+/// Smallest power-of-two slot count that holds `paths` under the load bound.
+std::size_t SlotsFor(std::size_t paths) {
+  std::size_t slots = kMinSlots;
+  while (slots * kMaxLoadNum < paths * kMaxLoadDen) slots *= 2;
+  return slots;
 }
 
 }  // namespace
 
 AsPathTable::AsPathTable() {
-  // Entry 0: the empty path (withdrawals). Interning it is a hit.
+  // Entry 0: the empty path (withdrawals). Interning it is a hit; it
+  // never enters the index, and its arena run marks free slots.
   Entry empty;
-  empty.set_hash = HashSortedSet({});
-  empty.path_hash = std::hash<AsPath>{}(AsPath{});
+  empty.set_hash = HashHops({});
+  empty.path_hash = HashHops({});
   entries_.push_back(std::move(empty));
-  index_.emplace(AsPath{}, kEmptyPath);
 }
 
-PathId AsPathTable::Intern(const AsPath& path, bool* hit) {
-  const auto it = index_.find(path);
-  if (it != index_.end()) {
+std::uint32_t AsPathTable::AppendRun(PathId id, std::span<const AsNumber> hops) {
+  const std::size_t words = 2 + hops.size();
+  if (blocks_.empty() || block_used_ + words > kBlockWords) {
+    if (blocks_.size() >> (32 - kBlockBits) != 0) {
+      throw std::length_error("AsPathTable: hop arena exceeds 2^32 words");
+    }
+    const std::size_t size = std::max(words, kBlockWords);
+    blocks_.push_back(std::make_unique_for_overwrite<AsNumber[]>(size));
+    arena_bytes_ += size * sizeof(AsNumber);
+    block_used_ = 0;
+  }
+  const auto pos =
+      static_cast<std::uint32_t>(((blocks_.size() - 1) << kBlockBits) | block_used_);
+  AsNumber* run = blocks_.back().get() + block_used_;
+  run[0] = id;
+  run[1] = static_cast<AsNumber>(hops.size());
+  std::copy(hops.begin(), hops.end(), run + 2);
+  block_used_ += words;  // an oversized block is full: the next run opens a new one
+  return pos;
+}
+
+void AsPathTable::Rehash(std::size_t slot_count) {
+  std::vector<Slot> old(slot_count);
+  old.swap(slots_);
+  shift_ = 32 - std::countr_zero(slot_count);
+  const std::size_t mask = slot_count - 1;
+  for (const Slot& slot : old) {
+    if (slot.run == 0) continue;
+    std::size_t i = slot.tag >> shift_;
+    while (slots_[i].run != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+PathId AsPathTable::Intern(std::span<const AsNumber> hops, bool* hit) {
+  static obs::Counter& hits =
+      obs::MetricsRegistry::Global().GetCounter("feed.intern.hits", obs::Stability::kRun);
+  if (hops.empty()) {
     if (hit != nullptr) *hit = true;
-    static obs::Counter& hits = obs::MetricsRegistry::Global().GetCounter(
-        "feed.intern.hits", obs::Stability::kRun);
     hits.Increment();
-    return it->second;
+    return kEmptyPath;
+  }
+  if (blocks_.empty()) {
+    if (slots_.empty()) Rehash(kMinSlots);
+    (void)AppendRun(kEmptyPath, {});  // position 0: the free-slot marker
+  }
+  const std::uint64_t hash = HashHops(hops);
+  const auto tag = static_cast<std::uint32_t>((hash * 0x9E3779B97F4A7C15ULL) >> 32);
+  std::size_t mask = slots_.size() - 1;
+  std::size_t i = tag >> shift_;
+  for (; slots_[i].run != 0; i = (i + 1) & mask) {
+    if (slots_[i].tag != tag) continue;
+    const AsNumber* run = Run(slots_[i].run);
+    if (run[1] == hops.size() && std::equal(hops.begin(), hops.end(), run + 2)) {
+      if (hit != nullptr) *hit = true;
+      hits.Increment();
+      return run[0];
+    }
   }
   if (hit != nullptr) *hit = false;
+
+  const auto id = static_cast<PathId>(entries_.size());
+  const std::uint32_t run = AppendRun(id, hops);
+  if (entries_.size() * kMaxLoadDen > slots_.size() * kMaxLoadNum) {
+    // entries_.size() counts the empty path, so this keeps the index's
+    // own occupancy strictly under the bound after the insert below.
+    Rehash(slots_.size() * 2);
+    mask = slots_.size() - 1;
+    i = tag >> shift_;
+    while (slots_[i].run != 0) i = (i + 1) & mask;
+  }
+  slots_[i] = Slot{tag, run};
+
   Entry entry;
-  entry.path = path;
-  entry.sorted_set = path.DistinctAses();
+  entry.path = AsPath(std::vector<AsNumber>(hops.begin(), hops.end()));
+  entry.sorted_set.assign(hops.begin(), hops.end());
   std::sort(entry.sorted_set.begin(), entry.sorted_set.end());
-  entry.set_hash = HashSortedSet(entry.sorted_set);
-  entry.path_hash = std::hash<AsPath>{}(path);
-  const PathId id = static_cast<PathId>(entries_.size());
+  entry.sorted_set.erase(std::unique(entry.sorted_set.begin(), entry.sorted_set.end()),
+                         entry.sorted_set.end());
+  entry.set_hash = HashHops(entry.sorted_set);
+  entry.path_hash = hash;
+  entry_bytes_ += sizeof(Entry) + (hops.size() + entry.sorted_set.size()) * sizeof(AsNumber);
   entries_.push_back(std::move(entry));
-  index_.emplace(path, id);
-  // Entry + index-key footprint: the hop vector is stored twice (entry
-  // and index key), the sorted set once, plus the fixed structures.
-  approx_bytes_ += sizeof(Entry) + sizeof(std::pair<const AsPath, PathId>) +
-                   2 * path.size() * sizeof(AsNumber) +
-                   entries_.back().sorted_set.size() * sizeof(AsNumber);
+
   static obs::Counter& misses = obs::MetricsRegistry::Global().GetCounter(
       "feed.intern.misses", obs::Stability::kRun);
   misses.Increment();
@@ -70,13 +133,17 @@ PathId AsPathTable::Intern(const AsPath& path, bool* hit) {
   // pipeline (docs/OBSERVABILITY.md).
   static obs::Gauge& bytes_gauge = obs::MetricsRegistry::Global().GetGauge(
       "feed.intern.bytes", obs::Stability::kRun);
-  bytes_gauge.Set(static_cast<std::int64_t>(approx_bytes_));
+  bytes_gauge.Set(static_cast<std::int64_t>(ApproxBytes()));
   return id;
 }
 
 void AsPathTable::Reserve(std::size_t expected_paths) {
-  if (expected_paths <= index_.bucket_count()) return;
-  index_.reserve(expected_paths);
+  const std::size_t slots = SlotsFor(expected_paths + 1);
+  if (slots > slots_.size()) Rehash(slots);
+}
+
+std::size_t AsPathTable::ApproxBytes() const noexcept {
+  return entry_bytes_ + arena_bytes_ + slots_.size() * sizeof(Slot);
 }
 
 BgpUpdate ToBgpUpdate(const UpdateRec& rec, const AsPathTable& table) {

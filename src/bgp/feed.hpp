@@ -35,7 +35,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/path.hpp"
@@ -60,6 +59,14 @@ inline constexpr std::size_t kDefaultBatchSize = 4096;
 /// content hash of the hop sequence. Entries are stable: references
 /// returned by the accessors stay valid for the table's lifetime.
 ///
+/// The index is open addressing (linear probing) over the 64-bit
+/// PathHash. A slot holds 32 bits of the mixed hash as a tag and the
+/// position of the path's run (id, length, hops) in a hop arena; a tag
+/// match is confirmed against the run, and on a mismatch the probe keeps
+/// going, so paths that share a hash get distinct ids. A hit reads one
+/// slot and one run, never an entry. The arena grows by fixed blocks and
+/// never copies, so the 8-byte slots are the only buffer that regrows.
+///
 /// Not thread-safe for concurrent Intern; concurrent read-only access is
 /// fine. The deterministic pipelines intern serially (source stages) and
 /// read from parallel workers.
@@ -67,20 +74,27 @@ class AsPathTable {
  public:
   AsPathTable();
 
-  /// Returns the id of `path`, interning it on first sight. Sets `*hit`
-  /// (when non-null) to true iff the path was already interned.
+  /// Returns the id of the path `hops`, interning it on first sight. Sets
+  /// `*hit` (when non-null) to true iff the path was already interned.
   /// Maintains the `feed.intern.hits` / `feed.intern.misses` counters and
-  /// the `feed.paths_interned` / `feed.intern.bytes` gauges.
-  PathId Intern(const AsPath& path, bool* hit = nullptr);
+  /// the `feed.paths_interned` / `feed.intern.bytes` gauges. A source that
+  /// parses or decodes into a reused hop buffer interns it here with no
+  /// allocation on a hit.
+  PathId Intern(std::span<const AsNumber> hops, bool* hit = nullptr);
 
-  /// Pre-reserves index buckets for `expected_paths` distinct paths, so a
-  /// source that knows its path population (a QMRT block table, a sized
-  /// scenario) interns without rehash churn. Never shrinks.
+  PathId Intern(const AsPath& path, bool* hit = nullptr) {
+    return Intern(std::span<const AsNumber>(path.hops()), hit);
+  }
+
+  /// Pre-sizes the index for `expected_paths` distinct paths, so a source
+  /// that knows its path population (a sized scenario) interns without
+  /// rehashing. Never shrinks.
   void Reserve(std::size_t expected_paths);
 
-  /// Approximate heap footprint of the interned entries and their index —
-  /// the value the `feed.intern.bytes` gauge reports.
-  [[nodiscard]] std::size_t ApproxBytes() const noexcept { return approx_bytes_; }
+  /// Approximate heap footprint of the interned entries, the hop arena
+  /// and the index — the value the `feed.intern.bytes` gauge reports.
+  /// Zero for a fresh table.
+  [[nodiscard]] std::size_t ApproxBytes() const noexcept;
 
   [[nodiscard]] const AsPath& Path(PathId id) const { return entries_[id].path; }
 
@@ -95,7 +109,8 @@ class AsPathTable {
   /// historical per-update set hash.
   [[nodiscard]] std::uint64_t SetHash(PathId id) const { return entries_[id].set_hash; }
 
-  /// Content hash of the hop sequence (std::hash<AsPath>), table-independent.
+  /// Content hash of the hop sequence (HashHops, as std::hash<AsPath>),
+  /// table-independent.
   [[nodiscard]] std::uint64_t PathHash(PathId id) const { return entries_[id].path_hash; }
 
   /// Number of interned paths, including the empty path at id 0.
@@ -109,10 +124,37 @@ class AsPathTable {
     std::uint64_t path_hash = 0;
   };
 
+  /// One index slot: the top 32 bits of the path's mixed hash (its tag)
+  /// and the position of its run in the hop arena. Position 0 holds the
+  /// empty path's run, which never enters the index, so it marks a free
+  /// slot.
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t run = 0;
+  };
+
+  /// Arena runs are [id, length, hops...], packed into fixed blocks of
+  /// 2^kBlockBits words; a run position is (block << kBlockBits) | offset.
+  /// A run longer than a block gets a block of its own.
+  static constexpr int kBlockBits = 14;
+  static constexpr std::size_t kBlockWords = std::size_t{1} << kBlockBits;
+
+  [[nodiscard]] const AsNumber* Run(std::uint32_t pos) const noexcept {
+    return blocks_[pos >> kBlockBits].get() + (pos & (kBlockWords - 1));
+  }
+  /// Appends the run of path `id` and returns its position.
+  std::uint32_t AppendRun(PathId id, std::span<const AsNumber> hops);
+  /// Rebuilds the index with `slot_count` (a power of two) slots.
+  void Rehash(std::size_t slot_count);
+
   // deque: entry references stay valid while the table grows.
   std::deque<Entry> entries_;
-  std::unordered_map<AsPath, PathId> index_;
-  std::size_t approx_bytes_ = 0;
+  std::vector<std::unique_ptr<AsNumber[]>> blocks_;
+  std::size_t block_used_ = 0;  ///< words used in blocks_.back()
+  std::vector<Slot> slots_;     ///< empty until the first non-empty intern
+  int shift_ = 32;              ///< 32 - log2(slots_.size()): a tag's top bits pick its home
+  std::size_t entry_bytes_ = 0;
+  std::size_t arena_bytes_ = 0;
 };
 
 /// One update on the stream: BgpUpdate with the owning AsPath replaced by

@@ -1,8 +1,9 @@
 #include "bgp/mrt.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -52,56 +53,111 @@ std::string ToLine(const BgpUpdate& update) {
   return out;
 }
 
-std::optional<BgpUpdate> ParseLine(std::string_view line) {
-  // Split into exactly five '|'-separated fields.
-  std::string_view fields[5];
-  std::size_t start = 0;
-  for (int i = 0; i < 5; ++i) {
-    if (i == 4) {
-      fields[i] = line.substr(start);
-      break;
-    }
-    const auto bar = line.find('|', start);
-    if (bar == std::string_view::npos) return std::nullopt;
-    fields[i] = line.substr(start, bar - start);
-    start = bar + 1;
-  }
+namespace {
 
-  BgpUpdate update;
-  {
-    // std::from_chars into int64: rejects signs-only, trailing junk, and
-    // overflow outright (no stoul-style wraparound).
-    auto [ptr, ec] = std::from_chars(fields[0].data(), fields[0].data() + fields[0].size(),
-                                     update.time.seconds);
-    if (ec != std::errc{} || ptr != fields[0].data() + fields[0].size()) return std::nullopt;
-    if (update.time.seconds < 0) return std::nullopt;  // pre-epoch timestamp
+/// Scans the decimal digits at `p` as std::from_chars would into an
+/// unsigned type whose maximum is `Max`: at least one digit, leading zeros
+/// allowed, no sign, and a value above Max fails (no wraparound). Returns
+/// the first character past the digits, or nullptr on no digit or
+/// overflow.
+template <std::uint64_t Max>
+const char* ScanDigits(const char* p, const char* end, std::uint64_t& value) {
+  const char* const first = p;
+  std::uint64_t v = 0;
+  for (; p != end; ++p) {
+    const auto digit = static_cast<std::uint64_t>(static_cast<unsigned char>(*p)) - '0';
+    if (digit > 9) break;
+    if (v > (Max - digit) / 10) return nullptr;
+    v = v * 10 + digit;
   }
-  {
-    auto [ptr, ec] = std::from_chars(fields[1].data(), fields[1].data() + fields[1].size(),
-                                     update.session);
-    if (ec != std::errc{} || ptr != fields[1].data() + fields[1].size()) return std::nullopt;
-  }
-  if (fields[2] == "A") {
-    update.type = UpdateType::kAnnounce;
-  } else if (fields[2] == "W") {
-    update.type = UpdateType::kWithdraw;
+  if (p == first) return nullptr;
+  value = v;
+  return p;
+}
+
+/// A signed field as std::from_chars reads it, then bounded to [0, Max]
+/// as the grammar bounds it: an optional '-' (so "-0" reads as 0 and any
+/// other negative value fails), then digits.
+template <std::uint64_t Max>
+const char* ScanNonNegative(const char* p, const char* end, std::uint64_t& value) {
+  const bool negative = p != end && *p == '-';
+  const char* const past = ScanDigits<Max>(negative ? p + 1 : p, end, value);
+  if (past == nullptr || (negative && value != 0)) return nullptr;
+  return past;
+}
+
+/// True iff `p` is the field separator (and not the end of the line).
+bool AtBar(const char* p, const char* end) { return p != nullptr && p != end && *p == '|'; }
+
+BgpUpdate ToUpdate(const ParsedLine& line) {
+  return BgpUpdate{line.time, line.session, line.type, line.prefix, AsPath(line.hops)};
+}
+
+}  // namespace
+
+bool ParseLine(std::string_view line, ParsedLine& out) {
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  std::uint64_t value = 0;
+
+  p = ScanNonNegative<std::numeric_limits<std::int64_t>::max()>(p, end, value);
+  if (!AtBar(p, end)) return false;
+  out.time.seconds = static_cast<std::int64_t>(value);
+
+  p = ScanDigits<std::numeric_limits<SessionId>::max()>(p + 1, end, value);
+  if (!AtBar(p, end)) return false;
+  out.session = static_cast<SessionId>(value);
+
+  if (end - p < 3 || p[2] != '|') return false;
+  if (p[1] == 'A') {
+    out.type = UpdateType::kAnnounce;
+  } else if (p[1] == 'W') {
+    out.type = UpdateType::kWithdraw;
   } else {
-    return std::nullopt;
+    return false;
   }
-  if (fields[3].empty()) return std::nullopt;  // empty prefix field
-  auto prefix = netbase::Prefix::Parse(fields[3]);
-  if (!prefix) return std::nullopt;
-  update.prefix = *prefix;
-  if (update.type == UpdateType::kAnnounce) {
-    // AsPath::Parse uses from_chars into uint32, so AS tokens above
-    // 4294967295 fail the parse instead of wrapping.
-    auto path = AsPath::Parse(fields[4]);
-    if (!path || path->empty()) return std::nullopt;
-    update.path = std::move(*path);
-  } else if (!fields[4].empty()) {
-    return std::nullopt;  // withdrawals carry no path
+  p += 3;
+
+  // The prefix, as netbase::Prefix::Parse reads it: four octets of at most
+  // 255 without leading zeros, '/', a length in [0, 32], no host bits.
+  std::uint32_t address = 0;
+  for (int octet = 0; octet < 4; ++octet) {
+    if (octet > 0) {
+      if (p == end || *p != '.') return false;
+      ++p;
+    }
+    const char* const first = p;
+    p = ScanDigits<255>(p, end, value);
+    if (p == nullptr || (p - first > 1 && *first == '0')) return false;
+    address = (address << 8) | static_cast<std::uint32_t>(value);
   }
-  return update;
+  if (p == end || *p != '/') return false;
+  p = ScanNonNegative<32>(p + 1, end, value);
+  if (!AtBar(p, end)) return false;
+  const int length = static_cast<int>(value);
+  if ((address & ~netbase::Prefix::MaskFor(length)) != 0) return false;
+  out.prefix = netbase::Prefix(netbase::Ipv4Address(address), length);
+  ++p;
+
+  // The path field is the rest of the line, stray '|'s included.
+  out.hops.clear();
+  if (out.type == UpdateType::kWithdraw) return p == end;  // withdrawals carry no path
+  // Space-separated AS numbers; one above 4294967295 fails the line.
+  while (p != end) {
+    while (p != end && *p == ' ') ++p;
+    if (p == end) break;
+    p = ScanDigits<std::numeric_limits<AsNumber>::max()>(p, end, value);
+    if (p == nullptr || (p != end && *p != ' ')) return false;
+    out.hops.push_back(static_cast<AsNumber>(value));
+  }
+  return !out.hops.empty();
+}
+
+std::optional<BgpUpdate> ParseLine(std::string_view line) {
+  ParsedLine fields;
+  if (!ParseLine(line, fields)) return std::nullopt;
+  return BgpUpdate{fields.time, fields.session, fields.type, fields.prefix,
+                   AsPath(std::move(fields.hops))};
 }
 
 std::string ToText(const std::vector<BgpUpdate>& updates) {
@@ -113,14 +169,13 @@ std::string ToText(const std::vector<BgpUpdate>& updates) {
   return out;
 }
 
-void StreamParser::ConsumeLine(std::string_view line, std::vector<BgpUpdate>& out) {
+void StreamParser::ConsumeLine(std::string_view line, const Sink& sink) {
   ++line_number_;
   if (line.empty() || line.front() == '#') return;
   ++stats_.total_lines;
-  auto update = ParseLine(line);
-  if (update) {
+  if (ParseLine(line, line_)) {
     ++stats_.parsed;
-    out.push_back(std::move(*update));
+    sink(line_);
     return;
   }
   if (!options_.lenient) {
@@ -132,7 +187,7 @@ void StreamParser::ConsumeLine(std::string_view line, std::vector<BgpUpdate>& ou
   }
 }
 
-void StreamParser::Feed(std::string_view chunk, std::vector<BgpUpdate>& out) {
+void StreamParser::Feed(std::string_view chunk, const Sink& sink) {
   if (finished_) throw std::logic_error("mrt: StreamParser::Feed after Finish");
   std::size_t start = 0;
   while (true) {
@@ -142,25 +197,25 @@ void StreamParser::Feed(std::string_view chunk, std::vector<BgpUpdate>& out) {
       return;
     }
     if (pending_.empty()) {
-      ConsumeLine(chunk.substr(start, nl - start), out);
+      ConsumeLine(chunk.substr(start, nl - start), sink);
     } else {
       // A previous chunk ended mid-line; complete it before parsing.
       pending_.append(chunk.substr(start, nl - start));
-      ConsumeLine(pending_, out);
+      ConsumeLine(pending_, sink);
       pending_.clear();
     }
     start = nl + 1;
   }
 }
 
-void StreamParser::Finish(std::vector<BgpUpdate>& out) {
+void StreamParser::Finish(const Sink& sink) {
   if (finished_) return;
   finished_ = true;
   if (!pending_.empty()) {
     // The dump's final line had no trailing newline.
     std::string last;
     last.swap(pending_);
-    ConsumeLine(last, out);
+    ConsumeLine(last, sink);
   }
   if (options_.lenient && stats_.bad_lines > 0) {
     // Lazily registered: a clean dump leaves no bgp.mrt.* metric behind,
@@ -169,6 +224,14 @@ void StreamParser::Finish(std::vector<BgpUpdate>& out) {
         .GetCounter("bgp.mrt.bad_lines")
         .Increment(stats_.bad_lines);
   }
+}
+
+void StreamParser::Feed(std::string_view chunk, std::vector<BgpUpdate>& out) {
+  Feed(chunk, [&out](const ParsedLine& line) { out.push_back(ToUpdate(line)); });
+}
+
+void StreamParser::Finish(std::vector<BgpUpdate>& out) {
+  Finish([&out](const ParsedLine& line) { out.push_back(ToUpdate(line)); });
 }
 
 std::vector<BgpUpdate> ParseText(std::string_view text) {
@@ -182,19 +245,22 @@ std::vector<BgpUpdate> ParseText(std::string_view text) {
 
 namespace {
 
+/// Yields the next chunk of input (valid until the next call), or false
+/// at the end.
+using ChunkSource = std::function<bool(std::string_view&)>;
+
 /// Pull-side state shared by ParseStream and ParseFileStream: a chunk
-/// producer feeds the incremental parser until a full batch of records is
-/// available (or input ends), so resident parsed-but-unemitted updates
-/// stay bounded by batch_size + one chunk's worth.
+/// producer feeds the incremental parser, which interns each line's hop
+/// buffer straight into a record of the batch being filled, until a full
+/// batch is available (or input ends). Records parsed past the batch's end
+/// carry over to the next pull, so a batch never exceeds batch_size.
 feed::UpdateStream MakeParserStream(std::shared_ptr<feed::AsPathTable> table,
                                     const ParseStreamOptions& options,
-                                    std::function<bool(std::string&)> next_chunk) {
+                                    ChunkSource next_chunk) {
   struct State {
     StreamParser parser;
-    std::function<bool(std::string&)> next_chunk;
-    std::string chunk;
-    std::vector<BgpUpdate> parsed;  ///< parsed but not yet emitted
-    std::size_t next = 0;
+    ChunkSource next_chunk;
+    std::vector<feed::UpdateRec> carry;  ///< parsed past the last batch's end
     bool input_done = false;
     std::shared_ptr<ParseStats> stats_out;
   };
@@ -210,47 +276,46 @@ feed::UpdateStream MakeParserStream(std::shared_ptr<feed::AsPathTable> table,
   return feed::UpdateStream(
       std::move(table),
       [state = std::move(state), raw_table, batch_size](std::vector<feed::UpdateRec>& out) {
-        // Drop the already-emitted prefix so the buffer stays bounded.
-        if (state->next > 0) {
-          state->parsed.erase(state->parsed.begin(),
-                              state->parsed.begin() + static_cast<std::ptrdiff_t>(state->next));
-          state->next = 0;
-        }
-        while (!state->input_done && state->parsed.size() < batch_size) {
-          if (state->next_chunk(state->chunk)) {
-            state->parser.Feed(state->chunk, state->parsed);
+        out.swap(state->carry);
+        const StreamParser::Sink sink = [&out, raw_table](const ParsedLine& line) {
+          out.push_back({line.time, line.session, line.type, line.prefix,
+                         line.hops.empty() ? feed::kEmptyPath : raw_table->Intern(line.hops)});
+        };
+        std::string_view chunk;
+        while (!state->input_done && out.size() < batch_size) {
+          if (state->next_chunk(chunk)) {
+            state->parser.Feed(chunk, sink);
           } else {
-            state->parser.Finish(state->parsed);
+            state->parser.Finish(sink);
             state->input_done = true;
             if (state->stats_out) *state->stats_out = state->parser.stats();
           }
         }
-        if (state->next >= state->parsed.size()) return false;
-        const std::size_t end = std::min(state->next + batch_size, state->parsed.size());
-        out.reserve(end - state->next);
-        for (; state->next < end; ++state->next) {
-          out.push_back(feed::ToRecord(state->parsed[state->next], *raw_table));
+        if (out.size() > batch_size) {
+          state->carry.assign(out.begin() + static_cast<std::ptrdiff_t>(batch_size), out.end());
+          out.resize(batch_size);
         }
-        return true;
+        return !out.empty();
       });
 }
 
 /// The one chunked file reader: opens `path` (errno context on failure)
 /// and yields its next `chunk_bytes`-sized chunk, false at end of file.
-std::function<bool(std::string&)> FileChunks(std::string path, std::size_t chunk_bytes) {
+ChunkSource FileChunks(std::string path, std::size_t chunk_bytes) {
   auto in = std::make_shared<std::ifstream>(path, std::ios::binary);
   if (!*in) {
     throw std::runtime_error("mrt: cannot open '" + path + "': " + util::ErrnoDetail());
   }
   if (chunk_bytes == 0) chunk_bytes = 1;
-  return [in = std::move(in), chunk_bytes, path = std::move(path)](std::string& chunk) {
-    chunk.resize(chunk_bytes);
-    in->read(chunk.data(), static_cast<std::streamsize>(chunk_bytes));
+  return [in = std::move(in), chunk_bytes, path = std::move(path),
+          buffer = std::string()](std::string_view& chunk) mutable {
+    buffer.resize(chunk_bytes);
+    in->read(buffer.data(), static_cast<std::streamsize>(chunk_bytes));
     if (in->bad()) {
       throw std::runtime_error("mrt: read failed for '" + path + "': " + util::ErrnoDetail());
     }
     const auto got = static_cast<std::size_t>(in->gcount());
-    chunk.resize(got);
+    chunk = std::string_view(buffer).substr(0, got);
     return got > 0;
   };
 }
@@ -262,11 +327,10 @@ feed::UpdateStream ParseStream(std::shared_ptr<feed::AsPathTable> table,
   const std::size_t chunk_bytes = options.chunk_bytes == 0 ? 1 : options.chunk_bytes;
   return MakeParserStream(
       std::move(table), options,
-      [text, chunk_bytes, offset = std::size_t{0}](std::string& chunk) mutable {
+      [text, chunk_bytes, offset = std::size_t{0}](std::string_view& chunk) mutable {
         if (offset >= text.size()) return false;
-        const std::size_t n = std::min(chunk_bytes, text.size() - offset);
-        chunk.assign(text.substr(offset, n));
-        offset += n;
+        chunk = text.substr(offset, chunk_bytes);
+        offset += chunk.size();
         return true;
       });
 }
@@ -312,7 +376,7 @@ std::vector<BgpUpdate> ReadFile(const std::string& path) {
   const auto next_chunk = FileChunks(path, ParseStreamOptions{}.chunk_bytes);
   std::vector<BgpUpdate> out;
   StreamParser parser;
-  for (std::string chunk; next_chunk(chunk);) parser.Feed(chunk, out);
+  for (std::string_view chunk; next_chunk(chunk);) parser.Feed(chunk, out);
   parser.Finish(out);
   return out;
 }

@@ -11,19 +11,23 @@
 // The format is lossless for BgpUpdate and diff-friendly, so dumps can be
 // inspected and checked into test fixtures.
 //
-// Two parsing modes exist: strict (throws on the first malformed line,
-// for trusted fixtures) and lenient (skips bad lines and reports what it
-// dropped — the mode the fault-tolerant pipeline uses on real-world or
-// fault-injected archives, where a corrupt line must cost one record, not
-// the whole dataset; see docs/ROBUSTNESS.md).
+// One line grammar (`ParseLine(line, fields)`) reads a line into a reused
+// `ParsedLine`, whose hop buffer keeps its capacity, and one incremental
+// `StreamParser` owns line splitting, line numbers, `ParseStats` and the
+// strict/lenient policy, handing each well-formed line to a sink. Strict
+// mode throws on the first malformed line (for trusted fixtures);
+// lenient mode skips bad lines and reports what it dropped — the mode the
+// fault-tolerant pipeline uses on real-world or fault-injected archives,
+// where a corrupt line must cost one record, not the whole dataset (see
+// docs/ROBUSTNESS.md).
 //
-// Both modes run on the incremental `StreamParser`, which accepts input
-// in arbitrary byte chunks (a chunk boundary may split a line mid-record)
-// and behaves identically to whole-text parsing. The strict whole-dump
-// ParseText is a thin adapter over it, and `ParseStream` exposes the
-// parser as a chunked `feed::UpdateStream` source in either mode — its
-// `lenient` option is the one lenient entry point (docs/ARCHITECTURE.md).
+// `ParseStream` and `ParseFileStream` are the record-plane sources: each
+// line's hop buffer is interned straight into the stream's AsPathTable,
+// so a line costs no heap allocation once its path is known. `ParseLine`,
+// `ParseText` and `ReadFile` build path-owning `BgpUpdate`s from the same
+// grammar for the materialized callers (docs/ARCHITECTURE.md).
 
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -39,10 +43,25 @@ namespace quicksand::bgp::mrt {
 /// Serializes one update to its line form (no trailing newline).
 [[nodiscard]] std::string ToLine(const BgpUpdate& update);
 
-/// Parses one line. Returns nullopt on malformed input. Rejects, besides
+/// One line's fields as the grammar reads them. Meant to be reused across
+/// lines: `hops` keeps its capacity, so parsing allocates nothing per line.
+struct ParsedLine {
+  netbase::SimTime time;
+  SessionId session = 0;
+  UpdateType type = UpdateType::kAnnounce;
+  netbase::Prefix prefix;
+  std::vector<AsNumber> hops;  ///< empty for withdrawals
+};
+
+/// The line grammar. Fills `out` and returns true iff `line` is
+/// well-formed; on false, `out` holds unspecified fields. Rejects, besides
 /// outright syntax errors: negative timestamps, AS numbers or session ids
-/// that overflow their 32-bit types, empty prefixes, and announcements
-/// without a path.
+/// that overflow their 32-bit types, empty or non-canonical prefixes,
+/// announcements without a path, and withdrawals with one.
+[[nodiscard]] bool ParseLine(std::string_view line, ParsedLine& out);
+
+/// The same grammar into a path-owning update. Returns nullopt on
+/// malformed input.
 [[nodiscard]] std::optional<BgpUpdate> ParseLine(std::string_view line);
 
 /// Serializes a stream of updates, one per line.
@@ -58,9 +77,10 @@ struct ParseStats {
 };
 
 /// Incremental push parser: feed it byte chunks cut at ANY boundary (a
-/// chunk may end mid-line) and it produces exactly the records whole-text
-/// parsing would. Blank lines and lines starting with '#' are skipped;
-/// line numbers are 1-based over the whole input, comments included.
+/// chunk may end mid-line) and it hands the sink exactly the lines
+/// whole-text parsing would. Blank lines and lines starting with '#' are
+/// skipped; line numbers are 1-based over the whole input, comments
+/// included.
 ///
 /// Strict mode (lenient == false) throws std::runtime_error from Feed or
 /// Finish naming the first bad line's number and a truncated copy of its
@@ -75,27 +95,36 @@ class StreamParser {
     std::size_t max_recorded_errors = 8;
   };
 
+  /// Receives each well-formed line. The fields are the parser's reused
+  /// buffer: valid only for the duration of the call.
+  using Sink = std::function<void(const ParsedLine&)>;
+
   StreamParser() = default;
   explicit StreamParser(Options options) : options_(options) {}
 
   /// Parses every complete line in `chunk` (plus whatever was buffered
-  /// from previous chunks), appending records to `out`. The trailing
-  /// partial line, if any, is buffered for the next Feed/Finish.
-  void Feed(std::string_view chunk, std::vector<BgpUpdate>& out);
+  /// from previous chunks), handing each well-formed one to `sink`. The
+  /// trailing partial line, if any, is buffered for the next Feed/Finish.
+  void Feed(std::string_view chunk, const Sink& sink);
 
   /// Flushes the buffered final line (a dump need not end in '\n') and
   /// commits the bad-line counter. Idempotent.
+  void Finish(const Sink& sink);
+
+  /// The same, appending path-owning updates to `out`.
+  void Feed(std::string_view chunk, std::vector<BgpUpdate>& out);
   void Finish(std::vector<BgpUpdate>& out);
 
   [[nodiscard]] const ParseStats& stats() const noexcept { return stats_; }
 
  private:
-  void ConsumeLine(std::string_view line, std::vector<BgpUpdate>& out);
+  void ConsumeLine(std::string_view line, const Sink& sink);
 
   Options options_;
   std::string pending_;  ///< partial trailing line from the last chunk
   std::size_t line_number_ = 0;
   ParseStats stats_;
+  ParsedLine line_;  ///< reused across lines
   bool finished_ = false;
 };
 
@@ -121,8 +150,9 @@ struct ParseStreamOptions {
 
 /// Exposes a dump as a chunked `feed::UpdateStream`: `text` is sliced
 /// into `chunk_bytes` pieces and run through StreamParser as batches are
-/// pulled, interning paths into `table`. The text is NOT copied and must
-/// outlive the stream. Strict mode throws from Next() on a bad line.
+/// pulled, each line's path interned into `table` as it is parsed (ids
+/// follow line order). The text is NOT copied and must outlive the
+/// stream. Strict mode throws from Next() on a bad line.
 [[nodiscard]] feed::UpdateStream ParseStream(std::shared_ptr<feed::AsPathTable> table,
                                              std::string_view text,
                                              ParseStreamOptions options = {});

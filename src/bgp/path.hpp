@@ -79,16 +79,22 @@ class AsPath {
 
 std::ostream& operator<<(std::ostream& os, const AsPath& path);
 
+/// FNV-1a over a hop sequence: std::hash<AsPath>, and the key of
+/// feed::AsPathTable's index.
+[[nodiscard]] inline std::uint64_t HashHops(std::span<const AsNumber> hops) noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const AsNumber hop : hops) {
+    h ^= hop;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 }  // namespace quicksand::bgp
 
 template <>
 struct std::hash<quicksand::bgp::AsPath> {
   std::size_t operator()(const quicksand::bgp::AsPath& p) const noexcept {
-    std::size_t h = 0xcbf29ce484222325ULL;
-    for (auto hop : p.hops()) {
-      h ^= hop;
-      h *= 0x100000001b3ULL;
-    }
-    return h;
+    return quicksand::bgp::HashHops(p.hops());
   }
 };

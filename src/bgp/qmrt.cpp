@@ -302,12 +302,9 @@ void DecodePayload(std::string_view payload, feed::AsPathTable& table,
   // reference them by local id with no per-record hashing.
   const std::uint64_t path_count = GetVarint(payload, offset);
   if (path_count > payload.size()) throw BlockError("implausible path count");
-  // No per-block table.Reserve(size() + path_count) hint: each block's
-  // slightly-larger target forces a full rehash of the whole intern map
-  // (every key re-hashed, O(blocks * table size) across a stream — gprof
-  // showed it as the single largest decode cost). Insertion's geometric
-  // bucket growth amortizes; callers that know the final distinct-path
-  // count can still Reserve once up front.
+  // No per-block table.Reserve hint: insertion's geometric index growth
+  // amortizes; callers that know the final distinct-path count can
+  // Reserve once up front.
   std::vector<feed::PathId> local_paths;
   local_paths.reserve(path_count);
   std::vector<AsNumber> hops;
@@ -333,7 +330,7 @@ void DecodePayload(std::string_view payload, feed::AsPathTable& table,
       hops.push_back(static_cast<AsNumber>(as));
     }
     if (offset != hops_end) throw BlockError("misaligned hop bytes");
-    const feed::PathId id = table.Intern(AsPath(std::vector<AsNumber>(hops)));
+    const feed::PathId id = table.Intern(hops);
     if (stream_id < kMaxCachedStreamId) {
       if (stream_memo.size() <= stream_id) {
         stream_memo.resize(static_cast<std::size_t>(stream_id) + 1, kNoPathId);

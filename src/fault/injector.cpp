@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <deque>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -54,46 +55,52 @@ FaultedText FaultInjector::CorruptText(std::string_view text) const {
   const MrtFaultRates& rates = plan_.mrt;
   FaultedText result;
 
-  // Split into lines, remembering whether the dump ended with a newline
-  // so an untouched dump reassembles byte-exactly.
-  struct Line {
-    std::string text;
-    bool reorder_marked = false;
-  };
-  std::vector<Line> lines;
+  // Split into views of `text`, remembering whether the dump ended with a
+  // newline so an untouched dump reassembles byte-exactly.
+  std::vector<std::string_view> lines;
   bool trailing_newline = false;
   std::size_t start = 0;
   while (start < text.size()) {
     const auto end = text.find('\n', start);
     if (end == std::string_view::npos) {
-      lines.push_back({std::string(text.substr(start)), false});
+      lines.push_back(text.substr(start));
       break;
     }
-    lines.push_back({std::string(text.substr(start, end - start)), false});
+    lines.push_back(text.substr(start, end - start));
     start = end + 1;
     if (start == text.size()) trailing_newline = true;
   }
   result.stats.input_lines = lines.size();
 
-  std::vector<Line> faulted;
+  // Only a garbled line gets an owned copy (a deque, so the views into
+  // earlier copies stay valid); a truncation is a shorter view. The
+  // output is a sequence of line indices, a duplicate an index repeated.
+  std::deque<std::string> garbled;
+  struct Slot {
+    std::size_t line;
+    bool reorder_marked;
+  };
+  std::vector<Slot> faulted;
   faulted.reserve(lines.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {
     netbase::Rng rng = Substream("mrt.line", i);
-    Line line = std::move(lines[i]);
-    if (!line.text.empty() && rng.Bernoulli(rates.corrupt_rate)) {
-      const std::size_t pos = rng.UniformInt(0, line.text.size() - 1);
-      line.text[pos] = kGarbleAlphabet[rng.UniformInt(0, kGarbleAlphabet.size() - 1)];
+    std::string_view& line = lines[i];
+    if (!line.empty() && rng.Bernoulli(rates.corrupt_rate)) {
+      const std::size_t pos = rng.UniformInt(0, line.size() - 1);
+      std::string& copy = garbled.emplace_back(line);
+      copy[pos] = kGarbleAlphabet[rng.UniformInt(0, kGarbleAlphabet.size() - 1)];
+      line = copy;
       ++result.stats.corrupted;
     }
-    if (!line.text.empty() && rng.Bernoulli(rates.truncate_rate)) {
-      line.text.resize(rng.UniformInt(0, line.text.size() - 1));
+    if (!line.empty() && rng.Bernoulli(rates.truncate_rate)) {
+      line = line.substr(0, rng.UniformInt(0, line.size() - 1));
       ++result.stats.truncated;
     }
-    line.reorder_marked = rng.Bernoulli(rates.reorder_rate);
+    const bool reorder_marked = rng.Bernoulli(rates.reorder_rate);
     const bool duplicate = rng.Bernoulli(rates.duplicate_rate);
-    faulted.push_back(line);
+    faulted.push_back({i, reorder_marked});
     if (duplicate) {
-      faulted.push_back({faulted.back().text, false});
+      faulted.push_back({i, false});
       ++result.stats.duplicated;
     }
   }
@@ -103,16 +110,19 @@ FaultedText FaultInjector::CorruptText(std::string_view text) const {
   // local disorder, never long-range teleportation.
   for (std::size_t i = 0; i + 1 < faulted.size(); ++i) {
     if (!faulted[i].reorder_marked) continue;
-    const auto a = LineTime(faulted[i].text);
-    const auto b = LineTime(faulted[i + 1].text);
+    const auto a = LineTime(lines[faulted[i].line]);
+    const auto b = LineTime(lines[faulted[i + 1].line]);
     if (!a || !b || *a == *b) continue;
     if (std::llabs(*b - *a) > rates.reorder_jitter_s) continue;
     std::swap(faulted[i], faulted[i + 1]);
     ++result.stats.reordered;
   }
 
+  std::size_t bytes = faulted.size();
+  for (const Slot& slot : faulted) bytes += lines[slot.line].size();
+  result.text.reserve(bytes);
   for (std::size_t i = 0; i < faulted.size(); ++i) {
-    result.text += faulted[i].text;
+    result.text += lines[faulted[i].line];
     if (i + 1 < faulted.size() || trailing_newline) result.text += '\n';
   }
 

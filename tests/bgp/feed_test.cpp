@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "bgp/churn.hpp"
 #include "bgp/update.hpp"
 #include "core/monitor.hpp"
+#include "netbase/rng.hpp"
 #include "obs/metrics.hpp"
 #include "record_fixture.hpp"
 
@@ -91,6 +95,82 @@ TEST(AsPathTable, PathHashIsTableIndependent) {
   const feed::PathId b = two.Intern(AsPath::MustParse("1 2 3"));
   EXPECT_NE(a, b);
   EXPECT_EQ(one.PathHash(a), two.PathHash(b));
+}
+
+TEST(AsPathTable, PathsSharingAHashGetDistinctIds) {
+  // Two paths with one FNV-1a hash: the index must confirm a hash match
+  // against the hops and keep probing on a mismatch.
+  const AsPath a{2, 1, 7};
+  const AsPath b{1, 30321, 584332};
+  ASSERT_EQ(std::hash<AsPath>{}(a), 0xea9ca11875dc4831ULL);
+  ASSERT_EQ(std::hash<AsPath>{}(b), 0xea9ca11875dc4831ULL);
+  for (const bool a_first : {true, false}) {
+    feed::AsPathTable table;
+    bool hit = true;
+    const feed::PathId first = table.Intern(a_first ? a : b, &hit);
+    EXPECT_FALSE(hit);
+    const feed::PathId second = table.Intern(a_first ? b : a, &hit);
+    EXPECT_FALSE(hit);
+    EXPECT_NE(first, second);
+    EXPECT_EQ(table.PathHash(first), table.PathHash(second));
+    const feed::PathId id_a = a_first ? first : second;
+    const feed::PathId id_b = a_first ? second : first;
+    EXPECT_EQ(table.Path(id_a), a);
+    EXPECT_EQ(table.Path(id_b), b);
+    EXPECT_EQ(table.Intern(a, &hit), id_a);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(table.Intern(b, &hit), id_b);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(table.size(), 3u);
+  }
+}
+
+TEST(AsPathTable, MatchesMapReferenceThroughGrowthAndReserve) {
+  // Seeded paths (short, over a small AS alphabet, so hits are common),
+  // with the colliding pair above and a path longer than an arena block
+  // dropped in, against an ordered-map reference. Tens of thousands of
+  // distinct paths take the index through many doublings; odd seeds
+  // Reserve mid-stream.
+  const std::vector<AsNumber> collide_a{2, 1, 7};
+  const std::vector<AsNumber> collide_b{1, 30321, 584332};
+  std::vector<AsNumber> very_long(20000);
+  for (std::size_t i = 0; i < very_long.size(); ++i) very_long[i] = static_cast<AsNumber>(i);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    netbase::Rng rng(seed);
+    feed::AsPathTable table;
+    std::map<std::vector<AsNumber>, feed::PathId> reference{{{}, feed::kEmptyPath}};
+    std::vector<AsNumber> hops;
+    for (std::size_t i = 0; i < 40000; ++i) {
+      if (seed % 2 == 1 && i == 5000) table.Reserve(60000);
+      if (i % 997 == 13) {
+        hops = rng.Bernoulli(0.5) ? collide_a : collide_b;
+      } else if (i % 9973 == 100) {
+        hops = very_long;
+      } else {
+        hops.resize(rng.UniformInt(0, 6));
+        for (AsNumber& as : hops) {
+          as = rng.Bernoulli(0.05) ? static_cast<AsNumber>(rng.UniformInt(0, 0xFFFFFFFFULL))
+                                   : static_cast<AsNumber>(rng.UniformInt(1, 12));
+        }
+      }
+      bool hit = false;
+      const feed::PathId id = table.Intern(std::span<const AsNumber>(hops), &hit);
+      const auto [it, inserted] =
+          reference.emplace(hops, static_cast<feed::PathId>(reference.size()));
+      ASSERT_EQ(hit, !inserted) << "seed " << seed << " step " << i;
+      ASSERT_EQ(id, it->second) << "seed " << seed << " step " << i;
+    }
+    EXPECT_GT(reference.size(), 20000u) << "seed " << seed;
+    ASSERT_EQ(table.size(), reference.size());
+    for (const auto& [path, id] : reference) {
+      EXPECT_EQ(table.Path(id).hops(), path);
+      EXPECT_EQ(table.PathHash(id), HashHops(path));
+      std::vector<AsNumber> set = path;
+      std::sort(set.begin(), set.end());
+      set.erase(std::unique(set.begin(), set.end()), set.end());
+      EXPECT_EQ(table.SortedSet(id), set);
+    }
+  }
 }
 
 // --- records and streams --------------------------------------------------

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -11,6 +14,7 @@
 #include "bgp/feed.hpp"
 #include "bgp/mrt.hpp"
 #include "bgp/update.hpp"
+#include "netbase/rng.hpp"
 
 namespace quicksand::bgp {
 namespace {
@@ -387,6 +391,383 @@ TEST(Mrt, FileErrorsCarryPathAndErrnoContext) {
     (void)mrt::ParseFileStream(std::make_shared<feed::AsPathTable>(), path);
   });
   expect_context([&] { mrt::WriteFile(path, {}); });
+}
+
+// --- the record parser against a reference grammar ------------------------
+
+/// The field-splitting line grammar the record parser replaced, kept as
+/// the oracle: five '|'-separated fields, std::from_chars numbers,
+/// netbase::Prefix::Parse and AsPath::Parse.
+std::optional<BgpUpdate> ReferenceParseLine(std::string_view line) {
+  std::string_view fields[5];
+  std::size_t start = 0;
+  for (int i = 0; i < 5; ++i) {
+    if (i == 4) {
+      fields[i] = line.substr(start);
+      break;
+    }
+    const auto bar = line.find('|', start);
+    if (bar == std::string_view::npos) return std::nullopt;
+    fields[i] = line.substr(start, bar - start);
+    start = bar + 1;
+  }
+  BgpUpdate update;
+  {
+    auto [ptr, ec] = std::from_chars(fields[0].data(), fields[0].data() + fields[0].size(),
+                                     update.time.seconds);
+    if (ec != std::errc{} || ptr != fields[0].data() + fields[0].size()) return std::nullopt;
+    if (update.time.seconds < 0) return std::nullopt;
+  }
+  {
+    auto [ptr, ec] = std::from_chars(fields[1].data(), fields[1].data() + fields[1].size(),
+                                     update.session);
+    if (ec != std::errc{} || ptr != fields[1].data() + fields[1].size()) return std::nullopt;
+  }
+  if (fields[2] == "A") {
+    update.type = UpdateType::kAnnounce;
+  } else if (fields[2] == "W") {
+    update.type = UpdateType::kWithdraw;
+  } else {
+    return std::nullopt;
+  }
+  if (fields[3].empty()) return std::nullopt;
+  auto prefix = netbase::Prefix::Parse(fields[3]);
+  if (!prefix) return std::nullopt;
+  update.prefix = *prefix;
+  if (update.type == UpdateType::kAnnounce) {
+    auto path = AsPath::Parse(fields[4]);
+    if (!path || path->empty()) return std::nullopt;
+    update.path = std::move(*path);
+  } else if (!fields[4].empty()) {
+    return std::nullopt;
+  }
+  return update;
+}
+
+/// The five '|'-separated fields as the reference splits them; nullopt
+/// with fewer than four bars.
+std::optional<std::vector<std::string_view>> SplitFields(std::string_view line) {
+  std::vector<std::string_view> fields;
+  std::size_t start = 0;
+  for (int i = 0; i < 4; ++i) {
+    const auto bar = line.find('|', start);
+    if (bar == std::string_view::npos) return std::nullopt;
+    fields.push_back(line.substr(start, bar - start));
+    start = bar + 1;
+  }
+  fields.push_back(line.substr(start));
+  return fields;
+}
+
+bool AllDigits(std::string_view text) {
+  return !text.empty() && std::all_of(text.begin(), text.end(),
+                                      [](char c) { return c >= '0' && c <= '9'; });
+}
+
+/// True iff the digit string denotes a value that overflows T.
+template <typename T>
+bool Overflows(std::string_view digits) {
+  T value{};
+  return std::from_chars(digits.data(), digits.data() + digits.size(), value).ec ==
+         std::errc::result_out_of_range;
+}
+
+/// The edge cases the mutated corpus must reach, each counted only on a
+/// line whose other four fields are its unmutated base's, so the case
+/// alone decides the verdict.
+struct GrammarCases {
+  std::size_t negative_time = 0;
+  std::size_t time_over_int64 = 0;
+  std::size_t minus_zero_time = 0;
+  std::size_t session_over_uint32 = 0;
+  std::size_t bad_type = 0;
+  std::size_t leading_zero_octet = 0;
+  std::size_t host_bits_set = 0;
+  std::size_t length_over_32 = 0;
+  std::size_t empty_announced_path = 0;
+  std::size_t withdrawal_with_path = 0;
+  std::size_t as_over_uint32 = 0;
+  std::size_t stray_bar_in_path = 0;
+};
+
+void Classify(std::string_view base, std::string_view line, bool accepted,
+              GrammarCases& cases) {
+  const auto want = SplitFields(base);
+  const auto got = SplitFields(line);
+  if (!want || !got) return;
+  int changed = -1;
+  for (int i = 0; i < 5; ++i) {
+    if ((*want)[i] == (*got)[i]) continue;
+    if (changed >= 0) return;  // more than one field mutated
+    changed = i;
+  }
+  const std::vector<std::string_view>& f = *got;
+  switch (changed) {
+    case 0:
+      if (f[0].size() > 1 && f[0][0] == '-' && AllDigits(f[0].substr(1))) {
+        const bool zero = f[0].find_first_not_of("0", 1) == std::string_view::npos;
+        if (zero && accepted) ++cases.minus_zero_time;
+        if (!zero) ++cases.negative_time;
+      } else if (AllDigits(f[0]) && Overflows<std::int64_t>(f[0])) {
+        ++cases.time_over_int64;
+      }
+      break;
+    case 1:
+      if (AllDigits(f[1]) && Overflows<std::uint32_t>(f[1])) ++cases.session_over_uint32;
+      break;
+    case 2:
+      if (f[2] != "A" && f[2] != "W") ++cases.bad_type;
+      break;
+    case 3: {
+      const auto slash = f[3].find('/');
+      if (slash == std::string_view::npos) break;
+      const std::string_view address = f[3].substr(0, slash);
+      const std::string_view length = f[3].substr(slash + 1);
+      for (std::size_t pos = 0; pos <= address.size();) {
+        const std::size_t dot = std::min(address.find('.', pos), address.size());
+        const std::string_view octet = address.substr(pos, dot - pos);
+        if (AllDigits(octet) && octet.size() > 1 && octet[0] == '0') {
+          ++cases.leading_zero_octet;
+          break;
+        }
+        pos = dot + 1;
+      }
+      int bits = -1;
+      if (AllDigits(length) &&
+          std::from_chars(length.data(), length.data() + length.size(), bits).ec ==
+              std::errc{}) {
+        if (bits > 32) ++cases.length_over_32;
+        const auto parsed = netbase::Ipv4Address::Parse(address);
+        if (parsed && bits <= 32 &&
+            (parsed->value() & ~netbase::Prefix::MaskFor(bits)) != 0) {
+          ++cases.host_bits_set;
+        }
+      }
+      break;
+    }
+    case 4:
+      if (f[4].find('|') != std::string_view::npos) ++cases.stray_bar_in_path;
+      if (f[2] == "W" && !f[4].empty()) ++cases.withdrawal_with_path;
+      if (f[2] == "A" && f[4].find_first_not_of(' ') == std::string_view::npos) {
+        ++cases.empty_announced_path;
+      }
+      for (std::size_t pos = 0; pos < f[4].size();) {
+        const std::size_t begin = f[4].find_first_of("0123456789", pos);
+        if (begin == std::string_view::npos) break;
+        std::size_t end = f[4].find_first_not_of("0123456789", begin);
+        if (end == std::string_view::npos) end = f[4].size();
+        if (Overflows<std::uint32_t>(f[4].substr(begin, end - begin))) {
+          ++cases.as_over_uint32;
+          break;
+        }
+        pos = end;
+      }
+      break;
+    default:
+      break;
+  }
+}
+
+/// Real generated lines: updates drawn like a collector month's and
+/// serialized with ToLine.
+std::vector<std::string> GeneratedLines(netbase::Rng& rng, std::size_t n) {
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < n; ++i) {
+    BgpUpdate update;
+    update.time = SimTime{1398902400 + static_cast<std::int64_t>(rng.UniformInt(0, 2592000))};
+    update.session = static_cast<SessionId>(rng.UniformInt(0, 79));
+    const int length = static_cast<int>(rng.UniformInt(8, 24));
+    update.prefix = Prefix(netbase::Ipv4Address(static_cast<std::uint32_t>(rng()) &
+                                                Prefix::MaskFor(length)),
+                           length);
+    if (rng.Bernoulli(0.15)) {
+      update.type = UpdateType::kWithdraw;
+    } else {
+      std::vector<AsNumber> hops(rng.UniformInt(1, 7));
+      for (AsNumber& as : hops) as = static_cast<AsNumber>(rng.UniformInt(1, 400000));
+      update.path = AsPath(std::move(hops));
+    }
+    lines.push_back(mrt::ToLine(update));
+  }
+  return lines;
+}
+
+/// One token of the mutation alphabet: a digit, a long run of 9s, or one
+/// of | / . space - + A W tab x.
+std::string MutationToken(netbase::Rng& rng) {
+  static constexpr std::string_view kSingles = "0123456789|/. -+AW\tx";
+  const std::uint64_t pick = rng.UniformInt(0, kSingles.size());
+  if (pick == kSingles.size()) return std::string(rng.UniformInt(10, 22), '9');
+  return std::string(1, kSingles[pick]);
+}
+
+/// One to three substitutions, insertions or deletions; a substitution
+/// replaces one character or, a quarter of the time, a whole field (with
+/// up to three tokens, led by a sign a quarter of the time).
+std::string Mutate(std::string line, netbase::Rng& rng) {
+  const std::uint64_t ops = rng.Bernoulli(0.7) ? 1 : rng.UniformInt(2, 3);
+  for (std::uint64_t op = 0; op < ops && !line.empty(); ++op) {
+    const std::size_t pos = rng.UniformInt(0, line.size() - 1);
+    switch (rng.UniformInt(0, 3)) {
+      case 0:
+        line.replace(pos, 1, MutationToken(rng));
+        break;
+      case 1:
+        line.insert(rng.UniformInt(0, line.size()), MutationToken(rng));
+        break;
+      case 2:
+        line.erase(pos, rng.UniformInt(1, 3));
+        break;
+      default: {
+        const auto fields = SplitFields(line);
+        if (!fields) break;
+        const std::string_view field = (*fields)[rng.UniformInt(0, 4)];
+        std::string replacement = rng.Bernoulli(0.25) ? "-" : "";
+        for (std::uint64_t t = rng.UniformInt(0, 3); t > 0; --t) {
+          replacement += MutationToken(rng);
+        }
+        line.replace(static_cast<std::size_t>(field.data() - line.data()), field.size(),
+                     replacement);
+        break;
+      }
+    }
+  }
+  return line;
+}
+
+/// Drains a ParseStream over `text`, returning its records (strict mode
+/// rethrows) and filling `stats`.
+std::vector<feed::UpdateRec> RecordParse(const std::shared_ptr<feed::AsPathTable>& table,
+                                         std::string_view text, bool lenient,
+                                         std::size_t chunk_bytes, mrt::ParseStats& stats) {
+  mrt::ParseStreamOptions options;
+  options.lenient = lenient;
+  options.chunk_bytes = chunk_bytes;
+  options.stats = std::make_shared<mrt::ParseStats>();
+  feed::UpdateStream stream = mrt::ParseStream(table, text, options);
+  std::vector<feed::UpdateRec> records = feed::Drain(stream);
+  stats = *options.stats;
+  return records;
+}
+
+void ExpectSameStats(const mrt::ParseStats& got, const mrt::ParseStats& want,
+                     std::size_t chunk) {
+  EXPECT_EQ(got.total_lines, want.total_lines) << "chunk " << chunk;
+  EXPECT_EQ(got.parsed, want.parsed) << "chunk " << chunk;
+  EXPECT_EQ(got.bad_lines, want.bad_lines) << "chunk " << chunk;
+  EXPECT_EQ(got.first_errors, want.first_errors) << "chunk " << chunk;
+}
+
+TEST(Mrt, RecordParserMatchesReferenceGrammar) {
+  netbase::Rng rng(20140601);
+  const std::vector<std::string> base = GeneratedLines(rng, 60000);
+  std::vector<std::string> lines;
+  GrammarCases cases;
+  std::size_t accepted = 0;
+  for (const std::string& line : base) {
+    const std::string mutated = rng.Bernoulli(0.85) ? Mutate(line, rng) : line;
+    const std::optional<BgpUpdate> want = ReferenceParseLine(mutated);
+    Classify(line, mutated, want.has_value(), cases);
+    accepted += want.has_value() ? 1 : 0;
+    // The materialized form: accept/reject, fields and hops.
+    EXPECT_EQ(mrt::ParseLine(mutated), want) << mutated;
+    lines.push_back(mutated);
+  }
+  EXPECT_GT(cases.negative_time, 0u);
+  EXPECT_GT(cases.time_over_int64, 0u);
+  EXPECT_GT(cases.minus_zero_time, 0u);
+  EXPECT_GT(cases.session_over_uint32, 0u);
+  EXPECT_GT(cases.bad_type, 0u);
+  EXPECT_GT(cases.leading_zero_octet, 0u);
+  EXPECT_GT(cases.host_bits_set, 0u);
+  EXPECT_GT(cases.length_over_32, 0u);
+  EXPECT_GT(cases.empty_announced_path, 0u);
+  EXPECT_GT(cases.withdrawal_with_path, 0u);
+  EXPECT_GT(cases.as_over_uint32, 0u);
+  EXPECT_GT(cases.stray_bar_in_path, 0u);
+  EXPECT_GT(accepted, lines.size() / 10);
+  EXPECT_LT(accepted, lines.size() / 2);
+
+  // The record form, line by line: a lenient parse of the whole text keeps
+  // exactly the reference's accepted lines, with equal fields and each
+  // path interned as the reference's hops.
+  std::string text;
+  for (const std::string& line : lines) text += line + '\n';
+  auto table = std::make_shared<feed::AsPathTable>();
+  mrt::ParseStats stats;
+  const std::vector<feed::UpdateRec> records =
+      RecordParse(table, text, /*lenient=*/true, 64 * 1024, stats);
+  ASSERT_EQ(records.size(), accepted);
+  std::size_t next = 0;
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::optional<BgpUpdate> want = ReferenceParseLine(lines[i]);
+    if (!want) {
+      if (bad++ < 8) {
+        ASSERT_LT(bad - 1, stats.first_errors.size());
+        EXPECT_EQ(stats.first_errors[bad - 1].rfind("line " + std::to_string(i + 1) + ": '", 0),
+                  0u)
+            << stats.first_errors[bad - 1];
+      }
+      continue;
+    }
+    const feed::UpdateRec& rec = records[next++];
+    EXPECT_EQ(feed::ToBgpUpdate(rec, *table), *want) << lines[i];
+    bool hit = false;
+    EXPECT_EQ(table->Intern(want->path, &hit), rec.path) << lines[i];
+    EXPECT_TRUE(hit) << lines[i];
+  }
+  EXPECT_EQ(stats.total_lines, lines.size());
+  EXPECT_EQ(stats.parsed, accepted);
+  EXPECT_EQ(stats.bad_lines, lines.size() - accepted);
+
+  // Chunked parses equal a whole-text parse in both modes: records, stats,
+  // recorded errors and (strict) the first bad line's number. Comments and
+  // blank lines shift the numbering; the strict text leads with clean
+  // lines so its first error falls mid-dump.
+  std::string lenient_text;
+  std::string strict_text;
+  for (std::size_t i = 0; i < 300; ++i) strict_text += base[i] + '\n';
+  for (std::size_t i = 0; i < 4000; ++i) {
+    if (i % 50 == 0) lenient_text += "# comment\n";
+    if (i % 70 == 0) lenient_text += '\n';
+    lenient_text += lines[i] + '\n';
+    strict_text += lines[i] + '\n';
+  }
+  mrt::StreamParser whole({.lenient = true});
+  std::vector<BgpUpdate> whole_updates;
+  whole.Feed(lenient_text, whole_updates);
+  whole.Finish(whole_updates);
+  std::string strict_error;
+  try {
+    (void)mrt::ParseText(strict_text);
+  } catch (const std::runtime_error& error) {
+    strict_error = error.what();
+  }
+  ASSERT_FALSE(strict_error.empty());
+  std::size_t first_bad = 0;
+  while (ReferenceParseLine(lines[first_bad])) ++first_bad;
+  EXPECT_NE(strict_error.find("line " + std::to_string(300 + first_bad + 1) + ": "),
+            std::string::npos)
+      << strict_error;
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64 * 1024}}) {
+    auto chunk_table = std::make_shared<feed::AsPathTable>();
+    const std::vector<feed::UpdateRec> chunked =
+        RecordParse(chunk_table, lenient_text, /*lenient=*/true, chunk, stats);
+    ExpectSameStats(stats, whole.stats(), chunk);
+    ASSERT_EQ(chunked.size(), whole_updates.size()) << "chunk " << chunk;
+    for (std::size_t i = 0; i < chunked.size(); ++i) {
+      ASSERT_EQ(feed::ToBgpUpdate(chunked[i], *chunk_table), whole_updates[i])
+          << "chunk " << chunk << " record " << i;
+    }
+    try {
+      (void)RecordParse(std::make_shared<feed::AsPathTable>(), strict_text,
+                        /*lenient=*/false, chunk, stats);
+      ADD_FAILURE() << "strict parse accepted a bad line at chunk " << chunk;
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()), strict_error) << "chunk " << chunk;
+    }
+  }
 }
 
 }  // namespace

@@ -135,6 +135,61 @@ TEST(FaultInjector, CorruptedDumpStillParsesLeniently) {
   EXPECT_EQ(stats.parsed + stats.bad_lines, stats.total_lines);
 }
 
+/// A fixed dump for the golden digests: 3,000 lines on six sessions, 1 to
+/// 40 s apart (so reorders fall inside the jitter window), every seventh
+/// a withdrawal.
+std::string GoldenDump() {
+  std::vector<BgpUpdate> updates;
+  std::int64_t t = 1000;
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    t += 1 + (i * 7919) % 40;
+    BgpUpdate update{SimTime{t}, i % 6, UpdateType::kAnnounce,
+                     Prefix(netbase::Ipv4Address((10 + i % 50) << 24), 8),
+                     AsPath{65000, 1 + i % 13, 3000 + i % 29}};
+    if (i % 7 == 3) {
+      update.type = UpdateType::kWithdraw;
+      update.path = {};
+    }
+    updates.push_back(std::move(update));
+  }
+  return bgp::mrt::ToText(updates);
+}
+
+/// FNV-1a over the faulted text, then over every TextFaultStats field.
+std::uint64_t FaultedDigest(const FaultedText& faulted) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t byte) {
+    h ^= byte;
+    h *= 0x100000001b3ULL;
+  };
+  for (const char c : faulted.text) mix(static_cast<unsigned char>(c));
+  const TextFaultStats& s = faulted.stats;
+  for (const std::size_t field :
+       {s.input_lines, s.corrupted, s.truncated, s.duplicated, s.reordered}) {
+    mix(field);
+  }
+  return h;
+}
+
+TEST(FaultInjector, CorruptTextGoldenDigest) {
+  // Pins the per-line draws, the output bytes and every stats field: a
+  // rewrite of CorruptText must reproduce the fault sweep's rotted text
+  // exactly.
+  const std::string dump = GoldenDump();
+  const std::pair<double, std::uint64_t> golden[] = {
+      {0.01, 0xb7d35e2116f19b5eULL},
+      {0.05, 0x16cf367747471cbbULL},
+      {0.10, 0x93054a5affe16198ULL},
+  };
+  for (const auto& [rate, digest] : golden) {
+    const FaultedText faulted =
+        FaultInjector(FaultPlan::Scaled(rate, 20140601, 86400)).CorruptText(dump);
+    EXPECT_GT(faulted.stats.reordered, 0u) << "rate " << rate;
+    EXPECT_EQ(FaultedDigest(faulted), digest)
+        << "rate " << rate << ": 0x" << std::hex << FaultedDigest(faulted);
+  }
+}
+
 TEST(FaultInjector, ScheduleIsPureFunctionOfSeedAndSession) {
   const FaultPlan plan = FaultPlan::Scaled(0.10, 11, netbase::duration::kMonth);
   const FaultInjector injector(plan);
