@@ -27,12 +27,15 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bgp/churn.hpp"
 #include "bgp/feed.hpp"
 #include "bgp/feed_sanitizer.hpp"
 #include "bgp/mrt.hpp"
+#include "bgp/qmrt.hpp"
 #include "ckpt/sweep.hpp"
 #include "common.hpp"
 #include "core/monitor.hpp"
@@ -242,21 +245,28 @@ int main(int argc, char** argv) {
   });
   // Serialize through the incremental writer: records stream off the feed
   // layer in batches and hit the output one line at a time, never building
-  // a second whole-dump copy. Byte-identical to mrt::ToText.
-  const std::string text = ctx.Timed("serialize", [&] {
+  // a second whole-dump copy. Byte-identical to mrt::ToText. The configured
+  // wire codec serializes the same feed in the same phase; under --format
+  // text the wire is the text archive itself. The zero-rate contract below
+  // holds the wire's round trip to the text archive.
+  std::string text;
+  std::string qmrt_wire;
+  ctx.Timed("serialize", [&] {
     std::ostringstream buffer;
     bgp::mrt::WriteStream(
         buffer, bgp::feed::FromVector(std::make_shared<bgp::feed::AsPathTable>(),
                                       dynamics.updates));
-    return buffer.str();
+    text = std::move(buffer).str();
+    if (ctx.format() == bench::FeedFormat::kQmrt) {
+      qmrt_wire = bgp::qmrt::Encode(dynamics.updates);
+    }
   });
+  const std::string_view wire =
+      ctx.format() == bench::FeedFormat::kQmrt ? qmrt_wire : std::string_view(text);
   std::cout << "  dataset: " << dynamics.updates.size() << " updates over one week ("
             << text.size() / 1024 << " KiB of MRT text)\n";
-  // The configured wire codec serializes the same feed once up front; the
-  // zero-rate contract below holds its round trip to the text archive.
   // Wire size is format-dependent, so it prints here and stays out of the
   // deterministic JSON.
-  const std::string wire = bench::SerializeWire(ctx.format(), dynamics.updates);
   std::cout << "  wire: " << wire.size() << " bytes as "
             << bench::ToString(ctx.format()) << "\n";
 
@@ -283,19 +293,18 @@ int main(int argc, char** argv) {
   // the check also holds for a resumed, checkpoint-decoded point). The
   // injector-free reference deliberately uses the *whole-text* parser, so
   // the check also pins the sweep's streaming serialize/parse legs to the
-  // classic path.
-  {
+  // classic path. The checks run in their own phase; the first failure
+  // names itself and fails the run.
+  const std::string contract_failure = ctx.Timed("zero_rate_contract", [&]() -> std::string {
     // The incremental writer must have produced exactly ToText.
     if (text != bgp::mrt::ToText(dynamics.updates)) {
-      std::cerr << "FAIL: WriteStream output differs from mrt::ToText\n";
-      return 1;
+      return "WriteStream output differs from mrt::ToText";
     }
     // Chunked strict parse (boundaries mid-record) == whole-text parse.
     const std::vector<bgp::BgpUpdate> clean_parsed = bgp::mrt::ParseText(text);
     if (bgp::feed::Materialize(bgp::mrt::ParseStream(
             std::make_shared<bgp::feed::AsPathTable>(), text)) != clean_parsed) {
-      std::cerr << "FAIL: streaming parse differs from whole-text parse\n";
-      return 1;
+      return "streaming parse differs from whole-text parse";
     }
     // The --format codec round-trips the archive exactly: decoding the
     // wire and re-serializing as text reproduces the text dump byte for
@@ -304,8 +313,7 @@ int main(int argc, char** argv) {
     if (bgp::mrt::ToText(bgp::feed::Materialize(bench::OpenWireStream(
             ctx.format(), std::make_shared<bgp::feed::AsPathTable>(), wire))) !=
         text) {
-      std::cerr << "FAIL: --format wire round trip diverged from the text archive\n";
-      return 1;
+      return "--format wire round trip diverged from the text archive";
     }
     bgp::feed::AsPathTable clean_table;
     const bgp::SanitizedRecords clean =
@@ -317,9 +325,13 @@ int main(int argc, char** argv) {
         zero.sanitized_updates != clean.updates.size() ||
         zero.parse.bad_lines != 0 || zero.stream.dropped() != 0 ||
         zero.io_injected != 0) {
-      std::cerr << "FAIL: zero-rate run differs from injector-free pipeline\n";
-      return 1;
+      return "zero-rate run differs from injector-free pipeline";
     }
+    return {};
+  });
+  if (!contract_failure.empty()) {
+    std::cerr << "FAIL: " << contract_failure << "\n";
+    return 1;
   }
 
   util::PrintBanner(std::cout, "fault sweep (all rates seeded identically)");

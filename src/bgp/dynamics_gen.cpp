@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <unordered_map>
 
+#include "bgp/feed_order.hpp"
 #include "bgp/route_cache.hpp"
 #include "bgp/route_computation.hpp"
 #include "exec/parallel.hpp"
@@ -141,6 +144,8 @@ GeneratedDynamics GenerateDynamics(const Topology& topology, const CollectorSet&
   for (std::size_t i = 0; i < prefix_count; ++i) prefix_rngs.push_back(root.Fork());
   Rng reset_rng = root.Fork();
 
+  // The per-prefix step: baselines, then one task per prefix.
+  std::optional<obs::ScopedSpan> prefix_span(std::in_place, "bgp.generate_dynamics.prefixes");
   // Baseline routing states are per *origin AS*: compute each distinct
   // origin once (in parallel, through the route cache), then share the
   // observation table across that origin's prefixes.
@@ -291,27 +296,11 @@ GeneratedDynamics GenerateDynamics(const Topology& topology, const CollectorSet&
         return slice;
       },
       /*grain=*/1);
+  prefix_span.reset();
 
-  // Per (session, prefix-slot) alternates kept for the reset replay below.
-  std::vector<std::vector<ObservationTable>> trees_per_prefix;
-  trees_per_prefix.reserve(prefix_count);
-  for (PrefixSlice& slice : slices) {
-    out.initial_rib.insert(out.initial_rib.end(),
-                           std::make_move_iterator(slice.initial_rib.begin()),
-                           std::make_move_iterator(slice.initial_rib.end()));
-    out.updates.insert(out.updates.end(),
-                       std::make_move_iterator(slice.updates.begin()),
-                       std::make_move_iterator(slice.updates.end()));
-    out.truth.push_back(std::move(slice.truth));
-    trees_per_prefix.push_back(std::move(slice.trees));
-  }
-  slices.clear();
-
-  SortUpdates(out.updates);
-
-  // --- Session resets. Replay the stream to know each session's table at
-  // reset time, then inject full-table re-announcements (plus backup-path
-  // flaps for a fraction of prefixes) — the artifacts of [31].
+  // --- Session resets: a session re-announces its whole table, partly via
+  // transient backup paths — the artifacts of [31]. Their times come first,
+  // from the reset substream.
   struct ResetEvent {
     std::int64_t time;
     SessionId session;
@@ -328,25 +317,77 @@ GeneratedDynamics GenerateDynamics(const Topology& topology, const CollectorSet&
   std::sort(resets.begin(), resets.end(),
             [](const ResetEvent& a, const ResetEvent& b) { return a.time < b.time; });
 
+  // Concatenate the slices in prefix order and sort the month once. A reset
+  // emits at most three updates per prefix of its session's table, and
+  // tables stay near their t=0 size, so the month reserves that much room
+  // for the artifacts merged in below. Room never written costs no memory;
+  // artifacts that outgrow it only reallocate.
+  std::vector<std::vector<ObservationTable>> trees_per_prefix;
+  std::size_t artifact_room = 0;
+  {
+    const obs::ScopedSpan order_span("bgp.generate_dynamics.order");
+    std::vector<std::size_t> rib_per_session(collectors.SessionCount(), 0);
+    std::size_t rib_size = 0;
+    std::size_t update_count = 0;
+    for (const PrefixSlice& slice : slices) {
+      for (const BgpUpdate& u : slice.initial_rib) ++rib_per_session[u.session];
+      rib_size += slice.initial_rib.size();
+      update_count += slice.updates.size();
+    }
+    for (const ResetEvent& reset : resets) artifact_room += 3 * rib_per_session[reset.session];
+    out.initial_rib.reserve(rib_size);
+    out.updates.reserve(update_count + artifact_room);
+    trees_per_prefix.reserve(prefix_count);
+    for (PrefixSlice& slice : slices) {
+      out.initial_rib.insert(out.initial_rib.end(),
+                             std::make_move_iterator(slice.initial_rib.begin()),
+                             std::make_move_iterator(slice.initial_rib.end()));
+      out.updates.insert(out.updates.end(), std::make_move_iterator(slice.updates.begin()),
+                         std::make_move_iterator(slice.updates.end()));
+      out.truth.push_back(std::move(slice.truth));
+      trees_per_prefix.push_back(std::move(slice.trees));
+    }
+    slices.clear();
+    SortUpdates(out.updates);
+  }
+
+  // Replay the stream to know each session's table at reset time, then
+  // re-announce it.
+  std::vector<BgpUpdate> reset_updates;
+  reset_updates.reserve(artifact_room);
   if (!resets.empty()) {
+    const obs::ScopedSpan replay_span("bgp.generate_dynamics.reset_replay");
     // prefix slot lookup for alternates
     std::unordered_map<netbase::Prefix, std::size_t> slot_of;
     for (std::size_t i = 0; i < topology.prefix_origins.size(); ++i) {
       slot_of.emplace(topology.prefix_origins[i].prefix, i);
     }
-    // Current path per (session, prefix).
-    std::vector<std::unordered_map<netbase::Prefix, AsPath>> table(
+    // Current path per (session, prefix), pointing into out.initial_rib
+    // and out.updates, which stay unchanged until the merge below. The
+    // reset draws iterate these maps, so their insert/erase sequence
+    // (and with it their iteration order) is part of the output. A
+    // session's map is read only at its own resets, so an update after
+    // the session's last reset is not replayed.
+    std::vector<std::int64_t> last_reset(collectors.SessionCount(),
+                                         std::numeric_limits<std::int64_t>::min());
+    for (const ResetEvent& reset : resets) last_reset[reset.session] = reset.time;
+    const auto replayed = [&last_reset](const BgpUpdate& u) {
+      return u.time.seconds <= last_reset[u.session];
+    };
+    std::vector<std::unordered_map<netbase::Prefix, const AsPath*>> table(
         collectors.SessionCount());
-    for (const BgpUpdate& u : out.initial_rib) table[u.session][u.prefix] = u.path;
+    for (const BgpUpdate& u : out.initial_rib) {
+      if (replayed(u)) table[u.session][u.prefix] = &u.path;
+    }
 
-    std::vector<BgpUpdate> reset_updates;
     std::size_t cursor = 0;
     for (const ResetEvent& reset : resets) {
       while (cursor < out.updates.size() &&
              out.updates[cursor].time.seconds <= reset.time) {
         const BgpUpdate& u = out.updates[cursor++];
+        if (!replayed(u)) continue;
         if (u.type == UpdateType::kAnnounce) {
-          table[u.session][u.prefix] = u.path;
+          table[u.session][u.prefix] = &u.path;
         } else {
           table[u.session].erase(u.prefix);
         }
@@ -361,7 +402,7 @@ GeneratedDynamics GenerateDynamics(const Topology& topology, const CollectorSet&
           if (slot != slot_of.end()) {
             for (const auto& tree : trees_per_prefix[slot->second]) {
               const auto& candidate = tree[reset.session];
-              if (candidate && !(*candidate == path)) {
+              if (candidate && !(*candidate == *path)) {
                 backup = &*candidate;
                 break;
               }
@@ -374,16 +415,28 @@ GeneratedDynamics GenerateDynamics(const Topology& topology, const CollectorSet&
                                      UpdateType::kAnnounce, prefix, *backup});
           }
           reset_updates.push_back({SimTime{reset.time + jitter + 45}, reset.session,
-                                   UpdateType::kAnnounce, prefix, path});
+                                   UpdateType::kAnnounce, prefix, *path});
         } else {
           // Plain duplicate re-announcement.
           reset_updates.push_back({SimTime{reset.time + jitter}, reset.session,
-                                   UpdateType::kAnnounce, prefix, path});
+                                   UpdateType::kAnnounce, prefix, *path});
         }
       }
     }
-    out.updates.insert(out.updates.end(), reset_updates.begin(), reset_updates.end());
-    SortUpdates(out.updates);
+  }
+
+  trees_per_prefix.clear();  // only the replay reads the alternates
+
+  // Merge the sorted artifacts into the sorted month, in the month's own
+  // buffer. The month stays first among equal keys, which is exactly a
+  // stable sort of the month with the artifacts appended.
+  if (!reset_updates.empty()) {
+    const obs::ScopedSpan merge_span("bgp.generate_dynamics.reset_merge");
+    SortUpdates(reset_updates);
+    const auto month_end = static_cast<std::ptrdiff_t>(out.updates.size());
+    out.updates.resize(out.updates.size() + reset_updates.size());
+    MergeBackward(out.updates.begin(), out.updates.begin() + month_end,
+                  reset_updates.begin(), reset_updates.end());
   }
 
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();

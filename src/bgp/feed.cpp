@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
+#include "bgp/feed_order.hpp"
 #include "obs/metrics.hpp"
 
 namespace quicksand::bgp::feed {
@@ -167,13 +167,7 @@ std::vector<UpdateRec> InternRecords(AsPathTable& table, std::span<const BgpUpda
   return records;
 }
 
-void SortRecords(std::vector<UpdateRec>& records) {
-  std::stable_sort(records.begin(), records.end(),
-                   [](const UpdateRec& a, const UpdateRec& b) {
-                     return std::tie(a.time.seconds, a.session, a.prefix) <
-                            std::tie(b.time.seconds, b.session, b.prefix);
-                   });
-}
+void SortRecords(std::vector<UpdateRec>& records) { StableSortFeed(records); }
 
 UpdateStream::UpdateStream()
     : table_(std::make_shared<AsPathTable>()),

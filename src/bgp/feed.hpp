@@ -182,8 +182,9 @@ struct UpdateRec {
                                                    std::span<const BgpUpdate> updates);
 
 /// Stable sort by (time, session, prefix) — SortUpdates on the record
-/// plane. The path is not part of the key in either form, so both sorts
-/// produce the same permutation of the same feed.
+/// plane, through the same kernel (bgp/feed_order.hpp). The path is not
+/// part of the key in either form, so both sorts produce the same
+/// permutation of the same feed: std::stable_sort's.
 void SortRecords(std::vector<UpdateRec>& records);
 
 /// A pull-based chunked stream of UpdateRec batches.

@@ -22,10 +22,12 @@ bool AsPath::HasLoop() const {
 }
 
 std::vector<AsNumber> AsPath::DistinctAses() const {
+  // Paths are a handful of hops: scanning the ASes kept so far is cheaper
+  // than hashing every hop.
   std::vector<AsNumber> out;
-  std::unordered_set<AsNumber> seen;
+  out.reserve(hops_.size());
   for (AsNumber as : hops_) {
-    if (seen.insert(as).second) out.push_back(as);
+    if (std::find(out.begin(), out.end(), as) == out.end()) out.push_back(as);
   }
   return out;
 }

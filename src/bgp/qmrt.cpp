@@ -109,8 +109,8 @@ std::uint32_t GetU32le(std::string_view bytes, std::size_t offset) {
 constexpr std::uint8_t kFlagWithdraw = 0x01;
 constexpr std::uint8_t kReservedFlagMask = 0xFE;
 
-/// "Not yet assigned" sentinel in the encoder's PathId -> stream-id memo.
-constexpr std::uint32_t kNoStreamId = 0xFFFFFFFFu;
+/// "Not yet assigned" sentinel for the encoder's stream and local path ids.
+constexpr std::uint32_t kNoId = 0xFFFFFFFFu;
 
 /// Decode-side stream-id memo cap: ids at or above this are interned from
 /// their hop bytes every block instead of cached, bounding the memo at
@@ -157,17 +157,17 @@ BlockEncoder::~BlockEncoder() {
   }
 }
 
-std::uint32_t BlockEncoder::LocalPathId(feed::PathId id, const feed::AsPathTable& table) {
-  const auto [it, inserted] =
-      block_index_.emplace(id, static_cast<std::uint32_t>(block_paths_.size()));
-  if (inserted) {
-    block_paths_.push_back(&table.Path(id));
-    // Stream id: dense, assigned on the path's first sight in the stream.
-    if (stream_ids_.size() <= id) stream_ids_.resize(id + 1, kNoStreamId);
-    if (stream_ids_[id] == kNoStreamId) stream_ids_[id] = next_stream_id_++;
-    block_stream_ids_.push_back(stream_ids_[id]);
+std::uint32_t BlockEncoder::LocalPathId(feed::PathId id) {
+  if (path_slots_.size() <= id) path_slots_.resize(id + std::size_t{1}, PathSlot{kNoId, kNoId});
+  PathSlot& slot = path_slots_[id];
+  if (slot.local_id == kNoId) {
+    // Local ids follow first sight in the block, stream ids first sight
+    // in the stream.
+    slot.local_id = static_cast<std::uint32_t>(block_paths_.size());
+    block_paths_.push_back(id);
+    if (slot.stream_id == kNoId) slot.stream_id = next_stream_id_++;
   }
-  return it->second;
+  return slot.local_id;
 }
 
 void BlockEncoder::Add(const BgpUpdate& update) {
@@ -185,7 +185,7 @@ void BlockEncoder::Add(const feed::UpdateRec& rec, const feed::AsPathTable& tabl
   PendingRecord pending;
   pending.rec = rec;
   if (rec.type == UpdateType::kAnnounce) {
-    pending.local_path = LocalPathId(rec.path, table);
+    pending.local_path = LocalPathId(rec.path);
   }
   pending_.push_back(pending);
   if (pending_.size() >= options_.block_records) Flush();
@@ -202,13 +202,12 @@ void BlockEncoder::Flush() {
   // stream id so sequential decoders can skip paths they have memoized.
   PutVarint(payload, block_paths_.size());
   std::string hop_scratch;
-  for (std::size_t i = 0; i < block_paths_.size(); ++i) {
-    PutVarint(payload, block_stream_ids_[i]);
-    const AsPath* path = block_paths_[i];
+  for (const feed::PathId id : block_paths_) {
+    PutVarint(payload, path_slots_[id].stream_id);
     // Hops are length-prefixed in BYTES (not hop count) so a decoder that
     // has the path memoized skips the entry with one offset add.
     hop_scratch.clear();
-    for (const AsNumber hop : path->hops()) PutVarint(hop_scratch, hop);
+    for (const AsNumber hop : bound_table_->Path(id)) PutVarint(hop_scratch, hop);
     PutVarint(payload, hop_scratch.size());
     payload.append(hop_scratch);
   }
@@ -253,9 +252,8 @@ void BlockEncoder::Flush() {
       .Increment(header.size() + payload.size());
 
   pending_.clear();
+  for (const feed::PathId id : block_paths_) path_slots_[id].local_id = kNoId;
   block_paths_.clear();
-  block_stream_ids_.clear();
-  block_index_.clear();
 }
 
 std::string Encode(std::span<const BgpUpdate> updates, EncodeOptions options) {

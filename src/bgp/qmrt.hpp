@@ -51,7 +51,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/feed.hpp"
@@ -113,20 +112,26 @@ class BlockEncoder {
     std::uint32_t local_path = 0;  ///< index into block_paths_ (announce only)
   };
 
-  std::uint32_t LocalPathId(feed::PathId id, const feed::AsPathTable& table);
+  /// What the encoder knows about one table path: its stream id, assigned
+  /// densely on first sight, and its local id in the open block.
+  struct PathSlot {
+    std::uint32_t stream_id;
+    std::uint32_t local_id;
+  };
+
+  std::uint32_t LocalPathId(feed::PathId id);
 
   std::ostream* out_;
   EncodeOptions options_;
   feed::AsPathTable own_table_;  ///< backs the BgpUpdate overload
   /// The one table this encoder's ids refer to (set on first Add).
   const feed::AsPathTable* bound_table_ = nullptr;
-  /// table PathId -> stream path id, assigned densely on first sight.
-  std::vector<std::uint32_t> stream_ids_;
+  /// Indexed by table PathId. Flush clears the local ids of block_paths_.
+  std::vector<PathSlot> path_slots_;
   std::uint32_t next_stream_id_ = 0;
   std::vector<PendingRecord> pending_;
-  std::vector<const AsPath*> block_paths_;  ///< per-block intern table
-  std::vector<std::uint32_t> block_stream_ids_;  ///< parallel to block_paths_
-  std::unordered_map<feed::PathId, std::uint32_t> block_index_;
+  /// The open block's path table: table PathIds in first-seen order.
+  std::vector<feed::PathId> block_paths_;
   std::size_t written_records_ = 0;
   std::size_t written_blocks_ = 0;
   std::size_t written_bytes_ = 0;

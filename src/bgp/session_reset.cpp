@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "bgp/feed_order.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include <optional>
@@ -270,10 +271,7 @@ FilteredRecords FilterSessionRecords(const std::vector<feed::UpdateRec>& initial
     buffer.final_updates.clear();
   };
 
-  const auto key_less = [](const UpdateRec& a, const UpdateRec& b) {
-    return std::tie(a.time.seconds, a.session, a.prefix) <
-           std::tie(b.time.seconds, b.session, b.prefix);
-  };
+  const FeedOrderLess key_less{};
   bool pass_through_sorted = true;
 
   // Two-pointer in-place compaction: `write` trails `read`, dropped and

@@ -1,8 +1,8 @@
 #include "bgp/update.hpp"
 
-#include <algorithm>
 #include <ostream>
-#include <tuple>
+
+#include "bgp/feed_order.hpp"
 
 namespace quicksand::bgp {
 
@@ -13,12 +13,6 @@ std::ostream& operator<<(std::ostream& os, const BgpUpdate& update) {
   return os;
 }
 
-void SortUpdates(std::vector<BgpUpdate>& updates) {
-  std::stable_sort(updates.begin(), updates.end(),
-                   [](const BgpUpdate& a, const BgpUpdate& b) {
-                     return std::tie(a.time.seconds, a.session, a.prefix) <
-                            std::tie(b.time.seconds, b.session, b.prefix);
-                   });
-}
+void SortUpdates(std::vector<BgpUpdate>& updates) { StableSortFeed(updates); }
 
 }  // namespace quicksand::bgp

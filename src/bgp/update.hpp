@@ -36,7 +36,10 @@ struct BgpUpdate {
 std::ostream& operator<<(std::ostream& os, const BgpUpdate& update);
 
 /// Stable sort of updates by (time, session, prefix) — the canonical feed
-/// order the analyzers expect.
+/// order the analyzers expect. The time-bucketed kernel in
+/// bgp/feed_order.hpp, shared with feed::SortRecords: exactly
+/// std::stable_sort's order in a few streaming passes, with half of
+/// std::stable_sort's scratch.
 void SortUpdates(std::vector<BgpUpdate>& updates);
 
 }  // namespace quicksand::bgp

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <unordered_set>
+#include <vector>
 
 #include "util/stats.hpp"
 
@@ -155,6 +157,65 @@ TEST_F(DynamicsGenTest, NoResetsMeansNoDuplicateFloods) {
       current = AsPath{};
     }
   }
+}
+
+
+constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
+
+void Fold(std::uint64_t& h, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (value >> (8 * i)) & 0xFF;
+    h *= 0x100000001B3ULL;
+  }
+}
+
+void FoldUpdates(std::uint64_t& h, const std::vector<BgpUpdate>& updates) {
+  for (const BgpUpdate& u : updates) {
+    Fold(h, static_cast<std::uint64_t>(u.time.seconds));
+    Fold(h, u.session);
+    Fold(h, static_cast<std::uint64_t>(u.type));
+    Fold(h, u.prefix.network().value());
+    Fold(h, static_cast<std::uint64_t>(u.prefix.length()));
+    Fold(h, u.path.size());
+    for (const AsNumber hop : u.path) Fold(h, hop);
+  }
+}
+
+// The paper month (paper topology, collector and dynamics seeds) folded
+// field by field into one FNV-1a digest of little-endian 64-bit values:
+// every RIB entry and update in order, then every truth record. It pins
+// the order of tied keys and the session-reset draws, which a
+// same-build comparison cannot. The constants were produced by the
+// generator that re-sorted the whole month after appending its reset
+// artifacts (commit 24238a1), built RelWithDebInfo with gcc 12.
+TEST(DynamicsGen, GoldenDigestOfThePaperMonth) {
+  TopologyParams tp;
+  tp.seed = 20140501;
+  const Topology topology = GenerateTopology(tp);
+  CollectorParams cp;
+  cp.seed = 20140502;
+  const CollectorSet collectors = CollectorSet::Create(topology, cp);
+  DynamicsParams dp;
+  dp.seed = 20140502;
+  dp.threads = 4;
+  const GeneratedDynamics month = GenerateDynamics(topology, collectors, dp);
+
+  std::uint64_t digest = kFnvOffset;
+  FoldUpdates(digest, month.initial_rib);
+  FoldUpdates(digest, month.updates);
+  for (const PrefixDynamicsTruth& t : month.truth) {
+    Fold(digest, t.prefix.network().value());
+    Fold(digest, static_cast<std::uint64_t>(t.prefix.length()));
+    Fold(digest, t.origin);
+    Fold(digest, t.hosting_origin ? 1 : 0);
+    Fold(digest, t.scheduled_events);
+    Fold(digest, t.emitted_transitions);
+  }
+
+  EXPECT_EQ(month.initial_rib.size(), 54'025u);
+  EXPECT_EQ(month.updates.size(), 968'157u);
+  EXPECT_EQ(month.truth.size(), topology.prefix_origins.size());
+  EXPECT_EQ(digest, 0x4C7912455B19AFB7ULL);
 }
 
 }  // namespace

@@ -9,12 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bgp/churn.hpp"
+#include "bgp/feed_order.hpp"
 #include "bgp/update.hpp"
 #include "core/monitor.hpp"
 #include "netbase/rng.hpp"
@@ -330,6 +334,120 @@ TEST(AsPathTable, ApproxBytesGrowsWithInternedPathsAndFeedsTheGauge) {
                                          .GetGauge("feed.intern.bytes")
                                          .value()),
             table.ApproxBytes());
+}
+
+// --- The feed-order kernel ------------------------------------------------
+
+/// A record key for the kernel's differential test. The payload is the
+/// record's position in the input, so a tie resolved out of input order
+/// shows as a different vector.
+struct SortKey {
+  SimTime time;
+  SessionId session;
+  Prefix prefix;
+};
+
+/// Input shapes the kernel must sort exactly as std::stable_sort does:
+/// keys drawn from small sets, so most keys repeat many times.
+std::vector<std::pair<const char*, std::vector<SortKey>>> KernelShapes() {
+  netbase::Rng rng(2014);
+  const std::vector<Prefix> prefixes = {
+      Prefix::MustParse("10.0.0.0/8"), Prefix::MustParse("10.0.0.0/16"),
+      Prefix::MustParse("78.46.0.0/15"), Prefix::MustParse("192.0.2.0/24")};
+  const auto draw = [&](std::int64_t time) {
+    return SortKey{SimTime{time}, static_cast<SessionId>(rng.UniformInt(0, 3)),
+                   prefixes[rng.UniformInt(0, prefixes.size() - 1)]};
+  };
+  std::vector<std::pair<const char*, std::vector<SortKey>>> shapes;
+
+  std::vector<SortKey> sorted;
+  std::int64_t t = 1000;
+  for (int i = 0; i < 3000; ++i) {
+    t += static_cast<std::int64_t>(rng.UniformInt(0, 2));
+    sorted.push_back(draw(t));
+  }
+  std::stable_sort(sorted.begin(), sorted.end(), FeedOrderLess{});
+  shapes.emplace_back("sorted", sorted);
+  shapes.emplace_back("reversed", std::vector<SortKey>(sorted.rbegin(), sorted.rend()));
+
+  std::vector<SortKey> runs;  // one sorted run per prefix, concatenated
+  for (const Prefix& prefix : prefixes) {
+    for (int run = 0; run < 10; ++run) {
+      std::int64_t at = 0;
+      for (int i = 0; i < 80; ++i) {
+        at += static_cast<std::int64_t>(rng.UniformInt(0, 40));
+        runs.push_back({SimTime{at}, static_cast<SessionId>(run % 3), prefix});
+      }
+    }
+  }
+  shapes.emplace_back("per-prefix runs", runs);
+
+  std::vector<SortKey> delayed = sorted;  // 0.5% of records arrive late
+  for (SortKey& key : delayed) {
+    if (rng.UniformInt(0, 199) == 0) {
+      key.time.seconds += static_cast<std::int64_t>(rng.UniformInt(1, 600));
+    }
+  }
+  shapes.emplace_back("delayed", delayed);
+
+  std::vector<SortKey> one_time;
+  for (int i = 0; i < 2000; ++i) one_time.push_back(draw(42));
+  shapes.emplace_back("one timestamp", one_time);
+
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<std::int64_t> edges = {kMin, kMin + 1, -86400, -1, 0, 1, kMax - 1, kMax};
+  std::vector<SortKey> extremes;
+  for (int i = 0; i < 400; ++i) {
+    extremes.push_back(draw(rng.Bernoulli(0.5)
+                                ? edges[rng.UniformInt(0, edges.size() - 1)]
+                                : -static_cast<std::int64_t>(rng.UniformInt(0, 5000))));
+  }
+  shapes.emplace_back("negative and extreme times", extremes);
+  shapes.emplace_back("only the extremes",
+                      std::vector<SortKey>{draw(kMax), draw(kMin), draw(kMax), draw(kMin)});
+
+  std::vector<SortKey> shuffled = sorted;
+  rng.Shuffle(shuffled);
+  shapes.emplace_back("shuffled", shuffled);
+
+  shapes.emplace_back("n = 0", std::vector<SortKey>{});
+  shapes.emplace_back("n = 1", std::vector<SortKey>{draw(7)});
+  shapes.emplace_back("n = 2, descending", std::vector<SortKey>{draw(9), draw(8)});
+  shapes.emplace_back("n = 2, equal keys",
+                      std::vector<SortKey>{{SimTime{5}, 1, prefixes[0]},
+                                           {SimTime{5}, 1, prefixes[0]}});
+  return shapes;
+}
+
+TEST(FeedOrder, SortUpdatesMatchesStableSort) {
+  for (const auto& [name, keys] : KernelShapes()) {
+    std::vector<BgpUpdate> updates;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      updates.push_back({keys[i].time, keys[i].session,
+                         i % 5 == 4 ? UpdateType::kWithdraw : UpdateType::kAnnounce,
+                         keys[i].prefix, AsPath{static_cast<AsNumber>(i)}});
+    }
+    std::vector<BgpUpdate> expected = updates;
+    std::stable_sort(expected.begin(), expected.end(), FeedOrderLess{});
+    SortUpdates(updates);
+    EXPECT_EQ(updates, expected) << name;
+  }
+}
+
+TEST(FeedOrder, SortRecordsMatchesStableSort) {
+  for (const auto& [name, keys] : KernelShapes()) {
+    std::vector<feed::UpdateRec> records;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      records.push_back({keys[i].time, keys[i].session,
+                         i % 5 == 4 ? UpdateType::kWithdraw : UpdateType::kAnnounce,
+                         keys[i].prefix, static_cast<feed::PathId>(i)});
+    }
+    std::vector<feed::UpdateRec> expected = records;
+    std::stable_sort(expected.begin(), expected.end(), FeedOrderLess{});
+    feed::SortRecords(records);
+    EXPECT_EQ(records, expected) << name;
+  }
 }
 
 }  // namespace

@@ -106,6 +106,63 @@ TEST(Qmrt, WriteStreamMatchesEncode) {
   EXPECT_EQ(out.str(), qmrt::Encode(feed, options));
 }
 
+/// A fixed feed over many small blocks: six paths recur across blocks
+/// (the decoder's stream-id memo), every fourth record is a withdrawal,
+/// times step backwards every eleventh record, and prefix lengths span 0
+/// to 4 significant network bytes.
+std::vector<BgpUpdate> MultiBlockFeed() {
+  const std::vector<AsPath> paths = {
+      AsPath::MustParse("701 3356 24940"),   AsPath::MustParse("701 3356"),
+      AsPath::MustParse("65000"),            AsPath::MustParse("7018 701 3356 1299 24940"),
+      AsPath::MustParse("174 174 174 24940"), AsPath::MustParse("3320 1299 16276"),
+  };
+  const std::vector<Prefix> prefixes = {
+      Prefix::MustParse("78.46.0.0/15"),   Prefix::MustParse("10.0.0.0/8"),
+      Prefix::MustParse("0.0.0.0/0"),      Prefix::MustParse("192.0.2.17/32"),
+      Prefix::MustParse("172.16.0.0/12"),  Prefix::MustParse("198.51.100.0/24"),
+  };
+  std::vector<BgpUpdate> feed;
+  std::int64_t t = 1714521600;
+  for (std::uint32_t i = 0; i < 97; ++i) {
+    t += i % 11 == 10 ? -40 : static_cast<std::int64_t>(i % 7) * 13;
+    const Prefix& prefix = prefixes[(i * 5) % prefixes.size()];
+    const SessionId session = (i * 7) % 13;
+    if (i % 4 == 3) {
+      feed.push_back({SimTime{t}, session, UpdateType::kWithdraw, prefix, {}});
+    } else {
+      feed.push_back({SimTime{t}, session, UpdateType::kAnnounce, prefix,
+                      paths[(i * 3 + i / 9) % paths.size()]});
+    }
+  }
+  return feed;
+}
+
+// Pins the wire bytes: block layout, per-block path tables in first-seen
+// order, stream ids and record encoding. The constants were produced by
+// the encoder whose per-block index was a hash map (commit 24238a1),
+// built RelWithDebInfo with gcc 12.
+TEST(Qmrt, EncodeGoldenDigest) {
+  const std::vector<BgpUpdate> feed = MultiBlockFeed();
+  qmrt::EncodeOptions options;
+  options.block_records = 8;  // 97 records -> 13 blocks
+  const std::string wire = qmrt::Encode(feed, options);
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  for (const char byte : wire) {
+    digest ^= static_cast<unsigned char>(byte);
+    digest *= 0x100000001B3ULL;
+  }
+  EXPECT_EQ(wire.size(), 1257u);
+  EXPECT_EQ(digest, 0x8D250D545410E14EULL);
+  EXPECT_EQ(DecodeAll(wire), feed);
+
+  // The record overload writes the same bytes.
+  std::ostringstream out;
+  qmrt::WriteStream(
+      out, feed::FromVector(std::make_shared<feed::AsPathTable>(), feed, /*batch=*/5),
+      options);
+  EXPECT_EQ(out.str(), wire);
+}
+
 TEST(Qmrt, DecodeStreamBatchesMatchWholeDecode) {
   const std::vector<BgpUpdate> feed = EdgeFeed();
   qmrt::EncodeOptions encode;
