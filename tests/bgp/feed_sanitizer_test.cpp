@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "paper_feeds.hpp"
 #include "record_fixture.hpp"
 
 namespace quicksand::bgp {
@@ -99,6 +100,48 @@ TEST(FeedSanitizer, RepairComposesWithDuplicateRemoval) {
   // In repaired order: 1 4 (change), 1 5 (change), 1 4 (change) — no dups.
   EXPECT_EQ(feed.updates.size(), 3u);
   EXPECT_EQ(feed.reset_stats.duplicates_removed, 0u);
+}
+
+/// Every output record (hops resolved through the table), every
+/// ResetFilterStats field and the repair count, as one FNV-1a digest.
+std::uint64_t SanitizedDigest(const feed::AsPathTable& table, const SanitizedRecords& clean) {
+  test::Fnv64 digest;
+  for (const feed::UpdateRec& rec : clean.updates) {
+    digest.Add(static_cast<std::uint64_t>(rec.time.seconds)).Add(rec.session);
+    digest.Add(static_cast<std::uint64_t>(rec.type)).Add(rec.prefix);
+    const std::vector<AsNumber>& hops = table.Path(rec.path).hops();
+    digest.Add(hops.size());
+    for (const AsNumber as : hops) digest.Add(as);
+  }
+  const ResetFilterStats& stats = clean.reset_stats;
+  for (const std::size_t field : {stats.input_updates, stats.duplicates_removed,
+                                  stats.burst_updates_removed, stats.bursts_detected,
+                                  stats.output_updates, clean.out_of_order_repaired}) {
+    digest.Add(field);
+  }
+  return digest.value();
+}
+
+// The paper month and the faulted week (test::MakePaperFeed) through the
+// sanitizer. The constants were computed by the build before the filter's
+// per-session state became dense rows numbered by first sight.
+TEST(FeedSanitizer, GoldenDigestOfThePaperMonth) {
+  {
+    test::PaperFeed month = test::MakePaperFeed(test::PaperFeedKind::kMonth);
+    const SanitizedRecords clean = SanitizeRecords(month.rib, std::move(month.updates));
+    EXPECT_EQ(clean.reset_stats.input_updates, 968'157u);
+    EXPECT_EQ(clean.updates.size(), 814'327u);
+    EXPECT_EQ(clean.out_of_order_repaired, 0u);
+    EXPECT_EQ(SanitizedDigest(*month.table, clean), 0x2620FE28947D83CCULL);
+  }
+  {
+    test::PaperFeed week = test::MakePaperFeed(test::PaperFeedKind::kFaultedWeek);
+    const SanitizedRecords clean = SanitizeRecords(week.rib, std::move(week.updates));
+    EXPECT_EQ(clean.reset_stats.input_updates, 696'711u);
+    EXPECT_EQ(clean.updates.size(), 488'307u);
+    EXPECT_EQ(clean.out_of_order_repaired, 2'889u);
+    EXPECT_EQ(SanitizedDigest(*week.table, clean), 0x0CE75A220F16A8A9ULL);
+  }
 }
 
 }  // namespace

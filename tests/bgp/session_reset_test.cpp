@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
+#include "bgp/feed_sanitizer.hpp"
 #include "record_fixture.hpp"
 
 namespace quicksand::bgp {
@@ -211,6 +215,117 @@ TEST(SessionResetFilter, StatsAreConsistent) {
   EXPECT_EQ(result.stats.input_updates,
             result.stats.output_updates + result.stats.duplicates_removed +
                 result.stats.burst_updates_removed);
+}
+
+/// Three sessions over 60 prefixes: a t=0 table, duplicates, real changes
+/// and withdrawals, and a table-transfer burst (every prefix re-announced
+/// within a minute, most of them twice) on the second session.
+std::pair<std::vector<BgpUpdate>, std::vector<BgpUpdate>> ThreeSessionFeed(
+    const SessionId (&sessions)[3]) {
+  std::vector<BgpUpdate> rib;
+  std::vector<BgpUpdate> updates;
+  const auto prefix = [](int i) {
+    return Prefix(netbase::Ipv4Address((10u << 24) | (static_cast<std::uint32_t>(i) << 8)), 24);
+  };
+  const auto path = [](int a, int b) { return AsPath{1, static_cast<AsNumber>(a), static_cast<AsNumber>(b)}; };
+  for (const SessionId session : sessions) {
+    for (int i = 0; i < 60; ++i) {
+      rib.push_back({SimTime{0}, session, UpdateType::kAnnounce, prefix(i), path(2, i)});
+    }
+  }
+  std::int64_t t = 100;
+  for (int i = 0; i < 60; ++i, t += 7) {
+    const SessionId session = sessions[i % 3];
+    updates.push_back({SimTime{t}, session, UpdateType::kAnnounce, prefix(i), path(2, i)});
+    updates.push_back({SimTime{t}, session, UpdateType::kAnnounce, prefix(i), path(3, i)});
+    if (i % 4 == 0) {
+      updates.push_back({SimTime{t + 1}, session, UpdateType::kWithdraw, prefix(i), {}});
+      updates.push_back({SimTime{t + 2}, session, UpdateType::kWithdraw, prefix(i), {}});
+    }
+  }
+  t += 1000;
+  for (int i = 0; i < 60; ++i) {
+    updates.push_back({SimTime{t + i / 2}, sessions[1], UpdateType::kAnnounce, prefix(i), path(4, i)});
+    if (i % 3 != 0) {
+      updates.push_back({SimTime{t + i / 2}, sessions[1], UpdateType::kAnnounce, prefix(i), path(3, i)});
+    }
+  }
+  for (int i = 0; i < 60; i += 5) {
+    updates.push_back({SimTime{t + 500}, sessions[2], UpdateType::kAnnounce, prefix(i), path(5, i)});
+  }
+  return {rib, updates};
+}
+
+// Session ids are labels: the filter must number them itself, so ids up
+// to 2^32 - 1 cost what 0, 1, 2 cost and filter identically.
+TEST(SessionResetFilter, SessionIdsAreLabels) {
+  constexpr SessionId kWide[] = {0, (SessionId{1} << 22) - 1, ~SessionId{0}};
+  constexpr SessionId kDense[] = {0, 1, 2};
+  const auto [wide_rib, wide_updates] = ThreeSessionFeed(kWide);
+  const auto [dense_rib, dense_updates] = ThreeSessionFeed(kDense);
+  test::RecordFixture fx;
+  const SanitizedRecords wide = SanitizeRecords(fx.Recs(wide_rib), fx.Recs(wide_updates));
+  const SanitizedRecords dense = SanitizeRecords(fx.Recs(dense_rib), fx.Recs(dense_updates));
+  EXPECT_GT(wide.reset_stats.bursts_detected, 0u);
+  EXPECT_GT(wide.reset_stats.duplicates_removed, 0u);
+  EXPECT_EQ(wide.reset_stats.bursts_detected, dense.reset_stats.bursts_detected);
+  EXPECT_EQ(wide.reset_stats.duplicates_removed, dense.reset_stats.duplicates_removed);
+  EXPECT_EQ(wide.reset_stats.burst_updates_removed, dense.reset_stats.burst_updates_removed);
+  EXPECT_EQ(wide.reset_stats.input_updates, dense.reset_stats.input_updates);
+  EXPECT_EQ(wide.reset_stats.output_updates, dense.reset_stats.output_updates);
+  ASSERT_EQ(wide.updates.size(), dense.updates.size());
+  for (std::size_t i = 0; i < wide.updates.size(); ++i) {
+    feed::UpdateRec renumbered = wide.updates[i];
+    renumbered.session = static_cast<SessionId>(
+        std::find(std::begin(kWide), std::end(kWide), renumbered.session) - std::begin(kWide));
+    EXPECT_EQ(renumbered, dense.updates[i]) << "record " << i;
+  }
+}
+
+// A feed whose sessions x prefixes grid is far larger than the feed (each
+// of 1,000 sessions touches two of 1,000 prefixes) filters exactly like a
+// map of (session, prefix) -> current path: a duplicate announcement or a
+// withdrawal of an absent prefix is dropped, everything else passes.
+TEST(SessionResetFilter, SparseFeedMatchesMapReference) {
+  constexpr int kKeys = 1000;
+  const auto prefix = [](int i) {
+    return Prefix(netbase::Ipv4Address((20u << 24) | (static_cast<std::uint32_t>(i) << 8)), 24);
+  };
+  std::vector<BgpUpdate> rib;
+  std::vector<BgpUpdate> updates;
+  std::int64_t t = 1;
+  for (int s = 0; s < kKeys; ++s) {
+    const auto session = static_cast<SessionId>(s * 7919);
+    if (s % 3 == 0) {
+      rib.push_back({SimTime{0}, session, UpdateType::kAnnounce, prefix(s), AsPath{1, 2}});
+    }
+    for (const int p : {s, (s + 1) % kKeys}) {
+      updates.push_back({SimTime{t}, session, UpdateType::kAnnounce, prefix(p), AsPath{1, 2}});
+      updates.push_back({SimTime{t + 1}, session, UpdateType::kAnnounce, prefix(p), AsPath{1, 2}});
+      updates.push_back({SimTime{t + 2}, session, UpdateType::kAnnounce, prefix(p), AsPath{1, 3}});
+      updates.push_back({SimTime{t + 3}, session, UpdateType::kWithdraw, prefix(p), {}});
+      updates.push_back({SimTime{t + 3}, session, UpdateType::kWithdraw, prefix(p), {}});
+      t += 200;  // far apart: no session ever bursts
+    }
+  }
+  std::map<std::pair<SessionId, Prefix>, AsPath> current;
+  for (const BgpUpdate& u : rib) current[{u.session, u.prefix}] = u.path;
+  std::vector<BgpUpdate> expected;
+  for (const BgpUpdate& u : updates) {
+    const auto it = current.find({u.session, u.prefix});
+    if (u.type == UpdateType::kAnnounce) {
+      if (it != current.end() && it->second == u.path) continue;
+      current[{u.session, u.prefix}] = u.path;
+    } else {
+      if (it == current.end()) continue;
+      current.erase(it);
+    }
+    expected.push_back(u);
+  }
+  const Filtered result = Filter(rib, updates);
+  EXPECT_EQ(result.stats.bursts_detected, 0u);
+  EXPECT_EQ(result.stats.duplicates_removed, updates.size() - expected.size());
+  EXPECT_EQ(result.updates, expected);
 }
 
 }  // namespace

@@ -291,6 +291,68 @@ TEST(StateCodec, ChurnPayloadGoldenHash) {
   EXPECT_EQ(again.Take(), payload);
 }
 
+// StateCodec::EncodeMonitor is the daemon's warm-restart format for the
+// relay monitor: learned origins and upstreams and both idempotence sets,
+// prefixes ascending and members sorted, then the counts and the alert
+// log. The monitor has learned the t=0 table and consumed half the week,
+// then a repeated origin change, a repeated carve-out and a new upstream
+// on one monitored prefix. The constants were computed by the build
+// before the monitor classified each prefix once.
+TEST(StateCodec, MonitorPayloadGoldenHash) {
+  const SmallWorld world = MakeSmallWorld(kWindow);
+  const std::unordered_set<netbase::Prefix> monitored = PickMonitored(world, 8);
+  core::RelayMonitor monitor(monitored);
+  bgp::feed::AsPathTable table;
+  for (const bgp::BgpUpdate& update : world.dynamics.initial_rib) {
+    monitor.LearnRecord(bgp::feed::ToRecord(update, table), table);
+  }
+  const std::vector<bgp::BgpUpdate>& updates = world.dynamics.updates;
+  const auto consume = [&](const bgp::BgpUpdate& update) {
+    (void)monitor.ConsumeRecord(bgp::feed::ToRecord(update, table), table);
+  };
+  for (std::size_t i = 0; i < updates.size() / 2; ++i) consume(updates[i]);
+  const netbase::Prefix target = *std::min_element(monitored.begin(), monitored.end());
+  const netbase::Prefix carved(target.network(), target.length() + 1);
+  const auto origin = std::find_if(world.dynamics.initial_rib.begin(),
+                                   world.dynamics.initial_rib.end(),
+                                   [&](const bgp::BgpUpdate& u) { return u.prefix == target; })
+                          ->path.origin();
+  const netbase::SimTime at{kWindow / 2};
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    consume({at, 0, bgp::UpdateType::kAnnounce, target, bgp::AsPath{64500, 64666}});
+    consume({at, 1, bgp::UpdateType::kAnnounce, carved, bgp::AsPath{64500, origin}});
+  }
+  consume({at, 0, bgp::UpdateType::kAnnounce, target, bgp::AsPath{64501, origin}});
+  ASSERT_GE(monitor.SuppressedDuplicates(), 2u);
+
+  ckpt::PayloadWriter writer;
+  StateCodec::EncodeMonitor(writer, monitor);
+  const std::string payload = writer.Take();
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  for (const char c : payload) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ULL;
+  }
+  EXPECT_EQ(monitor.alerts().size(), 7u);
+  EXPECT_EQ(payload.size(), 1'005u);
+  EXPECT_EQ(hash, 0x922539A001A61728ULL);
+
+  // A restored monitor encodes to the same bytes and acts the same.
+  core::RelayMonitor restored(monitored);
+  ckpt::PayloadReader reader(payload);
+  StateCodec::DecodeMonitor(reader, restored);
+  ckpt::PayloadWriter again;
+  StateCodec::EncodeMonitor(again, restored);
+  EXPECT_EQ(again.Take(), payload);
+  for (core::RelayMonitor* m : {&monitor, &restored}) {
+    for (std::size_t i = updates.size() / 2; i < updates.size(); ++i) {
+      (void)m->ConsumeRecord(bgp::feed::ToRecord(updates[i], table), table);
+    }
+  }
+  EXPECT_EQ(restored.alerts(), monitor.alerts());
+  EXPECT_EQ(restored.SuppressedDuplicates(), monitor.SuppressedDuplicates());
+}
+
 // Malformed payloads must make decoding throw std::runtime_error (which
 // the restore path turns into "no snapshot"): an element count inflated
 // past what the payload carries must not be allocated first, and a set
