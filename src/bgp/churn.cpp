@@ -28,14 +28,31 @@ std::uint64_t PackPrefix(const netbase::Prefix& prefix) {
 
 }  // namespace
 
-ChurnAnalyzer::State& ChurnAnalyzer::Partition::Slot(const netbase::Prefix& prefix) {
+void ChurnAnalyzer::State::Reset() {
+  const State fresh;
+  has_baseline = fresh.has_baseline;
+  withdrawn = fresh.withdrawn;
+  last_time_s = fresh.last_time_s;
+  announcements = fresh.announcements;
+  path_changes = fresh.path_changes;
+  for (std::vector<AsNumber>* set : {&baseline, &last_announced, &qualifying, &glimpsed}) {
+    set->clear();
+  }
+  open.clear();
+  distinct_sets.clear();
+}
+
+std::uint32_t ChurnAnalyzer::Partition::SlotOf(const netbase::Prefix& prefix) {
   bool added = false;
   const std::uint32_t slot = slot_of.FindOrInsert(
-      PackPrefix(prefix), static_cast<std::uint32_t>(states.size()), added);
-  if (added) {
-    prefixes.push_back(prefix);
-    states.emplace_back();
-  }
+      PackPrefix(prefix), static_cast<std::uint32_t>(prefixes.size()), added);
+  if (added) prefixes.push_back(prefix);
+  return slot;
+}
+
+ChurnAnalyzer::State& ChurnAnalyzer::Partition::Slot(const netbase::Prefix& prefix) {
+  const std::uint32_t slot = SlotOf(prefix);
+  if (slot == states.size()) states.emplace_back();
   return states[slot];
 }
 
@@ -46,7 +63,7 @@ const ChurnAnalyzer::State* ChurnAnalyzer::Partition::Find(
 }
 
 std::vector<std::uint32_t> ChurnAnalyzer::Partition::SlotsByPrefix() const {
-  std::vector<std::uint32_t> slots(states.size());
+  std::vector<std::uint32_t> slots(prefixes.size());
   for (std::uint32_t i = 0; i < slots.size(); ++i) slots[i] = i;
   std::sort(slots.begin(), slots.end(), [this](std::uint32_t a, std::uint32_t b) {
     return prefixes[a] < prefixes[b];
@@ -85,7 +102,8 @@ void ChurnAnalyzer::ConsumeRecord(const feed::UpdateRec& rec,
                                   const feed::AsPathTable& table) {
   if (finished_) throw std::logic_error("ChurnAnalyzer: ConsumeRecord after Finish");
   Tally tally;
-  Consume(PartitionOf(rec.session), rec, table, seen_path_hashes_, tally);
+  ++tally.consumed;
+  Step(PartitionOf(rec.session).Slot(rec.prefix), rec, table, seen_path_hashes_, tally);
   dropped_out_of_order_ += tally.dropped;
   Publish(tally);
 }
@@ -97,11 +115,9 @@ void ChurnAnalyzer::ConsumeStream(feed::UpdateStream& stream) {
   }
 }
 
-void ChurnAnalyzer::Consume(Partition& part, const feed::UpdateRec& rec,
-                            const feed::AsPathTable& table, util::FlatU64Set& seen,
-                            Tally& tally) const {
-  ++tally.consumed;
-  State& state = part.Slot(rec.prefix);
+void ChurnAnalyzer::Step(State& state, const feed::UpdateRec& rec,
+                         const feed::AsPathTable& table, util::FlatU64Set& seen,
+                         Tally& tally) const {
   const std::int64_t time_s = rec.time.seconds;
   if (time_s < state.last_time_s) {
     // Out-of-order arrival (delay jitter the sanitizer could not repair):
@@ -208,28 +224,31 @@ bool ChurnAnalyzer::IsOnPath(AsNumber as, const netbase::Prefix& prefix) const {
   return false;
 }
 
+SessionPrefixChurn ChurnAnalyzer::FinishKey(State& state) const {
+  CloseIntervals(state, params_.window_end_s, nullptr);
+  SessionPrefixChurn churn;
+  churn.announcements = state.announcements;
+  churn.path_changes = state.path_changes;
+  churn.distinct_paths = state.distinct_sets.size();
+  // A finished state is never read for its extra ASes again.
+  churn.qualifying_extra_ases = std::move(state.qualifying);
+  std::sort(churn.qualifying_extra_ases.begin(), churn.qualifying_extra_ases.end());
+  // Glimpse-only: never reached the threshold in any interval.
+  for (const AsNumber as : state.glimpsed) {
+    if (!std::binary_search(churn.qualifying_extra_ases.begin(),
+                            churn.qualifying_extra_ases.end(), as)) {
+      churn.glimpsed_extra_ases.push_back(as);
+    }
+  }
+  std::sort(churn.glimpsed_extra_ases.begin(), churn.glimpsed_extra_ases.end());
+  return churn;
+}
+
 void ChurnAnalyzer::FinishPartition(
     Partition& part, std::map<SessionPrefixKey, SessionPrefixChurn>& out) const {
   for (const std::uint32_t slot : part.SlotsByPrefix()) {
-    State& state = part.states[slot];
-    CloseIntervals(state, params_.window_end_s, nullptr);
-    SessionPrefixChurn churn;
-    churn.announcements = state.announcements;
-    churn.path_changes = state.path_changes;
-    churn.distinct_paths = state.distinct_sets.size();
-    // A finished state is never read for its extra ASes again.
-    churn.qualifying_extra_ases = std::move(state.qualifying);
-    std::sort(churn.qualifying_extra_ases.begin(), churn.qualifying_extra_ases.end());
-    // Glimpse-only: never reached the threshold in any interval.
-    for (const AsNumber as : state.glimpsed) {
-      if (!std::binary_search(churn.qualifying_extra_ases.begin(),
-                              churn.qualifying_extra_ases.end(), as)) {
-        churn.glimpsed_extra_ases.push_back(as);
-      }
-    }
-    std::sort(churn.glimpsed_extra_ases.begin(), churn.glimpsed_extra_ases.end());
     out.emplace_hint(out.end(), SessionPrefixKey{part.session, part.prefixes[slot]},
-                     std::move(churn));
+                     FinishKey(part.states[slot]));
   }
 }
 
@@ -361,19 +380,48 @@ ChurnAnalyzer AnalyzeChurnStream(feed::UpdateStream initial_rib,
       threads, ranges.size(),
       [&](std::size_t i) {
         const obs::ScopedSpan partition_span("bgp.churn.partition");
-        SessionRange& range = ranges[i];
-        ChurnAnalyzer::Partition part;
-        part.session = range.session;
+        const std::vector<feed::UpdateRec>& records = ranges[i].records;
+        const std::size_t rib_end = ranges[i].rib_end;
+        // Number the session's prefixes by first sight, then counting-sort
+        // the record positions by prefix slot, stably: each key keeps its
+        // stream order. Slot s owns order[first[s], first[s + 1]).
+        ChurnAnalyzer::Partition keys;
+        keys.session = ranges[i].session;
+        std::vector<std::uint32_t> slot_of(records.size());
+        std::vector<std::uint32_t> first;  // record count per slot, then offsets
+        for (std::size_t r = 0; r < records.size(); ++r) {
+          slot_of[r] = keys.SlotOf(records[r].prefix);
+          if (slot_of[r] == first.size()) first.push_back(0);
+          ++first[slot_of[r]];
+        }
+        std::uint32_t total = 0;
+        for (std::uint32_t& offset : first) total += std::exchange(offset, total);
+        first.push_back(total);
+        std::vector<std::uint32_t> next(first.begin(), first.end() - 1);
+        std::vector<std::uint32_t> order(records.size());
+        for (std::size_t r = 0; r < records.size(); ++r) {
+          order[next[slot_of[r]]++] = static_cast<std::uint32_t>(r);
+        }
+        std::vector<std::uint32_t>().swap(slot_of);
+
         util::FlatU64Set seen;
         ChurnAnalyzer::Tally tally;
-        for (std::size_t r = 0; r < range.records.size(); ++r) {
-          merged.Consume(part, range.records[r], r < range.rib_end ? *rib_table : *upd_table,
-                         seen, tally);
-        }
-        std::vector<feed::UpdateRec>().swap(range.records);
-        ChurnAnalyzer::Publish(tally);
+        tally.consumed = records.size();
+        ChurnAnalyzer::State state;
         Analyzed out;
-        merged.FinishPartition(part, out.entries);
+        for (const std::uint32_t slot : keys.SlotsByPrefix()) {
+          state.Reset();
+          for (std::uint32_t k = first[slot]; k < first[slot + 1]; ++k) {
+            const std::uint32_t r = order[k];
+            merged.Step(state, records[r], r < rib_end ? *rib_table : *upd_table, seen,
+                        tally);
+          }
+          out.entries.emplace_hint(out.entries.end(),
+                                   SessionPrefixKey{keys.session, keys.prefixes[slot]},
+                                   merged.FinishKey(state));
+        }
+        std::vector<feed::UpdateRec>().swap(ranges[i].records);
+        ChurnAnalyzer::Publish(tally);
         out.dropped = tally.dropped;
         return out;
       },

@@ -75,7 +75,10 @@ class ChurnAnalyzer;
 /// records, then its updates, each in stream order; records are compact —
 /// 32-bit path ids, not owning paths), each stream's own copy is released
 /// as soon as it is drained, and the ranges are analyzed in parallel and
-/// merged in session order. The entries are identical to serial
+/// merged in session order. Within a range the records are grouped by
+/// (session, prefix) key, each key keeping its stream order, and the keys
+/// run in prefix order through one reused state, by the same per-record
+/// transition ConsumeRecord applies. The entries are identical to serial
 /// consumption for every thread count and batch size, and the two streams
 /// may share an AsPathTable or carry their own. Each range keeps its own
 /// seen-path set, so `bgp.churn.path_set_cache_hits` counts per session.
@@ -191,16 +194,21 @@ class ChurnAnalyzer {
     std::vector<AsNumber> qualifying;          // closed at or above the threshold
     std::vector<AsNumber> glimpsed;            // closed below it (may also qualify)
     std::vector<std::uint64_t> distinct_sets;  // SetHash of every announced set
+
+    /// Back to a fresh state, keeping the vectors' capacity.
+    void Reset();
   };
 
-  /// One session's states, in first-seen order, found by prefix through
-  /// an open-addressing index.
+  /// One session's prefixes, numbered by first sight and found through an
+  /// open-addressing index, and (live path only) their states.
   struct Partition {
     SessionId session = 0;
     std::vector<netbase::Prefix> prefixes;  // slot -> prefix
     std::vector<State> states;              // slot -> state
     util::FlatIndex slot_of;                // packed prefix -> slot
 
+    /// The slot of `prefix`, numbered on first sight.
+    std::uint32_t SlotOf(const netbase::Prefix& prefix);
     /// The state of `prefix`, added on first sight.
     State& Slot(const netbase::Prefix& prefix);
     /// The state of `prefix`, or null.
@@ -218,18 +226,19 @@ class ChurnAnalyzer {
 
   /// The partition of `session`, added (in session order) on first sight.
   Partition& PartitionOf(SessionId session);
-  /// Feeds one record to its prefix's state in `part`; `seen` holds the
-  /// path hashes announced so far in this key space.
-  void Consume(Partition& part, const feed::UpdateRec& rec,
-               const feed::AsPathTable& table, util::FlatU64Set& seen,
-               Tally& tally) const;
+  /// The per-record transition: feeds `rec` to its key's `state`; `seen`
+  /// holds the path hashes announced so far in this key space.
+  void Step(State& state, const feed::UpdateRec& rec, const feed::AsPathTable& table,
+            util::FlatU64Set& seen, Tally& tally) const;
   void Announce(State& state, std::int64_t now, const std::vector<AsNumber>& as_set,
                 std::uint64_t set_hash) const;
   void Withdraw(State& state, std::int64_t now) const;
   void CloseIntervals(State& state, std::int64_t now,
                       const std::vector<AsNumber>* keep_sorted) const;
-  /// Closes `part`'s intervals at the window end and appends its entries,
-  /// in prefix order, to `out` (whose keys must all precede them).
+  /// Closes a key's intervals at the window end and returns its entry.
+  [[nodiscard]] SessionPrefixChurn FinishKey(State& state) const;
+  /// FinishKey for each of `part`'s states, appended in prefix order to
+  /// `out` (whose keys must all precede them).
   void FinishPartition(Partition& part,
                        std::map<SessionPrefixKey, SessionPrefixChurn>& out) const;
   static void Publish(const Tally& tally);

@@ -34,6 +34,7 @@ AsPathTable::AsPathTable() {
   empty.set_hash = HashHops({});
   empty.path_hash = HashHops({});
   entries_.push_back(std::move(empty));
+  ends_.emplace_back();
 }
 
 std::uint32_t AsPathTable::AppendRun(PathId id, std::span<const AsNumber> hops) {
@@ -117,8 +118,17 @@ PathId AsPathTable::Intern(std::span<const AsNumber> hops, bool* hit) {
                          entry.sorted_set.end());
   entry.set_hash = HashHops(entry.sorted_set);
   entry.path_hash = hash;
-  entry_bytes_ += sizeof(Entry) + (hops.size() + entry.sorted_set.size()) * sizeof(AsNumber);
+  entry_bytes_ += sizeof(Entry) + sizeof(Ends) +
+                  (hops.size() + entry.sorted_set.size()) * sizeof(AsNumber);
   entries_.push_back(std::move(entry));
+  Ends& ends = ends_.emplace_back();
+  ends.origin = hops.back();
+  for (std::size_t k = hops.size() - 1; k-- > 0;) {
+    if (hops[k] != ends.origin) {
+      ends.upstream = hops[k];
+      break;
+    }
+  }
 
   static obs::Counter& misses = obs::MetricsRegistry::Global().GetCounter(
       "feed.intern.misses", obs::Stability::kRun);
@@ -194,7 +204,7 @@ bool UpdateStream::Next(std::vector<UpdateRec>& batch) {
   // Max over all batches ever delivered: the hand-off residency bound the
   // micro_substrates streaming case reports. Benign under concurrent
   // streams (registered kRun).
-  obs::Gauge& peak = obs::MetricsRegistry::Global().GetGauge(
+  static obs::Gauge& peak = obs::MetricsRegistry::Global().GetGauge(
       "feed.peak_resident_updates", obs::Stability::kRun);
   const auto size = static_cast<std::int64_t>(batch.size());
   if (size > peak.value()) peak.Set(size);

@@ -55,9 +55,11 @@ inline constexpr std::size_t kDefaultBatchSize = 4096;
 
 /// Intern pool for AS-paths. Interning a path once precomputes everything
 /// the analyzers repeatedly need from it: the sorted distinct-AS set, the
-/// FNV hash of that set (the churn analyzer's distinct-set key), and a
-/// content hash of the hop sequence. Entries are stable: references
-/// returned by the accessors stay valid for the table's lifetime.
+/// FNV hash of that set (the churn analyzer's distinct-set key), a
+/// content hash of the hop sequence, and the origin and its upstream (the
+/// relay monitor's per-announcement facts). Entries are stable:
+/// references returned by the accessors stay valid for the table's
+/// lifetime.
 ///
 /// The index is open addressing (linear probing) over the 64-bit
 /// PathHash. A slot holds 32 bits of the mixed hash as a tag and the
@@ -113,6 +115,13 @@ class AsPathTable {
   /// table-independent.
   [[nodiscard]] std::uint64_t PathHash(PathId id) const { return entries_[id].path_hash; }
 
+  /// The origin AS (the last hop); 0 for the empty path.
+  [[nodiscard]] AsNumber Origin(PathId id) const { return ends_[id].origin; }
+
+  /// The AS adjacent to the origin, skipping the origin's prepends; 0 when
+  /// no other AS is on the path (AS 0 is never a valid hop, RFC 7607).
+  [[nodiscard]] AsNumber OriginUpstream(PathId id) const { return ends_[id].upstream; }
+
   /// Number of interned paths, including the empty path at id 0.
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
@@ -122,6 +131,13 @@ class AsPathTable {
     std::vector<AsNumber> sorted_set;
     std::uint64_t set_hash = 0;
     std::uint64_t path_hash = 0;
+  };
+
+  /// Origin and upstream per path, in a flat vector beside the entries:
+  /// a consumer reading them for every record touches 8 bytes per path.
+  struct Ends {
+    AsNumber origin = 0;
+    AsNumber upstream = 0;
   };
 
   /// One index slot: the top 32 bits of the path's mixed hash (its tag)
@@ -149,6 +165,7 @@ class AsPathTable {
 
   // deque: entry references stay valid while the table grows.
   std::deque<Entry> entries_;
+  std::vector<Ends> ends_;  ///< by PathId
   std::vector<std::unique_ptr<AsNumber[]>> blocks_;
   std::size_t block_used_ = 0;  ///< words used in blocks_.back()
   std::vector<Slot> slots_;     ///< empty until the first non-empty intern

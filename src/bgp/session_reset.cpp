@@ -1,118 +1,67 @@
 #include "bgp/session_reset.hpp"
 
 #include <algorithm>
-
-#include "bgp/feed_order.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
+#include "bgp/feed_order.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "util/flat_index.hpp"
+
 namespace quicksand::bgp {
 
 namespace {
 
+using feed::PathId;
+using feed::UpdateRec;
+
 /// A prefix packed into 38 bits: network address in the high word, length
-/// in the low 6 bits. Ascending packed order is exactly Prefix's
-/// lexicographic (network, length) order.
+/// in the low 6 bits.
 std::uint64_t PackPrefix(const netbase::Prefix& p) noexcept {
   return (std::uint64_t{p.network().value()} << 6) |
          static_cast<std::uint64_t>(p.length());
 }
 
-/// Session ids below this use dense vectors for the per-session lookaside
-/// tables (the CollectorSet contract numbers sessions densely from 0);
-/// anything larger — hostile or synthetic ids parsed from text — falls
-/// back to hashing so a single huge id cannot force a giant allocation.
-constexpr SessionId kDenseSessionLimit = 1u << 22;
+/// The (session, prefix) state is a grid of dense rows while it costs at
+/// most this many cells per input record; a sparse feed (many sessions,
+/// each carrying few of many prefixes — a lenient text feed of N lines can
+/// name N of each) falls back to the open-addressed StateTable, so memory
+/// stays linear in the input either way.
+constexpr std::size_t kRowCellsPerRecord = 2;
 
-/// Per-session lookaside: vector indexed by session id in the dense
-/// (normal) case, hash map in the sparse fallback. operator[] value-
-/// initializes on first touch in both modes, like unordered_map.
-template <typename V>
-class PerSession {
- public:
-  explicit PerSession(SessionId max_session) {
-    if (max_session < kDenseSessionLimit) {
-      dense_.resize(static_cast<std::size_t>(max_session) + 1);
-    } else {
-      use_map_ = true;
-    }
+/// A (session, prefix) the session does not carry.
+constexpr PathId kNoPath = ~PathId{0};
+
+/// Marks a session without detected bursts.
+constexpr std::uint32_t kNoBursts = ~std::uint32_t{0};
+
+/// The feed's sessions and prefixes, each numbered by first sight: every
+/// per-session table is a vector indexed by session row, whatever the
+/// session ids are.
+struct FeedKeys {
+  util::FlatIndex row_of;     // session id -> row
+  util::FlatIndex column_of;  // packed prefix -> column
+  std::uint32_t sessions = 0;
+  std::uint32_t prefixes = 0;
+
+  void Add(const UpdateRec& u) {
+    bool added = false;
+    (void)row_of.FindOrInsert(u.session, sessions, added);
+    sessions += added ? 1 : 0;
+    (void)column_of.FindOrInsert(PackPrefix(u.prefix), prefixes, added);
+    prefixes += added ? 1 : 0;
   }
-
-  V& operator[](SessionId session) {
-    if (!use_map_) return dense_[session];
-    return map_[session];
-  }
-
- private:
-  std::vector<V> dense_;
-  std::unordered_map<SessionId, V> map_;
-  bool use_map_ = false;
+  [[nodiscard]] std::uint32_t Row(SessionId session) const { return row_of.Find(session); }
 };
 
-struct BurstInterval {
-  std::int64_t begin = 0;
-  std::int64_t end = 0;  // inclusive
-};
-
-/// Detects table-transfer bursts per session with a sliding window over
-/// announcement timestamps. Fills `bursts` (empty vector = no bursts for
-/// that session) and appends every session owning at least one interval
-/// to `burst_sessions`.
-void DetectBursts(const std::vector<feed::UpdateRec>& updates,
-                  PerSession<std::size_t>& table_sizes, SessionId max_session,
-                  const ResetFilterParams& params,
-                  PerSession<std::vector<BurstInterval>>& bursts,
-                  std::vector<SessionId>& burst_sessions) {
-  PerSession<std::vector<std::int64_t>> announce_times(max_session);
-  std::vector<SessionId> announce_sessions;
-  for (const feed::UpdateRec& u : updates) {
-    if (u.type != UpdateType::kAnnounce) continue;
-    std::vector<std::int64_t>& times = announce_times[u.session];
-    if (times.empty()) announce_sessions.push_back(u.session);
-    times.push_back(u.time.seconds);
-  }
-
-  for (const SessionId session : announce_sessions) {
-    const std::vector<std::int64_t>& times = announce_times[session];
-    const std::size_t threshold = std::max(
-        params.min_burst_updates,
-        static_cast<std::size_t>(params.burst_table_fraction *
-                                 static_cast<double>(table_sizes[session])));
-    std::vector<BurstInterval>& intervals = bursts[session];
-    std::size_t left = 0;
-    for (std::size_t right = 0; right < times.size(); ++right) {
-      while (times[right] - times[left] > params.burst_window_s) ++left;
-      if (right - left + 1 >= threshold) {
-        const std::int64_t begin = times[left];
-        const std::int64_t end = times[right] + params.grace_s;
-        if (!intervals.empty() && begin <= intervals.back().end) {
-          intervals.back().end = std::max(intervals.back().end, end);
-        } else {
-          intervals.push_back({begin, end});
-        }
-      }
-    }
-    if (!intervals.empty()) burst_sessions.push_back(session);
-  }
-}
-
-bool InBurst(const std::vector<BurstInterval>& intervals, std::int64_t t,
-             std::size_t& cursor) {
-  while (cursor < intervals.size() && intervals[cursor].end < t) ++cursor;
-  return cursor < intervals.size() && intervals[cursor].begin <= t;
-}
-
-/// The (session, prefix) -> optional<path id> session-state table, the
-/// filter's hottest structure (one probe per input update). Open
-/// addressing with linear probing over power-of-two capacity: one cache
-/// line per hit beats the node allocation and pointer chase of
-/// unordered_map by ~4x here. Entries are never erased (a withdrawn
-/// prefix stores nullopt), so no tombstones. References returned by
-/// Slot() are invalidated by the next Slot() call (growth may rehash).
+/// The sparse-feed form of the (session, prefix) -> current path state.
+/// Open addressing with linear probing over power-of-two capacity. Entries
+/// are never erased (a withdrawn prefix stores kNoPath), so no tombstones.
+/// References returned by Slot() are invalidated by the next Slot() call
+/// (growth may rehash).
 class StateTable {
  public:
   explicit StateTable(std::size_t expected) {
@@ -121,7 +70,7 @@ class StateTable {
     slots_.resize(capacity);
   }
 
-  std::optional<feed::PathId>& Slot(SessionId session, const netbase::Prefix& prefix) {
+  PathId& Slot(SessionId session, const netbase::Prefix& prefix) {
     if ((size_ + 1) * 8 > slots_.size() * 5) Grow();
     const std::uint64_t key = PackPrefix(prefix);
     std::size_t i = IndexFor(session, key, slots_.size());
@@ -142,7 +91,7 @@ class StateTable {
   struct SlotT {
     std::uint64_t prefix_key = kFreeSlot;
     SessionId session = 0;
-    std::optional<feed::PathId> value;
+    PathId value = kNoPath;
   };
   /// Packed prefixes occupy 38 bits, so all-ones can mark a free slot.
   static constexpr std::uint64_t kFreeSlot = ~std::uint64_t{0};
@@ -160,11 +109,11 @@ class StateTable {
     std::vector<SlotT> old;
     old.swap(slots_);
     slots_.resize(old.size() * 2);
-    for (SlotT& slot : old) {
+    for (const SlotT& slot : old) {
       if (slot.prefix_key == kFreeSlot) continue;
       std::size_t i = IndexFor(slot.session, slot.prefix_key, slots_.size());
       while (slots_[i].prefix_key != kFreeSlot) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = std::move(slot);
+      slots_[i] = slot;
     }
   }
 
@@ -172,62 +121,153 @@ class StateTable {
   std::size_t size_ = 0;
 };
 
+/// (session, prefix) -> the session's current path for the prefix, or
+/// kNoPath: one row per session, one cell per prefix column, while the
+/// grid fits kRowCellsPerRecord; the StateTable otherwise. The filter's
+/// hottest structure (one lookup per input update). A cell reference is
+/// invalidated by the next Cell() call.
+class PathCells {
+ public:
+  PathCells(const FeedKeys& keys, std::size_t records, std::size_t rib_records)
+      : keys_(keys) {
+    if (std::size_t{keys.sessions} * keys.prefixes <= kRowCellsPerRecord * records) {
+      rows_.assign(std::size_t{keys.sessions} * keys.prefixes, kNoPath);
+    } else {
+      // Sized for the t=0 table plus headroom: feeds mostly touch prefixes
+      // the sessions already carry, and growth amortizes the rest.
+      table_.emplace(rib_records + rib_records / 2 + 64);
+    }
+  }
+
+  PathId& Cell(std::uint32_t row, const UpdateRec& u) {
+    if (table_) return table_->Slot(u.session, u.prefix);
+    return rows_[std::size_t{row} * keys_.prefixes + keys_.column_of.Find(PackPrefix(u.prefix))];
+  }
+
+ private:
+  const FeedKeys& keys_;
+  std::vector<PathId> rows_;
+  std::optional<StateTable> table_;
+};
+
+struct BurstInterval {
+  std::int64_t begin = 0;
+  std::int64_t end = 0;  // inclusive
+};
+
+/// A session with detected bursts: its intervals, the scan position in
+/// them, and the buffered content of the burst it is in — the last update
+/// per packed prefix, plus how many were buffered.
+struct BurstSession {
+  std::uint32_t row = 0;
+  std::vector<BurstInterval> intervals;
+  std::size_t cursor = 0;
+  std::int64_t flush_after = 0;
+  std::unordered_map<std::uint64_t, std::pair<UpdateRec, std::size_t>> final_updates;
+};
+
+/// Detects table-transfer bursts per session with a sliding window over
+/// announcement timestamps. Returns the sessions owning at least one
+/// interval, in order of first announcement, and points `burst_of` (by
+/// session row) at them.
+std::vector<BurstSession> DetectBursts(const std::vector<UpdateRec>& updates,
+                                       const FeedKeys& keys,
+                                       const std::vector<std::size_t>& table_sizes,
+                                       const ResetFilterParams& params,
+                                       std::vector<std::uint32_t>& burst_of) {
+  std::vector<std::vector<std::int64_t>> announce_times(keys.sessions);
+  std::vector<std::uint32_t> announce_rows;
+  for (const UpdateRec& u : updates) {
+    if (u.type != UpdateType::kAnnounce) continue;
+    const std::uint32_t row = keys.Row(u.session);
+    std::vector<std::int64_t>& times = announce_times[row];
+    if (times.empty()) announce_rows.push_back(row);
+    times.push_back(u.time.seconds);
+  }
+
+  std::vector<BurstSession> bursts;
+  burst_of.assign(keys.sessions, kNoBursts);
+  for (const std::uint32_t row : announce_rows) {
+    const std::vector<std::int64_t>& times = announce_times[row];
+    const std::size_t threshold = std::max(
+        params.min_burst_updates,
+        static_cast<std::size_t>(params.burst_table_fraction *
+                                 static_cast<double>(table_sizes[row])));
+    std::vector<BurstInterval> intervals;
+    std::size_t left = 0;
+    for (std::size_t right = 0; right < times.size(); ++right) {
+      while (times[right] - times[left] > params.burst_window_s) ++left;
+      if (right - left + 1 >= threshold) {
+        const std::int64_t begin = times[left];
+        const std::int64_t end = times[right] + params.grace_s;
+        if (!intervals.empty() && begin <= intervals.back().end) {
+          intervals.back().end = std::max(intervals.back().end, end);
+        } else {
+          intervals.push_back({begin, end});
+        }
+      }
+    }
+    if (intervals.empty()) continue;
+    burst_of[row] = static_cast<std::uint32_t>(bursts.size());
+    BurstSession& session = bursts.emplace_back();
+    session.row = row;
+    session.intervals = std::move(intervals);
+  }
+  return bursts;
+}
+
+bool InBurst(const std::vector<BurstInterval>& intervals, std::int64_t t,
+             std::size_t& cursor) {
+  while (cursor < intervals.size() && intervals[cursor].end < t) ++cursor;
+  return cursor < intervals.size() && intervals[cursor].begin <= t;
+}
+
 }  // namespace
 
 /// Consumes `updates` and filters in place: survivors are compacted to
 /// the front of the same buffer (two-pointer sweep, no output copy) and
 /// the handful of burst survivors is merged back in at the end.
-FilteredRecords FilterSessionRecords(const std::vector<feed::UpdateRec>& initial_rib,
-                                     std::vector<feed::UpdateRec> updates,
+FilteredRecords FilterSessionRecords(const std::vector<UpdateRec>& initial_rib,
+                                     std::vector<UpdateRec> updates,
                                      const ResetFilterParams& params) {
-  using feed::UpdateRec;
-
-  // One pass validates time order and finds the session-id range for the
-  // dense per-session tables below.
-  SessionId max_session = 0;
-  for (const UpdateRec& u : initial_rib) max_session = std::max(max_session, u.session);
+  // One pass validates time order and numbers the feed's sessions and
+  // prefixes.
+  FeedKeys keys;
+  for (const UpdateRec& u : initial_rib) keys.Add(u);
   for (std::size_t i = 0; i < updates.size(); ++i) {
     if (i > 0 && updates[i].time < updates[i - 1].time) {
       throw std::invalid_argument("FilterSessionRecords: updates not time-ordered");
     }
-    max_session = std::max(max_session, updates[i].session);
+    keys.Add(updates[i]);
   }
 
   // Session tables at t=0 (path per prefix), used for duplicate detection,
-  // and their sizes for the burst threshold. The table is only ever probed
-  // by key — never iterated — so its layout is free to be hash order;
-  // output depends solely on per-key lookups. Sized for the RIB plus
-  // headroom: feeds mostly touch prefixes the sessions already carry, and
-  // growth amortizes the RIB-less case.
-  StateTable state(initial_rib.size() + initial_rib.size() / 2 + 64);
-  PerSession<std::size_t> table_sizes(max_session);
+  // and their sizes for the burst threshold. The cells are only ever
+  // looked up by key — never iterated — so output depends solely on
+  // per-key lookups.
+  PathCells cells(keys, initial_rib.size() + updates.size(), initial_rib.size());
+  std::vector<std::size_t> table_sizes(keys.sessions);
   for (const UpdateRec& u : initial_rib) {
-    state.Slot(u.session, u.prefix) = u.path;
-    ++table_sizes[u.session];
+    const std::uint32_t row = keys.Row(u.session);
+    cells.Cell(row, u) = u.path;
+    ++table_sizes[row];
   }
 
-  PerSession<std::vector<BurstInterval>> bursts(max_session);
-  std::vector<SessionId> burst_sessions;
-  DetectBursts(updates, table_sizes, max_session, params, bursts, burst_sessions);
+  std::vector<std::uint32_t> burst_of;
+  std::vector<BurstSession> bursts =
+      DetectBursts(updates, keys, table_sizes, params, burst_of);
 
   FilteredRecords result;
   result.stats.input_updates = updates.size();
-  for (const SessionId session : burst_sessions) {
-    result.stats.bursts_detected += bursts[session].size();
+  for (const BurstSession& session : bursts) {
+    result.stats.bursts_detected += session.intervals.size();
   }
 
-  // Per-session burst scan cursors and buffered burst content. Buffered
-  // survivors are keyed by packed prefix and emitted in ascending prefix
-  // order at flush time (sorted then — each burst flushes once), which
-  // reproduces the historical prefix-ordered buffer iteration.
-  PerSession<std::size_t> cursors(max_session);
-  struct BurstBuffer {
-    std::int64_t flush_after = 0;
-    // Last update per prefix within the burst, plus how many were buffered.
-    std::unordered_map<std::uint64_t, std::pair<UpdateRec, std::size_t>> final_updates;
-  };
-  PerSession<BurstBuffer> buffers(max_session);
-
+  // Buffered burst survivors are keyed by packed prefix and emitted in
+  // ascending prefix order at flush time (sorted then — each burst flushes
+  // once), which reproduces the historical prefix-ordered buffer
+  // iteration.
+  //
   // Burst survivors are collected separately from the pass-through
   // updates: pass-throughs come out in input order (sorted whenever the
   // input was canonically sorted, which the emit loop verifies as it
@@ -241,34 +281,28 @@ FilteredRecords FilterSessionRecords(const std::vector<feed::UpdateRec>& initial
   std::vector<UpdateRec> flushed;
   std::vector<std::pair<std::uint64_t, std::pair<UpdateRec, std::size_t>*>> flush_order;
 
-  auto flush = [&](SessionId session, BurstBuffer& buffer) {
+  auto flush = [&](BurstSession& session) {
     flush_order.clear();
-    flush_order.reserve(buffer.final_updates.size());
-    for (auto& [key, entry] : buffer.final_updates) {
+    flush_order.reserve(session.final_updates.size());
+    for (auto& [key, entry] : session.final_updates) {
       flush_order.emplace_back(key, &entry);
     }
     std::sort(flush_order.begin(), flush_order.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     for (auto& [key, entry] : flush_order) {
       auto& [update, count] = *entry;
-      auto& current = state.Slot(session, update.prefix);
-      const bool is_announce = update.type == UpdateType::kAnnounce;
-      const bool changes_state =
-          is_announce ? (!current || *current != update.path) : current.has_value();
-      if (changes_state) {
+      PathId& current = cells.Cell(session.row, update);
+      const PathId next = update.type == UpdateType::kAnnounce ? update.path : kNoPath;
+      if (current != next) {
         result.stats.burst_updates_removed += count - 1;
-        if (is_announce) {
-          current = update.path;
-        } else {
-          current.reset();
-        }
+        current = next;
         flushed.push_back(update);
       } else {
         // Net no-op: the whole burst group is an artifact.
         result.stats.burst_updates_removed += count;
       }
     }
-    buffer.final_updates.clear();
+    session.final_updates.clear();
   };
 
   const FeedOrderLess key_less{};
@@ -280,18 +314,17 @@ FilteredRecords FilterSessionRecords(const std::vector<feed::UpdateRec>& initial
   std::size_t write = 0;
   for (std::size_t read = 0; read < updates.size(); ++read) {
     const UpdateRec& u = updates[read];
-    const std::vector<BurstInterval>& intervals = bursts[u.session];
-    if (!intervals.empty()) {
+    const std::uint32_t row = keys.Row(u.session);
+    if (burst_of[row] != kNoBursts) {
       // Only sessions with detected bursts ever buffer, so the buffer and
       // cursor bookkeeping is skipped entirely for everyone else.
-      BurstBuffer& buffer = buffers[u.session];
-      if (!buffer.final_updates.empty() && u.time.seconds > buffer.flush_after) {
-        flush(u.session, buffer);
+      BurstSession& session = bursts[burst_of[row]];
+      if (!session.final_updates.empty() && u.time.seconds > session.flush_after) {
+        flush(session);
       }
-      if (InBurst(intervals, u.time.seconds, cursors[u.session])) {
-        const auto& interval = intervals[cursors[u.session]];
-        buffer.flush_after = interval.end;
-        auto [it, inserted] = buffer.final_updates.try_emplace(
+      if (InBurst(session.intervals, u.time.seconds, session.cursor)) {
+        session.flush_after = session.intervals[session.cursor].end;
+        auto [it, inserted] = session.final_updates.try_emplace(
             PackPrefix(u.prefix), u, std::size_t{1});
         if (!inserted) {
           it->second.first = u;
@@ -302,29 +335,21 @@ FilteredRecords FilterSessionRecords(const std::vector<feed::UpdateRec>& initial
     }
     // Outside bursts: drop state no-ops (duplicate announcements and
     // withdrawals of prefixes the session does not carry).
-    auto& current = state.Slot(u.session, u.prefix);
-    if (u.type == UpdateType::kAnnounce) {
-      if (current && *current == u.path) {
-        ++result.stats.duplicates_removed;
-        continue;
-      }
-      current = u.path;
-    } else {
-      if (!current) {
-        ++result.stats.duplicates_removed;
-        continue;
-      }
-      current.reset();
+    PathId& current = cells.Cell(row, u);
+    const PathId next = u.type == UpdateType::kAnnounce ? u.path : kNoPath;
+    if (current == next) {
+      ++result.stats.duplicates_removed;
+      continue;
     }
+    current = next;
     if (pass_through_sorted && write > 0 && key_less(u, updates[write - 1])) {
       pass_through_sorted = false;
     }
     if (write != read) updates[write] = u;
     ++write;
   }
-  for (const SessionId session : burst_sessions) {
-    BurstBuffer& buffer = buffers[session];
-    if (!buffer.final_updates.empty()) flush(session, buffer);
+  for (BurstSession& session : bursts) {
+    if (!session.final_updates.empty()) flush(session);
   }
   updates.resize(write);
   if (!flushed.empty() || !pass_through_sorted) {

@@ -55,125 +55,138 @@ RelayMonitor::RelayMonitor(std::unordered_set<netbase::Prefix> monitored,
   for (const netbase::Prefix& prefix : monitored_) monitored_trie_.Insert(prefix, 0);
 }
 
+RelayMonitor::PrefixState& RelayMonitor::StateOf(const netbase::Prefix& prefix) {
+  const std::uint64_t key = (std::uint64_t{prefix.network().value()} << 8) |
+                            static_cast<std::uint64_t>(prefix.length());
+  bool added = false;
+  const std::uint32_t slot =
+      slot_of_.FindOrInsert(key, static_cast<std::uint32_t>(prefixes_.size()), added);
+  if (added) {
+    PrefixState& state = prefixes_.emplace_back();
+    state.prefix = prefix;
+    // A monitored prefix is never also treated as a more-specific, even
+    // when another monitored prefix covers it.
+    if (monitored_.contains(prefix)) {
+      state.role = Role::kMonitored;
+      state.protects = prefix;
+    } else if (const auto covering = monitored_trie_.MostSpecificCovering(prefix);
+               covering && covering->first.length() < prefix.length()) {
+      state.role = Role::kMoreSpecific;
+      state.protects = covering->first;
+    }
+  }
+  return prefixes_[slot];
+}
+
 void RelayMonitor::LearnRecord(const bgp::feed::UpdateRec& rec,
                                const bgp::feed::AsPathTable& table) {
-  const bgp::AsPath& path = table.Path(rec.path);
-  if (rec.type != bgp::UpdateType::kAnnounce || path.empty()) return;
-  if (!monitored_.contains(rec.prefix)) return;
-  const auto& hops = path.hops();
-  legit_origins_[rec.prefix].insert(hops.back());
-  // The upstream is the AS adjacent to the origin (skipping prepends).
-  for (std::size_t i = hops.size(); i-- > 0;) {
-    if (hops[i] != hops.back()) {
-      known_upstreams_[rec.prefix].insert(hops[i]);
-      break;
-    }
+  if (rec.type != bgp::UpdateType::kAnnounce || rec.path == bgp::feed::kEmptyPath) return;
+  PrefixState& state = StateOf(rec.prefix);
+  if (state.role != Role::kMonitored) return;
+  state.legit_origins.Insert(table.Origin(rec.path));
+  if (const bgp::AsNumber upstream = table.OriginUpstream(rec.path); upstream != 0) {
+    state.known_upstreams.Insert(upstream);
   }
 }
 
 void RelayMonitor::LearnBaselineStream(bgp::feed::UpdateStream& stream) {
   std::vector<bgp::feed::UpdateRec> batch;
   while (stream.Next(batch)) {
-    for (const bgp::feed::UpdateRec& rec : batch) LearnRecord(rec, *stream.paths());
+    const bgp::feed::AsPathTable& table = *stream.paths();
+    for (const bgp::feed::UpdateRec& rec : batch) LearnRecord(rec, table);
   }
-}
-
-std::size_t RelayMonitor::ConsumeStream(bgp::feed::UpdateStream& stream) {
-  std::size_t raised = 0;
-  std::vector<bgp::feed::UpdateRec> batch;
-  while (stream.Next(batch)) {
-    for (const bgp::feed::UpdateRec& rec : batch) {
-      raised += ConsumeRecord(rec, *stream.paths()).size();
-    }
-  }
-  return raised;
 }
 
 std::vector<Alert> RelayMonitor::ConsumeRecord(const bgp::feed::UpdateRec& rec,
                                                const bgp::feed::AsPathTable& table) {
-  MonitorMetrics& metrics = MonitorMetrics::Get();
-  metrics.consumed.Increment();
-  std::vector<Alert> raised;
-  const bgp::AsPath& path = table.Path(rec.path);
-  if (rec.type != bgp::UpdateType::kAnnounce || path.empty()) return raised;
-  const netbase::SimTime time = rec.time;
-  const bgp::SessionId session = rec.session;
-  const netbase::Prefix& prefix = rec.prefix;
-  const bgp::AsNumber origin = path.origin();
+  const std::size_t first = alerts_.size();
+  const AlertCountSummary counts_before = counts_;
+  const std::size_t suppressed_before = suppressed_duplicates_;
+  Consume(rec, table);
+  Publish(1, counts_before, suppressed_before);
+  return {alerts_.begin() + static_cast<std::ptrdiff_t>(first), alerts_.end()};
+}
 
-  if (monitored_.contains(prefix)) {
-    const auto origins_it = legit_origins_.find(prefix);
-    const bool origin_known =
-        origins_it != legit_origins_.end() && origins_it->second.contains(origin);
+std::size_t RelayMonitor::ConsumeStream(bgp::feed::UpdateStream& stream) {
+  const std::size_t first = alerts_.size();
+  const AlertCountSummary counts_before = counts_;
+  const std::size_t suppressed_before = suppressed_duplicates_;
+  std::size_t consumed = 0;
+  std::vector<bgp::feed::UpdateRec> batch;
+  while (stream.Next(batch)) {
+    const bgp::feed::AsPathTable& table = *stream.paths();
+    for (const bgp::feed::UpdateRec& rec : batch) Consume(rec, table);
+    consumed += batch.size();
+  }
+  Publish(consumed, counts_before, suppressed_before);
+  return alerts_.size() - first;
+}
+
+void RelayMonitor::Consume(const bgp::feed::UpdateRec& rec,
+                           const bgp::feed::AsPathTable& table) {
+  if (rec.type != bgp::UpdateType::kAnnounce || rec.path == bgp::feed::kEmptyPath) return;
+  PrefixState& state = StateOf(rec.prefix);
+  const bgp::AsNumber origin = table.Origin(rec.path);
+
+  if (state.role == Role::kMonitored) {
+    const bool origin_known = state.legit_origins.Contains(origin);
     if (params_.alert_on_origin_change && !origin_known) {
       // Idempotent: one alert per (prefix, bogus origin). Resync bursts
       // and flapping sessions re-announcing the hijacked route must not
       // double-count the anomaly.
-      if (alerted_origins_[prefix].insert(origin).second) {
-        raised.push_back(Alert{time, session, prefix, prefix,
-                               AlertKind::kOriginChange, origin});
+      if (state.alerted_origins.Insert(origin)) {
+        Raise(Alert{rec.time, rec.session, rec.prefix, rec.prefix, AlertKind::kOriginChange,
+                    origin});
       } else {
         ++suppressed_duplicates_;
-        obs::MetricsRegistry::Global()
-            .GetCounter("core.monitor.duplicate_alerts_suppressed")
-            .Increment();
       }
     }
     if (params_.alert_on_new_upstream && origin_known) {
-      const auto& hops = path.hops();
-      bgp::AsNumber upstream = 0;
-      for (std::size_t i = hops.size(); i-- > 0;) {
-        if (hops[i] != hops.back()) {
-          upstream = hops[i];
-          break;
-        }
-      }
-      if (upstream != 0) {
-        auto& known = known_upstreams_[prefix];
-        if (!known.contains(upstream)) {
-          raised.push_back(Alert{time, session, prefix, prefix,
-                                 AlertKind::kNewUpstream, upstream});
-          // Learn it: repeat announcements via the same new upstream only
-          // alert once (aggressive but not noisy).
-          known.insert(upstream);
-        }
+      // Learn it: repeat announcements via the same new upstream only
+      // alert once (aggressive but not noisy).
+      const bgp::AsNumber upstream = table.OriginUpstream(rec.path);
+      if (upstream != 0 && state.known_upstreams.Insert(upstream)) {
+        Raise(Alert{rec.time, rec.session, rec.prefix, rec.prefix, AlertKind::kNewUpstream,
+                    upstream});
       }
     }
-  } else if (params_.alert_on_more_specific) {
+  } else if (state.role == Role::kMoreSpecific && params_.alert_on_more_specific) {
     // An announcement strictly inside a monitored prefix. Idempotent per
     // (announced prefix, origin): repeats of the same carve-out alert once.
-    const auto covering = monitored_trie_.MostSpecificCovering(prefix);
-    if (covering && covering->first.length() < prefix.length()) {
-      if (alerted_specifics_[prefix].insert(origin).second) {
-        raised.push_back(Alert{time, session, covering->first, prefix,
-                               AlertKind::kMoreSpecific, origin});
-      } else {
-        ++suppressed_duplicates_;
-        obs::MetricsRegistry::Global()
-            .GetCounter("core.monitor.duplicate_alerts_suppressed")
-            .Increment();
-      }
+    if (state.alerted_specifics.Insert(origin)) {
+      Raise(Alert{rec.time, rec.session, state.protects, rec.prefix, AlertKind::kMoreSpecific,
+                  origin});
+    } else {
+      ++suppressed_duplicates_;
     }
   }
+}
 
-  for (const Alert& alert : raised) {
-    switch (alert.kind) {
-      case AlertKind::kOriginChange:
-        ++counts_.origin_change;
-        metrics.origin_change.Increment();
-        break;
-      case AlertKind::kMoreSpecific:
-        ++counts_.more_specific;
-        metrics.more_specific.Increment();
-        break;
-      case AlertKind::kNewUpstream:
-        ++counts_.new_upstream;
-        metrics.new_upstream.Increment();
-        break;
-    }
+void RelayMonitor::Raise(const Alert& alert) {
+  switch (alert.kind) {
+    case AlertKind::kOriginChange: ++counts_.origin_change; break;
+    case AlertKind::kMoreSpecific: ++counts_.more_specific; break;
+    case AlertKind::kNewUpstream: ++counts_.new_upstream; break;
   }
-  alerts_.insert(alerts_.end(), raised.begin(), raised.end());
-  return raised;
+  alerts_.push_back(alert);
+}
+
+void RelayMonitor::Publish(std::size_t consumed, const AlertCountSummary& counts_before,
+                           std::size_t suppressed_before) const {
+  // Registered on the first consumed record, as a monitor that never
+  // consumed leaves no counter behind.
+  if (consumed == 0) return;
+  MonitorMetrics& metrics = MonitorMetrics::Get();
+  metrics.consumed.Increment(consumed);
+  metrics.origin_change.Increment(counts_.origin_change - counts_before.origin_change);
+  metrics.more_specific.Increment(counts_.more_specific - counts_before.more_specific);
+  metrics.new_upstream.Increment(counts_.new_upstream - counts_before.new_upstream);
+  if (suppressed_duplicates_ > suppressed_before) {
+    // Registered on the first suppressed repeat.
+    static obs::Counter& suppressed = obs::MetricsRegistry::Global().GetCounter(
+        "core.monitor.duplicate_alerts_suppressed");
+    suppressed.Increment(suppressed_duplicates_ - suppressed_before);
+  }
 }
 
 std::vector<Alert> RelayMonitor::AlertsSince(netbase::SimTime since) const {

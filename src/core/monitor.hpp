@@ -17,16 +17,15 @@
 // relay until the anomaly clears.
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "bgp/feed.hpp"
 #include "netbase/prefix.hpp"
 #include "netbase/prefix_trie.hpp"
+#include "util/flat_index.hpp"
 
 namespace quicksand::daemon {
 struct StateCodec;
@@ -86,6 +85,12 @@ struct AlertCountSummary {
 ///     nothing, so AlertCountSummary never double-counts one anomaly.
 ///     Each (prefix, suspect, kind) alerts exactly once; suppressed
 ///     repeats are tallied in `core.monitor.duplicate_alerts_suppressed`.
+///
+/// Each distinct announced prefix is classified once, on first sight
+/// (monitored, more-specific of a monitored prefix, or neither), and keeps
+/// its learned and alerted AS sets beside its class; a path's origin and
+/// upstream come from the AsPathTable. The `core.monitor.*` counters are
+/// published once per ConsumeRecord or ConsumeStream call.
 class RelayMonitor {
  public:
   /// Monitors the given prefixes. Legitimate origins and upstreams are
@@ -105,7 +110,7 @@ class RelayMonitor {
   [[nodiscard]] std::vector<Alert> ConsumeRecord(const bgp::feed::UpdateRec& rec,
                                                  const bgp::feed::AsPathTable& table);
 
-  /// Drains `stream`, feeding every record through ConsumeRecord. Alerts
+  /// Drains `stream`, processing every record as ConsumeRecord does. Alerts
   /// accumulate in alerts(); returns how many this drain raised.
   std::size_t ConsumeStream(bgp::feed::UpdateStream& stream);
 
@@ -139,18 +144,42 @@ class RelayMonitor {
   /// idempotence sets (src/daemon/state_codec.cpp).
   friend struct quicksand::daemon::StateCodec;
 
+  enum class Role : std::uint8_t { kUnrelated, kMonitored, kMoreSpecific };
+
+  /// One announced prefix: its class and its AS sets.
+  struct PrefixState {
+    netbase::Prefix prefix;
+    Role role = Role::kUnrelated;
+    /// The monitored prefix an announcement of `prefix` threatens: itself
+    /// when monitored, its most specific monitored cover when a
+    /// more-specific.
+    netbase::Prefix protects;
+    /// Monitored: origins and origin-adjacent upstreams seen in the
+    /// baseline (upstreams also learned as they alert).
+    util::FlatU64Set legit_origins;
+    util::FlatU64Set known_upstreams;
+    /// The idempotence sets: origins that already raised an origin-change
+    /// alert (monitored) or a more-specific alert (more-specific).
+    util::FlatU64Set alerted_origins;
+    util::FlatU64Set alerted_specifics;
+  };
+
+  /// The state of `prefix`, classified and added on first sight. The
+  /// reference is invalidated by the next call.
+  PrefixState& StateOf(const netbase::Prefix& prefix);
+  /// Processes one record: appends its alerts and counts suppressed repeats.
+  void Consume(const bgp::feed::UpdateRec& rec, const bgp::feed::AsPathTable& table);
+  void Raise(const Alert& alert);
+  /// Adds `consumed` and the alerts and suppressed repeats since
+  /// (`counts_before`, `suppressed_before`) to the core.monitor.* counters.
+  void Publish(std::size_t consumed, const AlertCountSummary& counts_before,
+               std::size_t suppressed_before) const;
+
   MonitorParams params_;
   std::unordered_set<netbase::Prefix> monitored_;
   netbase::PrefixTrie<int> monitored_trie_;  // value unused; structure only
-  /// Per monitored prefix: origins and origin-adjacent upstreams seen in
-  /// the baseline.
-  std::unordered_map<netbase::Prefix, std::unordered_set<bgp::AsNumber>> legit_origins_;
-  std::unordered_map<netbase::Prefix, std::unordered_set<bgp::AsNumber>> known_upstreams_;
-  /// Origins that already raised an origin-change alert, per monitored
-  /// prefix, and origins that already raised a more-specific alert, per
-  /// announced prefix — the idempotence sets.
-  std::unordered_map<netbase::Prefix, std::unordered_set<bgp::AsNumber>> alerted_origins_;
-  std::unordered_map<netbase::Prefix, std::unordered_set<bgp::AsNumber>> alerted_specifics_;
+  std::vector<PrefixState> prefixes_;        // in first-sight order
+  util::FlatIndex slot_of_;                  // packed prefix -> index into prefixes_
   std::size_t suppressed_duplicates_ = 0;
   std::vector<Alert> alerts_;
   AlertCountSummary counts_;

@@ -68,36 +68,40 @@ std::vector<bgp::AsNumber> GetAsVector(ckpt::PayloadReader& r) {
   return out;
 }
 
-/// prefix -> unordered_set<AsNumber>, prefixes ascending, members sorted.
-void PutPrefixAsSetMap(
-    ckpt::PayloadWriter& w,
-    const std::unordered_map<netbase::Prefix, std::unordered_set<bgp::AsNumber>>& map) {
-  std::vector<netbase::Prefix> keys;
-  keys.reserve(map.size());
-  for (const auto& [prefix, members] : map) keys.push_back(prefix);
-  std::sort(keys.begin(), keys.end());
-  w.U64(keys.size());
-  for (const netbase::Prefix& prefix : keys) {
-    PutPrefix(w, prefix);
-    PutSortedU64Set(w, map.at(prefix));
+}  // namespace
+
+/// One of the monitor's per-prefix AS sets as a prefix -> set map:
+/// prefixes ascending, members sorted, prefixes whose set is empty absent.
+void StateCodec::PutMonitorSets(ckpt::PayloadWriter& w, const core::RelayMonitor& monitor,
+                                MonitorSet set) {
+  std::vector<const core::RelayMonitor::PrefixState*> keys;
+  for (const auto& state : monitor.prefixes_) {
+    if ((state.*set).size() > 0) keys.push_back(&state);
   }
-}
-void GetPrefixAsSetMap(
-    ckpt::PayloadReader& r,
-    std::unordered_map<netbase::Prefix, std::unordered_set<bgp::AsNumber>>& map) {
-  map.clear();
-  const std::uint64_t entries = r.U64();
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    const netbase::Prefix prefix = GetPrefix(r);
-    auto& members = map[prefix];
-    const std::uint64_t count = r.U64();
-    for (std::uint64_t j = 0; j < count; ++j) {
-      members.insert(static_cast<bgp::AsNumber>(r.U64()));
-    }
+  std::sort(keys.begin(), keys.end(),
+            [](const auto* a, const auto* b) { return a->prefix < b->prefix; });
+  w.U64(keys.size());
+  std::vector<std::uint64_t> members;
+  for (const auto* state : keys) {
+    PutPrefix(w, state->prefix);
+    members.clear();
+    (state->*set).ForEach([&members](std::uint64_t as) { members.push_back(as); });
+    PutSortedU64Set(w, members);
   }
 }
 
-}  // namespace
+void StateCodec::GetMonitorSets(ckpt::PayloadReader& r, core::RelayMonitor& monitor,
+                                MonitorSet set) {
+  for (auto& state : monitor.prefixes_) state.*set = util::FlatU64Set();
+  const std::uint64_t entries = r.U64();
+  for (std::uint64_t i = 0; i < entries; ++i) {
+    util::FlatU64Set& members = monitor.StateOf(GetPrefix(r)).*set;
+    const std::uint64_t count = r.U64();
+    for (std::uint64_t j = 0; j < count; ++j) {
+      members.Insert(static_cast<bgp::AsNumber>(r.U64()));
+    }
+  }
+}
 
 void StateCodec::EncodeChurn(ckpt::PayloadWriter& w, const bgp::ChurnAnalyzer& analyzer) {
   if (analyzer.finished_) {
@@ -184,10 +188,11 @@ void StateCodec::DecodeChurn(ckpt::PayloadReader& r, bgp::ChurnAnalyzer& analyze
 }
 
 void StateCodec::EncodeMonitor(ckpt::PayloadWriter& w, const core::RelayMonitor& monitor) {
-  PutPrefixAsSetMap(w, monitor.legit_origins_);
-  PutPrefixAsSetMap(w, monitor.known_upstreams_);
-  PutPrefixAsSetMap(w, monitor.alerted_origins_);
-  PutPrefixAsSetMap(w, monitor.alerted_specifics_);
+  using State = core::RelayMonitor::PrefixState;
+  for (const MonitorSet set : {&State::legit_origins, &State::known_upstreams,
+                               &State::alerted_origins, &State::alerted_specifics}) {
+    PutMonitorSets(w, monitor, set);
+  }
   w.U64(monitor.suppressed_duplicates_);
   w.U64(monitor.counts_.origin_change);
   w.U64(monitor.counts_.more_specific);
@@ -204,10 +209,11 @@ void StateCodec::EncodeMonitor(ckpt::PayloadWriter& w, const core::RelayMonitor&
 }
 
 void StateCodec::DecodeMonitor(ckpt::PayloadReader& r, core::RelayMonitor& monitor) {
-  GetPrefixAsSetMap(r, monitor.legit_origins_);
-  GetPrefixAsSetMap(r, monitor.known_upstreams_);
-  GetPrefixAsSetMap(r, monitor.alerted_origins_);
-  GetPrefixAsSetMap(r, monitor.alerted_specifics_);
+  using State = core::RelayMonitor::PrefixState;
+  for (const MonitorSet set : {&State::legit_origins, &State::known_upstreams,
+                               &State::alerted_origins, &State::alerted_specifics}) {
+    GetMonitorSets(r, monitor, set);
+  }
   monitor.suppressed_duplicates_ = r.U64();
   monitor.counts_.origin_change = r.U64();
   monitor.counts_.more_specific = r.U64();

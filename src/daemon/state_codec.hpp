@@ -50,6 +50,14 @@ struct StateCodec {
 
   static void EncodeIngest(ckpt::PayloadWriter& w, const IngestQueue& queue);
   static void DecodeIngest(ckpt::PayloadReader& r, IngestQueue& queue);
+
+ private:
+  /// One of the four AS sets the monitor keeps per prefix.
+  using MonitorSet = util::FlatU64Set core::RelayMonitor::PrefixState::*;
+  static void PutMonitorSets(ckpt::PayloadWriter& w, const core::RelayMonitor& monitor,
+                             MonitorSet set);
+  static void GetMonitorSets(ckpt::PayloadReader& r, core::RelayMonitor& monitor,
+                             MonitorSet set);
 };
 
 }  // namespace quicksand::daemon

@@ -5,7 +5,9 @@
 // capacity kept at most half full, Fibonacci hashing of the key. Entries
 // are never erased, so no tombstones; nothing is allocated per entry. The
 // churn analyzer maps its prefixes to dense state slots and keeps its
-// seen-path hashes with it.
+// seen-path hashes with it; the session-reset filter numbers sessions and
+// prefixes with it, and the relay monitor finds its per-prefix state and
+// keeps its learned AS sets with it.
 
 #include <cstddef>
 #include <cstdint>
@@ -94,6 +96,11 @@ class FlatU64Set {
     bool inserted = false;
     (void)index_.FindOrInsert(value, 0, inserted);
     return inserted;
+  }
+
+  /// True iff `value` is a member.
+  [[nodiscard]] bool Contains(std::uint64_t value) const {
+    return index_.Find(value) != FlatIndex::kAbsent;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
