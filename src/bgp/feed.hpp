@@ -133,8 +133,9 @@ class AsPathTable {
     std::uint64_t path_hash = 0;
   };
 
-  /// Origin and upstream per path, in a flat vector beside the entries:
-  /// a consumer reading them for every record touches 8 bytes per path.
+  /// Origin and upstream per path, beside the entries: a consumer reading
+  /// them for every record touches 8 bytes per path. A deque, like the
+  /// entries, so growth neither copies nor over-allocates.
   struct Ends {
     AsNumber origin = 0;
     AsNumber upstream = 0;
@@ -165,7 +166,7 @@ class AsPathTable {
 
   // deque: entry references stay valid while the table grows.
   std::deque<Entry> entries_;
-  std::vector<Ends> ends_;  ///< by PathId
+  std::deque<Ends> ends_;  ///< by PathId
   std::vector<std::unique_ptr<AsNumber[]>> blocks_;
   std::size_t block_used_ = 0;  ///< words used in blocks_.back()
   std::vector<Slot> slots_;     ///< empty until the first non-empty intern

@@ -57,7 +57,9 @@ struct FilteredRecords {
 /// meaningless. Takes `updates` by value and filters it in place —
 /// survivors are compacted into the same buffer, so the hot path never
 /// copies the feed. The output is in canonical (time, session, prefix)
-/// order: the stable sort of the surviving records.
+/// order: the stable sort of the surviving records. Memory is linear in
+/// the input: sessions and prefixes are numbered by first sight, so a
+/// session id's magnitude costs nothing.
 /// Throws std::invalid_argument if `updates` is not time-ordered.
 [[nodiscard]] FilteredRecords FilterSessionRecords(
     const std::vector<feed::UpdateRec>& initial_rib,

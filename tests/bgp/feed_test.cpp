@@ -91,6 +91,23 @@ TEST(AsPathTable, SetHashIgnoresPrependsAndOrder) {
   EXPECT_NE(table.SetHash(a), table.SetHash(c));
 }
 
+TEST(AsPathTable, OriginAndUpstreamSkipPrepends) {
+  feed::AsPathTable table;
+  const feed::PathId plain = table.Intern(AsPath::MustParse("701 3356 24940"));
+  const feed::PathId prepended = table.Intern(AsPath::MustParse("701 3356 24940 24940 24940"));
+  const feed::PathId alone = table.Intern(AsPath::MustParse("24940 24940"));
+  const feed::PathId looped = table.Intern(AsPath::MustParse("24940 3356 24940"));
+  EXPECT_EQ(table.Origin(plain), 24940u);
+  EXPECT_EQ(table.OriginUpstream(plain), 3356u);
+  EXPECT_EQ(table.Origin(prepended), 24940u);
+  EXPECT_EQ(table.OriginUpstream(prepended), 3356u);
+  EXPECT_EQ(table.Origin(alone), 24940u);
+  EXPECT_EQ(table.OriginUpstream(alone), 0u);  // nothing but the origin
+  EXPECT_EQ(table.OriginUpstream(looped), 3356u);
+  EXPECT_EQ(table.Origin(feed::kEmptyPath), 0u);
+  EXPECT_EQ(table.OriginUpstream(feed::kEmptyPath), 0u);
+}
+
 TEST(AsPathTable, PathHashIsTableIndependent) {
   feed::AsPathTable one;
   feed::AsPathTable two;
