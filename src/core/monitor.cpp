@@ -178,9 +178,13 @@ void RelayMonitor::Publish(std::size_t consumed, const AlertCountSummary& counts
   if (consumed == 0) return;
   MonitorMetrics& metrics = MonitorMetrics::Get();
   metrics.consumed.Increment(consumed);
-  metrics.origin_change.Increment(counts_.origin_change - counts_before.origin_change);
-  metrics.more_specific.Increment(counts_.more_specific - counts_before.more_specific);
-  metrics.new_upstream.Increment(counts_.new_upstream - counts_before.new_upstream);
+  // Skipping zero deltas keeps a record-at-a-time caller at one atomic add.
+  const auto add = [](obs::Counter& counter, std::size_t delta) {
+    if (delta > 0) counter.Increment(delta);
+  };
+  add(metrics.origin_change, counts_.origin_change - counts_before.origin_change);
+  add(metrics.more_specific, counts_.more_specific - counts_before.more_specific);
+  add(metrics.new_upstream, counts_.new_upstream - counts_before.new_upstream);
   if (suppressed_duplicates_ > suppressed_before) {
     // Registered on the first suppressed repeat.
     static obs::Counter& suppressed = obs::MetricsRegistry::Global().GetCounter(
