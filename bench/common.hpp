@@ -8,7 +8,6 @@
 // month of routing dynamics generate it on top. Everything is seeded, so
 // each bench is reproducible in isolation.
 
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -171,13 +170,11 @@ inline void PrintComparison(util::Table& table, const std::string& metric,
 ///                    concurrency, the default; at most 256). Output is
 ///                    byte-identical for every value — only wall time
 ///                    changes (see docs/PERFORMANCE.md).
-///   --checkpoint <dir>       write crash-safe sweep snapshots into <dir>
-///   --checkpoint-every <n>   snapshot cadence in completed shards (default 1)
+///   --checkpoint <dir>       write crash-safe sweep snapshots into <dir>,
+///                            one after every completed shard
 ///   --resume                 restart checkpointed sweeps from their last
 ///                            snapshot; output stays byte-identical to an
 ///                            uninterrupted run (docs/ROBUSTNESS.md)
-///   --shard-deadline-ms <n>  fail fast (exit 3 + diagnostic dump) if any
-///                            sweep shard runs longer than <n> ms
 ///   --feed-batch <n>         records per batch in the bench's feed
 ///                            stream hand-offs (0, the default, selects the
 ///                            default batch (4096)). Output is
@@ -224,10 +221,6 @@ class BenchContext {
                   << ec.message() << "\n";
         std::exit(2);
       }
-    }
-    if (shard_deadline_ms_ > 0) {
-      watchdog_ = std::make_unique<ckpt::Watchdog>(
-          std::chrono::milliseconds(shard_deadline_ms_));
     }
     if (profile_) {
       obs::SpanRegistry::Global().Enable(true);
@@ -326,21 +319,17 @@ class BenchContext {
     std::cout << "\nJSON summary written to " << json_path_ << "\n";
   }
 
-  /// Describes one checkpointable sweep for ckpt::CheckpointedMap: stage
-  /// name, snapshot path under --checkpoint (empty when disabled, making
-  /// the sweep an exact pass-through), the --resume / --checkpoint-every
-  /// settings, the --shard-deadline-ms watchdog, and a fingerprint over
-  /// (experiment, stage, shard count, config_key) so resume refuses
-  /// snapshots from any other sweep. Fold every seed/parameter that
-  /// shapes the sweep's output into `config_key`.
+  /// Describes one checkpointable sweep for ckpt::CheckpointedMap: the
+  /// snapshot path under --checkpoint (empty when disabled, making the
+  /// sweep an exact pass-through), the --resume setting, and a
+  /// fingerprint over (experiment, stage, shard count, config_key) so
+  /// resume refuses snapshots from any other sweep. Fold every
+  /// seed/parameter that shapes the sweep's output into `config_key`.
   [[nodiscard]] ckpt::StageOptions Stage(const std::string& stage,
                                          std::size_t shards,
                                          std::uint64_t config_key = 0) const {
     ckpt::StageOptions options;
-    options.name = stage;
-    options.every = checkpoint_every_;
     options.resume = resume_;
-    options.watchdog = watchdog_.get();
     options.fingerprint = ckpt::FingerprintBuilder()
                               .Add(experiment_)
                               .Add(stage)
@@ -452,13 +441,8 @@ class BenchContext {
         }
       } else if (arg == "--checkpoint" && i + 1 < argc) {
         checkpoint_dir_ = argv[++i];
-      } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-        checkpoint_every_ = ParseCount(arg, argv[++i]);
-        if (checkpoint_every_ == 0) checkpoint_every_ = 1;
       } else if (arg == "--resume") {
         resume_ = true;
-      } else if (arg == "--shard-deadline-ms" && i + 1 < argc) {
-        shard_deadline_ms_ = ParseCount(arg, argv[++i]);
       } else if (arg == "--feed-batch" && i + 1 < argc) {
         feed_batch_ = ParseCount(arg, argv[++i]);
       } else if (arg == "--format" && i + 1 < argc) {
@@ -509,8 +493,7 @@ class BenchContext {
 
   static const char* Usage() {
     return " [--json <path>] [--trace <path>] [--threads <n>]\n"
-           "    [--checkpoint <dir>] [--checkpoint-every <n>] [--resume]\n"
-           "    [--shard-deadline-ms <n>] [--feed-batch <n>]\n"
+           "    [--checkpoint <dir>] [--resume] [--feed-batch <n>]\n"
            "    [--format <text|qmrt>] [--profile]\n";
   }
 
@@ -519,14 +502,11 @@ class BenchContext {
   std::string json_path_;
   std::string trace_path_;
   std::size_t threads_ = 0;  // 0 = hardware concurrency
-  std::string checkpoint_dir_;       // empty = checkpointing disabled
-  std::size_t checkpoint_every_ = 1;
+  std::string checkpoint_dir_;  // empty = checkpointing disabled
   bool resume_ = false;
-  std::size_t shard_deadline_ms_ = 0;  // 0 = watchdog disabled
-  std::size_t feed_batch_ = 0;         // 0 = default batch (4096)
+  std::size_t feed_batch_ = 0;  // 0 = default batch (4096)
   FeedFormat format_ = FeedFormat::kText;
   bool profile_ = false;
-  std::unique_ptr<ckpt::Watchdog> watchdog_;
   std::unique_ptr<obs::TraceSink> trace_;
   std::unique_ptr<obs::ResourceSampler> sampler_;
   obs::Stopwatch total_;

@@ -76,28 +76,29 @@ int main(int argc, char** argv) {
       ctx.Timed("advisory_dynamics", [&] { return bench::MakeMonthOfDynamics(scenario, ctx.threads()); });
   // One analyzer fed record by record (serial, like a live collector
   // feed), on one table shared by the RIB and the filtered month.
-  bgp::feed::AsPathTable advisory_table;
-  const std::vector<bgp::feed::UpdateRec> advisory_rib =
-      bgp::feed::InternRecords(advisory_table, month.initial_rib);
-  const bgp::FilteredRecords advisory_filtered = bgp::FilterSessionRecords(
-      advisory_rib, bgp::feed::InternRecords(advisory_table, month.updates));
-  bgp::ChurnAnalyzer advisory_churn;
-  core::RelayMonitor advisory_monitor(
-      scenario.prefix_map.TorPrefixes(consensus));
-  for (const bgp::feed::UpdateRec& rec : advisory_rib) {
-    advisory_churn.ConsumeRecord(rec, advisory_table);
-    advisory_monitor.LearnRecord(rec, advisory_table);
-  }
-  for (const bgp::feed::UpdateRec& rec : advisory_filtered.updates) {
-    advisory_churn.ConsumeRecord(rec, advisory_table);
-    (void)advisory_monitor.ConsumeRecord(rec, advisory_table);
-  }
-  advisory_churn.Finish();
-  core::RelayAdvisor advisor;
-  advisor.IngestChurn(advisory_churn);
-  advisor.IngestAlerts(advisory_monitor.alerts());
-  const auto advisory_weights =
-      advisor.GuardWeightMultipliers(consensus, scenario.prefix_map);
+  const std::vector<double> advisory_weights = ctx.Timed("advisory_analysis", [&] {
+    bgp::feed::AsPathTable advisory_table;
+    const std::vector<bgp::feed::UpdateRec> advisory_rib =
+        bgp::feed::InternRecords(advisory_table, month.initial_rib);
+    const bgp::FilteredRecords advisory_filtered = bgp::FilterSessionRecords(
+        advisory_rib, bgp::feed::InternRecords(advisory_table, month.updates));
+    bgp::ChurnAnalyzer advisory_churn;
+    core::RelayMonitor advisory_monitor(
+        scenario.prefix_map.TorPrefixes(consensus));
+    for (const bgp::feed::UpdateRec& rec : advisory_rib) {
+      advisory_churn.ConsumeRecord(rec, advisory_table);
+      advisory_monitor.LearnRecord(rec, advisory_table);
+    }
+    for (const bgp::feed::UpdateRec& rec : advisory_filtered.updates) {
+      advisory_churn.ConsumeRecord(rec, advisory_table);
+      (void)advisory_monitor.ConsumeRecord(rec, advisory_table);
+    }
+    advisory_churn.Finish();
+    core::RelayAdvisor advisor;
+    advisor.IngestChurn(advisory_churn);
+    advisor.IngestAlerts(advisory_monitor.alerts());
+    return advisor.GuardWeightMultipliers(consensus, scenario.prefix_map);
+  });
 
   // ---------- Part 1: relay-selection policies ----------
   constexpr std::size_t kVariantsDefenseKnows = 10;  // month of dynamics

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Kill-mid-run integration test for checkpoint/resume (docs/ROBUSTNESS.md).
 #
-# For each checkpointed bench and each thread count, three runs:
+# For each case (a checkpointed bench and the figure CSV it checks) and
+# each thread count, three runs:
 #   full   — uninterrupted, no checkpoint flags (the reference output)
 #   crash  — with --checkpoint, hard-aborted mid-sweep via the
 #            QUICKSAND_CKPT_ABORT_AFTER fault hook (std::_Exit(42), no
@@ -12,11 +13,13 @@
 # uninterrupted run: bench JSON via check_bench_json.py --compare-resume
 # (the full deterministic view, which leaves out only the "run" section —
 # including seeded work counters and histograms, which resume replays from
-# checkpointed per-shard deltas) and the figure CSV via cmp.
+# checkpointed per-shard deltas) and the figure CSV via cmp. Finally the
+# uninterrupted --threads 1 and --threads 4 runs must agree: bench JSON via
+# check_bench_json.py --compare and the figure CSV via cmp.
 #
 # Usage: scripts/resume_smoke.sh [BUILD_DIR] [OUT_DIR]
 #   BUILD_DIR  defaults to "build"
-#   OUT_DIR    defaults to "resume_smoke_out" (wiped per bench/thread case)
+#   OUT_DIR    defaults to "resume_smoke_out" (wiped per bench/CSV/thread case)
 
 set -euo pipefail
 
@@ -26,10 +29,14 @@ mkdir -p "${2:-"$repo_root/resume_smoke_out"}"
 out_dir=$(cd "${2:-"$repo_root/resume_smoke_out"}" && pwd)
 checker="$repo_root/scripts/check_bench_json.py"
 
-# bench binary : figure CSV it writes : shards to record before aborting
+# bench binary : figure CSV it writes : shards to record before aborting.
+# Each checkpointed sweep has its own writer and shard count: sec2's 5-shard
+# policy_sweep never reaches 6, so the second sec2 case dies after the sixth
+# of population_distribution's 8 shards, mid-population.
 cases=(
   "sec33_asymmetric_gain:sec33_deanon.csv:7"
   "sec2_longterm_guards:sec2_longterm.csv:2"
+  "sec2_longterm_guards:sec2_population.csv:6"
   "fault_sweep:fault_sweep.csv:2"
 )
 
@@ -43,7 +50,7 @@ for spec in "${cases[@]}"; do
   fi
 
   for threads in 1 4; do
-    case_dir="$out_dir/$bench/t$threads"
+    case_dir="$out_dir/$bench/${csv%.csv}/t$threads"
     rm -rf "$case_dir"
     mkdir -p "$case_dir/full" "$case_dir/crash"
     echo "==> $bench --threads $threads"
@@ -74,8 +81,17 @@ for spec in "${cases[@]}"; do
     fi
     echo "    $csv byte-identical after kill+resume"
   done
+
+  full_t1="$out_dir/$bench/${csv%.csv}/t1/full"
+  full_t4="$out_dir/$bench/${csv%.csv}/t4/full"
+  python3 "$checker" --compare "$full_t1/full.json" "$full_t4/full.json"
+  if ! cmp "$full_t1/$csv" "$full_t4/$csv"; then
+    echo "error: $csv differs between --threads 1 and --threads 4" >&2
+    exit 1
+  fi
+  echo "    $csv byte-identical at --threads 1 and 4"
 done
 
 echo
 echo "resume smoke passed: killed-and-resumed sweeps reproduce uninterrupted"
-echo "output byte-for-byte at --threads 1 and 4."
+echo "output byte-for-byte at --threads 1 and 4, and the two thread counts agree."

@@ -91,23 +91,4 @@ std::optional<Relationship> AsGraph::RelationshipBetween(AsNumber a, AsNumber b)
   return std::nullopt;
 }
 
-std::vector<AsIndex> AsGraph::CustomerCone(AsIndex index) const {
-  std::vector<AsIndex> cone;
-  std::vector<bool> visited(AsCount(), false);
-  std::vector<AsIndex> stack = {index};
-  visited[index] = true;
-  while (!stack.empty()) {
-    const AsIndex current = stack.back();
-    stack.pop_back();
-    cone.push_back(current);
-    for (const Edge& e : customers_[current]) {
-      if (!visited[e.to]) {
-        visited[e.to] = true;
-        stack.push_back(e.to);
-      }
-    }
-  }
-  return cone;
-}
-
 }  // namespace quicksand::bgp

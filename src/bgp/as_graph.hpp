@@ -126,10 +126,6 @@ class AsGraph {
     return neighbors_.at(index).size();
   }
 
-  /// The ASes in the customer cone of `index` (itself plus all ASes
-  /// reachable by repeatedly following provider->customer edges).
-  [[nodiscard]] std::vector<AsIndex> CustomerCone(AsIndex index) const;
-
  private:
   void AddLink(AsNumber a, AsNumber b, Relationship rel_of_b_seen_from_a);
   std::vector<Edge>& SplitListOf(AsIndex index, Relationship rel);

@@ -290,17 +290,6 @@ std::vector<double> ChurnAnalyzer::RatioToSessionMedian(
   return ratios;
 }
 
-std::map<netbase::Prefix, std::size_t> ChurnAnalyzer::ExtraAsCountPerPrefix() const {
-  std::map<netbase::Prefix, std::unordered_set<AsNumber>> unions;
-  for (const auto& [key, churn] : entries()) {
-    auto& set = unions[key.prefix];
-    set.insert(churn.qualifying_extra_ases.begin(), churn.qualifying_extra_ases.end());
-  }
-  std::map<netbase::Prefix, std::size_t> out;
-  for (const auto& [prefix, set] : unions) out.emplace(prefix, set.size());
-  return out;
-}
-
 std::map<netbase::Prefix, std::size_t> ChurnAnalyzer::GlimpsedAsCountPerPrefix() const {
   std::map<netbase::Prefix, std::unordered_set<AsNumber>> unions;
   std::map<netbase::Prefix, std::unordered_set<AsNumber>> qualified;
@@ -437,15 +426,6 @@ ChurnAnalyzer AnalyzeChurnStream(feed::UpdateStream initial_rib,
     merged.dropped_out_of_order_ += partial.dropped;
   }
   return merged;
-}
-
-std::map<SessionId, std::size_t> ChurnAnalyzer::PrefixesPerSession() const {
-  std::map<SessionId, std::size_t> out;
-  for (const auto& [key, churn] : entries()) {
-    (void)churn;
-    ++out[key.session];
-  }
-  return out;
 }
 
 }  // namespace quicksand::bgp

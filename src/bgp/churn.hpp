@@ -150,10 +150,6 @@ class ChurnAnalyzer {
       const std::unordered_set<netbase::Prefix>& target_prefixes,
       double median_floor = 1.0) const;
 
-  /// Per-prefix count of qualifying extra ASes, unioned across sessions
-  /// (the Fig. 3 right series).
-  [[nodiscard]] std::map<netbase::Prefix, std::size_t> ExtraAsCountPerPrefix() const;
-
   /// Per-prefix count of glimpse-only extra ASes (on-path below the dwell
   /// threshold and never above it), unioned across sessions — the
   /// convergence-window observers of Section 3.1.
@@ -161,9 +157,6 @@ class ChurnAnalyzer {
 
   /// Number of sessions on which each prefix was observed at least once.
   [[nodiscard]] std::map<netbase::Prefix, std::size_t> SessionsPerPrefix() const;
-
-  /// Number of distinct prefixes observed on each session.
-  [[nodiscard]] std::map<SessionId, std::size_t> PrefixesPerSession() const;
 
  private:
   friend ChurnAnalyzer AnalyzeChurnStream(feed::UpdateStream, feed::UpdateStream,

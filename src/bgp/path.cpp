@@ -40,15 +40,6 @@ AsPath AsPath::Prepend(AsNumber as) const {
   return AsPath(std::move(hops));
 }
 
-bool AsPath::SameAsSet(const AsPath& other) const {
-  auto mine = DistinctAses();
-  auto theirs = other.DistinctAses();
-  if (mine.size() != theirs.size()) return false;
-  std::sort(mine.begin(), mine.end());
-  std::sort(theirs.begin(), theirs.end());
-  return mine == theirs;
-}
-
 std::optional<AsPath> AsPath::Parse(std::string_view text) {
   std::vector<AsNumber> hops;
   const char* cursor = text.data();

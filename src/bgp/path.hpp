@@ -57,10 +57,6 @@ class AsPath {
   /// when propagating the route).
   [[nodiscard]] AsPath Prepend(AsNumber as) const;
 
-  /// True iff both paths cross exactly the same *set* of ASes — the
-  /// paper's criterion for "no path change" (Section 4).
-  [[nodiscard]] bool SameAsSet(const AsPath& other) const;
-
   /// Parses a space-separated list of ASNs, e.g. "701 3356 24940".
   /// Returns nullopt on syntax errors. An empty string is the empty path.
   [[nodiscard]] static std::optional<AsPath> Parse(std::string_view text);

@@ -1,22 +1,13 @@
 #include "bgp/qmrt.hpp"
 
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include "netbase/prefix.hpp"
 #include "obs/metrics.hpp"
-#include "util/errno_context.hpp"
-#include "util/fd_guard.hpp"
 
 namespace quicksand::bgp::qmrt {
 
@@ -410,7 +401,7 @@ void DecodePayload(std::string_view payload, feed::AsPathTable& table,
 }
 
 /// Decode-side cursor over a QMRT byte range. One instance per stream;
-/// strict/lenient policy lives here so DecodeStream and DecodeFileStream
+/// strict/lenient policy lives here so DecodeStream and DecodeRecords
 /// share it.
 struct BlockCursor {
   std::string_view bytes;
@@ -534,19 +525,18 @@ struct BlockCursor {
   }
 };
 
-feed::UpdateStream MakeDecodeStream(std::shared_ptr<feed::AsPathTable> table,
-                                    std::string_view bytes, DecodeOptions options,
-                                    std::shared_ptr<void> owner) {
+}  // namespace
+
+feed::UpdateStream DecodeStream(std::shared_ptr<feed::AsPathTable> table,
+                                std::string_view bytes, DecodeOptions options) {
   struct State {
     BlockCursor cursor;
-    std::shared_ptr<void> owner;  ///< mmap/fallback keep-alive
     std::vector<feed::UpdateRec> pending;
     std::size_t next = 0;
   };
   auto state = std::make_shared<State>();
   state->cursor.bytes = bytes;
   state->cursor.options = options;
-  state->owner = std::move(owner);
   const std::size_t batch_size =
       options.batch_size == 0 ? feed::kDefaultBatchSize : options.batch_size;
 
@@ -575,72 +565,6 @@ feed::UpdateStream MakeDecodeStream(std::shared_ptr<feed::AsPathTable> table,
         state->next = end;
         return true;
       });
-}
-
-/// Read-only file mapping with slurp fallback; the decode stream holds it
-/// alive until drained.
-struct FileMapping {
-  void* addr = nullptr;
-  std::size_t size = 0;
-  std::string fallback;
-
-  ~FileMapping() {
-    if (addr != nullptr) ::munmap(addr, size);
-  }
-
-  [[nodiscard]] std::string_view view() const noexcept {
-    if (addr != nullptr) return {static_cast<const char*>(addr), size};
-    return fallback;
-  }
-};
-
-std::shared_ptr<FileMapping> MapFile(const std::string& path) {
-  auto mapping = std::make_shared<FileMapping>();
-  // RAII fd: every exit below — fstat failure, mmap fallback read errors,
-  // even bad_alloc while building an error message — closes exactly once.
-  const util::FdGuard fd(::open(path.c_str(), O_RDONLY));
-  if (!fd.valid()) {
-    throw std::runtime_error("qmrt: cannot open '" + path + "': " + util::ErrnoDetail());
-  }
-  struct ::stat st{};
-  if (::fstat(fd.get(), &st) != 0) {
-    throw std::runtime_error("qmrt: cannot stat '" + path + "': " + util::ErrnoDetail());
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  if (size > 0) {
-    void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd.get(), 0);
-    if (addr != MAP_FAILED) {
-      // FileMapping owns the mapping from this point; a decode failure
-      // mid-stream unwinds through the stream's shared state and unmaps.
-      mapping->addr = addr;
-      mapping->size = size;
-      ::madvise(addr, size, MADV_SEQUENTIAL);
-    } else {
-      // Filesystems without mmap support: fall back to a one-shot read.
-      std::ifstream in(path, std::ios::binary);
-      mapping->fallback.assign(std::istreambuf_iterator<char>(in),
-                               std::istreambuf_iterator<char>());
-      if (in.bad() || mapping->fallback.size() != size) {
-        throw std::runtime_error("qmrt: read failed for '" + path +
-                                 "': " + util::ErrnoDetail());
-      }
-    }
-  }
-  return mapping;
-}
-
-}  // namespace
-
-feed::UpdateStream DecodeStream(std::shared_ptr<feed::AsPathTable> table,
-                                std::string_view bytes, DecodeOptions options) {
-  return MakeDecodeStream(std::move(table), bytes, options, nullptr);
-}
-
-feed::UpdateStream DecodeFileStream(std::shared_ptr<feed::AsPathTable> table,
-                                    std::string path, DecodeOptions options) {
-  std::shared_ptr<FileMapping> mapping = MapFile(path);
-  const std::string_view bytes = mapping->view();
-  return MakeDecodeStream(std::move(table), bytes, options, std::move(mapping));
 }
 
 std::vector<feed::UpdateRec> DecodeRecords(feed::AsPathTable& table,

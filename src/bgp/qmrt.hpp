@@ -33,10 +33,10 @@
 // Blocks are self-contained — each carries its own path table (full hop
 // bytes, usable with an empty memo) and delta base — so decode can start
 // at any block boundary and a lost block costs exactly its records.
-// Decode is zero-copy in the streaming sense: the (optionally mmap-backed)
-// source decodes straight from the input bytes into `feed::UpdateRec`
-// batches with no per-record allocation and no intermediate text; paths
-// are hashed and interned once per distinct path per stream.
+// Decode is zero-copy in the streaming sense: the source decodes straight
+// from the input bytes into `feed::UpdateRec` batches with no per-record
+// allocation and no intermediate text; paths are hashed and interned once
+// per distinct path per stream.
 //
 // The text `mrt::` codec stays as the debug adapter: text→binary→text is
 // a byte-identical round trip (docs/ARCHITECTURE.md, "Wire formats").
@@ -177,14 +177,6 @@ struct DecodeOptions {
 [[nodiscard]] feed::UpdateStream DecodeStream(std::shared_ptr<feed::AsPathTable> table,
                                               std::string_view bytes,
                                               DecodeOptions options = {});
-
-/// Same, over a file. The file is mmap-ed read-only when possible (blocks
-/// decode straight out of the mapping — no read copies; the mapping is
-/// held by the stream and unmapped when it dies) and slurped as a
-/// fallback. Open/map errors carry path + errno context.
-[[nodiscard]] feed::UpdateStream DecodeFileStream(std::shared_ptr<feed::AsPathTable> table,
-                                                  std::string path,
-                                                  DecodeOptions options = {});
 
 /// Batch decode: every block of `bytes` straight into one record vector,
 /// interning into `table`. Same strict/lenient semantics as DecodeStream

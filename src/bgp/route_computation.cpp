@@ -156,16 +156,6 @@ std::vector<AsIndex> RoutingState::ForwardingPath(AsIndex src) const {
   return path;
 }
 
-bool RoutingState::PathCrosses(AsIndex src, AsIndex transit) const {
-  if (!HasRoute(src)) return false;
-  AsIndex current = src;
-  while (true) {
-    if (current == transit) return true;
-    if (routes_[current].cls == RouteClass::kSelf) return false;
-    current = routes_[current].next_hop;
-  }
-}
-
 std::vector<AsIndex> RoutingState::AsesRoutedTo(AsIndex origin) const {
   std::vector<AsIndex> out;
   for (AsIndex as = 0; as < routes_.size(); ++as) {

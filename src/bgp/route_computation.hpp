@@ -137,10 +137,6 @@ class RoutingState {
   /// inclusive of both ends, without prepend repetition. Empty if unrouted.
   [[nodiscard]] std::vector<AsIndex> ForwardingPath(AsIndex src) const;
 
-  /// True iff `transit` lies on `src`'s forwarding path (including either
-  /// endpoint).
-  [[nodiscard]] bool PathCrosses(AsIndex src, AsIndex transit) const;
-
   /// All ASes whose forwarding path terminates at `origin` — e.g. the
   /// capture set of a hijacking origin.
   [[nodiscard]] std::vector<AsIndex> AsesRoutedTo(AsIndex origin) const;

@@ -29,7 +29,6 @@ CheckpointWriter::CheckpointWriter(Options options)
     : options_(std::move(options)), abort_after_(AbortAfterFromEnv()) {
   snapshot_.fingerprint = options_.fingerprint;
   snapshot_.total_shards = options_.total_shards;
-  if (options_.every == 0) options_.every = 1;
 }
 
 void CheckpointWriter::Seed(std::map<std::uint64_t, std::string> payloads) {
@@ -46,9 +45,9 @@ void CheckpointWriter::Record(std::uint64_t shard, std::string payload) {
       .Increment();
   snapshot_.payloads.insert_or_assign(shard, std::move(payload));
   ++new_records_;
+  WriteLocked();
   if (new_records_ == abort_after_) {
-    // Fault hook: persist this shard, then die as hard as SIGKILL would.
-    WriteLocked();
+    // Fault hook: the shard is persisted; die as hard as SIGKILL would.
     std::fprintf(stderr,
                  "[quicksand ckpt] QUICKSAND_CKPT_ABORT_AFTER=%zu reached after "
                  "recording shard %llu — hard-aborting (snapshot %s is complete "
@@ -57,7 +56,6 @@ void CheckpointWriter::Record(std::uint64_t shard, std::string payload) {
                  options_.path.c_str(), snapshot_.payloads.size());
     std::_Exit(42);
   }
-  if (new_records_ % options_.every == 0) WriteLocked();
 }
 
 void CheckpointWriter::Flush() {

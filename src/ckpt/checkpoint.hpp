@@ -4,8 +4,8 @@
 // (docs/ROBUSTNESS.md, "Crash safety & resume").
 //
 // A CheckpointWriter collects per-shard serialized accumulators as the
-// sweep completes them and periodically (every `every` newly recorded
-// shards, plus a final Flush) rewrites the snapshot file atomically.
+// sweep completes them and rewrites the snapshot file atomically after
+// every newly recorded shard (plus a final Flush).
 // Because each write is a full write-temp → fsync → rename replacement, a
 // kill at ANY instant leaves either the previous complete snapshot or the
 // new complete snapshot — never a torn one.
@@ -52,7 +52,6 @@ class CheckpointWriter {
     std::string path;                ///< snapshot file to (re)write
     std::uint64_t fingerprint = 0;   ///< config+seed identity of the sweep
     std::uint64_t total_shards = 0;  ///< shard count of the full sweep
-    std::size_t every = 1;           ///< snapshot cadence, in newly recorded shards
   };
 
   explicit CheckpointWriter(Options options);
@@ -62,11 +61,11 @@ class CheckpointWriter {
 
   /// Seeds shards already completed by a previous run (from ResumeLoader)
   /// so every snapshot this writer emits stays complete. Seeded shards do
-  /// not count toward the `every` cadence or the abort-after fault hook.
+  /// not count toward the abort-after fault hook.
   void Seed(std::map<std::uint64_t, std::string> payloads);
 
-  /// Records one completed shard. Thread-safe; flushes a snapshot every
-  /// `every` newly recorded shards.
+  /// Records one completed shard and writes a snapshot holding it.
+  /// Thread-safe.
   void Record(std::uint64_t shard, std::string payload);
 
   /// Writes a snapshot of everything recorded so far. Call once at sweep

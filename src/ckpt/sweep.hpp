@@ -48,22 +48,17 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/payload.hpp"
-#include "ckpt/watchdog.hpp"
 #include "exec/parallel.hpp"
 #include "obs/metrics.hpp"
 
 namespace quicksand::ckpt {
 
 /// One checkpointable sweep inside a bench, as configured by the harness
-/// (bench::BenchContext::Stage builds these from --checkpoint /
-/// --checkpoint-every / --resume / --shard-deadline-ms).
+/// (bench::BenchContext::Stage builds these from --checkpoint / --resume).
 struct StageOptions {
-  std::string name;           ///< stage label (snapshot file, watchdog dumps)
   std::string snapshot_path;  ///< empty => checkpointing disabled
   std::uint64_t fingerprint = 0;
-  std::size_t every = 1;      ///< snapshot cadence in completed shards
   bool resume = false;
-  Watchdog* watchdog = nullptr;  ///< null => no deadline enforcement
 };
 
 namespace detail {
@@ -194,13 +189,7 @@ template <typename Fn, typename Encode, typename Decode,
   if (stage.snapshot_path.empty()) {
     // Pass-through: identical to the un-checkpointed bench, including the
     // exec.* counters it increments.
-    return exec::ParallelMap(
-        threads, n,
-        [&](std::size_t i) {
-          const ShardGuard guard(stage.watchdog, stage.name, i);
-          return fn(i);
-        },
-        /*grain=*/1);
+    return exec::ParallelMap(threads, n, fn, /*grain=*/1);
   }
 
   std::vector<std::optional<R>> slots(n);
@@ -208,7 +197,6 @@ template <typename Fn, typename Encode, typename Decode,
   writer_options.path = stage.snapshot_path;
   writer_options.fingerprint = stage.fingerprint;
   writer_options.total_shards = n;
-  writer_options.every = stage.every;
   CheckpointWriter writer(std::move(writer_options));
 
   if (stage.resume) {
@@ -245,7 +233,6 @@ template <typename Fn, typename Encode, typename Decode,
   // matches the parallel pass-through byte for byte.
   (void)threads;
   for (const std::size_t shard : missing) {
-    const ShardGuard guard(stage.watchdog, stage.name, shard);
     const obs::MetricsSnapshot before = detail::SeededSnapshot();
     R value = fn(shard);
     PayloadWriter payload;

@@ -31,10 +31,6 @@ void RelayAdvisor::IngestAlerts(const std::vector<Alert>& alerts) {
   }
 }
 
-void RelayAdvisor::IngestPathLengths(const std::map<netbase::Prefix, int>& lengths) {
-  for (const auto& [prefix, length] : lengths) path_lengths_[prefix] = length;
-}
-
 std::vector<RelayAdvice> RelayAdvisor::Advise(const tor::Consensus& consensus,
                                               const tor::TorPrefixMap& prefix_map) const {
   std::vector<RelayAdvice> out(consensus.size());
@@ -66,12 +62,6 @@ std::vector<RelayAdvice> RelayAdvisor::Advise(const tor::Consensus& consensus,
       if (!advice.reason.empty()) advice.reason += "; ";
       advice.reason += std::to_string(it->second) + " extra on-path ASes on " +
                        prefix->ToString();
-    }
-    if (const auto it = path_lengths_.find(*prefix);
-        it != path_lengths_.end() && it->second >= params_.long_path_threshold) {
-      elevated = true;
-      if (!advice.reason.empty()) advice.reason += "; ";
-      advice.reason += "long AS-PATH (" + std::to_string(it->second) + ")";
     }
     if (elevated) {
       advice.verdict = RelayVerdict::kElevated;

@@ -8,10 +8,9 @@
 // attack, this information can be broadcasted through the Tor network, so
 // clients can avoid selecting this relay.")
 //
-// The advisor fuses three signals per Tor prefix:
+// The advisor fuses two signals per Tor prefix:
 //   * active alerts from the control-plane RelayMonitor (hijack suspicion),
 //   * measured path churn (extra on-path ASes over the window),
-//   * AS-PATH length (stealth-attack susceptibility, Section 5).
 // and turns them into per-relay advice: a verdict plus a guard-selection
 // weight multiplier that plugs straight into PathSelector::PickGuardSet.
 
@@ -30,7 +29,7 @@ namespace quicksand::core {
 
 enum class RelayVerdict : std::uint8_t {
   kOk,          ///< nothing notable
-  kElevated,    ///< churny prefix or long AS-PATH: downweight
+  kElevated,    ///< churny prefix, new-upstream alert or unmapped relay: downweight
   kAvoid,       ///< active attack suspicion: exclude from selection
 };
 
@@ -40,8 +39,6 @@ struct AdvisorParams {
   /// Extra-AS count (per prefix, best vantage) at which advice escalates
   /// from kOk to kElevated.
   std::size_t churn_elevation_threshold = 3;
-  /// AS-PATH length (median across sessions) at which advice escalates.
-  int long_path_threshold = 6;
   /// Weight multiplier applied per escalation step (kElevated relays get
   /// this factor; kAvoid relays get zero).
   double elevated_weight = 0.35;
@@ -68,10 +65,6 @@ class RelayAdvisor {
   /// during benign churn) only elevate.
   void IngestAlerts(const std::vector<Alert>& alerts);
 
-  /// Ingests per-prefix AS-PATH lengths (e.g. median observed path length
-  /// per prefix, from the initial RIB).
-  void IngestPathLengths(const std::map<netbase::Prefix, int>& lengths);
-
   /// Computes advice for every relay in the consensus, resolved through
   /// `prefix_map`. Unmapped relays get kElevated (fail-half-closed: no
   /// measurements means no assurance).
@@ -88,7 +81,6 @@ class RelayAdvisor {
   std::map<netbase::Prefix, std::size_t> extra_ases_;
   std::map<netbase::Prefix, std::size_t> strong_alerts_;
   std::map<netbase::Prefix, std::size_t> weak_alerts_;
-  std::map<netbase::Prefix, int> path_lengths_;
 };
 
 }  // namespace quicksand::core

@@ -34,14 +34,6 @@ double ExpectedInstancesToCompromise(double per_instance_probability) {
   return 1.0 / per_instance_probability;
 }
 
-std::vector<double> CompromiseGrowthCurve(double f, double l,
-                                          std::span<const double> x_over_time) {
-  std::vector<double> out;
-  out.reserve(x_over_time.size());
-  for (double x : x_over_time) out.push_back(MultiGuardCompromiseProbability(f, l, x));
-  return out;
-}
-
 double ExposureNeededForProbability(double f, double l, double target) {
   CheckProbability(f, "f");
   if (l < 0) throw std::invalid_argument("l must be non-negative");

@@ -11,8 +11,6 @@
 // ASes.
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 namespace quicksand::core {
 
@@ -28,11 +26,6 @@ namespace quicksand::core {
 /// compromise, 1/p (infinity is reported as a very large value when p==0).
 /// Throws std::invalid_argument if p is outside [0,1].
 [[nodiscard]] double ExpectedInstancesToCompromise(double per_instance_probability);
-
-/// Compromise probability over time given the growth of the exposed-AS
-/// count: element i is MultiGuardCompromiseProbability(f, l, x_over_time[i]).
-[[nodiscard]] std::vector<double> CompromiseGrowthCurve(double f, double l,
-                                                        std::span<const double> x_over_time);
 
 /// Smallest x such that the compromise probability reaches `target`
 /// (for reporting "how much churn until odds exceed 50%?").

@@ -1,12 +1,7 @@
 #pragma once
 
-// Tor network consensus: the relay directory clients download.
-//
-// A simplified textual format mirrors the fields of a real consensus that
-// this project consumes (address, bandwidth weight, flags):
-//
-//   consensus <valid-after-seconds>
-//   r <nickname> <ip> <orport> <bandwidth-kb/s> <Flag> <Flag> ...
+// Tor network consensus: the relay directory clients download, reduced to
+// the fields this project consumes (address, bandwidth weight, flags).
 //
 // Flag-partitioned relay lists (Guards/Exits/GuardExits) are built once at
 // construction and served as const references; the relay list itself is
@@ -15,7 +10,7 @@
 // valid because the relay heap buffer moves intact.
 
 #include <cstddef>
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "netbase/sim_time.hpp"
@@ -68,13 +63,6 @@ class Consensus {
 
   /// Sum of bandwidth weights over all relays.
   [[nodiscard]] std::uint64_t TotalBandwidth() const noexcept;
-
-  /// Serializes to the textual consensus format.
-  [[nodiscard]] std::string ToText() const;
-
-  /// Parses the textual format. Throws std::runtime_error naming the
-  /// offending line on malformed input (bad header, address, flag, ...).
-  [[nodiscard]] static Consensus Parse(std::string_view text);
 
  private:
   void BuildIndex();

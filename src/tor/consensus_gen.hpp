@@ -3,8 +3,12 @@
 // Synthetic Tor consensus generation, calibrated to the paper's July 2014
 // snapshot: 4586 relays — 1918 guards, 891 exits, 442 flagged both — with
 // relays heavily concentrated in a handful of hosting ASes (Figure 2 left:
-// 5 ASes host ~20% of guard/exit relays) and a skewed relays-per-prefix
-// distribution (median 1, p75 2, max 33 in one /15).
+// 5 ASes host ~20% of guard/exit relays). The relays-per-prefix
+// distribution is not calibrated: the paper reports median 1, p75 2 and
+// max 33 (in one /15), while table1_dataset_stats measures median 2, p75 4
+// and max 69 at the paper seed (max 51-69 across seeds). This is a known
+// gap, recorded in DESIGN.md section 1; its calibration is open work in
+// ROADMAP.md.
 //
 // Relays are placed inside prefixes actually originated in the BGP
 // topology, so the relay -> most-specific-prefix -> origin-AS mapping the

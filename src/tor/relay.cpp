@@ -31,13 +31,6 @@ std::string FlagsToString(RelayFlags flags) {
   return out;
 }
 
-RelayFlags ParseFlag(std::string_view name) noexcept {
-  for (const auto& [flag_name, flag] : kFlagNames) {
-    if (flag_name == name) return static_cast<RelayFlags>(flag);
-  }
-  return 0;
-}
-
 std::ostream& operator<<(std::ostream& os, const Relay& relay) {
   return os << relay.nickname << " " << relay.address << ":" << relay.or_port << " "
             << relay.bandwidth_kbs << "KB/s [" << FlagsToString(relay.flags) << "]";

@@ -41,9 +41,6 @@ constexpr RelayFlags& operator|=(RelayFlags& a, RelayFlag b) noexcept {
 /// Renders flags like "Guard Exit Running".
 [[nodiscard]] std::string FlagsToString(RelayFlags flags);
 
-/// Parses a single flag name; returns 0 for unknown names.
-[[nodiscard]] RelayFlags ParseFlag(std::string_view name) noexcept;
-
 /// One relay as listed in a network consensus.
 struct Relay {
   std::string nickname;

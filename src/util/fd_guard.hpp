@@ -2,12 +2,12 @@
 
 // RAII ownership of a POSIX file descriptor.
 //
-// The mmap-backed codec paths (qmrt::DecodeFileStream) open raw fds and
-// must not leak them on *any* exit path — including exceptions thrown
-// between open() and the point the mapping takes over (fstat failure,
-// mmap fallback reads, allocation failures in error-message formatting).
-// Manual close() calls on each branch rot; this guard makes the closed
-// state structural.
+// The daemon's Unix-socket server (src/daemon/server.cpp) holds its
+// listening and accepted sockets in these guards, so no exit path leaks
+// one — including exceptions thrown between socket() and the point the
+// server takes ownership (bind/listen failures, allocation failures in
+// error-message formatting). Manual close() calls on each branch rot;
+// this guard makes the closed state structural.
 
 #include <unistd.h>
 
@@ -37,10 +37,6 @@ class FdGuard {
 
   [[nodiscard]] int get() const noexcept { return fd_; }
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
-
-  /// Gives up ownership without closing (e.g. handing the fd to a
-  /// mapping that outlives the guard).
-  [[nodiscard]] int Release() noexcept { return std::exchange(fd_, -1); }
 
   /// Closes now (idempotent). EINTR on close is not retried: POSIX leaves
   /// the fd state unspecified and Linux always releases it.

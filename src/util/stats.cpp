@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace quicksand::util {
@@ -58,34 +57,6 @@ double PearsonCorrelation(std::span<const double> x, std::span<const double> y) 
   }
   if (var_x == 0 || var_y == 0) return 0;
   return cov / std::sqrt(var_x * var_y);
-}
-
-std::vector<double> FractionalRanks(std::span<const double> values) {
-  std::vector<std::size_t> order(values.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return values[a] < values[b]; });
-  std::vector<double> ranks(values.size());
-  std::size_t i = 0;
-  while (i < order.size()) {
-    std::size_t j = i;
-    while (j + 1 < order.size() && values[order[j + 1]] == values[order[i]]) ++j;
-    // Ties share the average of their 1-based rank range [i+1, j+1].
-    const double rank = (static_cast<double>(i + 1) + static_cast<double>(j + 1)) / 2.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = rank;
-    i = j + 1;
-  }
-  return ranks;
-}
-
-double SpearmanCorrelation(std::span<const double> x, std::span<const double> y) {
-  if (x.size() != y.size()) {
-    throw std::invalid_argument("SpearmanCorrelation: length mismatch");
-  }
-  if (x.size() < 2) throw std::invalid_argument("SpearmanCorrelation: need >= 2 points");
-  const auto rx = FractionalRanks(x);
-  const auto ry = FractionalRanks(y);
-  return PearsonCorrelation(rx, ry);
 }
 
 std::vector<CcdfPoint> Ccdf(std::span<const double> values) {

@@ -2,7 +2,7 @@
 
 // Statistics toolkit used by the measurement pipeline and the benches:
 // percentiles, empirical CCDFs (the paper reports Figure 3 as CCDFs),
-// Pearson / Spearman correlation (the asymmetric traffic-analysis attack),
+// Pearson correlation (the asymmetric traffic-analysis attack),
 // and small summary helpers.
 
 #include <cstddef>
@@ -33,14 +33,6 @@ namespace quicksand::util {
 /// Throws std::invalid_argument if lengths differ or are < 2.
 [[nodiscard]] double PearsonCorrelation(std::span<const double> x,
                                         std::span<const double> y);
-
-/// Spearman rank correlation (Pearson on fractional ranks, ties averaged).
-/// Throws std::invalid_argument if lengths differ or are < 2.
-[[nodiscard]] double SpearmanCorrelation(std::span<const double> x,
-                                         std::span<const double> y);
-
-/// Fractional ranks of a series (1-based, ties get the average rank).
-[[nodiscard]] std::vector<double> FractionalRanks(std::span<const double> values);
 
 /// One point of an empirical complementary CDF.
 struct CcdfPoint {

@@ -74,18 +74,6 @@ TEST(AsGraph, DegreeAndRoleCounts) {
   EXPECT_EQ(graph.LinkCount(), 4u);
 }
 
-TEST(AsGraph, CustomerConeFollowsCustomerEdgesOnly) {
-  const AsGraph graph = SmallGraph();
-  auto cone = graph.CustomerCone(graph.MustIndexOf(100));
-  std::vector<AsNumber> cone_asns;
-  for (AsIndex index : cone) cone_asns.push_back(graph.AsnOf(index));
-  std::sort(cone_asns.begin(), cone_asns.end());
-  EXPECT_EQ(cone_asns, (std::vector<AsNumber>{100, 200, 300, 400}));
-
-  // AS300's cone is only itself: its peer link to 200 must not leak in.
-  EXPECT_EQ(graph.CustomerCone(graph.MustIndexOf(300)).size(), 1u);
-}
-
 TEST(AsGraph, LinkKeyIsSymmetric) {
   EXPECT_EQ(LinkKey(3, 9), LinkKey(9, 3));
   EXPECT_NE(LinkKey(3, 9), LinkKey(3, 10));

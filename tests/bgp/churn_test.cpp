@@ -253,21 +253,6 @@ TEST(ChurnAnalyzer, RatioUsesFloorWhenMedianZero) {
   EXPECT_DOUBLE_EQ(ratios[0], 1.0);  // 2 changes / median 2
 }
 
-TEST(ChurnAnalyzer, ExtraAsCountUnionsAcrossSessions) {
-  ChurnAnalyzer analyzer;
-  test::RecordFixture fx;
-  // Same prefix on two sessions, different extra ASes.
-  fx.Feed(analyzer, Announce(0, 0, "10.0.0.0/8", "1 2"));
-  fx.Feed(analyzer, Announce(0, 1, "10.0.0.0/8", "4 2"));
-  fx.Feed(analyzer, Announce(100, 0, "10.0.0.0/8", "1 7 2"));
-  fx.Feed(analyzer, Announce(100, 1, "10.0.0.0/8", "4 8 2"));
-  fx.Feed(analyzer, Announce(90000, 0, "10.0.0.0/8", "1 2"));
-  fx.Feed(analyzer, Announce(90000, 1, "10.0.0.0/8", "4 2"));
-  analyzer.Finish();
-  const auto counts = analyzer.ExtraAsCountPerPrefix();
-  EXPECT_EQ(counts.at(Prefix::MustParse("10.0.0.0/8")), 2u);  // {7, 8}
-}
-
 TEST(ChurnAnalyzer, SessionsPerPrefixAndPrefixesPerSession) {
   ChurnAnalyzer analyzer;
   test::RecordFixture fx;
@@ -276,8 +261,7 @@ TEST(ChurnAnalyzer, SessionsPerPrefixAndPrefixesPerSession) {
   fx.Feed(analyzer, Announce(0, 0, "11.0.0.0/8", "1 3"));
   analyzer.Finish();
   EXPECT_EQ(analyzer.SessionsPerPrefix().at(Prefix::MustParse("10.0.0.0/8")), 2u);
-  EXPECT_EQ(analyzer.PrefixesPerSession().at(0), 2u);
-  EXPECT_EQ(analyzer.PrefixesPerSession().at(1), 1u);
+  EXPECT_EQ(analyzer.SessionsPerPrefix().at(Prefix::MustParse("11.0.0.0/8")), 1u);
 }
 
 TEST(ChurnAnalyzer, LifecycleEnforced) {

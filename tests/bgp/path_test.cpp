@@ -42,15 +42,6 @@ TEST(AsPath, DistinctAsesCollapsesPrepends) {
   EXPECT_EQ(path.DistinctAses(), (std::vector<AsNumber>{701, 3356, 24940}));
 }
 
-TEST(AsPath, SameAsSetIgnoresOrderAndPrepends) {
-  const AsPath a = {701, 3356, 24940};
-  const AsPath b = {701, 3356, 24940, 24940};  // prepended
-  const AsPath c = {701, 1299, 24940};
-  EXPECT_TRUE(a.SameAsSet(b));
-  EXPECT_FALSE(a.SameAsSet(c));
-  EXPECT_TRUE(AsPath{}.SameAsSet(AsPath{}));
-}
-
 TEST(AsPath, ParseAndToStringRoundTrip) {
   const auto parsed = AsPath::Parse("701 3356 24940");
   ASSERT_TRUE(parsed.has_value());

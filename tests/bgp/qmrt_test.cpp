@@ -51,12 +51,6 @@ std::vector<BgpUpdate> DecodeAll(std::string_view wire) {
       qmrt::DecodeStream(std::make_shared<feed::AsPathTable>(), wire));
 }
 
-/// Strictly decodes a whole QMRT file back to updates.
-std::vector<BgpUpdate> ReadAll(const std::string& path) {
-  return feed::Materialize(
-      qmrt::DecodeFileStream(std::make_shared<feed::AsPathTable>(), path));
-}
-
 TEST(Qmrt, RoundTripIdentity) {
   const std::vector<BgpUpdate> feed = EdgeFeed();
   const std::string wire = qmrt::Encode(feed);
@@ -193,38 +187,6 @@ TEST(Qmrt, EmptyFeed) {
   EXPECT_FALSE(stream.Next(recs));
 }
 
-TEST(Qmrt, FileRoundTripAndMmapStream) {
-  const std::vector<BgpUpdate> feed = EdgeFeed();
-  const std::string path = "qmrt_test_roundtrip.qmrt";
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << qmrt::Encode(feed);
-  }
-  EXPECT_EQ(ReadAll(path), feed);
-
-  auto table = std::make_shared<feed::AsPathTable>();
-  feed::UpdateStream stream = qmrt::DecodeFileStream(table, path);
-  std::vector<feed::UpdateRec> recs;
-  std::vector<BgpUpdate> got;
-  while (stream.Next(recs)) {
-    for (const feed::UpdateRec& rec : recs) got.push_back(feed::ToBgpUpdate(rec, *table));
-  }
-  EXPECT_EQ(got, feed);
-  std::remove(path.c_str());
-}
-
-TEST(Qmrt, FileErrorsCarryPathAndErrnoContext) {
-  const std::string path = "qmrt_test_missing_dir/nope.qmrt";
-  try {
-    (void)ReadAll(path);
-    FAIL() << "expected missing-file error";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find(path), std::string::npos) << error.what();
-    EXPECT_NE(std::string(error.what()).find("No such file"), std::string::npos)
-        << error.what();
-  }
-}
-
 // --- corruption: every damage class fails closed ---------------------------
 // Strict mode throws naming the block; lenient mode drops exactly the
 // damaged block, counts it, and picks the stream back up at the next
@@ -281,33 +243,25 @@ std::size_t OpenFdCount() {
 }
 
 TEST(QmrtFdLifetime, ErrorPathsLeakNoDescriptors) {
-  // Regression for the fd/mmap RAII audit: every throwing exit out of
-  // DecodeFileStream / ParseFileStream, at open or mid-drain, must release
-  // the file descriptor (util::FdGuard) — a leak here compounds per retry
-  // in the resident daemon until open() starts failing with EMFILE.
-  const std::string corrupt_path = "qmrt_test_fdleak.qmrt";
+  // Regression for the fd RAII audit: every throwing exit out of
+  // ParseFileStream, at open or mid-drain, must release the file
+  // descriptor — a leak here compounds per retry in the resident daemon
+  // until open() starts failing with EMFILE.
+  const std::string corrupt_path = "qmrt_test_fdleak.mrt";
   {
-    TwoBlocks two = MakeTwoBlocks();
-    two.wire.resize(two.wire.size() - 5);  // truncated final block
     std::ofstream out(corrupt_path, std::ios::binary | std::ios::trunc);
-    out << two.wire;
+    out << mrt::ToText(EdgeFeed()) << "not an update line\n";
   }
 
   auto exercise_error_paths = [&] {
-    EXPECT_THROW((void)ReadAll(corrupt_path), std::runtime_error);
-    EXPECT_THROW((void)ReadAll("qmrt_test_missing_dir/nope.qmrt"),
-                 std::runtime_error);
     {
-      // Strict stream over a corrupt file: open/mmap succeed, the pull
-      // throws mid-stream; the guard must still unwind the mapping + fd.
+      // Strict stream over a corrupt file: the open succeeds, the pull
+      // throws mid-stream; the reader must still close the fd.
       auto table = std::make_shared<feed::AsPathTable>();
-      feed::UpdateStream stream = qmrt::DecodeFileStream(table, corrupt_path);
+      feed::UpdateStream stream = mrt::ParseFileStream(table, corrupt_path);
       std::vector<feed::UpdateRec> recs;
       EXPECT_THROW(while (stream.Next(recs)) {}, std::runtime_error);
     }
-    EXPECT_THROW((void)qmrt::DecodeFileStream(std::make_shared<feed::AsPathTable>(),
-                                              "qmrt_test_missing_dir/nope.qmrt"),
-                 std::runtime_error);
     EXPECT_THROW((void)mrt::ParseFileStream(std::make_shared<feed::AsPathTable>(),
                                             "qmrt_test_missing_dir/nope.mrt"),
                  std::runtime_error);

@@ -244,15 +244,6 @@ TEST(RouteComputation, ForwardingPathMatchesAdvertisedPath) {
   }
 }
 
-TEST(RouteComputation, PathCrossesDetectsTransit) {
-  const AsGraph graph = DiamondGraph();
-  const RoutingState state = ComputeRoutes(graph, 1000);
-  const AsIndex d = graph.MustIndexOf(2000);
-  EXPECT_TRUE(state.PathCrosses(d, graph.MustIndexOf(10)));
-  EXPECT_TRUE(state.PathCrosses(d, d));
-  EXPECT_FALSE(state.PathCrosses(d, graph.MustIndexOf(31)));
-}
-
 // ---- The paper topology: golden tables and the salt-shift oracle ----
 
 /// The paper benches' world: default TopologyParams at the paper seed.

@@ -81,7 +81,6 @@ struct HistogramTotals {
 [[nodiscard]] std::vector<ShardResult> Reference(std::size_t n) {
   std::atomic<std::size_t> calls{0};
   StageOptions disabled;
-  disabled.name = "reference";
   return CheckpointedMap(disabled, /*threads=*/2, n, CountingFn{&calls},
                          Encode, Decode);
 }
@@ -97,7 +96,6 @@ struct HistogramTotals {
 TEST(CheckpointedMap, DisabledStageMatchesParallelMap) {
   std::atomic<std::size_t> calls{0};
   StageOptions disabled;
-  disabled.name = "disabled";
   const auto results =
       CheckpointedMap(disabled, /*threads=*/4, 9, CountingFn{&calls}, Encode,
                       Decode);
@@ -115,7 +113,6 @@ TEST(CheckpointedMap, DisabledStageMatchesParallelMap) {
 TEST(CheckpointedMap, ResumeFromCompleteSnapshotRecomputesNothing) {
   TempPath tmp("sweep_complete.ckpt");
   StageOptions stage;
-  stage.name = "complete";
   stage.snapshot_path = tmp.path;
   stage.fingerprint = 77;
 
@@ -151,7 +148,6 @@ TEST(CheckpointedMap, ResumeFromCompleteSnapshotRecomputesNothing) {
 TEST(CheckpointedMap, PartialSnapshotRecomputesOnlyMissingShards) {
   TempPath tmp("sweep_partial.ckpt");
   StageOptions stage;
-  stage.name = "partial";
   stage.snapshot_path = tmp.path;
   stage.fingerprint = 78;
 
@@ -192,7 +188,6 @@ TEST(CheckpointedMap, CorruptSnapshotFallsBackToFreshRun) {
     out << "quicksand-ckpt-v1\nfp 0000000000000000\ngarbage follows\n";
   }
   StageOptions stage;
-  stage.name = "corrupt";
   stage.snapshot_path = tmp.path;
   stage.fingerprint = 79;
   stage.resume = true;
@@ -207,7 +202,6 @@ TEST(CheckpointedMap, CorruptSnapshotFallsBackToFreshRun) {
 TEST(CheckpointedMap, FingerprintMismatchFallsBackToFreshRun) {
   TempPath tmp("sweep_wrong_fp.ckpt");
   StageOptions stage;
-  stage.name = "wrong_fp";
   stage.snapshot_path = tmp.path;
   stage.fingerprint = 80;
 
@@ -226,7 +220,6 @@ TEST(CheckpointedMap, FingerprintMismatchFallsBackToFreshRun) {
 TEST(CheckpointedMap, UndecodablePayloadRecomputesThatShard) {
   TempPath tmp("sweep_drift.ckpt");
   StageOptions stage;
-  stage.name = "drift";
   stage.snapshot_path = tmp.path;
   stage.fingerprint = 82;
 

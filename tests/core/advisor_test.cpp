@@ -101,20 +101,13 @@ TEST(RelayAdvisor, ChurnyPrefixIsElevated) {
   EXPECT_EQ(advice[0].verdict, RelayVerdict::kOk);
 }
 
-TEST(RelayAdvisor, LongPathIsElevated) {
-  const Fixture fx;
-  RelayAdvisor advisor;
-  advisor.IngestPathLengths({{Prefix::MustParse("10.1.0.0/16"), 7}});
-  const auto advice = advisor.Advise(fx.consensus, fx.prefix_map);
-  EXPECT_EQ(advice[0].verdict, RelayVerdict::kElevated);
-  EXPECT_NE(advice[0].reason.find("long AS-PATH"), std::string::npos);
-}
-
 TEST(RelayAdvisor, AvoidDominatesElevation) {
   const Fixture fx;
   RelayAdvisor advisor;
-  advisor.IngestPathLengths({{Prefix::MustParse("10.3.0.0/16"), 9}});
   advisor.IngestAlerts({Alert{SimTime{1}, 0, Prefix::MustParse("10.3.0.0/16"),
+                              Prefix::MustParse("10.3.0.0/16"),
+                              AlertKind::kNewUpstream, 777},
+                        Alert{SimTime{1}, 0, Prefix::MustParse("10.3.0.0/16"),
                               Prefix::MustParse("10.3.0.0/16"),
                               AlertKind::kOriginChange, 666}});
   const auto advice = advisor.Advise(fx.consensus, fx.prefix_map);

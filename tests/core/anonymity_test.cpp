@@ -54,15 +54,6 @@ TEST(Anonymity, ExpectedInstances) {
   EXPECT_GE(ExpectedInstancesToCompromise(0.0), 1e17);
 }
 
-TEST(Anonymity, GrowthCurveAppliesFormulaPointwise) {
-  const std::vector<double> xs = {1, 2, 3};
-  const auto curve = CompromiseGrowthCurve(0.05, 3, xs);
-  ASSERT_EQ(curve.size(), 3u);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(curve[i], MultiGuardCompromiseProbability(0.05, 3, xs[i]));
-  }
-}
-
 TEST(Anonymity, ExposureNeededInvertsTheFormula) {
   const double x = ExposureNeededForProbability(0.02, 3, 0.5);
   EXPECT_NEAR(MultiGuardCompromiseProbability(0.02, 3, x), 0.5, 1e-9);

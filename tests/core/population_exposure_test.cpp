@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
 #include <numeric>
 
 #include "bgp/topology_gen.hpp"
+#include "paper_feeds.hpp"
 #include "tor/consensus_gen.hpp"
 
 namespace quicksand::core {
@@ -136,6 +138,57 @@ TEST(PopulationExposure, NoAdversaryNoCompromise) {
       SimulatePopulationExposure(selector, TestFixture().topology.eyeballs, params);
   EXPECT_DOUBLE_EQ(result.final_fraction, 0.0);
   EXPECT_EQ(result.malicious_relays, 0u);
+}
+
+// The engine on the paper world (topology and consensus seeds as in
+// tests/paper_feeds.hpp): 100,000 clients homed in the eyeball ASes for 30
+// days in shards of 8,192, against a 10% bandwidth adversary. Every output
+// is pinned bit for bit, at one and at four threads.
+TEST(PopulationExposure, GoldenDigestOfThePaperConsensus) {
+  bgp::TopologyParams tp;
+  tp.seed = 20140501;
+  const bgp::Topology topology = bgp::GenerateTopology(tp);
+  tor::ConsensusGenParams gp;
+  gp.seed = 20140503;
+  const tor::GeneratedConsensus consensus = tor::GenerateConsensus(topology, gp);
+  const tor::PathSelector selector(consensus.consensus);
+
+  PopulationExposureParams params;
+  params.clients = 100000;
+  params.days = 30;
+  params.shard_clients = 8192;
+  params.malicious_bandwidth_fraction = 0.10;
+  params.seed = 20140901;
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    params.threads = threads;
+    const PopulationExposureResult result =
+        SimulatePopulationExposure(selector, topology.eyeballs, params);
+
+    test::Fnv64 digest;
+    for (const double fraction : result.cumulative_compromised) {
+      digest.Add(std::bit_cast<std::uint64_t>(fraction));
+    }
+    for (const ClientAsExposure& entry : result.per_as) {
+      digest.Add(entry.as).Add(entry.clients).Add(entry.compromised);
+      digest.Add(std::bit_cast<std::uint64_t>(entry.fraction));
+    }
+    for (const std::size_t count : result.fraction_histogram) digest.Add(count);
+
+    EXPECT_EQ(result.clients, 100'000u);
+    EXPECT_EQ(result.circuits, 3'000'000u);
+    EXPECT_EQ(result.rotations, 0u);
+    EXPECT_EQ(result.malicious_relays, 725u);
+    EXPECT_EQ(result.malicious_guards, 300u);
+    EXPECT_EQ(result.malicious_exits, 148u);
+    EXPECT_EQ(result.cumulative_compromised.size(), 30u);
+    EXPECT_EQ(result.final_fraction, 0.30362);  // exact: 30,362 of 100,000
+    EXPECT_EQ(result.per_as.size(), 260u);
+    EXPECT_EQ(result.fraction_histogram,
+              (std::vector<std::size_t>{0, 0, 0, 0, 3, 113, 139, 5, 0, 0,
+                                        0, 0, 0, 0, 0, 0, 0, 0, 0, 0}));
+    EXPECT_EQ(digest.value(), 0x75da9717d2ba7164ULL);
+  }
 }
 
 // The Section 2 claim: without guard persistence, compromise approaches 1

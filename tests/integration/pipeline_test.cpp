@@ -110,18 +110,15 @@ TEST_F(PipelineTest, FilterThenChurnProducesTheFigure3Inputs) {
   analyzer.Finish();
 
   // Every session observed something.
-  const auto per_session = analyzer.PrefixesPerSession();
-  EXPECT_EQ(per_session.size(), collectors_->SessionCount());
+  std::set<bgp::SessionId> sessions;
+  for (const auto& entry : analyzer.entries()) sessions.insert(entry.first.session);
+  EXPECT_EQ(sessions.size(), collectors_->SessionCount());
 
   // Ratio-to-median series exists for Tor prefixes.
   const tor::TorPrefixMap map =
       tor::TorPrefixMap::Build(consensus_->consensus, topo_->prefix_origins);
   const auto ratios = analyzer.RatioToSessionMedian(map.TorPrefixes(consensus_->consensus));
   EXPECT_FALSE(ratios.empty());
-
-  // Extra-AS counts computable for every observed prefix.
-  const auto extra = analyzer.ExtraAsCountPerPrefix();
-  EXPECT_FALSE(extra.empty());
 }
 
 TEST_F(PipelineTest, FilteringReducesArtifactsWithoutLosingRealChanges) {

@@ -127,13 +127,5 @@ TEST(ConsensusGen, RejectsInconsistentFlagCounts) {
   EXPECT_THROW((void)GenerateConsensus(topo, params), std::invalid_argument);
 }
 
-TEST(ConsensusGen, SerializedConsensusReparses) {
-  const bgp::Topology topo = TestTopology();
-  const GeneratedConsensus gen = GenerateConsensus(topo, SmallParams());
-  const Consensus reparsed = Consensus::Parse(gen.consensus.ToText());
-  EXPECT_EQ(reparsed.size(), gen.consensus.size());
-  EXPECT_EQ(reparsed.Guards().size(), gen.consensus.Guards().size());
-}
-
 }  // namespace
 }  // namespace quicksand::tor

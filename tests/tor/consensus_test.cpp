@@ -28,58 +28,12 @@ TEST(Consensus, FlagQueries) {
   EXPECT_EQ(consensus.TotalBandwidth(), 6500u);
 }
 
-TEST(Consensus, TextRoundTrip) {
-  const Consensus original = SampleConsensus();
-  const std::string text = original.ToText();
-  const Consensus parsed = Consensus::Parse(text);
-  EXPECT_EQ(parsed.valid_after(), original.valid_after());
-  ASSERT_EQ(parsed.size(), original.size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed.relays()[i], original.relays()[i]);
-  }
-}
-
-TEST(Consensus, ParseSkipsCommentsAndBlankLines) {
-  const std::string text =
-      "# generated by a test\n"
-      "consensus 0\n"
-      "\n"
-      "r node 1.2.3.4 9001 100 Guard Running\n";
-  const Consensus parsed = Consensus::Parse(text);
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_TRUE(parsed.relays()[0].IsGuard());
-}
-
-TEST(Consensus, ParseRejectsMalformedDocuments) {
-  EXPECT_THROW((void)Consensus::Parse(""), std::runtime_error);  // no header
-  EXPECT_THROW((void)Consensus::Parse("r n 1.2.3.4 9001 1\n"), std::runtime_error);
-  EXPECT_THROW((void)Consensus::Parse("consensus x\n"), std::runtime_error);
-  EXPECT_THROW((void)Consensus::Parse("consensus 0\nconsensus 1\n"),
-               std::runtime_error);  // double header
-  EXPECT_THROW((void)Consensus::Parse("consensus 0\nr n 1.2.3.4 9001\n"),
-               std::runtime_error);  // truncated relay
-  EXPECT_THROW((void)Consensus::Parse("consensus 0\nr n bad-ip 9001 1\n"),
-               std::runtime_error);
-  EXPECT_THROW((void)Consensus::Parse("consensus 0\nr n 1.2.3.4 9001 1 Wat\n"),
-               std::runtime_error);  // unknown flag
-  EXPECT_THROW((void)Consensus::Parse("consensus 0\nz whatever\n"),
-               std::runtime_error);  // unknown record
-}
-
-TEST(Consensus, ParseReportsLineNumbers) {
-  try {
-    (void)Consensus::Parse("consensus 0\nr bad\n");
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-  }
-}
-
 TEST(Consensus, EmptyConsensusIsValid) {
-  const Consensus parsed = Consensus::Parse("consensus 42\n");
-  EXPECT_EQ(parsed.size(), 0u);
-  EXPECT_EQ(parsed.valid_after().seconds, 42);
-  EXPECT_EQ(parsed.TotalBandwidth(), 0u);
+  const Consensus empty(netbase::SimTime{42}, {});
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.valid_after().seconds, 42);
+  EXPECT_EQ(empty.TotalBandwidth(), 0u);
+  EXPECT_TRUE(empty.Guards().empty());
 }
 
 }  // namespace

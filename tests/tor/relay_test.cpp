@@ -22,17 +22,6 @@ TEST(RelayFlags, ToStringListsSetFlagsInCanonicalOrder) {
   EXPECT_EQ(FlagsToString(0), "");
 }
 
-TEST(RelayFlags, ParseFlagRecognizesAllNames) {
-  EXPECT_EQ(ParseFlag("Guard"), static_cast<RelayFlags>(RelayFlag::kGuard));
-  EXPECT_EQ(ParseFlag("Exit"), static_cast<RelayFlags>(RelayFlag::kExit));
-  EXPECT_EQ(ParseFlag("Fast"), static_cast<RelayFlags>(RelayFlag::kFast));
-  EXPECT_EQ(ParseFlag("Stable"), static_cast<RelayFlags>(RelayFlag::kStable));
-  EXPECT_EQ(ParseFlag("Running"), static_cast<RelayFlags>(RelayFlag::kRunning));
-  EXPECT_EQ(ParseFlag("Valid"), static_cast<RelayFlags>(RelayFlag::kValid));
-  EXPECT_EQ(ParseFlag("Bogus"), 0);
-  EXPECT_EQ(ParseFlag("guard"), 0);  // case-sensitive like the spec
-}
-
 TEST(Relay, ConvenienceAccessors) {
   Relay relay;
   relay.flags = RelayFlag::kGuard | RelayFlag::kRunning;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "netbase/rng.hpp"
@@ -74,26 +73,6 @@ TEST(Stats, PearsonNearZeroForIndependentNoise) {
     y.push_back(rng.UniformDouble());
   }
   EXPECT_NEAR(PearsonCorrelation(x, y), 0.0, 0.05);
-}
-
-TEST(Stats, FractionalRanksHandleTies) {
-  const std::vector<double> v = {10, 20, 20, 30};
-  const auto ranks = FractionalRanks(v);
-  ASSERT_EQ(ranks.size(), 4u);
-  EXPECT_DOUBLE_EQ(ranks[0], 1.0);
-  EXPECT_DOUBLE_EQ(ranks[1], 2.5);
-  EXPECT_DOUBLE_EQ(ranks[2], 2.5);
-  EXPECT_DOUBLE_EQ(ranks[3], 4.0);
-}
-
-TEST(Stats, SpearmanDetectsMonotoneNonlinearRelation) {
-  std::vector<double> x, y;
-  for (int i = 1; i <= 50; ++i) {
-    x.push_back(i);
-    y.push_back(std::exp(0.2 * i));  // monotone but wildly nonlinear
-  }
-  EXPECT_NEAR(SpearmanCorrelation(x, y), 1.0, 1e-12);
-  EXPECT_LT(PearsonCorrelation(x, y), 0.9);
 }
 
 TEST(Stats, CcdfMatchesDefinition) {
