@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "bgp/topology_gen.hpp"
+#include "obs/metrics.hpp"
+#include "paper_feeds.hpp"
 
 namespace quicksand::core {
 namespace {
@@ -115,6 +120,69 @@ TEST(Deanonymization, WorksForUploadsToo) {
   params.seed = 18;
   const DeanonResult result = RunCorrelationDeanonymization(params);
   EXPECT_TRUE(result.success);
+}
+
+/// FNV-1a over one cell: target, matched, success and the bit pattern of
+/// every correlation.
+std::uint64_t CellDigest(const DeanonResult& result) {
+  test::Fnv64 digest;
+  digest.Add(result.target).Add(result.matched).Add(result.success ? 1 : 0);
+  digest.Add(std::bit_cast<std::uint64_t>(result.target_correlation));
+  digest.Add(std::bit_cast<std::uint64_t>(result.runner_up_correlation));
+  for (const double r : result.correlations) digest.Add(std::bit_cast<std::uint64_t>(r));
+  return digest.value();
+}
+
+TEST(Deanonymization, GoldenDigestOfSec33Trials) {
+  // sec33's experiment (10 candidates, 12 MB files, 0.5 s bins over 16 s)
+  // at its trial seeds 5000 + 37 * trial for trials 0 and 8 (trial 8's
+  // acks/data cell is sec33's one miss), one digest per (entry view, exit
+  // view) cell in the order data/data, data/acks, acks/data, acks/acks.
+  struct Golden {
+    std::uint64_t seed;
+    std::uint64_t cells[4];
+  };
+  constexpr Golden kGolden[] = {
+      {5000, {0x0a847609313a0761ULL, 0xda15b9f25dc5d17bULL,
+              0x7e5044eef1157ff6ULL, 0x519649a391caa67dULL}},
+      {5000 + 37 * 8, {0x09318218842874adULL, 0xdfe757efb958ab61ULL,
+                     0xd06ba10ebc7a96eaULL, 0x86c0af193571e39bULL}},
+  };
+  const SegmentView views[] = {SegmentView::kDataBytes, SegmentView::kAckedBytes};
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(golden.seed);
+    DeanonExperimentParams params;
+    params.candidate_clients = 10;
+    params.base_flow.file_bytes = 12 << 20;
+    params.correlation.bin_s = 0.5;
+    params.correlation.duration_s = 16.0;
+    params.seed = golden.seed;
+    std::size_t cell = 0;
+    for (const SegmentView entry : views) {
+      for (const SegmentView exit : views) {
+        params.entry_view = entry;
+        params.exit_view = exit;
+        const DeanonResult result = RunCorrelationDeanonymization(params);
+        EXPECT_EQ(result.correlations.size(), 10u);
+        EXPECT_EQ(CellDigest(result), golden.cells[cell]) << "cell " << cell;
+        ++cell;
+      }
+    }
+  }
+}
+
+TEST(Deanonymization, SimulatesEachCandidateOncePerCall) {
+  obs::Counter& transfers =
+      obs::MetricsRegistry::Global().GetCounter("traffic.flow.transfers_simulated");
+  DeanonExperimentParams params;
+  params.candidate_clients = 6;
+  params.base_flow.file_bytes = 2 << 20;
+  params.correlation.bin_s = 0.5;
+  params.correlation.duration_s = 8.0;
+  params.seed = 5037;
+  const std::uint64_t before = transfers.value();
+  (void)RunCorrelationDeanonymization(params);
+  EXPECT_EQ(transfers.value() - before, params.candidate_clients);
 }
 
 TEST(Deanonymization, RejectsZeroCandidates) {
