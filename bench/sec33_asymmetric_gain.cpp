@@ -61,84 +61,74 @@ int main(int argc, char** argv) {
   util::CsvWriter csv("sec33_deanon.csv",
                       {"entry_view", "exit_view", "trial", "success", "target_r",
                        "runner_up_r"});
-  // Every (entry view, exit view, trial) task is an independent seeded
-  // experiment: run all 48 in parallel, then report in the original order.
+  // One trial simulates its candidate flows once and reads all four
+  // (entry view, exit view) cells off the same taps; the report keeps the
+  // (entry, exit, trial) order.
   const core::SegmentView views[] = {core::SegmentView::kDataBytes,
                                      core::SegmentView::kAckedBytes};
-  const int trials = 12;
-  struct TrialCase {
-    core::SegmentView entry;
-    core::SegmentView exit;
-    int trial;
-  };
-  std::vector<TrialCase> trial_cases;
-  for (core::SegmentView entry : views) {
-    for (core::SegmentView exit : views) {
-      for (int trial = 0; trial < trials; ++trial) {
-        trial_cases.push_back({entry, exit, trial});
-      }
-    }
-  }
+  const std::size_t trials = 12;
   // Each trial is one checkpoint shard: a killed run resumes from the
   // first incomplete trial and reproduces the uninterrupted output
-  // byte-for-byte (the shard RNG substream is keyed by trial index).
+  // byte-for-byte (the trial's seed is keyed by its index).
   const ckpt::StageOptions trials_stage =
-      ctx.Stage("correlation_trials", trial_cases.size(), /*config_key=*/5000);
-  const std::vector<core::DeanonResult> trial_results =
+      ctx.Stage("correlation_trials", trials, /*config_key=*/5000);
+  const std::vector<core::DeanonViews> trial_results =
       ctx.Timed("correlation_trials", [&] {
         return ckpt::CheckpointedMap(
-            trials_stage, ctx.threads(), trial_cases.size(),
-            [&](std::size_t i) {
+            trials_stage, ctx.threads(), trials,
+            [&](std::size_t trial) {
               core::DeanonExperimentParams params;
               params.candidate_clients = 10;
-              params.entry_view = trial_cases[i].entry;
-              params.exit_view = trial_cases[i].exit;
               params.base_flow.file_bytes = 12 << 20;
               params.correlation.bin_s = 0.5;
               params.correlation.duration_s = 16.0;
-              params.seed = 5000 + static_cast<std::uint64_t>(trial_cases[i].trial) * 37;
+              params.seed = 5000 + static_cast<std::uint64_t>(trial) * 37;
               return core::RunCorrelationDeanonymization(params);
             },
-            [](const core::DeanonResult& result, ckpt::PayloadWriter& payload) {
-              payload.U64(result.target).U64(result.matched).Bool(result.success);
-              payload.Dbl(result.target_correlation).Dbl(result.runner_up_correlation);
-              payload.U64(result.correlations.size());
-              for (const double r : result.correlations) payload.Dbl(r);
+            [](const core::DeanonViews& trial_views, ckpt::PayloadWriter& payload) {
+              for (const core::DeanonResult& result : trial_views.cells) {
+                payload.U64(result.target).U64(result.matched).Bool(result.success);
+                payload.Dbl(result.target_correlation).Dbl(result.runner_up_correlation);
+                payload.U64(result.correlations.size());
+                for (const double r : result.correlations) payload.Dbl(r);
+              }
             },
             [](ckpt::PayloadReader& payload) {
-              core::DeanonResult result;
-              result.target = payload.U64();
-              result.matched = payload.U64();
-              result.success = payload.Bool();
-              result.target_correlation = payload.Dbl();
-              result.runner_up_correlation = payload.Dbl();
-              result.correlations.resize(payload.U64());
-              for (double& r : result.correlations) r = payload.Dbl();
-              return result;
+              core::DeanonViews trial_views;
+              for (core::DeanonResult& result : trial_views.cells) {
+                result.target = payload.U64();
+                result.matched = payload.U64();
+                result.success = payload.Bool();
+                result.target_correlation = payload.Dbl();
+                result.runner_up_correlation = payload.Dbl();
+                result.correlations.resize(payload.U64());
+                for (double& r : result.correlations) r = payload.Dbl();
+              }
+              return trial_views;
             });
       });
-  for (std::size_t i = 0; i < trial_cases.size(); i += trials) {
-    const core::SegmentView entry = trial_cases[i].entry;
-    const core::SegmentView exit = trial_cases[i].exit;
-    std::size_t successes = 0;
-    std::vector<double> target_r, runner_r;
-    for (int trial = 0; trial < trials; ++trial) {
-      const core::DeanonResult& result = trial_results[i + trial];
-      if (result.success) ++successes;
-      target_r.push_back(result.target_correlation);
-      runner_r.push_back(result.runner_up_correlation);
-      csv.WriteRow({std::string(ToString(entry)), std::string(ToString(exit)),
-                    std::to_string(trial), result.success ? "1" : "0",
-                    util::FormatDouble(result.target_correlation, 4),
-                    util::FormatDouble(result.runner_up_correlation, 4)});
+  for (const core::SegmentView entry : views) {
+    for (const core::SegmentView exit : views) {
+      std::size_t successes = 0;
+      std::vector<double> target_r, runner_r;
+      for (std::size_t trial = 0; trial < trials; ++trial) {
+        const core::DeanonResult& result = trial_results[trial].At(entry, exit);
+        if (result.success) ++successes;
+        target_r.push_back(result.target_correlation);
+        runner_r.push_back(result.runner_up_correlation);
+        csv.WriteRow({std::string(ToString(entry)), std::string(ToString(exit)),
+                      std::to_string(trial), result.success ? "1" : "0",
+                      util::FormatDouble(result.target_correlation, 4),
+                      util::FormatDouble(result.runner_up_correlation, 4)});
+      }
+      attack.AddRow({std::string(ToString(entry)), std::string(ToString(exit)),
+                     util::FormatPercent(static_cast<double>(successes) / trials, 0),
+                     util::FormatDouble(util::Mean(target_r), 3),
+                     util::FormatDouble(util::Mean(runner_r), 3)});
+      ctx.Result("success_rate[" + std::string(ToString(entry)) + "/" +
+                     std::string(ToString(exit)) + "]",
+                 static_cast<double>(successes) / trials);
     }
-    attack.AddRow({std::string(ToString(entry)), std::string(ToString(exit)),
-                   util::FormatPercent(static_cast<double>(successes) / trials, 0),
-                   util::FormatDouble(util::Mean(target_r), 3),
-                   util::FormatDouble(util::Mean(runner_r), 3)});
-    ctx.Result("success_rate[" + std::string(ToString(entry)) + "/" +
-                   std::string(ToString(exit)) + "]",
-               static_cast<double>(successes) / trials);
   }
   std::cout << attack.Render();
 

@@ -84,13 +84,13 @@ int main() {
   // flow observed at the destination side.
   core::DeanonExperimentParams deanon;
   deanon.candidate_clients = 8;
-  deanon.entry_view = core::SegmentView::kAckedBytes;  // sees only one direction
-  deanon.exit_view = core::SegmentView::kDataBytes;
   deanon.base_flow.file_bytes = 12 << 20;
   deanon.correlation.bin_s = 0.5;
   deanon.correlation.duration_s = 16.0;
   deanon.seed = 13;
-  const auto verdict = core::RunCorrelationDeanonymization(deanon);
+  // The interceptor sees only the ACKs at the entry, the data at the exit.
+  const core::DeanonResult verdict = core::RunCorrelationDeanonymization(deanon).At(
+      core::SegmentView::kAckedBytes, core::SegmentView::kDataBytes);
 
   util::Table table({"candidate client", "correlation with target flow"});
   for (std::size_t i = 0; i < verdict.correlations.size(); ++i) {

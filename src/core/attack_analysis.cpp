@@ -1,6 +1,7 @@
 #include "core/attack_analysis.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "exec/parallel.hpp"
@@ -45,7 +46,7 @@ HijackAnalysisResult AnalyzeHijack(const bgp::AsGraph& graph, const bgp::AttackS
   return result;
 }
 
-DeanonResult RunCorrelationDeanonymization(const DeanonExperimentParams& params) {
+DeanonViews RunCorrelationDeanonymization(const DeanonExperimentParams& params) {
   const obs::ScopedSpan span("core.correlation_deanon");
   static obs::Counter& experiments =
       obs::MetricsRegistry::Global().GetCounter("core.attack.deanon_experiments");
@@ -55,10 +56,9 @@ DeanonResult RunCorrelationDeanonymization(const DeanonExperimentParams& params)
   }
   netbase::Rng rng(params.seed);
 
-  // Draw every candidate's flow parameters serially — SimulateTransfer
-  // itself never touches `rng` (flows carry their own seed), so the draw
-  // order here is the whole of the experiment's shared randomness and the
-  // simulations below can run on any number of threads.
+  // Draw every candidate's flow parameters, then the target, from `rng`.
+  // SimulateTransfer never touches it (flows carry their own seed), so
+  // these draws are the whole of the experiment's shared randomness.
   std::vector<traffic::FlowSimParams> flows;
   flows.reserve(params.candidate_clients);
   for (std::size_t i = 0; i < params.candidate_clients; ++i) {
@@ -80,45 +80,44 @@ DeanonResult RunCorrelationDeanonymization(const DeanonExperimentParams& params)
     }
     flows.push_back(std::move(flow));
   }
+  const std::size_t target = rng.UniformInt(0, flows.size() - 1);
 
   const bool data_b_to_a = params.base_flow.direction ==
                            traffic::TransferDirection::kDownload;
 
-  // Simulate every candidate's transfer and extract its entry-side series
-  // in parallel; slot i always holds candidate i.
-  struct CandidateFlow {
-    traffic::FlowTraces traces;
-    std::vector<double> entry_series;
-  };
-  std::vector<CandidateFlow> candidates = exec::ParallelMap(
-      params.threads, flows.size(),
-      [&](std::size_t i) {
-        CandidateFlow candidate{traffic::SimulateTransfer(flows[i]), {}};
-        candidate.entry_series =
-            ExtractSeries(candidate.traces.client_guard, data_b_to_a, params.entry_view,
-                          params.correlation);
-        return candidate;
-      },
-      /*grain=*/1);
-
-  std::vector<std::vector<double>> entry_series;
-  entry_series.reserve(candidates.size());
-  for (auto& candidate : candidates) {
-    entry_series.push_back(std::move(candidate.entry_series));
+  // Simulate each candidate once and bin its entry tap under both views,
+  // and the target's exit tap too; every cell below reads these series.
+  constexpr SegmentView kViews[] = {SegmentView::kDataBytes, SegmentView::kAckedBytes};
+  std::array<std::vector<std::vector<double>>, 2> entry_series;
+  std::array<std::vector<double>, 2> target_series;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const traffic::FlowTraces traces = traffic::SimulateTransfer(flows[i]);
+    for (const SegmentView view : kViews) {
+      const auto v = static_cast<std::size_t>(view);
+      entry_series[v].push_back(
+          ExtractSeries(traces.client_guard, data_b_to_a, view, params.correlation));
+      if (i == target) {
+        target_series[v] =
+            ExtractSeries(traces.exit_server, data_b_to_a, view, params.correlation);
+      }
+    }
   }
-  DeanonResult result;
-  result.target = rng.UniformInt(0, candidates.size() - 1);
-  const auto target_series =
-      ExtractSeries(candidates[result.target].traces.exit_server, data_b_to_a,
-                    params.exit_view, params.correlation);
 
-  const MatchResult match = MatchFlows(entry_series, target_series, params.correlation);
-  result.matched = match.best_candidate;
-  result.success = result.matched == result.target;
-  result.target_correlation = match.correlations[result.target];
-  result.runner_up_correlation = match.runner_up_correlation;
-  result.correlations = match.correlations;
-  return result;
+  DeanonViews views;
+  std::size_t cell = 0;  // entry-major, the order of DeanonViews::cells
+  for (const std::vector<std::vector<double>>& candidates : entry_series) {
+    for (const std::vector<double>& target_view : target_series) {
+      MatchResult match = MatchFlows(candidates, target_view, params.correlation);
+      DeanonResult& result = views.cells[cell++];
+      result.target = target;
+      result.matched = match.best_candidate;
+      result.success = result.matched == result.target;
+      result.target_correlation = match.correlations[result.target];
+      result.runner_up_correlation = match.runner_up_correlation;
+      result.correlations = std::move(match.correlations);
+    }
+  }
+  return views;
 }
 
 AsymmetricGainResult ComputeAsymmetricGain(

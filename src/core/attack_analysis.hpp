@@ -12,13 +12,15 @@
 //
 //  * RunCorrelationDeanonymization — the traffic side: one target flow is
 //    watched at the destination end; the attacker correlates it against
-//    the entry-side flows of a population of candidate clients, under a
-//    configurable observation mode at each end (data vs acked bytes).
+//    the entry-side flows of a population of candidate clients, under
+//    every observation mode at each end (data vs acked bytes), all read
+//    off one simulation of the candidates.
 //
 //  * ComputeAsymmetricGain — how much larger the set of compromising ASes
 //    is under the any-direction observation model than under the
 //    conventional symmetric model (Section 3.3's structural claim).
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -52,8 +54,6 @@ struct HijackAnalysisResult {
 /// Configuration of a correlation-deanonymization experiment.
 struct DeanonExperimentParams {
   std::size_t candidate_clients = 10;
-  SegmentView entry_view = SegmentView::kAckedBytes;  ///< what the AS sees at entry
-  SegmentView exit_view = SegmentView::kDataBytes;    ///< what it sees at exit
   CorrelationParams correlation{};
   traffic::FlowSimParams base_flow{};  ///< per-client variations are derived
   /// Spread of per-client file sizes (uniform multiplier around 1).
@@ -67,10 +67,6 @@ struct DeanonExperimentParams {
   /// candidate flows are not synchronized.
   double start_spread_s = 4.0;
   std::uint64_t seed = 7;
-  /// Worker threads for the candidate-flow simulations (0 = hardware
-  /// concurrency). Per-candidate draws happen serially up front, so the
-  /// result is byte-identical for every value.
-  std::size_t threads = 1;
 };
 
 struct DeanonResult {
@@ -82,9 +78,22 @@ struct DeanonResult {
   std::vector<double> correlations;
 };
 
-/// Simulates the candidate flows and runs the matching attack.
-/// Throws std::invalid_argument if candidate_clients == 0.
-[[nodiscard]] DeanonResult RunCorrelationDeanonymization(
+/// One experiment read under each (entry view, exit view): every cell
+/// matches the same target against the same candidates, binned off the
+/// same client_guard and exit_server taps.
+struct DeanonViews {
+  /// data/data, data/acks, acks/data, acks/acks.
+  std::array<DeanonResult, 4> cells;
+
+  [[nodiscard]] const DeanonResult& At(SegmentView entry, SegmentView exit) const {
+    return cells[2 * static_cast<std::size_t>(entry) + static_cast<std::size_t>(exit)];
+  }
+};
+
+/// Simulates each candidate flow once and runs the matching attack under
+/// every observation view. Throws std::invalid_argument if
+/// candidate_clients == 0.
+[[nodiscard]] DeanonViews RunCorrelationDeanonymization(
     const DeanonExperimentParams& params);
 
 /// Mean fraction of ASes able to deanonymize under each observation model,

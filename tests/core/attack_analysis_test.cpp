@@ -81,7 +81,8 @@ TEST(Deanonymization, CorrelationAttackIdentifiesTheTarget) {
   params.correlation.bin_s = 0.5;
   params.correlation.duration_s = 12.0;
   params.seed = 11;
-  const DeanonResult result = RunCorrelationDeanonymization(params);
+  const DeanonResult result = RunCorrelationDeanonymization(params).At(
+      SegmentView::kAckedBytes, SegmentView::kDataBytes);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.matched, result.target);
   EXPECT_GT(result.target_correlation, 0.85);
@@ -93,13 +94,12 @@ TEST(Deanonymization, WorksForAckOnlyObservationAtBothEnds) {
   // The paper's "more extreme variant": only ACK traffic at both ends.
   DeanonExperimentParams params;
   params.candidate_clients = 5;
-  params.entry_view = SegmentView::kAckedBytes;
-  params.exit_view = SegmentView::kAckedBytes;
   params.base_flow.file_bytes = 8 << 20;
   params.correlation.bin_s = 0.5;
   params.correlation.duration_s = 12.0;
   params.seed = 13;
-  const DeanonResult result = RunCorrelationDeanonymization(params);
+  const DeanonResult result = RunCorrelationDeanonymization(params).At(
+      SegmentView::kAckedBytes, SegmentView::kAckedBytes);
   EXPECT_TRUE(result.success);
 }
 
@@ -109,8 +109,6 @@ TEST(Deanonymization, WorksForUploadsToo) {
   DeanonExperimentParams params;
   params.candidate_clients = 5;
   params.base_flow.direction = traffic::TransferDirection::kUpload;
-  params.entry_view = SegmentView::kDataBytes;
-  params.exit_view = SegmentView::kAckedBytes;
   params.base_flow.file_bytes = 12 << 20;
   params.correlation.bin_s = 0.5;
   params.correlation.duration_s = 16.0;
@@ -118,7 +116,8 @@ TEST(Deanonymization, WorksForUploadsToo) {
   // slack; widen the alignment search accordingly.
   params.correlation.max_lag_bins = 3;
   params.seed = 18;
-  const DeanonResult result = RunCorrelationDeanonymization(params);
+  const DeanonResult result = RunCorrelationDeanonymization(params).At(
+      SegmentView::kDataBytes, SegmentView::kAckedBytes);
   EXPECT_TRUE(result.success);
 }
 
@@ -157,12 +156,11 @@ TEST(Deanonymization, GoldenDigestOfSec33Trials) {
     params.correlation.bin_s = 0.5;
     params.correlation.duration_s = 16.0;
     params.seed = golden.seed;
+    const DeanonViews cells = RunCorrelationDeanonymization(params);
     std::size_t cell = 0;
     for (const SegmentView entry : views) {
       for (const SegmentView exit : views) {
-        params.entry_view = entry;
-        params.exit_view = exit;
-        const DeanonResult result = RunCorrelationDeanonymization(params);
+        const DeanonResult& result = cells.At(entry, exit);
         EXPECT_EQ(result.correlations.size(), 10u);
         EXPECT_EQ(CellDigest(result), golden.cells[cell]) << "cell " << cell;
         ++cell;

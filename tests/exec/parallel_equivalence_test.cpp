@@ -156,27 +156,6 @@ TEST_F(EntryPointEquivalenceTest, AnalyzeChurnMatchesTheSerialAnalyzer) {
   }
 }
 
-TEST_F(EntryPointEquivalenceTest,
-       CorrelationDeanonymizationIsThreadCountInvariant) {
-  core::DeanonExperimentParams params;
-  params.candidate_clients = 6;
-  params.base_flow.file_bytes = 2 << 20;
-  params.correlation.bin_s = 0.5;
-  params.correlation.duration_s = 8.0;
-  params.seed = 5037;
-  params.threads = 1;
-  const core::DeanonResult serial = core::RunCorrelationDeanonymization(params);
-  params.threads = 4;
-  const core::DeanonResult parallel = core::RunCorrelationDeanonymization(params);
-
-  EXPECT_EQ(serial.target, parallel.target);
-  EXPECT_EQ(serial.matched, parallel.matched);
-  EXPECT_EQ(serial.success, parallel.success);
-  EXPECT_EQ(serial.target_correlation, parallel.target_correlation);
-  EXPECT_EQ(serial.runner_up_correlation, parallel.runner_up_correlation);
-  EXPECT_EQ(serial.correlations, parallel.correlations);
-}
-
 TEST_F(EntryPointEquivalenceTest, AsymmetricGainIsThreadCountInvariant) {
   core::ExposureAnalyzer analyzer(topo_.graph, topo_.policy_salts);
   const auto gain_with = [&](std::size_t threads) {
