@@ -94,25 +94,10 @@ inline std::string SerializeWire(FeedFormat format,
   return bgp::mrt::ToText(updates);
 }
 
-/// Opens `wire` (which must outlive the stream) as a chunked
-/// UpdateStream in the selected format. `batch_size` 0 keeps the default.
-inline bgp::feed::UpdateStream OpenWireStream(
-    FeedFormat format, std::shared_ptr<bgp::feed::AsPathTable> table,
-    std::string_view wire, std::size_t batch_size = 0) {
-  if (format == FeedFormat::kQmrt) {
-    bgp::qmrt::DecodeOptions options;
-    if (batch_size != 0) options.batch_size = batch_size;
-    return bgp::qmrt::DecodeStream(std::move(table), wire, options);
-  }
-  bgp::mrt::ParseStreamOptions options;
-  if (batch_size != 0) options.batch_size = batch_size;
-  return bgp::mrt::ParseStream(std::move(table), wire, options);
-}
-
-/// Bulk-parses `wire` into compact records interned in `table`: the
-/// record-plane form of OpenWireStream for consumers that want the whole
-/// feed resident anyway. QMRT takes the batch decoder (no per-batch
-/// hand-off copies); text drains the chunked parser.
+/// Bulk-parses `wire` in the selected format into compact records
+/// interned in `table`, for consumers that want the whole feed resident
+/// anyway. QMRT takes the batch decoder (no per-batch hand-off copies);
+/// text drains the chunked parser.
 inline std::vector<bgp::feed::UpdateRec> ParseWireRecords(
     FeedFormat format, const std::shared_ptr<bgp::feed::AsPathTable>& table,
     std::string_view wire, std::size_t batch_size = 0) {

@@ -14,8 +14,8 @@
 // the Fig. 3 (left) headline statistic. Two contracts are checked hard
 // (exit 1 on violation): the rate-0 pipeline — including its streaming
 // serialize/parse legs and the --format wire codec's round trip — is
-// byte-identical to an injector-free whole-text run, and every per-rate
-// output is identical for any --threads value. The corruption sweep
+// identical to an injector-free run on the generated feed, and every
+// per-rate output is identical for any --threads value. The corruption sweep
 // itself always rots the *text* archive: the injector's fault model is
 // line-level, and a flipped byte in a checksummed QMRT block discards
 // the whole block by design (fail-closed; see the qmrt corruption
@@ -290,36 +290,41 @@ int main(int argc, char** argv) {
 
   // Hard contract: with every rate at zero, the injector-laced pipeline is
   // exactly the injector-free pipeline (compared by sanitized-feed hash so
-  // the check also holds for a resumed, checkpoint-decoded point). The
-  // injector-free reference deliberately uses the *whole-text* parser, so
-  // the check also pins the sweep's streaming serialize/parse legs to the
-  // classic path. The checks run in their own phase; the first failure
-  // names itself and fails the run.
+  // the check also holds for a resumed, checkpoint-decoded point). Each
+  // input is computed once: one chunked strict parse of the text archive,
+  // and under --format qmrt one decode of the wire, each compared record
+  // for record with the generated feed; the injector-free reference is
+  // sanitized from that parse. The checks run in their own phase; the
+  // first failure names itself and fails the run.
   const std::string contract_failure = ctx.Timed("zero_rate_contract", [&]() -> std::string {
     // The incremental writer must have produced exactly ToText.
     if (text != bgp::mrt::ToText(dynamics.updates)) {
       return "WriteStream output differs from mrt::ToText";
     }
-    // Chunked strict parse (boundaries mid-record) == whole-text parse.
-    const std::vector<bgp::BgpUpdate> clean_parsed = bgp::mrt::ParseText(text);
-    if (bgp::feed::Materialize(bgp::mrt::ParseStream(
-            std::make_shared<bgp::feed::AsPathTable>(), text)) != clean_parsed) {
+    // Chunked strict parse (boundaries mid-record) == the generated feed,
+    // which is what the whole text parses to, since text == ToText(feed).
+    auto clean_table = std::make_shared<bgp::feed::AsPathTable>();
+    const std::vector<bgp::feed::UpdateRec> clean_rib =
+        bgp::feed::InternRecords(*clean_table, dynamics.initial_rib);
+    bgp::feed::UpdateStream clean_stream = bgp::mrt::ParseStream(clean_table, text);
+    std::vector<bgp::feed::UpdateRec> clean_parsed = bgp::feed::Drain(clean_stream);
+    if (!bench::RecordsMatchUpdates(*clean_table, clean_parsed, dynamics.updates)) {
       return "streaming parse differs from whole-text parse";
     }
-    // The --format codec round-trips the archive exactly: decoding the
-    // wire and re-serializing as text reproduces the text dump byte for
-    // byte. Under --format qmrt this is the text -> binary -> text
-    // identity; under text it degenerates to the WriteStream check above.
-    if (bgp::mrt::ToText(bgp::feed::Materialize(bench::OpenWireStream(
-            ctx.format(), std::make_shared<bgp::feed::AsPathTable>(), wire))) !=
-        text) {
-      return "--format wire round trip diverged from the text archive";
+    // The --format codec round-trips the archive exactly: the decoded wire
+    // is the generated feed, so re-serializing it as text reproduces the
+    // text dump byte for byte (text -> binary -> text). Under text the
+    // wire is the text archive itself, parsed above.
+    if (ctx.format() == bench::FeedFormat::kQmrt) {
+      bgp::feed::AsPathTable wire_table;
+      if (!bench::RecordsMatchUpdates(wire_table, bgp::qmrt::DecodeRecords(wire_table, wire),
+                                      dynamics.updates)) {
+        return "--format wire round trip diverged from the text archive";
+      }
     }
-    bgp::feed::AsPathTable clean_table;
     const bgp::SanitizedRecords clean =
-        bgp::SanitizeRecords(bgp::feed::InternRecords(clean_table, dynamics.initial_rib),
-                             bgp::feed::InternRecords(clean_table, clean_parsed));
-    const std::uint64_t clean_hash = FeedHash(clean.updates, clean_table);
+        bgp::SanitizeRecords(clean_rib, std::move(clean_parsed));
+    const std::uint64_t clean_hash = FeedHash(clean.updates, *clean_table);
     const SweepPoint& zero = points.front();
     if (zero.feed_hash != clean_hash ||
         zero.sanitized_updates != clean.updates.size() ||
