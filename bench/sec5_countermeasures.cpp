@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <iostream>
 #include <map>
+#include <memory>
+#include <utility>
 
 #include "bgp/churn.hpp"
 #include "bgp/session_reset.hpp"
@@ -74,26 +76,27 @@ int main(int argc, char** argv) {
   // Part 2.
   const bgp::GeneratedDynamics month =
       ctx.Timed("advisory_dynamics", [&] { return bench::MakeMonthOfDynamics(scenario, ctx.threads()); });
-  // One analyzer fed record by record (serial, like a live collector
-  // feed), on one table shared by the RIB and the filtered month.
+  // The RIB and the filtered month share one table. The monitor reads
+  // them record by record; the batch churn analyzer then takes both,
+  // split by session across the bench's threads.
   const std::vector<double> advisory_weights = ctx.Timed("advisory_analysis", [&] {
-    bgp::feed::AsPathTable advisory_table;
-    const std::vector<bgp::feed::UpdateRec> advisory_rib =
-        bgp::feed::InternRecords(advisory_table, month.initial_rib);
-    const bgp::FilteredRecords advisory_filtered = bgp::FilterSessionRecords(
-        advisory_rib, bgp::feed::InternRecords(advisory_table, month.updates));
-    bgp::ChurnAnalyzer advisory_churn;
+    auto advisory_table = std::make_shared<bgp::feed::AsPathTable>();
+    std::vector<bgp::feed::UpdateRec> advisory_rib =
+        bgp::feed::InternRecords(*advisory_table, month.initial_rib);
+    bgp::FilteredRecords advisory_filtered = bgp::FilterSessionRecords(
+        advisory_rib, bgp::feed::InternRecords(*advisory_table, month.updates));
     core::RelayMonitor advisory_monitor(
         scenario.prefix_map.TorPrefixes(consensus));
     for (const bgp::feed::UpdateRec& rec : advisory_rib) {
-      advisory_churn.ConsumeRecord(rec, advisory_table);
-      advisory_monitor.LearnRecord(rec, advisory_table);
+      advisory_monitor.LearnRecord(rec, *advisory_table);
     }
     for (const bgp::feed::UpdateRec& rec : advisory_filtered.updates) {
-      advisory_churn.ConsumeRecord(rec, advisory_table);
-      (void)advisory_monitor.ConsumeRecord(rec, advisory_table);
+      (void)advisory_monitor.ConsumeRecord(rec, *advisory_table);
     }
-    advisory_churn.Finish();
+    const bgp::ChurnAnalyzer advisory_churn = bgp::AnalyzeChurnStream(
+        bgp::feed::FromRecords(advisory_table, std::move(advisory_rib)),
+        bgp::feed::FromRecords(advisory_table, std::move(advisory_filtered.updates)), {},
+        ctx.threads());
     core::RelayAdvisor advisor;
     advisor.IngestChurn(advisory_churn);
     advisor.IngestAlerts(advisory_monitor.alerts());
