@@ -8,11 +8,26 @@ namespace quicksand::traffic {
 
 namespace {
 
+/// Bins covering [0, duration_s): at least one, and no more than a
+/// vector can hold.
 std::size_t BinCount(double bin_s, double duration_s) {
-  if (bin_s <= 0 || duration_s <= 0) {
-    throw std::invalid_argument("trace binning: bin and duration must be positive");
+  if (!std::isfinite(bin_s) || !std::isfinite(duration_s) || bin_s <= 0 ||
+      duration_s <= 0) {
+    throw std::invalid_argument(
+        "trace binning: bin and duration must be positive and finite");
   }
-  return static_cast<std::size_t>(std::ceil(duration_s / bin_s));
+  const double bins = std::max(1.0, std::ceil(duration_s / bin_s));
+  if (!(bins < static_cast<double>(std::vector<double>().max_size()))) {
+    throw std::invalid_argument("trace binning: too many bins to allocate");
+  }
+  return static_cast<std::size_t>(bins);
+}
+
+/// The bin of a time inside [0, duration): the quotient rounds up to the
+/// bin count for some times just short of a window that ends on a bin
+/// boundary, and those belong to the last bin.
+std::size_t BinOf(double time_s, double bin_s, std::size_t bins) {
+  return std::min(static_cast<std::size_t>(time_s / bin_s), bins - 1);
 }
 
 }  // namespace
@@ -21,8 +36,8 @@ std::vector<double> DataBytesBinned(std::span<const PacketRecord> packets, doubl
                                     double duration_s) {
   std::vector<double> bins(BinCount(bin_s, duration_s), 0.0);
   for (const PacketRecord& p : packets) {
-    if (p.time_s < 0 || p.time_s >= duration_s) continue;
-    bins[static_cast<std::size_t>(p.time_s / bin_s)] += p.payload_bytes;
+    if (!(p.time_s >= 0 && p.time_s < duration_s)) continue;
+    bins[BinOf(p.time_s, bin_s, bins.size())] += p.payload_bytes;
   }
   return bins;
 }
@@ -33,9 +48,9 @@ std::vector<double> AckedBytesBinned(std::span<const PacketRecord> packets, doub
   std::uint64_t high_water = 0;
   for (const PacketRecord& p : packets) {
     if (!p.has_ack) continue;
-    if (p.time_s < 0 || p.time_s >= duration_s) continue;
+    if (!(p.time_s >= 0 && p.time_s < duration_s)) continue;
     if (p.cumulative_ack <= high_water) continue;
-    bins[static_cast<std::size_t>(p.time_s / bin_s)] +=
+    bins[BinOf(p.time_s, bin_s, bins.size())] +=
         static_cast<double>(p.cumulative_ack - high_water);
     high_water = p.cumulative_ack;
   }

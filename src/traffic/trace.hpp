@@ -31,13 +31,16 @@ struct SegmentTap {
   std::vector<PacketRecord> b_to_a;  ///< e.g. guard -> client
 };
 
-/// Payload bytes per bin over [0, duration). Records at/after `duration_s`
-/// are dropped. Throws std::invalid_argument if bin_s <= 0 or duration <= 0.
+/// Payload bytes per bin over [0, duration). Records outside it (and
+/// records with a NaN time) are dropped. Throws std::invalid_argument
+/// unless bin_s and duration_s are positive and finite and the window
+/// holds no more bins than a vector can.
 [[nodiscard]] std::vector<double> DataBytesBinned(std::span<const PacketRecord> packets,
                                                   double bin_s, double duration_s);
 
 /// Newly acknowledged bytes per bin: per-bin increase of the maximum
-/// cumulative ACK seen in packets with the ACK flag.
+/// cumulative ACK seen in packets with the ACK flag. Same window and
+/// argument checks as DataBytesBinned.
 [[nodiscard]] std::vector<double> AckedBytesBinned(std::span<const PacketRecord> packets,
                                                    double bin_s, double duration_s);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 namespace quicksand::traffic {
 namespace {
 
@@ -59,6 +62,30 @@ TEST(Trace, BinningValidatesArguments) {
   EXPECT_THROW((void)DataBytesBinned(data, 0.0, 10.0), std::invalid_argument);
   EXPECT_THROW((void)DataBytesBinned(data, 1.0, 0.0), std::invalid_argument);
   EXPECT_THROW((void)AckedBytesBinned(data, -1.0, 10.0), std::invalid_argument);
+  // Non-finite bins and windows, and windows of more bins than a vector
+  // can hold, are rejected before anything is allocated.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)DataBytesBinned(data, nan, 10.0), std::invalid_argument);
+  EXPECT_THROW((void)DataBytesBinned(data, 1.0, nan), std::invalid_argument);
+  EXPECT_THROW((void)AckedBytesBinned(data, inf, 10.0), std::invalid_argument);
+  EXPECT_THROW((void)AckedBytesBinned(data, 1.0, inf), std::invalid_argument);
+  EXPECT_THROW((void)DataBytesBinned(data, 1.0, 1e300), std::invalid_argument);
+  EXPECT_THROW((void)AckedBytesBinned(data, 1e-300, 1e300), std::invalid_argument);
+}
+
+TEST(Trace, PacketsInsideTheWindowLandInABin) {
+  // 3.65 / 0.05 rounds to 73, the bin count of a 3.6500000000000004 s
+  // window: the packet belongs to the last bin.
+  const std::vector<PacketRecord> edge = {{3.65, 7, 0, false}};
+  const auto bins = DataBytesBinned(edge, 0.05, 3.6500000000000004);
+  ASSERT_EQ(bins.size(), 73u);
+  EXPECT_DOUBLE_EQ(bins.back(), 7.0);
+  // A window far narrower than one bin still has one.
+  const std::vector<PacketRecord> acks = {{0.0, 0, 5, true}};
+  const auto narrow = AckedBytesBinned(acks, 1e300, 1e-300);
+  ASSERT_EQ(narrow.size(), 1u);
+  EXPECT_DOUBLE_EQ(narrow[0], 5.0);
 }
 
 TEST(Trace, FractionalBinWidths) {
