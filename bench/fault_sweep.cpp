@@ -306,15 +306,14 @@ int main(int argc, char** argv) {
     auto clean_table = std::make_shared<bgp::feed::AsPathTable>();
     const std::vector<bgp::feed::UpdateRec> clean_rib =
         bgp::feed::InternRecords(*clean_table, dynamics.initial_rib);
-    bgp::feed::UpdateStream clean_stream = bgp::mrt::ParseStream(clean_table, text);
-    std::vector<bgp::feed::UpdateRec> clean_parsed = bgp::feed::Drain(clean_stream);
+    std::vector<bgp::feed::UpdateRec> clean_parsed =
+        bench::ParseWireRecords(bench::FeedFormat::kText, clean_table, text);
     if (!bench::RecordsMatchUpdates(*clean_table, clean_parsed, dynamics.updates)) {
       return "streaming parse differs from whole-text parse";
     }
-    // The --format codec round-trips the archive exactly: the decoded wire
-    // is the generated feed, so re-serializing it as text reproduces the
-    // text dump byte for byte (text -> binary -> text). Under text the
-    // wire is the text archive itself, parsed above.
+    // Under --format qmrt the decoded wire is the generated feed, so it
+    // re-serializes to the text archive byte for byte (text -> binary ->
+    // text). Under text the wire is the text archive, parsed above.
     if (ctx.format() == bench::FeedFormat::kQmrt) {
       bgp::feed::AsPathTable wire_table;
       if (!bench::RecordsMatchUpdates(wire_table, bgp::qmrt::DecodeRecords(wire_table, wire),

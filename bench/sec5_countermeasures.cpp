@@ -9,8 +9,6 @@
 #include <algorithm>
 #include <iostream>
 #include <map>
-#include <memory>
-#include <utility>
 
 #include "bgp/churn.hpp"
 #include "bgp/session_reset.hpp"
@@ -76,9 +74,8 @@ int main(int argc, char** argv) {
   // Part 2.
   const bgp::GeneratedDynamics month =
       ctx.Timed("advisory_dynamics", [&] { return bench::MakeMonthOfDynamics(scenario, ctx.threads()); });
-  // The RIB and the filtered month share one table. The monitor reads
-  // them record by record; the batch churn analyzer then takes both,
-  // split by session across the bench's threads.
+  // The monitor reads the RIB and the filtered month (one table) record by
+  // record; the batch churn analyzer then takes both on the bench's threads.
   const std::vector<double> advisory_weights = ctx.Timed("advisory_analysis", [&] {
     auto advisory_table = std::make_shared<bgp::feed::AsPathTable>();
     std::vector<bgp::feed::UpdateRec> advisory_rib =

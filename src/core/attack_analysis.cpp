@@ -92,13 +92,12 @@ DeanonViews RunCorrelationDeanonymization(const DeanonExperimentParams& params) 
   std::array<std::vector<double>, 2> target_series;
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const traffic::FlowTraces traces = traffic::SimulateTransfer(flows[i]);
-    for (const SegmentView view : kViews) {
-      const auto v = static_cast<std::size_t>(view);
+    for (std::size_t v = 0; v < 2; ++v) {
       entry_series[v].push_back(
-          ExtractSeries(traces.client_guard, data_b_to_a, view, params.correlation));
+          ExtractSeries(traces.client_guard, data_b_to_a, kViews[v], params.correlation));
       if (i == target) {
         target_series[v] =
-            ExtractSeries(traces.exit_server, data_b_to_a, view, params.correlation);
+            ExtractSeries(traces.exit_server, data_b_to_a, kViews[v], params.correlation);
       }
     }
   }

@@ -13,8 +13,7 @@
 //  * RunCorrelationDeanonymization — the traffic side: one target flow is
 //    watched at the destination end; the attacker correlates it against
 //    the entry-side flows of a population of candidate clients, under
-//    every observation mode at each end (data vs acked bytes), all read
-//    off one simulation of the candidates.
+//    every observation mode at each end (data vs acked bytes) at once.
 //
 //  * ComputeAsymmetricGain — how much larger the set of compromising ASes
 //    is under the any-direction observation model than under the
@@ -78,13 +77,10 @@ struct DeanonResult {
   std::vector<double> correlations;
 };
 
-/// One experiment read under each (entry view, exit view): every cell
-/// matches the same target against the same candidates, binned off the
-/// same client_guard and exit_server taps.
+/// One experiment under each (entry view, exit view): every cell matches
+/// the same target against the same candidates, off the same taps.
 struct DeanonViews {
-  /// data/data, data/acks, acks/data, acks/acks.
-  std::array<DeanonResult, 4> cells;
-
+  std::array<DeanonResult, 4> cells;  ///< data/data, data/acks, acks/data, acks/acks
   [[nodiscard]] const DeanonResult& At(SegmentView entry, SegmentView exit) const {
     return cells[2 * static_cast<std::size_t>(entry) + static_cast<std::size_t>(exit)];
   }

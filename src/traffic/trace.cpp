@@ -8,8 +8,7 @@ namespace quicksand::traffic {
 
 namespace {
 
-/// Bins covering [0, duration_s): at least one, and no more than a
-/// vector can hold.
+/// Bins covering [0, duration_s): at least one, no more than a vector holds.
 std::size_t BinCount(double bin_s, double duration_s) {
   if (!std::isfinite(bin_s) || !std::isfinite(duration_s) || bin_s <= 0 ||
       duration_s <= 0) {
@@ -23,9 +22,8 @@ std::size_t BinCount(double bin_s, double duration_s) {
   return static_cast<std::size_t>(bins);
 }
 
-/// The bin of a time inside [0, duration): the quotient rounds up to the
-/// bin count for some times just short of a window that ends on a bin
-/// boundary, and those belong to the last bin.
+/// The bin of a time inside [0, duration): just short of a window that
+/// ends on a bin boundary, the quotient can round up to the bin count.
 std::size_t BinOf(double time_s, double bin_s, std::size_t bins) {
   return std::min(static_cast<std::size_t>(time_s / bin_s), bins - 1);
 }
