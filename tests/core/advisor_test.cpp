@@ -88,17 +88,28 @@ TEST(RelayAdvisor, ChurnyPrefixIsElevated) {
   const Fixture fx;
   bgp::ChurnAnalyzer churn;
   test::RecordFixture records;
+  // Three extra ASes stay on-path for hours on 10.2/16: elevation
+  // threshold reached. Two stay as long on 10.1/16: one short of it.
+  records.Feed(churn, Announce(0, 0, "10.1.0.0/16", "1 2 100"));
   records.Feed(churn, Announce(0, 0, "10.2.0.0/16", "1 2 200"));
-  // Three extra ASes stay on-path for hours: elevation threshold reached.
+  records.Feed(churn, Announce(1000, 0, "10.1.0.0/16", "1 7 8 100"));
   records.Feed(churn, Announce(1000, 0, "10.2.0.0/16", "1 7 8 9 200"));
+  records.Feed(churn, Announce(1000 + 7200, 0, "10.1.0.0/16", "1 2 100"));
   records.Feed(churn, Announce(1000 + 7200, 0, "10.2.0.0/16", "1 2 200"));
   churn.Finish();
+  ASSERT_EQ(churn.entries().size(), 2u);
+  for (const auto& [key, entry] : churn.entries()) {
+    const std::size_t want = key.prefix == Prefix::MustParse("10.2.0.0/16") ? 3 : 2;
+    EXPECT_EQ(entry.qualifying_extra_ases.size(), want) << key.prefix.ToString();
+  }
 
   RelayAdvisor advisor;
   advisor.IngestChurn(churn);
   const auto advice = advisor.Advise(fx.consensus, fx.prefix_map);
   EXPECT_EQ(advice[1].verdict, RelayVerdict::kElevated);
+  EXPECT_EQ(advice[1].weight_multiplier, 0.35);
   EXPECT_EQ(advice[0].verdict, RelayVerdict::kOk);
+  EXPECT_EQ(advice[0].weight_multiplier, 1.0);
 }
 
 TEST(RelayAdvisor, AvoidDominatesElevation) {
