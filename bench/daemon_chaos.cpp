@@ -203,7 +203,7 @@ int CheckBatchEquivalence(daemon::Daemon& d, const World& world,
     return 1;
   }
 
-  core::RelayMonitor batch_monitor(d.config().monitored_prefixes, d.config().monitor);
+  core::RelayMonitor batch_monitor(d.config().monitored_prefixes);
   bgp::feed::UpdateStream baseline = bgp::feed::FromRecords(table, std::move(rib));
   batch_monitor.LearnBaselineStream(baseline);
   bgp::feed::UpdateStream updates = bgp::feed::FromRecords(table, std::move(base.updates));

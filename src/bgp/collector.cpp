@@ -8,6 +8,14 @@
 
 namespace quicksand::bgp {
 
+namespace {
+
+/// Range of partial_visibility for non-full feeds.
+constexpr double kPartialVisibilityMin = 0.10;
+constexpr double kPartialVisibilityMax = 0.40;
+
+}  // namespace
+
 CollectorSet CollectorSet::Create(const Topology& topology, const CollectorParams& params) {
   if (params.collector_count == 0 || params.sessions_per_collector == 0) {
     throw std::invalid_argument("CollectorSet: need at least one collector and session");
@@ -57,8 +65,7 @@ CollectorSet CollectorSet::Create(const Topology& topology, const CollectorParam
       set.sessions_.push_back(
           PeerSession{static_cast<SessionId>(set.sessions_.size()), name, peer, full,
                       full ? 1.0
-                           : rng.UniformDouble(params.partial_visibility_min,
-                                               params.partial_visibility_max)});
+                           : rng.UniformDouble(kPartialVisibilityMin, kPartialVisibilityMax)});
     }
   }
   obs::MetricsRegistry::Global()

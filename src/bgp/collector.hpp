@@ -39,9 +39,6 @@ struct CollectorParams {
   std::size_t collector_count = 4;           ///< the paper used rrc00/01/03/04
   std::size_t sessions_per_collector = 18;   ///< "more than 70 eBGP sessions"
   double full_feed_prob = 0.24;              ///< calibrated to ~40% visibility
-  /// Range of partial_visibility for non-full feeds.
-  double partial_visibility_min = 0.10;
-  double partial_visibility_max = 0.40;
   std::uint64_t seed = 7;
 };
 

@@ -6,6 +6,8 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "bgp/feed_order.hpp"
@@ -23,6 +25,34 @@ namespace {
 
 using netbase::Rng;
 using netbase::SimTime;
+
+// The event model's calibration to one RIS-like month (DESIGN.md section 1).
+/// Per-prefix event count over the window: round(Pareto(xmin, alpha)) - 1.
+constexpr double kEventParetoXmin = 2.6;
+constexpr double kEventParetoAlpha = 1.15;
+/// Event-count multiplier for prefixes originated by hosting ASes.
+constexpr double kHostingChurnMultiplier = 3.8;
+/// Multiplier for prefixes originated by the transit core (tier-1 and
+/// transit ASes): infrastructure address space is markedly more stable
+/// than edge allocations in real tables.
+constexpr double kCoreChurnMultiplier = 1.0;
+/// Hard cap on events per prefix (tail safety).
+constexpr std::size_t kMaxEventsPerPrefix = 6000;
+/// Base number of alternate routing states derived per prefix. Unstable
+/// prefixes explore more paths: one extra alternate per ten scheduled
+/// events is added, capped below.
+constexpr std::size_t kAlternatesPerPrefix = 3;
+constexpr std::size_t kMaxAlternatesPerPrefix = 18;
+/// Probability an event is a permanent shift rather than a transient.
+constexpr double kPermanentShiftProb = 0.12;
+/// Probability a transient's dwell is drawn from the short distribution.
+constexpr double kShortDwellProb = 0.35;
+constexpr double kShortDwellMeanS = 110;          ///< mean of sub-threshold blips
+constexpr double kLongDwellMeanS = 4.0 * 3600.0;  ///< mean of long reroutes
+/// Fraction of a resetting session's table that flaps via a backup path.
+constexpr double kResetBackupFlapProb = 0.25;
+/// Session resets fall at least this far inside either end of the window.
+constexpr std::int64_t kResetMarginS = 3600;
 
 /// Observed paths of one routing state across all sessions.
 using ObservationTable = std::vector<std::optional<AsPath>>;
@@ -129,6 +159,11 @@ std::optional<ObservationTable> MakeAlternate(
 GeneratedDynamics GenerateDynamics(const Topology& topology, const CollectorSet& collectors,
                                    const DynamicsParams& params) {
   const obs::ScopedSpan span("bgp.generate_dynamics");
+  if (params.window < 2 * kResetMarginS) {
+    throw std::invalid_argument(
+        "GenerateDynamics: window must be at least 7200 s (two hours), got " +
+        std::to_string(params.window) + " s");
+  }
   const AsGraph& graph = topology.graph;
   const std::size_t prefix_count = topology.prefix_origins.size();
   GeneratedDynamics out;
@@ -188,22 +223,21 @@ GeneratedDynamics GenerateDynamics(const Topology& topology, const CollectorSet&
         const AsRole role = topology.RoleOf(po.origin);
         const bool hosting = role == AsRole::kHosting;
         double intensity =
-            rng.Pareto(params.event_pareto_xmin, params.event_pareto_alpha) - 1.0;
+            rng.Pareto(kEventParetoXmin, kEventParetoAlpha) - 1.0;
         if (hosting) {
-          intensity *= params.hosting_churn_multiplier;
+          intensity *= kHostingChurnMultiplier;
         } else if (role == AsRole::kTier1 || role == AsRole::kTransit) {
-          intensity *= params.core_churn_multiplier;
+          intensity *= kCoreChurnMultiplier;
         }
         const auto scheduled = std::min<std::size_t>(
             static_cast<std::size_t>(std::llround(std::max(0.0, intensity))),
-            params.max_events_per_prefix);
+            kMaxEventsPerPrefix);
 
         std::vector<ObservationTable>& trees = slice.trees;
         trees.push_back(baseline);
         const AsIndex origin_index = graph.MustIndexOf(po.origin);
         const std::size_t alternates =
-            std::min(params.alternates_per_prefix + scheduled / 10,
-                     params.max_alternates_per_prefix);
+            std::min(kAlternatesPerPrefix + scheduled / 10, kMaxAlternatesPerPrefix);
         for (std::size_t j = 0; j < alternates; ++j) {
           for (int attempt = 0; attempt < 3; ++attempt) {
             auto alt =
@@ -275,16 +309,15 @@ GeneratedDynamics GenerateDynamics(const Topology& topology, const CollectorSet&
             std::size_t target = rng.UniformInt(1, trees.size() - 1);
             if (target == current) target = 0;
 
-            if (rng.Bernoulli(params.permanent_shift_prob)) {
+            if (rng.Bernoulli(kPermanentShiftProb)) {
               emit_transition(at, current, target);
               current = target;
               busy_until = at + 90;
               continue;
             }
             // Transient: out and back.
-            const double mean = rng.Bernoulli(params.short_dwell_prob)
-                                    ? params.short_dwell_mean_s
-                                    : params.long_dwell_mean_s;
+            const double mean =
+                rng.Bernoulli(kShortDwellProb) ? kShortDwellMeanS : kLongDwellMeanS;
             auto dwell =
                 static_cast<std::int64_t>(std::max(10.0, rng.Exponential(mean)));
             const std::int64_t back = std::min(at + dwell, params.window - 30);
@@ -310,7 +343,7 @@ GeneratedDynamics GenerateDynamics(const Topology& topology, const CollectorSet&
     const std::size_t count = PoissonDraw(reset_rng, params.session_resets_per_month);
     for (std::size_t r = 0; r < count; ++r) {
       resets.push_back({static_cast<std::int64_t>(
-                            reset_rng.UniformInt(3600, params.window - 3600)),
+                            reset_rng.UniformInt(kResetMarginS, params.window - kResetMarginS)),
                         s});
     }
   }
@@ -395,7 +428,7 @@ GeneratedDynamics GenerateDynamics(const Topology& topology, const CollectorSet&
       for (const auto& [prefix, path] : table[reset.session]) {
         const std::int64_t jitter =
             static_cast<std::int64_t>(reset_rng.UniformInt(1, 90));
-        if (reset_rng.Bernoulli(params.reset_backup_flap_prob)) {
+        if (reset_rng.Bernoulli(kResetBackupFlapProb)) {
           // Withdraw, transient backup path, then the real path again.
           const auto slot = slot_of.find(prefix);
           const AsPath* backup = nullptr;

@@ -32,38 +32,19 @@
 
 namespace quicksand::bgp {
 
-/// Tuning knobs for dynamics generation.
+/// Settings of dynamics generation. The event model's calibration (event
+/// counts, dwell times, alternates, reset flaps) is fixed: named constants
+/// beside the draws that use them in dynamics_gen.cpp.
 struct DynamicsParams {
-  /// Length of the measurement window in seconds (default: the paper's month).
+  /// Length of the measurement window in seconds (default: the paper's
+  /// month). At least two hours: session resets fall at least an hour
+  /// inside either end, and GenerateDynamics throws std::invalid_argument
+  /// on a shorter window.
   std::int64_t window = netbase::duration::kMonth;
-  /// Per-prefix event count over the window: round(Pareto(xmin, alpha)) - 1.
-  double event_pareto_xmin = 2.6;
-  double event_pareto_alpha = 1.15;
-  /// Event-count multiplier for prefixes originated by hosting ASes.
-  double hosting_churn_multiplier = 3.8;
-  /// Multiplier for prefixes originated by the transit core (tier-1 and
-  /// transit ASes): infrastructure address space is markedly more stable
-  /// than edge allocations in real tables.
-  double core_churn_multiplier = 1.0;
-  /// Hard cap on events per prefix (tail safety).
-  std::size_t max_events_per_prefix = 6000;
-  /// Base number of alternate routing states derived per prefix. Unstable
-  /// prefixes explore more paths: one extra alternate per
-  /// ten scheduled events is added, capped below.
-  std::size_t alternates_per_prefix = 3;
-  std::size_t max_alternates_per_prefix = 18;
-  /// Probability an event is a permanent shift rather than a transient.
-  double permanent_shift_prob = 0.12;
-  /// Probability a transient's dwell is drawn from the short distribution.
-  double short_dwell_prob = 0.35;
-  double short_dwell_mean_s = 110;          ///< mean of sub-threshold blips
-  double long_dwell_mean_s = 4.0 * 3600.0;  ///< mean of long reroutes
   /// Probability a transition additionally exposes a convergence path.
   double convergence_prob = 0.35;
   /// Expected session resets per session over the window.
   double session_resets_per_month = 2.0;
-  /// Fraction of a resetting session's table that flaps via a backup path.
-  double reset_backup_flap_prob = 0.25;
   std::uint64_t seed = 1234;
   /// Worker threads for the per-prefix generation loop (0 = hardware
   /// concurrency). Output is byte-identical for every value: each prefix
@@ -91,7 +72,8 @@ struct GeneratedDynamics {
 };
 
 /// Generates a month of updates for every prefix in the topology as seen
-/// from every collector session. Deterministic for fixed inputs.
+/// from every collector session. Deterministic for fixed inputs. Throws
+/// std::invalid_argument if params.window is under two hours (7200 s).
 [[nodiscard]] GeneratedDynamics GenerateDynamics(const Topology& topology,
                                                  const CollectorSet& collectors,
                                                  const DynamicsParams& params);

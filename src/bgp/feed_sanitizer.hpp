@@ -29,13 +29,6 @@
 
 namespace quicksand::bgp {
 
-struct SanitizerParams {
-  ResetFilterParams reset;
-  /// When false, out-of-order input throws (FilterSessionRecords's strict
-  /// behavior) instead of being repaired.
-  bool repair_ordering = true;
-};
-
 /// A cleaned record stream plus everything the sanitizer did to it.
 struct SanitizedRecords {
   std::vector<feed::UpdateRec> updates;
@@ -45,13 +38,13 @@ struct SanitizedRecords {
 };
 
 /// Cleans `updates` against the t=0 table `initial_rib`: ordering repair
-/// (SortRecords) followed by FilterSessionRecords, never touching a hop
-/// vector. REQUIRES that `initial_rib` and `updates` index the same
-/// AsPathTable (see FilterSessionRecords). Metrics:
-/// `bgp.sanitizer.out_of_order_repaired` (registered only when a repair
-/// actually happened) plus the `bgp.reset_filter.*` family.
+/// (SortRecords) followed by FilterSessionRecords at its default
+/// thresholds, never touching a hop vector. REQUIRES that `initial_rib`
+/// and `updates` index the same AsPathTable (see FilterSessionRecords).
+/// Metrics: `bgp.sanitizer.out_of_order_repaired` (registered only when a
+/// repair actually happened) plus the `bgp.reset_filter.*` family.
 [[nodiscard]] SanitizedRecords SanitizeRecords(
     const std::vector<feed::UpdateRec>& initial_rib,
-    std::vector<feed::UpdateRec> updates, const SanitizerParams& params = {});
+    std::vector<feed::UpdateRec> updates);
 
 }  // namespace quicksand::bgp

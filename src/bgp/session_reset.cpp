@@ -18,6 +18,11 @@ namespace {
 using feed::PathId;
 using feed::UpdateRec;
 
+/// Sliding-window length used to detect announcement bursts.
+constexpr std::int64_t kBurstWindowS = 120;
+/// Bursts are extended by this grace period to catch trailing flaps.
+constexpr std::int64_t kGraceS = 60;
+
 /// A prefix packed into 38 bits: network address in the high word, length
 /// in the low 6 bits.
 std::uint64_t PackPrefix(const netbase::Prefix& p) noexcept {
@@ -196,10 +201,10 @@ std::vector<BurstSession> DetectBursts(const std::vector<UpdateRec>& updates,
     std::vector<BurstInterval> intervals;
     std::size_t left = 0;
     for (std::size_t right = 0; right < times.size(); ++right) {
-      while (times[right] - times[left] > params.burst_window_s) ++left;
+      while (times[right] - times[left] > kBurstWindowS) ++left;
       if (right - left + 1 >= threshold) {
         const std::int64_t begin = times[left];
-        const std::int64_t end = times[right] + params.grace_s;
+        const std::int64_t end = times[right] + kGraceS;
         if (!intervals.empty() && begin <= intervals.back().end) {
           intervals.back().end = std::max(intervals.back().end, end);
         } else {

@@ -20,16 +20,13 @@
 
 namespace quicksand::bgp {
 
-/// Detection thresholds.
+/// Burst-size thresholds. A burst is detected in a sliding window of
+/// fixed length and extended by a fixed grace period (session_reset.cpp).
 struct ResetFilterParams {
-  /// Sliding-window length used to detect announcement bursts.
-  std::int64_t burst_window_s = 120;
   /// A window is a burst if it contains at least this many announcements...
   std::size_t min_burst_updates = 40;
   /// ...and at least this fraction of the session's known prefixes.
   double burst_table_fraction = 0.20;
-  /// Bursts are extended by this grace period to catch trailing flaps.
-  std::int64_t grace_s = 60;
 };
 
 /// What the filter did, for reporting and the Fig. 3 (left) ablation.

@@ -32,22 +32,6 @@ AsRole Topology::RoleOf(AsNumber asn) const {
   return it->second;
 }
 
-TopologyParams TopologyParams::InternetScale(std::size_t as_count) {
-  TopologyParams params;  // keeps the default knobs (peering probs etc.)
-  constexpr std::size_t kCore = 12;  // fixed tier-1 clique at any scale
-  params.tier1_count = kCore;
-  if (as_count <= kCore + 4) as_count = kCore + 4;
-  // Apportion the edge by the default mix's proportions (90:260:70:180).
-  const std::size_t edge = as_count - kCore;
-  const double unit = static_cast<double>(edge) / (90.0 + 260.0 + 70.0 + 180.0);
-  params.transit_count = std::max<std::size_t>(1, static_cast<std::size_t>(90.0 * unit));
-  params.eyeball_count = std::max<std::size_t>(1, static_cast<std::size_t>(260.0 * unit));
-  params.hosting_count = std::max<std::size_t>(1, static_cast<std::size_t>(70.0 * unit));
-  params.content_count = std::max<std::size_t>(
-      1, edge - params.transit_count - params.eyeball_count - params.hosting_count);
-  return params;
-}
-
 std::vector<Prefix> Topology::PrefixesOf(AsNumber asn) const {
   std::vector<Prefix> out;
   auto it = prefixes_of_as.find(asn);
@@ -58,6 +42,16 @@ std::vector<Prefix> Topology::PrefixesOf(AsNumber asn) const {
 }
 
 namespace {
+
+/// Mean number of providers per multi-homed AS (min 1).
+constexpr double kMeanProviders = 1.9;
+/// Probability that two transit ASes of similar degree peer.
+constexpr double kTransitPeeringProb = 0.12;
+/// Probability a hosting AS peers with a transit AS (hosting networks
+/// peer aggressively at IXPs).
+constexpr double kHostingPeeringProb = 0.08;
+/// Mean prefixes originated per stub AS (transit ASes originate more).
+constexpr double kMeanStubPrefixes = 1.6;
 
 /// Picks `count` distinct providers from `pool`, weighted by current degree
 /// (preferential attachment), excluding `self`.
@@ -85,9 +79,9 @@ std::vector<AsNumber> PickProviders(const AsGraph& graph, const std::vector<AsNu
 }
 
 /// Number of providers for a multi-homed AS: 1 + Poisson-ish tail.
-std::size_t ProviderCountDraw(double mean_providers, Rng& rng) {
+std::size_t ProviderCountDraw(Rng& rng) {
   std::size_t count = 1;
-  double extra = mean_providers - 1.0;
+  double extra = kMeanProviders - 1.0;
   while (extra > 0 && rng.Bernoulli(std::min(extra, 0.85))) {
     ++count;
     extra -= 1.0;
@@ -160,14 +154,13 @@ Topology GenerateTopology(const TopologyParams& params) {
       provider_pool.push_back(topo.transits[j]);
     }
     const auto providers =
-        PickProviders(topo.graph, provider_pool, ProviderCountDraw(params.mean_providers, rng),
-                      asn, rng);
+        PickProviders(topo.graph, provider_pool, ProviderCountDraw(rng), asn, rng);
     for (AsNumber p : providers) topo.graph.AddCustomerLink(p, asn);
   }
   // Transit-transit peering among similar-size ASes.
   for (std::size_t i = 0; i < topo.transits.size(); ++i) {
     for (std::size_t j = i + 1; j < topo.transits.size(); ++j) {
-      if (!rng.Bernoulli(params.transit_peering_prob)) continue;
+      if (!rng.Bernoulli(kTransitPeeringProb)) continue;
       const AsNumber a = topo.transits[i];
       const AsNumber b = topo.transits[j];
       if (topo.graph.RelationshipBetween(a, b)) continue;  // already linked
@@ -179,9 +172,8 @@ Topology GenerateTopology(const TopologyParams& params) {
   // to transit and sometimes peer directly (IXP-style).
   auto attach_stub = [&](AsRole role) {
     const AsNumber asn = register_as(role);
-    const auto providers = PickProviders(topo.graph, topo.transits,
-                                         ProviderCountDraw(params.mean_providers, rng),
-                                         asn, rng);
+    const auto providers =
+        PickProviders(topo.graph, topo.transits, ProviderCountDraw(rng), asn, rng);
     for (AsNumber p : providers) topo.graph.AddCustomerLink(p, asn);
     if (providers.empty() && !topo.tier1.empty()) {
       topo.graph.AddCustomerLink(topo.tier1[rng.UniformInt(0, topo.tier1.size() - 1)], asn);
@@ -193,7 +185,7 @@ Topology GenerateTopology(const TopologyParams& params) {
   for (std::size_t i = 0; i < params.hosting_count; ++i) {
     const AsNumber asn = attach_stub(AsRole::kHosting);
     for (AsNumber t : topo.transits) {
-      if (!rng.Bernoulli(params.hosting_peering_prob)) continue;
+      if (!rng.Bernoulli(kHostingPeeringProb)) continue;
       if (topo.graph.RelationshipBetween(asn, t)) continue;
       topo.graph.AddPeerLink(asn, t);
     }
@@ -214,7 +206,7 @@ Topology GenerateTopology(const TopologyParams& params) {
   };
   auto stub_prefix_count = [&] {
     std::size_t count = 1;
-    double extra = params.mean_stub_prefixes - 1.0;
+    double extra = kMeanStubPrefixes - 1.0;
     while (extra > 0 && rng.Bernoulli(std::min(extra, 0.75))) {
       ++count;
       extra -= 1.0;

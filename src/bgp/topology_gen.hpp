@@ -31,32 +31,17 @@ enum class AsRole : std::uint8_t {
 
 [[nodiscard]] std::string_view ToString(AsRole role) noexcept;
 
-/// Tuning knobs for the generator. Defaults give ~600 ASes / ~1900 links,
+/// Sizes and seed of the generator. Defaults give ~600 ASes / ~1900 links,
 /// which keeps a month of routing dynamics tractable while preserving the
-/// multi-hop path diversity the attacks depend on.
+/// multi-hop path diversity the attacks depend on. Provider, peering and
+/// prefix-count calibration is fixed: named constants in topology_gen.cpp.
 struct TopologyParams {
   std::size_t tier1_count = 8;
   std::size_t transit_count = 90;
   std::size_t eyeball_count = 260;
   std::size_t hosting_count = 70;
   std::size_t content_count = 180;
-  /// Mean number of providers per multi-homed AS (min 1).
-  double mean_providers = 1.9;
-  /// Probability that two transit ASes of similar degree peer.
-  double transit_peering_prob = 0.12;
-  /// Probability a hosting AS peers with a transit AS (hosting networks
-  /// peer aggressively at IXPs).
-  double hosting_peering_prob = 0.08;
-  /// Mean prefixes originated per stub AS (transit ASes originate more).
-  double mean_stub_prefixes = 1.6;
   std::uint64_t seed = 42;
-
-  /// Preset scaled to `as_count` total ASes (tens of thousands work; the
-  /// feed substrates are sized for it). The tier-1 core stays a small
-  /// fixed clique — the real Internet's core does not grow with the edge
-  /// — while transit and the three stub populations keep the default
-  /// mix's proportions. as_count below the core size is clamped up.
-  [[nodiscard]] static TopologyParams InternetScale(std::size_t as_count);
 };
 
 /// One originated prefix.

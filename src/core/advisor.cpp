@@ -4,6 +4,17 @@
 
 namespace quicksand::core {
 
+namespace {
+
+/// Extra-AS count (per prefix, best vantage) at which advice escalates
+/// from kOk to kElevated.
+constexpr std::size_t kChurnElevationThreshold = 3;
+/// Weight multiplier applied per escalation step (kElevated relays get
+/// this factor; kAvoid relays get zero).
+constexpr double kElevatedWeight = 0.35;
+
+}  // namespace
+
 std::string_view ToString(RelayVerdict verdict) noexcept {
   switch (verdict) {
     case RelayVerdict::kOk: return "ok";
@@ -39,7 +50,7 @@ std::vector<RelayAdvice> RelayAdvisor::Advise(const tor::Consensus& consensus,
     const auto prefix = prefix_map.PrefixOfRelay(i);
     if (!prefix) {
       advice.verdict = RelayVerdict::kElevated;
-      advice.weight_multiplier = params_.elevated_weight;
+      advice.weight_multiplier = kElevatedWeight;
       advice.reason = "relay not covered by any announced prefix";
       continue;
     }
@@ -57,7 +68,7 @@ std::vector<RelayAdvice> RelayAdvisor::Advise(const tor::Consensus& consensus,
       advice.reason = "path anomaly (new upstream) on " + prefix->ToString();
     }
     if (const auto it = extra_ases_.find(*prefix);
-        it != extra_ases_.end() && it->second >= params_.churn_elevation_threshold) {
+        it != extra_ases_.end() && it->second >= kChurnElevationThreshold) {
       elevated = true;
       if (!advice.reason.empty()) advice.reason += "; ";
       advice.reason += std::to_string(it->second) + " extra on-path ASes on " +
@@ -65,7 +76,7 @@ std::vector<RelayAdvice> RelayAdvisor::Advise(const tor::Consensus& consensus,
     }
     if (elevated) {
       advice.verdict = RelayVerdict::kElevated;
-      advice.weight_multiplier = params_.elevated_weight;
+      advice.weight_multiplier = kElevatedWeight;
     } else {
       advice.reason = "no findings";
     }

@@ -35,15 +35,6 @@ enum class RelayVerdict : std::uint8_t {
 
 [[nodiscard]] std::string_view ToString(RelayVerdict verdict) noexcept;
 
-struct AdvisorParams {
-  /// Extra-AS count (per prefix, best vantage) at which advice escalates
-  /// from kOk to kElevated.
-  std::size_t churn_elevation_threshold = 3;
-  /// Weight multiplier applied per escalation step (kElevated relays get
-  /// this factor; kAvoid relays get zero).
-  double elevated_weight = 0.35;
-};
-
 /// One relay's advice.
 struct RelayAdvice {
   RelayVerdict verdict = RelayVerdict::kOk;
@@ -52,11 +43,11 @@ struct RelayAdvice {
   std::string reason;
 };
 
-/// Builds per-relay advice from measurement and monitoring outputs.
+/// Builds per-relay advice from measurement and monitoring outputs. A
+/// prefix with three or more extra on-path ASes elevates its relays, and
+/// kElevated relays get a fixed weight multiplier (advisor.cpp).
 class RelayAdvisor {
  public:
-  explicit RelayAdvisor(AdvisorParams params = {}) : params_(params) {}
-
   /// Ingests measured churn (after ChurnAnalyzer::Finish()).
   void IngestChurn(const bgp::ChurnAnalyzer& churn);
 
@@ -77,7 +68,6 @@ class RelayAdvisor {
       const tor::Consensus& consensus, const tor::TorPrefixMap& prefix_map) const;
 
  private:
-  AdvisorParams params_;
   std::map<netbase::Prefix, std::size_t> extra_ases_;
   std::map<netbase::Prefix, std::size_t> strong_alerts_;
   std::map<netbase::Prefix, std::size_t> weak_alerts_;

@@ -14,6 +14,21 @@ namespace quicksand::core {
 using bgp::AsIndex;
 using bgp::AsNumber;
 
+namespace {
+
+/// Spread of per-client file sizes (uniform multiplier around 1).
+constexpr double kFileSizeSpread = 0.5;
+/// Spread of per-client link delays.
+constexpr double kDelaySpread = 0.3;
+/// Spread of per-client access-link rates (different clients live behind
+/// different last miles; this shapes each flow's ramp distinctly).
+constexpr double kRateSpread = 0.4;
+/// Client flows begin at uniform offsets in [0, kStartSpreadS); real
+/// candidate flows are not synchronized.
+constexpr double kStartSpreadS = 4.0;
+
+}  // namespace
+
 HijackAnalysisResult AnalyzeHijack(const bgp::AsGraph& graph, const bgp::AttackSpec& spec,
                                    std::span<const AsNumber> client_ases) {
   static obs::Counter& hijacks =
@@ -65,15 +80,13 @@ DeanonViews RunCorrelationDeanonymization(const DeanonExperimentParams& params) 
     traffic::FlowSimParams flow = params.base_flow;
     flow.seed = rng();
     const double size_mult =
-        rng.UniformDouble(1.0 - params.file_size_spread, 1.0 + params.file_size_spread);
+        rng.UniformDouble(1.0 - kFileSizeSpread, 1.0 + kFileSizeSpread);
     flow.file_bytes = std::max<std::uint64_t>(
         1 << 20, static_cast<std::uint64_t>(static_cast<double>(flow.file_bytes) * size_mult));
-    flow.start_time_s = rng.UniformDouble(0.0, params.start_spread_s);
-    const double rate_mult =
-        rng.UniformDouble(1.0 - params.rate_spread, 1.0 + params.rate_spread);
+    flow.start_time_s = rng.UniformDouble(0.0, kStartSpreadS);
+    const double rate_mult = rng.UniformDouble(1.0 - kRateSpread, 1.0 + kRateSpread);
     for (auto& link : flow.links) {
-      const double delay_mult =
-          rng.UniformDouble(1.0 - params.delay_spread, 1.0 + params.delay_spread);
+      const double delay_mult = rng.UniformDouble(1.0 - kDelaySpread, 1.0 + kDelaySpread);
       link.delay_fwd_s *= delay_mult;
       link.delay_rev_s *= delay_mult;
       link.rate_bytes_per_s *= rate_mult;

@@ -54,17 +54,9 @@ struct HijackAnalysisResult {
 struct DeanonExperimentParams {
   std::size_t candidate_clients = 10;
   CorrelationParams correlation{};
-  traffic::FlowSimParams base_flow{};  ///< per-client variations are derived
-  /// Spread of per-client file sizes (uniform multiplier around 1).
-  double file_size_spread = 0.5;
-  /// Spread of per-client link delays.
-  double delay_spread = 0.3;
-  /// Spread of per-client access-link rates (different clients live behind
-  /// different last miles; this shapes each flow's ramp distinctly).
-  double rate_spread = 0.4;
-  /// Client flows begin at uniform offsets in [0, start_spread_s); real
-  /// candidate flows are not synchronized.
-  double start_spread_s = 4.0;
+  /// Per-client variations of size, delays, rates and start time are
+  /// derived with fixed spreads (attack_analysis.cpp).
+  traffic::FlowSimParams base_flow{};
   std::uint64_t seed = 7;
 };
 

@@ -49,9 +49,8 @@ AlertCountSummary& AlertCountSummary::operator+=(const AlertCountSummary& other)
   return *this;
 }
 
-RelayMonitor::RelayMonitor(std::unordered_set<netbase::Prefix> monitored,
-                           MonitorParams params)
-    : params_(params), monitored_(std::move(monitored)) {
+RelayMonitor::RelayMonitor(std::unordered_set<netbase::Prefix> monitored)
+    : monitored_(std::move(monitored)) {
   for (const netbase::Prefix& prefix : monitored_) monitored_trie_.Insert(prefix, 0);
 }
 
@@ -129,8 +128,7 @@ void RelayMonitor::Consume(const bgp::feed::UpdateRec& rec,
   const bgp::AsNumber origin = table.Origin(rec.path);
 
   if (state.role == Role::kMonitored) {
-    const bool origin_known = state.legit_origins.Contains(origin);
-    if (params_.alert_on_origin_change && !origin_known) {
+    if (!state.legit_origins.Contains(origin)) {
       // Idempotent: one alert per (prefix, bogus origin). Resync bursts
       // and flapping sessions re-announcing the hijacked route must not
       // double-count the anomaly.
@@ -140,8 +138,7 @@ void RelayMonitor::Consume(const bgp::feed::UpdateRec& rec,
       } else {
         ++suppressed_duplicates_;
       }
-    }
-    if (params_.alert_on_new_upstream && origin_known) {
+    } else {
       // Learn it: repeat announcements via the same new upstream only
       // alert once (aggressive but not noisy).
       const bgp::AsNumber upstream = table.OriginUpstream(rec.path);
@@ -150,7 +147,7 @@ void RelayMonitor::Consume(const bgp::feed::UpdateRec& rec,
                     upstream});
       }
     }
-  } else if (state.role == Role::kMoreSpecific && params_.alert_on_more_specific) {
+  } else if (state.role == Role::kMoreSpecific) {
     // An announcement strictly inside a monitored prefix. Idempotent per
     // (announced prefix, origin): repeats of the same carve-out alert once.
     if (state.alerted_specifics.Insert(origin)) {

@@ -52,12 +52,6 @@ struct Alert {
   friend bool operator==(const Alert&, const Alert&) = default;
 };
 
-struct MonitorParams {
-  bool alert_on_origin_change = true;
-  bool alert_on_more_specific = true;
-  bool alert_on_new_upstream = true;
-};
-
 /// Per-kind alert totals for one monitor instance. Mirrored into the
 /// global metrics registry as `core.monitor.alerts.<kind>` counters.
 struct AlertCountSummary {
@@ -95,7 +89,7 @@ class RelayMonitor {
  public:
   /// Monitors the given prefixes. Legitimate origins and upstreams are
   /// learned from the initial RIB (pre-attack ground truth).
-  RelayMonitor(std::unordered_set<netbase::Prefix> monitored, MonitorParams params = {});
+  explicit RelayMonitor(std::unordered_set<netbase::Prefix> monitored);
 
   /// Learns legitimate origins/upstreams from one compact baseline record
   /// whose path id indexes `table`; no alerts are raised.
@@ -175,7 +169,6 @@ class RelayMonitor {
   void Publish(std::size_t consumed, const AlertCountSummary& counts_before,
                std::size_t suppressed_before) const;
 
-  MonitorParams params_;
   std::unordered_set<netbase::Prefix> monitored_;
   netbase::PrefixTrie<int> monitored_trie_;  // value unused; structure only
   std::vector<PrefixState> prefixes_;        // in first-sight order

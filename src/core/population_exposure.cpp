@@ -40,6 +40,9 @@ MaliciousMarkResult MarkMaliciousByBandwidth(const tor::Consensus& consensus,
 
 namespace {
 
+/// Time between a client's circuits: one a day.
+constexpr std::int64_t kInstanceIntervalS = netbase::duration::kDay;
+
 /// Per-shard outcome of the population sweep: each client's first
 /// compromised day (params.days = never) plus work tallies.
 struct ShardOutcome {
@@ -108,8 +111,7 @@ PopulationExposureResult SimulatePopulationExposure(
         outcome.first_day.assign(count, static_cast<std::uint32_t>(params.days));
         std::vector<tor::Circuit> circuits(count);
         for (std::size_t day = 0; day < params.days; ++day) {
-          const netbase::SimTime now{static_cast<std::int64_t>(day) *
-                                     params.instance_interval_s};
+          const netbase::SimTime now{static_cast<std::int64_t>(day) * kInstanceIntervalS};
           population.RotateExpired(now);
           population.BuildCircuits(circuits);
           for (std::size_t c = 0; c < count; ++c) {

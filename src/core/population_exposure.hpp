@@ -43,7 +43,6 @@ struct MaliciousMarkResult {
 struct PopulationExposureParams {
   std::size_t clients = 100000;
   std::size_t days = 30;  ///< one circuit per client per day
-  std::int64_t instance_interval_s = netbase::duration::kDay;
   /// Guard rotation period; 0 re-draws every guard set before each
   /// circuit (no guard persistence, pre-guard Tor).
   std::int64_t guard_lifetime_s = 30 * netbase::duration::kDay;

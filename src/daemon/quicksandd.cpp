@@ -35,7 +35,7 @@ Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)),
       table_(std::make_shared<bgp::feed::AsPathTable>()),
       churn_(config_.churn),
-      monitor_(config_.monitored_prefixes, config_.monitor),
+      monitor_(config_.monitored_prefixes),
       ingest_(config_.budget) {}
 
 void Daemon::LearnBaseline(bgp::feed::UpdateStream& rib) {
@@ -98,9 +98,6 @@ std::uint64_t Daemon::ConfigFingerprint() const {
   fp.Add(config_.seed);
   fp.Add(static_cast<std::uint64_t>(config_.churn.dwell_threshold_s));
   fp.Add(static_cast<std::uint64_t>(config_.churn.window_end_s));
-  fp.Add(static_cast<std::uint64_t>(config_.monitor.alert_on_origin_change));
-  fp.Add(static_cast<std::uint64_t>(config_.monitor.alert_on_more_specific));
-  fp.Add(static_cast<std::uint64_t>(config_.monitor.alert_on_new_upstream));
   std::vector<std::string> prefixes;
   prefixes.reserve(config_.monitored_prefixes.size());
   for (const netbase::Prefix& prefix : config_.monitored_prefixes) {
@@ -169,7 +166,7 @@ RestoreResult Daemon::TryRestore() {
     // A rejected snapshot must leave the daemon exactly fresh — a decode
     // failure can strike mid-restore, after some state was mutated.
     churn_ = bgp::ChurnAnalyzer(config_.churn);
-    monitor_ = core::RelayMonitor(config_.monitored_prefixes, config_.monitor);
+    monitor_ = core::RelayMonitor(config_.monitored_prefixes);
     ingest_ = IngestQueue(config_.budget);
     sessions_.clear();
     last_checkpoint_s_ = -1;

@@ -40,7 +40,6 @@ namespace quicksand::daemon {
 
 struct DaemonConfig {
   bgp::ChurnParams churn;
-  core::MonitorParams monitor;
   /// The Tor relay prefixes the RelayMonitor protects.
   std::unordered_set<netbase::Prefix> monitored_prefixes;
   SessionConfig session;

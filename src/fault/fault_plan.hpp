@@ -35,23 +35,18 @@ struct MrtFaultRates {
   double truncate_rate = 0;   ///< cut the line short
   double duplicate_rate = 0;  ///< emit the line twice
   /// Swap the line with its successor when their timestamps are within
-  /// the jitter window — produces genuinely out-of-order streams without
-  /// teleporting updates across the measurement window.
+  /// the jitter window (injector.cpp) — produces genuinely out-of-order
+  /// streams without teleporting updates across the measurement window.
   double reorder_rate = 0;
-  std::int64_t reorder_jitter_s = 120;
 };
 
 /// Per-session delivery faults on update streams.
 struct SessionFaultRates {
-  /// Probability a given session has a flap schedule at all.
+  /// Probability a given session has a flap schedule at all. A flapping
+  /// session's outage count and lengths are drawn with fixed means
+  /// (injector.cpp); on recovery it re-announces its current table (a
+  /// resync burst) — the downstream sanitizer is expected to collapse it.
   double flap_rate = 0;
-  /// Mean number of down intervals for a flapping session (>= 1 drawn).
-  double flaps_per_window = 2.0;
-  /// Mean outage length in seconds (exponential, clamped to sane bounds).
-  double mean_down_s = 4.0 * 3600.0;
-  /// On recovery the session re-announces its current table (a resync
-  /// burst) — the downstream sanitizer is expected to collapse it.
-  bool resync_on_recovery = true;
   double loss_rate = 0;   ///< iid per-update loss outside outages
   double delay_rate = 0;  ///< iid per-update delivery delay
   std::int64_t max_delay_s = 240;

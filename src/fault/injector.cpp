@@ -43,6 +43,14 @@ std::optional<std::int64_t> LineTime(std::string_view line) {
 
 constexpr std::string_view kGarbleAlphabet = "#?!~*%@^";
 
+/// Reorder jitter window: a marked line swaps only with a successor at
+/// most this many seconds away.
+constexpr std::int64_t kReorderJitterS = 120;
+/// Mean number of down intervals for a flapping session (>= 1 drawn).
+constexpr double kFlapsPerWindow = 2.0;
+/// Mean outage length in seconds (exponential, clamped to sane bounds).
+constexpr double kMeanDownS = 4.0 * 3600.0;
+
 }  // namespace
 
 netbase::Rng FaultInjector::Substream(std::string_view purpose, std::uint64_t index) const {
@@ -113,7 +121,7 @@ FaultedText FaultInjector::CorruptText(std::string_view text) const {
     const auto a = LineTime(lines[faulted[i].line]);
     const auto b = LineTime(lines[faulted[i + 1].line]);
     if (!a || !b || *a == *b) continue;
-    if (std::llabs(*b - *a) > rates.reorder_jitter_s) continue;
+    if (std::llabs(*b - *a) > kReorderJitterS) continue;
     std::swap(faulted[i], faulted[i + 1]);
     ++result.stats.reordered;
   }
@@ -140,7 +148,7 @@ FlapSchedule FaultInjector::ScheduleFor(bgp::SessionId session) const {
   netbase::Rng rng = Substream("session.flap", session);
   if (!rng.Bernoulli(rates.flap_rate)) return schedule;
 
-  const double drawn = rng.Exponential(std::max(rates.flaps_per_window, 0.1));
+  const double drawn = rng.Exponential(kFlapsPerWindow);
   const std::size_t count = std::clamp<std::size_t>(
       static_cast<std::size_t>(drawn + 0.5), 1, 16);
   const std::int64_t max_down = std::max<std::int64_t>(plan_.window_s / 4, 60);
@@ -148,7 +156,7 @@ FlapSchedule FaultInjector::ScheduleFor(bgp::SessionId session) const {
     const auto begin = static_cast<std::int64_t>(
         rng.UniformInt(0, static_cast<std::uint64_t>(std::max<std::int64_t>(plan_.window_s - 1, 0))));
     const auto length = std::clamp<std::int64_t>(
-        static_cast<std::int64_t>(rng.Exponential(rates.mean_down_s)), 60, max_down);
+        static_cast<std::int64_t>(rng.Exponential(kMeanDownS)), 60, max_down);
     schedule.down.emplace_back(begin, std::min(begin + length, plan_.window_s));
   }
   std::sort(schedule.down.begin(), schedule.down.end());
@@ -195,7 +203,6 @@ FaultedRecords FaultInjector::PerturbRecords(
   };
   // Table order, not prefix order: the final sort keys on the prefix.
   const auto resync = [&](bgp::SessionId id, const Session& s, std::int64_t at) {
-    if (!rates.resync_on_recovery) return;
     for (const auto& [prefix, path] : s.table) {
       result.updates.push_back(
           {netbase::SimTime{at}, id, bgp::UpdateType::kAnnounce, prefix, path});

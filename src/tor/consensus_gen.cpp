@@ -16,6 +16,27 @@ using netbase::Prefix;
 using netbase::Rng;
 using netbase::ZipfSampler;
 
+namespace {
+
+/// Zipf exponent of the relay count across hosting ASes; higher is more
+/// concentrated. 0.7 reproduces "5 ASes host ~20%" at our topology scale.
+constexpr double kHostingZipfExponent = 0.7;
+/// Fraction of relays placed in hosting ASes; the rest are volunteers in
+/// eyeball/content/transit networks.
+constexpr double kHostingFraction = 0.72;
+/// Fraction of non-hosting ASes that have any relay volunteers at all
+/// (most access networks host none).
+constexpr double kVolunteerAsFraction = 0.35;
+/// Pareto bandwidth-weight distribution (KB/s). The paper gives none; the
+/// tail is uncapped, so one draw can hold much of all bandwidth (a known
+/// gap, DESIGN.md section 1).
+constexpr double kBandwidthParetoXmin = 120;
+constexpr double kBandwidthParetoAlpha = 1.15;
+/// Multiplier applied to guard bandwidth (guards must be fast).
+constexpr double kGuardBandwidthBoost = 1.6;
+
+}  // namespace
+
 GeneratedConsensus GenerateConsensus(const bgp::Topology& topology,
                                      const ConsensusGenParams& params) {
   const obs::ScopedSpan span("tor.generate_consensus");
@@ -42,17 +63,17 @@ GeneratedConsensus GenerateConsensus(const bgp::Topology& topology,
   rng.Shuffle(volunteer_pool);
   volunteer_pool.resize(std::max<std::size_t>(
       1, static_cast<std::size_t>(static_cast<double>(volunteer_pool.size()) *
-                                  params.volunteer_as_fraction)));
+                                  kVolunteerAsFraction)));
   if (hostings.empty() && volunteer_pool.empty()) {
     throw std::invalid_argument("GenerateConsensus: topology has no candidate host ASes");
   }
 
   ZipfSampler hosting_zipf(std::max<std::size_t>(hostings.size(), 1),
-                           params.hosting_zipf_exponent);
+                           kHostingZipfExponent);
 
   auto pick_host_as = [&]() -> AsNumber {
     if (!hostings.empty() &&
-        (volunteer_pool.empty() || rng.Bernoulli(params.hosting_fraction))) {
+        (volunteer_pool.empty() || rng.Bernoulli(kHostingFraction))) {
       return hostings[hosting_zipf.Sample(rng)];
     }
     return volunteer_pool[rng.UniformInt(0, volunteer_pool.size() - 1)];
@@ -100,7 +121,7 @@ GeneratedConsensus GenerateConsensus(const bgp::Topology& topology,
     relay.address = address;
     relay.or_port = static_cast<std::uint16_t>(9001 + rng.UniformInt(0, 99));
     relay.bandwidth_kbs = static_cast<std::uint32_t>(
-        rng.Pareto(params.bandwidth_pareto_xmin, params.bandwidth_pareto_alpha));
+        rng.Pareto(kBandwidthParetoXmin, kBandwidthParetoAlpha));
     relay.flags = RelayFlag::kRunning | RelayFlag::kValid;
     if (rng.Bernoulli(0.9)) relay.flags |= RelayFlag::kFast;
     if (rng.Bernoulli(0.7)) relay.flags |= RelayFlag::kStable;
@@ -128,7 +149,7 @@ GeneratedConsensus GenerateConsensus(const bgp::Topology& topology,
   for (Relay& relay : relays) {
     if (relay.IsGuard()) {
       relay.bandwidth_kbs = static_cast<std::uint32_t>(
-          static_cast<double>(relay.bandwidth_kbs) * params.guard_bandwidth_boost);
+          static_cast<double>(relay.bandwidth_kbs) * kGuardBandwidthBoost);
     }
   }
 

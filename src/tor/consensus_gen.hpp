@@ -22,25 +22,13 @@
 
 namespace quicksand::tor {
 
+/// Relay and flag counts and the seed. Placement and bandwidth calibration
+/// is fixed: named constants beside their draws in consensus_gen.cpp.
 struct ConsensusGenParams {
   std::size_t total_relays = 4586;
   std::size_t guard_only = 1476;  ///< 1918 guards - 442 dual-flagged
   std::size_t exit_only = 449;    ///< 891 exits - 442 dual-flagged
   std::size_t guard_exit = 442;
-  /// Zipf exponent of the relay count across hosting ASes; higher is more
-  /// concentrated. 0.7 reproduces "5 ASes host ~20%" at our topology scale.
-  double hosting_zipf_exponent = 0.7;
-  /// Fraction of relays placed in hosting ASes; the rest are volunteers in
-  /// eyeball/content/transit networks.
-  double hosting_fraction = 0.72;
-  /// Fraction of non-hosting ASes that have any relay volunteers at all
-  /// (most access networks host none).
-  double volunteer_as_fraction = 0.35;
-  /// Pareto bandwidth-weight distribution (KB/s).
-  double bandwidth_pareto_xmin = 120;
-  double bandwidth_pareto_alpha = 1.15;
-  /// Multiplier applied to guard bandwidth (guards must be fast).
-  double guard_bandwidth_boost = 1.6;
   std::uint64_t seed = 99;
 };
 

@@ -50,9 +50,8 @@ class CircuitConstraint {
   }
 };
 
+/// Tor's rule that no two circuit relays share an IPv4 /16 always holds.
 struct PathSelectionConfig {
-  /// Enforce Tor's rule that no two circuit relays share an IPv4 /16.
-  bool enforce_distinct_slash16 = true;
   /// Number of guards in a client's guard set (Tor used 3 in 2014).
   std::size_t guard_set_size = 3;
 };
@@ -195,7 +194,7 @@ class PathSelector {
   }
 
   /// O(1) alias draw with bounded rejection against `exclude` (identity
-  /// and, when configured, shared /16) and `accept`. Rejection against a
+  /// and shared /16) and `accept`. Rejection against a
   /// subset renormalizes exactly, so the conditional distribution is the
   /// bandwidth distribution over the survivors; a pathological acceptance
   /// set falls back to one exact residual scan. Returns nullopt when
@@ -228,7 +227,7 @@ class PathSelector {
                               std::span<const std::size_t> exclude) const noexcept {
     for (const std::size_t e : exclude) {
       if (index == e) return true;
-      if (config_.enforce_distinct_slash16 && slash16_[index] == slash16_[e]) return true;
+      if (slash16_[index] == slash16_[e]) return true;
     }
     return false;
   }

@@ -8,12 +8,24 @@
 
 #include "netbase/rng.hpp"
 #include "obs/metrics.hpp"
+#include "traffic/tcp.hpp"
 
 namespace quicksand::traffic {
 
 namespace {
 
 using netbase::Rng;
+
+/// Mean of the exponential per-packet jitter on every link.
+constexpr double kJitterMeanS = 0.002;
+/// Seconds between redraws of each link's rate-modulation factor.
+constexpr double kRateModulationIntervalS = 0.4;
+/// Per-hop flow control: a relay stops draining its upstream socket when
+/// this many bytes are already queued for the next hop, stalling the
+/// upstream sender through ACK clocking (Tor relays apply exactly this
+/// backpressure). Keeps a fast access link from bursting ahead of the
+/// circuit bottleneck.
+constexpr std::uint64_t kBackpressureBufferBytes = 128u << 10;
 
 enum class EventKind : std::uint8_t { kTrySend, kDataArrival, kAckArrival, kDelayedAck };
 
@@ -41,8 +53,8 @@ struct Connection {
   double last_ack_arrival = 0;
   bool try_send_scheduled = false;
 
-  Connection(const TcpParams& tcp, const LinkParams& link_params)
-      : sender(tcp), receiver(tcp), link(link_params) {}
+  explicit Connection(const LinkParams& link_params)
+      : sender(TcpParams{}), receiver(TcpParams{}), link(link_params) {}
 };
 
 }  // namespace
@@ -67,7 +79,7 @@ FlowTraces SimulateTransfer(const FlowSimParams& params) {
   // 3 -> 2 -> 1 -> 0 for downloads and 0 -> 1 -> 2 -> 3 for uploads.
   std::vector<Connection> conns;
   conns.reserve(4);
-  for (int i = 0; i < 4; ++i) conns.emplace_back(params.tcp, params.links[i]);
+  for (const LinkParams& link : params.links) conns.emplace_back(link);
 
   const int first_conn = download ? 3 : 0;
   const int last_conn = download ? 0 : 3;
@@ -78,7 +90,7 @@ FlowTraces SimulateTransfer(const FlowSimParams& params) {
   // uploads). Fractional cells are carried over between segments.
   double cell_carry = 0;
   auto inflate = [&](std::uint64_t bytes) {
-    const double exact = static_cast<double>(bytes) * params.cell_overhead + cell_carry;
+    const double exact = static_cast<double>(bytes) * kCellOverhead + cell_carry;
     const auto whole = static_cast<std::uint64_t>(exact);
     cell_carry = exact - static_cast<double>(whole);
     return whole;
@@ -115,21 +127,15 @@ FlowTraces SimulateTransfer(const FlowSimParams& params) {
 
   // Deterministic per-(connection, interval) cross-traffic factor.
   auto modulated_rate = [&](int c, double now) {
-    const LinkParams& link = conns[c].link;
-    if (params.rate_modulation_spread <= 0 || params.rate_modulation_interval_s <= 0) {
-      return link.rate_bytes_per_s;
-    }
-    const auto interval =
-        static_cast<std::uint64_t>(now / params.rate_modulation_interval_s);
+    const auto interval = static_cast<std::uint64_t>(now / kRateModulationIntervalS);
     std::uint64_t z = params.seed ^ (0x9E3779B97F4A7C15ULL * (interval + 1)) ^
                       (0xBF58476D1CE4E5B9ULL * static_cast<std::uint64_t>(c + 1));
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     z ^= z >> 31;
     const double unit = static_cast<double>(z >> 11) * 0x1.0p-53;  // [0,1)
-    const double factor =
-        1.0 + params.rate_modulation_spread * (2.0 * unit - 1.0);
-    return link.rate_bytes_per_s * factor;
+    const double factor = 1.0 + kRateModulationSpread * (2.0 * unit - 1.0);
+    return conns[c].link.rate_bytes_per_s * factor;
   };
 
   // try_send never clears try_send_scheduled itself: only the scheduled
@@ -141,7 +147,7 @@ FlowTraces SimulateTransfer(const FlowSimParams& params) {
     while (conn.sender.CanSend() && conn.next_free <= now) {
       const std::uint32_t seg = conn.sender.EmitSegment();
       record_data(c, now, seg);
-      double arrival = now + conn.link.delay_fwd_s + rng.Exponential(conn.link.jitter_mean_s);
+      double arrival = now + conn.link.delay_fwd_s + rng.Exponential(kJitterMeanS);
       arrival = std::max(arrival, conn.last_data_arrival);  // FIFO link
       conn.last_data_arrival = arrival;
       schedule(arrival, EventKind::kDataArrival, c, seg);
@@ -157,7 +163,7 @@ FlowTraces SimulateTransfer(const FlowSimParams& params) {
   auto send_ack = [&](int c, double now, std::uint64_t cumulative) {
     Connection& conn = conns[c];
     record_ack(c, now, cumulative);
-    double arrival = now + conn.link.delay_rev_s + rng.Exponential(conn.link.jitter_mean_s);
+    double arrival = now + conn.link.delay_rev_s + rng.Exponential(kJitterMeanS);
     arrival = std::max(arrival, conn.last_ack_arrival);
     conn.last_ack_arrival = arrival;
     schedule(arrival, EventKind::kAckArrival, c, cumulative);
@@ -171,7 +177,7 @@ FlowTraces SimulateTransfer(const FlowSimParams& params) {
   while (!queue.empty()) {
     const Event event = queue.top();
     queue.pop();
-    if (event.time > params.max_sim_time_s) break;
+    if (event.time > kMaxSimTimeS) break;
     Connection& conn = conns[event.conn];
     switch (event.kind) {
       case EventKind::kTrySend:
@@ -184,7 +190,7 @@ FlowTraces SimulateTransfer(const FlowSimParams& params) {
         // unsent ACK stalls the upstream sender via its window.
         if (event.conn != last_conn) {
           const int next = event.conn + step;
-          if (conns[next].sender.buffered() >= params.backpressure_buffer_bytes) {
+          if (conns[next].sender.buffered() >= kBackpressureBufferBytes) {
             schedule(event.time + 0.005, EventKind::kDataArrival, event.conn,
                      event.value);
             break;

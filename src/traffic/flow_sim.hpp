@@ -16,18 +16,17 @@
 #include <array>
 #include <cstdint>
 
-#include "traffic/tcp.hpp"
 #include "traffic/trace.hpp"
 
 namespace quicksand::traffic {
 
 /// Per-link characteristics. "fwd" is the data direction of the transfer,
 /// "rev" the acknowledgement direction; real Internet paths are
-/// asymmetric, so the two delays differ.
+/// asymmetric, so the two delays differ. Every packet also draws an
+/// exponential jitter of fixed mean (flow_sim.cpp).
 struct LinkParams {
   double delay_fwd_s = 0.030;
   double delay_rev_s = 0.040;
-  double jitter_mean_s = 0.002;
   double rate_bytes_per_s = 3.0e6;
 };
 
@@ -37,39 +36,34 @@ enum class TransferDirection : std::uint8_t {
   kUpload,    ///< client -> ... -> server (e.g. a file upload to a dropbox)
 };
 
+/// Bytes-on-the-wire inflation when the stream enters Tor (cell framing:
+/// 514-byte cells carrying 498 payload bytes).
+inline constexpr double kCellOverhead = 514.0 / 498.0;
+/// Cross-traffic rate modulation: each link's available rate is scaled by
+/// a factor drawn uniformly in [1-spread, 1+spread], redrawn every
+/// interval (flow_sim.cpp). This gives every transfer the per-interval
+/// throughput structure that real wide-area flows exhibit — the very
+/// structure end-to-end correlation attacks key on.
+inline constexpr double kRateModulationSpread = 0.35;
+/// Safety cap on simulated time.
+inline constexpr double kMaxSimTimeS = 600.0;
+
+/// One transfer. Every connection runs TcpParams{}; per-hop flow control
+/// and the modulation interval are fixed (flow_sim.cpp).
 struct FlowSimParams {
   std::uint64_t file_bytes = 40ull << 20;  ///< the paper's ~40 MB download
   TransferDirection direction = TransferDirection::kDownload;
   /// Links in circuit order: [0] client-guard, [1] guard-middle,
   /// [2] middle-exit, [3] exit-server.
   std::array<LinkParams, 4> links{{
-      {0.030, 0.042, 0.002, 5.0e6},   // client <-> guard
-      {0.024, 0.020, 0.002, 3.2e6},   // guard <-> middle
-      {0.034, 0.029, 0.002, 2.8e6},   // middle <-> exit
-      {0.020, 0.027, 0.002, 1.5e6},   // exit <-> server (bottleneck)
+      {0.030, 0.042, 5.0e6},   // client <-> guard
+      {0.024, 0.020, 3.2e6},   // guard <-> middle
+      {0.034, 0.029, 2.8e6},   // middle <-> exit
+      {0.020, 0.027, 1.5e6},   // exit <-> server (bottleneck)
   }};
-  TcpParams tcp{};
-  /// Bytes-on-the-wire inflation when the stream enters Tor (cell framing:
-  /// 514-byte cells carrying 498 payload bytes).
-  double cell_overhead = 514.0 / 498.0;
-  /// Cross-traffic rate modulation: each link's available rate is scaled
-  /// by a factor drawn uniformly in [1-spread, 1+spread], redrawn every
-  /// `interval` seconds. This gives every transfer the per-interval
-  /// throughput structure that real wide-area flows exhibit — the very
-  /// structure end-to-end correlation attacks key on. Spread 0 disables.
-  double rate_modulation_spread = 0.35;
-  double rate_modulation_interval_s = 0.4;
-  /// Per-hop flow control: a relay stops draining its upstream socket
-  /// when this many bytes are already queued for the next hop, stalling
-  /// the upstream sender through ACK clocking (Tor relays apply exactly
-  /// this backpressure). Keeps a fast access link from bursting ahead of
-  /// the circuit bottleneck.
-  std::uint64_t backpressure_buffer_bytes = 128u << 10;
   /// When the transfer begins (lets a population of flows start at
   /// staggered times, as real clients do).
   double start_time_s = 0.0;
-  /// Safety cap on simulated time.
-  double max_sim_time_s = 600.0;
   std::uint64_t seed = 2014;
 };
 

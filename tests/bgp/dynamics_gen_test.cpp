@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <unordered_set>
 #include <vector>
 
@@ -159,6 +160,36 @@ TEST_F(DynamicsGenTest, NoResetsMeansNoDuplicateFloods) {
   }
 }
 
+// Resets are drawn in [1 h, window - 1 h] and events in [60 s, window -
+// 60 s]; below two hours the upper bound would wrap to a huge unsigned
+// time. The generator refuses such a window instead.
+TEST(DynamicsGen, RejectsWindowsTooShortForResets) {
+  TopologyParams tp;
+  tp.tier1_count = 3;
+  tp.transit_count = 10;
+  tp.eyeball_count = 12;
+  tp.hosting_count = 5;
+  tp.content_count = 8;
+  tp.seed = 3;
+  const Topology topology = GenerateTopology(tp);
+  CollectorParams cp;
+  cp.collector_count = 2;
+  cp.sessions_per_collector = 4;
+  cp.seed = 4;
+  const CollectorSet collectors = CollectorSet::Create(topology, cp);
+  DynamicsParams params;
+  params.session_resets_per_month = 20;
+  params.seed = 5;
+  for (const std::int64_t window : {std::int64_t{0}, std::int64_t{3000}, std::int64_t{7199}}) {
+    params.window = window;
+    EXPECT_THROW((void)GenerateDynamics(topology, collectors, params), std::invalid_argument)
+        << window;
+  }
+  params.window = 7200;
+  const GeneratedDynamics dyn = GenerateDynamics(topology, collectors, params);
+  ASSERT_FALSE(dyn.updates.empty());
+  for (const BgpUpdate& u : dyn.updates) EXPECT_LE(u.time.seconds, params.window);
+}
 
 constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
 

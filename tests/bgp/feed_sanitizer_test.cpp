@@ -32,11 +32,10 @@ struct Sanitized {
 
 /// Interns Rib() and the updates into one table (the filter compares
 /// path ids) and sanitizes.
-Sanitized Sanitize(const std::vector<BgpUpdate>& updates,
-                   const SanitizerParams& params = {}) {
+Sanitized Sanitize(const std::vector<BgpUpdate>& updates) {
   test::RecordFixture fx;
   const std::vector<feed::UpdateRec> rib = fx.Recs(Rib());
-  const SanitizedRecords result = SanitizeRecords(rib, fx.Recs(updates), params);
+  const SanitizedRecords result = SanitizeRecords(rib, fx.Recs(updates));
   return {fx.Updates(result.updates), result.reset_stats, result.out_of_order_repaired};
 }
 
@@ -66,16 +65,6 @@ TEST(FeedSanitizer, RepairsOutOfOrderInputInsteadOfThrowing) {
   ASSERT_EQ(feed.updates.size(), 2u);
   EXPECT_EQ(feed.updates[0].time.seconds, 100);
   EXPECT_EQ(feed.updates[1].time.seconds, 200);
-}
-
-TEST(FeedSanitizer, StrictModeStillThrows) {
-  const std::vector<BgpUpdate> updates = {
-      Announce(200, 0, "11.0.0.0/8", "1 5"),
-      Announce(100, 0, "10.0.0.0/8", "1 4"),
-  };
-  SanitizerParams params;
-  params.repair_ordering = false;
-  EXPECT_THROW((void)Sanitize(updates, params), std::invalid_argument);
 }
 
 TEST(FeedSanitizer, RemovesDuplicateAnnouncements) {

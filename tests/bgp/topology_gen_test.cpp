@@ -151,33 +151,5 @@ TEST(TopologyGen, RoleNamesReadable) {
   EXPECT_EQ(ToString(AsRole::kHosting), "hosting");
 }
 
-TEST(TopologyGen, InternetScalePresetApportionsTheDefaultMix) {
-  const TopologyParams params = TopologyParams::InternetScale(10000);
-  // Fixed small core; the edge keeps the default 90:260:70:180 split.
-  EXPECT_EQ(params.tier1_count, 12u);
-  const std::size_t total = params.tier1_count + params.transit_count +
-                            params.eyeball_count + params.hosting_count +
-                            params.content_count;
-  EXPECT_NEAR(static_cast<double>(total), 10000.0, 4.0);
-  EXPECT_NEAR(static_cast<double>(params.eyeball_count) /
-                  static_cast<double>(params.transit_count),
-              260.0 / 90.0, 0.05);
-  // Tiny requests clamp up instead of underflowing.
-  const TopologyParams tiny = TopologyParams::InternetScale(1);
-  EXPECT_GE(tiny.tier1_count, 1u);
-  EXPECT_GE(tiny.transit_count + tiny.eyeball_count + tiny.hosting_count +
-                tiny.content_count,
-            4u);
-}
-
-TEST(TopologyGen, InternetScalePresetGeneratesAtThousandsOfAses) {
-  TopologyParams params = TopologyParams::InternetScale(2000);
-  params.seed = 11;
-  const Topology topo = GenerateTopology(params);
-  EXPECT_NEAR(static_cast<double>(topo.graph.AsCount()), 2000.0, 4.0);
-  // Prefix pools stay collision-free at scale.
-  EXPECT_GE(topo.prefix_origins.size(), topo.graph.AsCount());
-}
-
 }  // namespace
 }  // namespace quicksand::bgp

@@ -127,22 +127,6 @@ TEST(RelayMonitor, AlertsAccumulateAndFlagPrefixes) {
   EXPECT_TRUE(flagged.contains(Prefix::MustParse("10.9.0.0/16")));
 }
 
-TEST(RelayMonitor, DetectorsCanBeDisabled) {
-  MonitorParams params;
-  params.alert_on_more_specific = false;
-  params.alert_on_new_upstream = false;
-  RelayMonitor monitor({Prefix::MustParse("78.46.0.0/15")}, params);
-  const std::vector<BgpUpdate> rib = {Announce(0, 0, "78.46.0.0/15", "701 3356 24940")};
-  test::RecordFixture fx;
-  fx.FeedBaseline(monitor, rib);
-  EXPECT_TRUE(
-      fx.Feed(monitor, Announce(100, 0, "78.46.0.0/16", "701 3356 24940")).empty());
-  EXPECT_TRUE(
-      fx.Feed(monitor, Announce(100, 0, "78.46.0.0/15", "701 9999 24940")).empty());
-  // Origin change still fires.
-  EXPECT_FALSE(fx.Feed(monitor, Announce(100, 0, "78.46.0.0/15", "701 666")).empty());
-}
-
 TEST(RelayMonitor, MonitoredCount) {
   test::RecordFixture fx;
   EXPECT_EQ(MonitorWithBaseline(fx).MonitoredCount(), 2u);

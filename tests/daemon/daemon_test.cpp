@@ -147,7 +147,7 @@ TEST(Daemon, RateZeroMatchesBatchPipeline) {
       << "resident churn state must equal batch AnalyzeChurnStream";
   EXPECT_EQ(daemon.churn().DroppedOutOfOrder(), batch_churn.DroppedOutOfOrder());
 
-  core::RelayMonitor batch_monitor(config.monitored_prefixes, config.monitor);
+  core::RelayMonitor batch_monitor(config.monitored_prefixes);
   bgp::feed::UpdateStream rib = bgp::feed::FromRecords(table, rib_records);
   batch_monitor.LearnBaselineStream(rib);
   bgp::feed::UpdateStream updates = bgp::feed::FromRecords(table, base.updates);

@@ -322,7 +322,6 @@ FaultedStream ReferencePerturb(const FaultInjector& injector,
 
     std::size_t cursor = 0;
     auto resync = [&](std::int64_t at) {
-      if (!rates.resync_on_recovery) return;
       for (const Prefix& prefix : withdrawn) seen.withdrawn_skipped += table.count(prefix) == 0;
       for (const auto& [prefix, path] : table) {
         result.updates.push_back({SimTime{at}, session, UpdateType::kAnnounce, prefix, path});
@@ -452,13 +451,11 @@ RandomFeed MakeRandomFeed(const FaultInjector& injector, std::uint64_t seed) {
 TEST(FaultInjector, PerturbRecordsMatchesReferenceModel) {
   constexpr std::int64_t kWindow = 86400;
   Coverage seen;
-  std::size_t resync_off_runs = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     FaultPlan plan = FaultPlan::Scaled(0.05, 100 + seed, kWindow);
     plan.session.flap_rate = seed % 4 == 0 ? 0.5 : 1.0;
     plan.session.delay_rate = 0.3;
     plan.session.max_delay_s = 3600;
-    plan.session.resync_on_recovery = seed % 3 != 0;
     const FaultInjector injector(plan);
     const RandomFeed feed = MakeRandomFeed(injector, seed);
 
@@ -470,18 +467,12 @@ TEST(FaultInjector, PerturbRecordsMatchesReferenceModel) {
     EXPECT_EQ(fx.Updates(got.updates), want.updates) << "seed " << seed;
     ExpectSameStats(got.stats, want.stats);
 
-    if (plan.session.resync_on_recovery) {
-      seen.out_of_order += run.out_of_order;
-      seen.duplicates += run.duplicates;
-      seen.at_outage_end += run.at_outage_end;
-      seen.withdrawn_skipped += run.withdrawn_skipped;
-      seen.trailing_outages += run.trailing_outages;
-      seen.clamped_delays += run.clamped_delays;
-    } else {
-      ++resync_off_runs;
-      EXPECT_GT(got.stats.dropped_down, 0u) << "seed " << seed;
-      EXPECT_EQ(got.stats.resync_injected, 0u) << "seed " << seed;
-    }
+    seen.out_of_order += run.out_of_order;
+    seen.duplicates += run.duplicates;
+    seen.at_outage_end += run.at_outage_end;
+    seen.withdrawn_skipped += run.withdrawn_skipped;
+    seen.trailing_outages += run.trailing_outages;
+    seen.clamped_delays += run.clamped_delays;
   }
   EXPECT_GT(seen.out_of_order, 0u);
   EXPECT_GT(seen.duplicates, 0u);
@@ -489,7 +480,6 @@ TEST(FaultInjector, PerturbRecordsMatchesReferenceModel) {
   EXPECT_GT(seen.withdrawn_skipped, 0u);
   EXPECT_GT(seen.trailing_outages, 0u);
   EXPECT_GT(seen.clamped_delays, 0u);
-  EXPECT_GT(resync_off_runs, 0u);
 }
 
 TEST(FaultInjector, IoFailuresAreRetriedToSuccess) {

@@ -269,22 +269,6 @@ TEST(PathSelector, CircuitSatisfiesAllInvariants) {
   }
 }
 
-TEST(PathSelector, Slash16RuleCanBeDisabled) {
-  const Consensus consensus = TestConsensus();
-  PathSelectionConfig config;
-  config.enforce_distinct_slash16 = false;
-  const PathSelector selector(consensus, config);
-  Rng rng(5);
-  // g1 and e3 share a /16; with the rule off they may co-occur.
-  const std::vector<std::size_t> guards = {0};
-  bool shared_slash16_seen = false;
-  for (int i = 0; i < 300 && !shared_slash16_seen; ++i) {
-    const Circuit circuit = selector.BuildCircuit(guards, rng);
-    shared_slash16_seen = circuit.exit == 6;  // e3
-  }
-  EXPECT_TRUE(shared_slash16_seen);
-}
-
 TEST(PathSelector, ConstraintVetoesGuardsAndPairs) {
   class VetoExit3 final : public CircuitConstraint {
    public:

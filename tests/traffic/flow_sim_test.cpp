@@ -18,10 +18,10 @@ TEST(FlowSim, DeliversTheWholeFile) {
   const FlowSimParams params = SmallTransfer();
   const FlowTraces traces = SimulateTransfer(params);
   // The client receives the file inflated by Tor cell framing.
-  const auto expected = static_cast<double>(params.file_bytes) * params.cell_overhead;
+  const auto expected = static_cast<double>(params.file_bytes) * kCellOverhead;
   EXPECT_NEAR(static_cast<double>(traces.delivered_bytes), expected, 2048.0);
   EXPECT_GT(traces.completion_time_s, 0.0);
-  EXPECT_LT(traces.completion_time_s, params.max_sim_time_s);
+  EXPECT_LT(traces.completion_time_s, kMaxSimTimeS);
 }
 
 TEST(FlowSim, ThroughputGovernedByBottleneck) {
@@ -61,7 +61,7 @@ TEST(FlowSim, CellFramingInflatesTorSideSlightly) {
   const auto cells = TotalPayloadBytes(traces.client_guard.b_to_a);
   EXPECT_GT(cells, raw);
   EXPECT_NEAR(static_cast<double>(cells) / static_cast<double>(raw),
-              params.cell_overhead, 0.01);
+              kCellOverhead, 0.01);
 }
 
 TEST(FlowSim, PacketTimestampsAreMonotonePerStream) {
@@ -149,7 +149,7 @@ TEST_P(FlowConservation, BytesConservedAndAcknowledged) {
   const FlowTraces traces = SimulateTransfer(params);
 
   const double expected =
-      static_cast<double>(params.file_bytes) * params.cell_overhead;
+      static_cast<double>(params.file_bytes) * kCellOverhead;
   EXPECT_NEAR(static_cast<double>(traces.delivered_bytes), expected, 2048.0);
 
   const bool download = params.direction == TransferDirection::kDownload;
@@ -172,7 +172,7 @@ TEST_P(FlowConservation, BytesConservedAndAcknowledged) {
   }
   const double achieved =
       static_cast<double>(params.file_bytes) / traces.completion_time_s;
-  EXPECT_LT(achieved, bottleneck * (1.0 + params.rate_modulation_spread));
+  EXPECT_LT(achieved, bottleneck * (1.0 + kRateModulationSpread));
 }
 
 INSTANTIATE_TEST_SUITE_P(
