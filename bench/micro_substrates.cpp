@@ -356,24 +356,6 @@ BENCHMARK(BM_ParallelForDispatch)
     ->Args({1 << 16, 1})
     ->Args({1 << 16, 4});
 
-void BM_ParallelReduceSum(benchmark::State& state) {
-  // Chunked deterministic sum vs the same loop serially (threads == 1
-  // exercises the identical chunk structure without the pool).
-  const std::size_t n = 1 << 16;
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  std::vector<double> values(n);
-  netbase::Rng rng(8);
-  for (double& v : values) v = rng.UniformDouble();
-  for (auto _ : state) {
-    const double sum = exec::ParallelReduce(
-        threads, n, 0.0, [&](std::size_t i) { return values[i]; },
-        [](double a, double b) { return a + b; });
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetLabel(std::to_string(threads) + " thread(s), 64k doubles");
-}
-BENCHMARK(BM_ParallelReduceSum)->Arg(1)->Arg(4);
-
 void BM_RouteCacheHit(benchmark::State& state) {
   const bgp::Topology& topo = SharedTopology();
   bgp::RouteCache cache;

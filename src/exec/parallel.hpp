@@ -12,11 +12,9 @@
 //     keyed by task index — and never touch a shared generator from
 //     inside the loop body.
 //   * Results are combined in index order: ParallelMap writes slot i of
-//     the output vector, ParallelReduce folds chunk partials in ascending
-//     chunk order. Floating-point accumulation order is thus fixed, so
-//     same-seed output is byte-identical between `threads=1` and
-//     `threads=N` (scripts/check_bench_json.py --compare enforces this
-//     across the bench suite).
+//     the output vector, so same-seed output is byte-identical between
+//     `threads=1` and `threads=N` (scripts/check_bench_json.py --compare
+//     enforces this across the bench suite).
 //   * `threads <= 1` (after ResolveThreads) runs inline on the caller's
 //     thread with no pool interaction and no synchronization.
 //
@@ -41,10 +39,9 @@ namespace quicksand::exec {
 
 namespace detail {
 
-/// Picks a chunk size from the problem size alone — deliberately NOT from
-/// the thread count. Chunk boundaries define the canonical reduction
-/// order, so they must be identical whatever `threads` is; 64 chunks keeps
-/// self-scheduling balanced for any sane worker count.
+/// Picks a chunk size from the problem size alone, not from the thread
+/// count: 64 chunks keeps self-scheduling balanced for any sane worker
+/// count.
 [[nodiscard]] inline std::size_t AutoGrain(std::size_t n) noexcept {
   const std::size_t grain = (n + 63) / 64;
   return grain == 0 ? 1 : grain;
@@ -129,41 +126,6 @@ template <typename Fn,
   out.reserve(n);
   for (auto& slot : slots) out.push_back(std::move(*slot));
   return out;
-}
-
-/// Folds `map(i)` over [0, n): chunk partials are accumulated with
-/// `combine(acc, value)` inside each chunk (ascending i), then the chunk
-/// partials themselves are combined in ascending chunk order. The chunk
-/// layout depends only on n and `grain` — never on the thread count — and
-/// the threads<=1 path folds the *same* chunk structure, so the result
-/// (including floating-point rounding) is byte-identical for every value
-/// of `threads`.
-template <typename T, typename MapFn, typename CombineFn>
-[[nodiscard]] T ParallelReduce(std::size_t threads, std::size_t n, T identity,
-                               MapFn&& map, CombineFn&& combine,
-                               std::size_t grain = 0) {
-  if (n == 0) return identity;
-  if (grain == 0) grain = detail::AutoGrain(n);
-  const std::size_t chunks = (n + grain - 1) / grain;
-  std::vector<std::optional<T>> partials(chunks);
-  auto fold_chunk = [&](std::size_t begin, std::size_t end) {
-    T acc = identity;
-    for (std::size_t i = begin; i < end; ++i) {
-      acc = combine(std::move(acc), map(i));
-    }
-    partials[begin / grain].emplace(std::move(acc));
-  };
-  const std::size_t workers = std::min(ResolveThreads(threads), chunks);
-  if (workers <= 1) {
-    for (std::size_t c = 0; c < chunks; ++c) {
-      fold_chunk(c * grain, std::min(n, (c + 1) * grain));
-    }
-  } else {
-    detail::RunChunked(workers, n, grain, fold_chunk);
-  }
-  T acc = std::move(identity);
-  for (auto& partial : partials) acc = combine(std::move(acc), std::move(*partial));
-  return acc;
 }
 
 }  // namespace quicksand::exec

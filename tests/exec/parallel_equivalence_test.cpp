@@ -18,7 +18,6 @@
 #include "bgp/topology_gen.hpp"
 #include "core/attack_analysis.hpp"
 #include "core/exposure.hpp"
-#include "netbase/rng.hpp"
 #include "record_fixture.hpp"
 
 namespace quicksand {
@@ -59,23 +58,6 @@ TEST(ParallelMap, OutputSlotsFollowIndexOrder) {
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], i * i);
   }
-}
-
-TEST(ParallelReduce, FloatingPointSumIsThreadCountInvariant) {
-  // Chunk boundaries depend only on n, so the fold order — and therefore
-  // the floating-point rounding — is fixed.
-  constexpr std::size_t kN = 100000;
-  netbase::Rng rng(99);
-  std::vector<double> values(kN);
-  for (double& v : values) v = rng.UniformDouble() * 1e6 - 5e5;
-  const auto sum_with = [&](std::size_t threads) {
-    return exec::ParallelReduce(
-        threads, kN, 0.0, [&](std::size_t i) { return values[i]; },
-        [](double a, double b) { return a + b; });
-  };
-  const double serial = sum_with(1);
-  EXPECT_EQ(serial, sum_with(4));
-  EXPECT_EQ(serial, sum_with(13));
 }
 
 // --- pipeline entry points -------------------------------------------------
