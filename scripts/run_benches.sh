@@ -51,9 +51,13 @@ cd "$out_dir"   # benches write auxiliary CSVs into their cwd
 
 benches=()
 for bin in "$build_dir"/bench/*; do
+  name=$(basename "$bin")
   # daemon_chaos speaks its own flags/JSON schema and has a dedicated
   # driver (scripts/daemon_chaos_smoke.sh) — skip it here.
-  [[ "$(basename "$bin")" == "daemon_chaos" ]] && continue
+  [[ "$name" == "daemon_chaos" ]] && continue
+  # A build tree configured before a bench was deleted still holds its
+  # binary; run only the benches whose source is in the checkout.
+  [[ -f "$repo_root/bench/$name.cpp" ]] || continue
   [[ -f "$bin" && -x "$bin" ]] && benches+=("$bin")
 done
 if [[ ${#benches[@]} -eq 0 ]]; then
