@@ -68,8 +68,7 @@ GeneratedConsensus GenerateConsensus(const bgp::Topology& topology,
     throw std::invalid_argument("GenerateConsensus: topology has no candidate host ASes");
   }
 
-  ZipfSampler hosting_zipf(std::max<std::size_t>(hostings.size(), 1),
-                           kHostingZipfExponent);
+  ZipfSampler hosting_zipf(std::max<std::size_t>(hostings.size(), 1), kHostingZipfExponent);
 
   auto pick_host_as = [&]() -> AsNumber {
     if (!hostings.empty() &&
